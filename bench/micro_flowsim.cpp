@@ -17,10 +17,9 @@
 // A second section exercises the arena-backed slab at fabric scale
 // (768 / 8k / 32k endpoints on the widened Clos builders) and writes
 // BENCH_scale.json:
-//   * kind=perf rows: the full churn workload in incremental mode at
-//     MCCS-threads 1 and 8, with an order-sensitive FNV-1a digest of the
-//     completion stream (flow id, completion time) proving the thread count
-//     changed nothing;
+//   * kind=perf rows: the full churn workload in incremental mode, with an
+//     order-sensitive FNV-1a digest of the completion stream (flow id,
+//     completion time) that pins the simulated behaviour across changes;
 //   * kind=identity rows: a trimmed workload run under both engine modes —
 //     digests must match (component-scoped == global oracle) — plus the
 //     compile-time bytes-per-flow-state split (hot SoA / solve params /
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "netsim/network.h"
 #include "sim/event_loop.h"
@@ -459,8 +457,8 @@ int main() {
               "= %zu B/flow\n\n",
               fp.hot, fp.param, fp.cold, fp.total());
 
-  std::printf("%-6s %-10s %8s %10s %9s %14s\n", "gpus", "kind", "threads",
-              "events", "wall(s)", "events/sec");
+  std::printf("%-6s %-10s %10s %9s %14s\n", "gpus", "kind", "events",
+              "wall(s)", "events/sec");
   bool all_identical = true;
   for (const int gpus : {768, 8192, 32768}) {
     const cluster::Cluster cl = cluster::make_scaled_sim_cluster(gpus);
@@ -471,30 +469,20 @@ int main() {
     const RunOptions perf{.incremental = true, .prewarm_routes = true,
                           .reserve = true};
 
-    RunResult by_threads[2];
-    for (int t = 0; t < 2; ++t) {
-      par::set_threads(t == 0 ? 1 : 8);
-      by_threads[t] = run_workload(cl, w, perf);
-      par::set_threads(0);
-      const RunResult& r = by_threads[t];
-      const double rate = static_cast<double>(r.events) / r.wall_s;
-      std::printf("%-6d %-10s %8d %10llu %9.3f %14.0f\n", gpus, "perf",
-                  t == 0 ? 1 : 8, static_cast<unsigned long long>(r.events),
-                  r.wall_s, rate);
-      std::fprintf(sjson,
-                   "{\"bench\":\"micro_flowsim_scale\",\"kind\":\"perf\","
-                   "\"gpus\":%d,\"threads\":%d,\"events\":%llu,"
-                   "\"sim_s\":%.6f,\"wall_s\":%.6f,\"events_per_sec\":%.1f,"
-                   "\"solves_per_event\":%.4f,\"mean_batch_width\":%.2f,"
-                   "\"digest\":\"%016llx\"}\n",
-                   gpus, t == 0 ? 1 : 8,
-                   static_cast<unsigned long long>(r.events), r.sim_s,
-                   r.wall_s, rate, r.solves_per_event(), r.mean_batch_width(),
-                   static_cast<unsigned long long>(r.digest));
-    }
-    const bool threads_identical =
-        by_threads[0].digest == by_threads[1].digest &&
-        by_threads[0].events == by_threads[1].events;
+    const RunResult bat = run_workload(cl, w, perf);
+    const double rate = static_cast<double>(bat.events) / bat.wall_s;
+    std::printf("%-6d %-10s %10llu %9.3f %14.0f\n", gpus, "perf",
+                static_cast<unsigned long long>(bat.events), bat.wall_s, rate);
+    std::fprintf(sjson,
+                 "{\"bench\":\"micro_flowsim_scale\",\"kind\":\"perf\","
+                 "\"gpus\":%d,\"events\":%llu,"
+                 "\"sim_s\":%.6f,\"wall_s\":%.6f,\"events_per_sec\":%.1f,"
+                 "\"solves_per_event\":%.4f,\"mean_batch_width\":%.2f,"
+                 "\"digest\":\"%016llx\"}\n",
+                 gpus, static_cast<unsigned long long>(bat.events), bat.sim_s,
+                 bat.wall_s, rate, bat.solves_per_event(),
+                 bat.mean_batch_width(),
+                 static_cast<unsigned long long>(bat.digest));
 
     const Workload tw = trim_workload(w, 16, 2);
     const RunResult ref = run_workload(
@@ -505,34 +493,27 @@ int main() {
                            .reserve = true});
     const bool identical_to_reference =
         ref.digest == inc.digest && ref.events == inc.events;
-    std::printf("%-6d %-10s %8s %10llu %9.3f  threads_identical=%s "
-                "identical_to_reference=%s\n",
-                gpus, "identity", "-",
-                static_cast<unsigned long long>(inc.events), inc.wall_s,
-                threads_identical ? "yes" : "NO",
-                identical_to_reference ? "yes" : "NO");
+    std::printf("%-6d %-10s %10llu %9.3f  identical_to_reference=%s\n",
+                gpus, "identity", static_cast<unsigned long long>(inc.events),
+                inc.wall_s, identical_to_reference ? "yes" : "NO");
     std::fprintf(sjson,
                  "{\"bench\":\"micro_flowsim_scale\",\"kind\":\"identity\","
-                 "\"gpus\":%d,\"threads_identical\":%s,"
-                 "\"identical_to_reference\":%s,\"verify_events\":%llu,"
-                 "\"hot_bytes\":%zu,\"param_bytes\":%zu,\"cold_bytes\":%zu,"
+                 "\"gpus\":%d,\"identical_to_reference\":%s,"
+                 "\"verify_events\":%llu,\"hot_bytes\":%zu,"
+                 "\"param_bytes\":%zu,\"cold_bytes\":%zu,"
                  "\"bytes_per_flow_state\":%zu}\n",
-                 gpus, threads_identical ? "true" : "false",
-                 identical_to_reference ? "true" : "false",
+                 gpus, identical_to_reference ? "true" : "false",
                  static_cast<unsigned long long>(inc.events), fp.hot, fp.param,
                  fp.cold, fp.total());
-    all_identical = all_identical && threads_identical && identical_to_reference;
+    all_identical = all_identical && identical_to_reference;
 
     // Coalescing: the same full workload with batching off — the per-event
     // solve baseline. The completion stream must be bit-identical (zero
     // virtual time elapses inside a batch, so the skipped intermediate rate
     // states transfer zero bytes); the solve count must not be.
-    par::set_threads(1);
     const RunResult unb = run_workload(
         cl, w, RunOptions{.incremental = true, .coalesce = false,
                           .prewarm_routes = true, .reserve = true});
-    par::set_threads(0);
-    const RunResult& bat = by_threads[0];
     // Canonical (order-insensitive) digest: every flow must complete at the
     // bitwise-identical virtual time in both modes; only the within-instant
     // completion order may permute (see CompletionDigest::canonical).
@@ -542,9 +523,9 @@ int main() {
         bat.solves == 0 ? 0.0
                         : static_cast<double>(unb.solves) /
                               static_cast<double>(bat.solves);
-    std::printf("%-6d %-10s %8s %10llu %9.3f  solves %llu -> %llu "
+    std::printf("%-6d %-10s %10llu %9.3f  solves %llu -> %llu "
                 "(%.2fx, width %.1f) digest_identical=%s\n",
-                gpus, "coalesce", "-",
+                gpus, "coalesce",
                 static_cast<unsigned long long>(unb.events), unb.wall_s,
                 static_cast<unsigned long long>(unb.solves),
                 static_cast<unsigned long long>(bat.solves), reduction,
@@ -567,6 +548,6 @@ int main() {
   std::fclose(sjson);
   std::printf("\nBENCH_scale.json written (perf + identity rows per scale).\n");
   MCCS_CHECK(all_identical,
-             "completion streams drifted across threads or engine modes");
+             "completion streams drifted across engine or batching modes");
   return 0;
 }

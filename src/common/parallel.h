@@ -1,8 +1,10 @@
 #pragma once
-// Deterministic fork-join task pool shared by every parallel layer (netsim
-// component solves, sharded reductions, FFA route scoring, seed sweeps).
-//
-// Design constraints, in priority order:
+// Deterministic fork-join task pool for the work that is wide enough to pay
+// for a dispatch: sharded reductions of >= 1 MiB buffers and sweeps over
+// whole independent simulations (fig11's run x solution grid, property and
+// chaos seed sweeps). Nothing inside one simulation dispatches to it: a
+// netsim event costs about as much host time as one fork-join handshake
+// (DESIGN.md §10).
 //
 //  1. *Determinism.* Every parallel_for splits [0, n) into fixed grain-sized
 //     chunks whose boundaries depend only on (n, grain) — never on the thread
@@ -12,29 +14,19 @@
 //     `threads = 1` for any N: the same floating-point operations run on the
 //     same operands, only on different threads.
 //  2. *Zero cost when off.* `threads = 1` (or a range below one grain) never
-//     constructs the pool: the chunks run inline on the caller, preserving
-//     the exact pre-pool single-threaded behaviour with no synchronisation.
-//  3. *Cheap dispatch.* Idle workers spin briefly on an atomic epoch before
-//     blocking on a condvar, so a dispatch that follows another closely pays
-//     a cache-line read rather than a futex wakeup. Chunk claiming is
-//     mutex-based: a claim costs tens of nanoseconds, which is noise at the
-//     intended grain (a max-min component solve, a 256 KiB reduce shard, a
-//     whole simulated seed).
+//     starts a worker: the chunks run inline on the caller, with no
+//     synchronisation.
+//  3. *Nested calls flatten.* A parallel_for issued from inside a pool task
+//     (or re-entrantly from a task body on the caller) runs its chunks inline
+//     on the issuing thread. The outer loop already owns the cores; nesting
+//     would only add dispatch cost and deadlock risk.
 //
-// Thread count resolution: ParallelOptions::threads > 0 wins; otherwise the
-// MCCS_THREADS environment variable; otherwise std::thread::
-// hardware_concurrency(). The process-wide default pool is reachable through
-// the free functions `parallel_for` / `parallel_invoke`; tests and benches
-// may re-shape it with `set_threads` (e.g. to compare threads=1 vs threads=8
-// in one process — see tests/test_parallel.cpp).
-//
-// Nested parallelism is deliberately flattened: a parallel_for issued from
-// inside a pool task (or re-entrantly from a task body on the caller) runs
-// its chunks inline on the issuing thread. The outer loop already owns the
-// cores; nesting would only add dispatch cost and deadlock risk.
+// The pool is process-wide and persistent: workers start on the first
+// dispatch that needs them and then sleep between jobs. Its width is the
+// MCCS_THREADS environment variable, else std::thread::hardware_concurrency();
+// tests and benches re-shape it with `set_threads`.
 
 #include <cstddef>
-#include <initializer_list>
 #include <type_traits>
 #include <utility>
 
@@ -68,67 +60,20 @@ class FunctionRef<R(Args...)> {
   R (*call_)(void*, Args...);
 };
 
-struct ParallelOptions {
-  /// Total concurrency including the calling thread. 0 = resolve from the
-  /// MCCS_THREADS environment variable, falling back to
-  /// hardware_concurrency(). 1 = run everything inline (no pool).
-  int threads = 0;
-};
+/// Run body(begin, end) over grain-sized chunks of [0, n): boundaries are
+/// exact multiples of `grain` regardless of thread count (the determinism
+/// contract), and every chunk runs exactly once. Blocks until all chunks
+/// finished. The body must not touch shared mutable state except disjoint
+/// per-index output slots.
+void parallel_for(std::size_t n, std::size_t grain,
+                  FunctionRef<void(std::size_t, std::size_t)> body);
 
-/// Fork-join pool: `threads - 1` workers plus the calling thread. A single
-/// job is live at a time (the calling thread blocks until its job drains),
-/// which is all fork-join needs and keeps the claim path trivial.
-class Pool {
- public:
-  explicit Pool(ParallelOptions options = {});
-  ~Pool();
-
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
-  [[nodiscard]] int threads() const { return threads_; }
-
-  /// Run body(begin, end) over grain-sized chunks of [0, n): boundaries are
-  /// exact multiples of `grain` regardless of thread count (the determinism
-  /// contract), and every chunk runs exactly once. Blocks until all chunks
-  /// finished. The body must not touch shared mutable state except disjoint
-  /// per-index output slots.
-  void parallel_for(std::size_t n, std::size_t grain,
-                    FunctionRef<void(std::size_t, std::size_t)> body);
-
-  /// Run each task once, concurrently where possible; blocks until all done.
-  void parallel_invoke(std::initializer_list<FunctionRef<void()>> tasks);
-
-  /// Reconfigure the worker count. Must not be called while a job is live
-  /// (i.e. only between parallel regions). Existing workers are joined.
-  void set_threads(int threads);
-
- private:
-  struct Impl;
-  Impl* impl_;
-  int threads_;
-};
-
-/// Thread count an options struct resolves to (env / hardware fallback).
-[[nodiscard]] int resolve_threads(const ParallelOptions& options);
-
-/// The process-wide default pool (lazily constructed from MCCS_THREADS).
-Pool& default_pool();
-
-/// Default pool's concurrency; 1 means every parallel_* call runs inline.
+/// The pool's concurrency, including the calling thread; 1 means every
+/// parallel_for runs inline.
 [[nodiscard]] int thread_count();
 
-/// Re-shape the default pool (tests/benches); threads <= 0 restores the
-/// MCCS_THREADS / hardware default.
+/// Re-shape the pool between parallel regions (tests/benches); threads <= 0
+/// restores the MCCS_THREADS / hardware default. Existing workers are joined.
 void set_threads(int threads);
-
-inline void parallel_for(std::size_t n, std::size_t grain,
-                         FunctionRef<void(std::size_t, std::size_t)> body) {
-  default_pool().parallel_for(n, grain, body);
-}
-
-inline void parallel_invoke(std::initializer_list<FunctionRef<void()>> tasks) {
-  default_pool().parallel_invoke(tasks);
-}
 
 }  // namespace mccs::par

@@ -48,6 +48,11 @@ ProxyEngine::CommRank* ProxyEngine::find_comm(CommId comm) {
   return nullptr;
 }
 
+ProxyEngine::CommRank* ProxyEngine::find_reconfiguring_comm(CommId comm) {
+  if (destroyed_.count(comm.get()) > 0) return nullptr;
+  return find_comm(comm);
+}
+
 void ProxyEngine::install_communicator(const CommSetup& setup) {
   MCCS_EXPECTS(setup.nranks >= 1);
   MCCS_EXPECTS(setup.gpus.size() == static_cast<std::size_t>(setup.nranks));
@@ -86,6 +91,7 @@ void ProxyEngine::destroy_communicator(CommId comm) {
                "destroying a communicator with outstanding P2P operations");
   }
   comms_.erase(comm.get());
+  destroyed_.insert(comm.get());
   drop_comm_metrics(comm);
 }
 
@@ -814,9 +820,9 @@ ProxyEngine::RoundState* ProxyEngine::active_round(CommRank& st) {
 void ProxyEngine::request_reconfigure(CommId comm, std::uint64_t round,
                                       CommStrategy new_strategy) {
   // Tolerate a comm torn down before the controller's command landed (kill
-  // racing a failure-triggered reconfiguration); stale rounds for a LIVE comm
-  // are still a contract violation below.
-  CommRank* stp = find_comm(comm);
+  // or destroy racing a reconfiguration); stale rounds for a LIVE comm are
+  // still a contract violation below.
+  CommRank* stp = find_reconfiguring_comm(comm);
   if (stp == nullptr) return;
   CommRank& st = *stp;
   MCCS_EXPECTS(new_strategy.num_channels() >= 1);
@@ -862,8 +868,8 @@ void ProxyEngine::try_activate(CommRank& st) {
 
 void ProxyEngine::on_control_value(CommId comm, std::uint64_t round,
                                    int origin_rank, std::int64_t value) {
-  CommRank* stp = find_comm(comm);
-  if (stp == nullptr) return;  // barrier value arrived after a tenant kill
+  CommRank* stp = find_reconfiguring_comm(comm);
+  if (stp == nullptr) return;  // barrier value outlived its communicator
   CommRank& st = *stp;
   if (round <= st.last_applied_round) return;  // late echo of a done round
   RoundState& rs = get_round(st, round);
@@ -943,8 +949,8 @@ void ProxyEngine::begin_update(CommRank& st, std::uint64_t round) {
 }
 
 void ProxyEngine::finish_update(CommId comm, std::uint64_t round) {
-  CommRank* stp = find_comm(comm);
-  if (stp == nullptr) return;  // killed during the connection update
+  CommRank* stp = find_reconfiguring_comm(comm);
+  if (stp == nullptr) return;  // torn down during the connection update
   CommRank& st = *stp;
   auto it = st.rounds.find(round);
   MCCS_CHECK(it != st.rounds.end() && it->second.updating,

@@ -86,6 +86,9 @@ class ProxyEngine {
 
   // --- communicator lifecycle -------------------------------------------------
   void install_communicator(const CommSetup& setup);
+  /// Orderly teardown of an idle communicator. Reconfiguration messages
+  /// still in flight for it (a barrier round it took part in) are dropped on
+  /// arrival; any other late message is a contract violation.
   void destroy_communicator(CommId comm);
 
   /// Forced teardown (tenant kill): drop the rank's state for `comm`
@@ -274,8 +277,12 @@ class ProxyEngine {
   /// tenant kill (late control messages, in-flight deliveries): null when
   /// the communicator was torn down by abort_communicator. A comm that was
   /// never installed here — or went away through the orderly destroy path —
-  /// is still a contract violation: only a kill excuses dangling messages.
+  /// is still a contract violation (but see find_reconfiguring_comm).
   CommRank* find_comm(CommId comm);
+  /// find_comm for the reconfiguration protocol's entry points, whose
+  /// messages may also outlive an orderly destroy: null for a comm removed by
+  /// destroy_communicator as well.
+  CommRank* find_reconfiguring_comm(CommId comm);
 
   void launch(CommRank& st, std::uint64_t seq, std::size_t trace_index,
               WorkRequest request);
@@ -314,6 +321,9 @@ class ProxyEngine {
   /// Tombstones of comms removed by abort_communicator; find_comm tolerates
   /// exactly these (a killed tenant's in-flight messages are not errors).
   std::unordered_set<std::uint32_t> aborted_;
+  /// Tombstones of comms removed by destroy_communicator; only late
+  /// reconfiguration messages are excused for these.
+  std::unordered_set<std::uint32_t> destroyed_;
   std::vector<TraceRecord> trace_;
 };
 

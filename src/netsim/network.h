@@ -632,12 +632,11 @@ class Network {
   std::vector<double> weight_scratch_;
 
   // Disjoint sub-component partition of a collected flow set (union-find
-  // over links + per-component apply cursors). Sub-components solve
-  // independently — concurrently on the task pool when there are several —
-  // and apply serially in ascending flow-id order, keeping every outcome
-  // independent of the thread count (see allocate_component). The SubComp
-  // pool is high-water sized: entries are cleared, never shrunk, so their
-  // inner vectors keep their capacity across events.
+  // over links + per-component apply cursors). Each sub-component solves on
+  // its own, then all apply in ascending flow-id order (see
+  // allocate_component for why the partition is kept). The SubComp pool is
+  // high-water sized: entries are cleared, never shrunk, so their inner
+  // vectors keep their capacity across events.
   struct AllocFlow {
     std::uint32_t slot;
     PathView path;
@@ -650,9 +649,6 @@ class Network {
     std::vector<AllocFlow> background;
     std::vector<AllocFlow> normal;
     std::vector<std::uint32_t> links;
-    std::vector<std::uint32_t> unsatisfied;
-    bool bg_ok = true;
-    bool normal_ok = true;
     /// Contains a seed (mutated) link. Progress integration anchors only in
     /// dirty sub-components, so the anchor set — and therefore every
     /// remaining-bytes bit pattern — is a pure function of the mutation

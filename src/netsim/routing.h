@@ -108,8 +108,7 @@ class Routing {
   // Epoch-marked BFS scratch (forward distances from src, backward from
   // dst), reused across cache misses. Entries whose epoch tag is stale read
   // as "unreached" — no O(nodes) reset per pair. Routing is lazily mutable
-  // like the cache itself: resolve paths on one thread (the parallel route
-  // scorers pre-warm on the caller, see policy/flow_assign.cpp).
+  // like the cache itself: resolve paths on one thread.
   struct BfsScratch {
     std::vector<std::uint32_t> dist;
     std::vector<std::uint64_t> epoch;

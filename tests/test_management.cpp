@@ -198,5 +198,56 @@ TEST(CommLifecycle, DestroyWithInFlightCollectiveFailsLoudly) {
   EXPECT_THROW(fabric.loop().run(), ContractViolation);
 }
 
+TEST(CommLifecycle, DestroyDuringReconfigurationDropsLateProtocolMessages) {
+  // An orderly destroy racing each phase of a reconfiguration: barrier
+  // values still in flight, one rank's command not yet delivered, and the
+  // connection update under way. The late protocol messages are dropped, the
+  // loop drains without throwing, and another tenant's AllReduce, running
+  // alongside, completes bit-correct.
+  struct Race {
+    Time destroy_after;
+    Time last_rank_delay;
+  };
+  for (const Race race : {Race{0.0, 0.0}, Race{0.0, millis(1)},
+                          Race{micros(200), 0.0}}) {
+    svc::Fabric fabric{cluster::make_testbed()};
+    const AppId app_a{1}, app_b{2};
+    const std::vector<GpuId> gpus_a{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+    const std::vector<GpuId> gpus_b{GpuId{1}, GpuId{3}, GpuId{5}, GpuId{7}};
+    const CommId comm_a = test::create_comm(fabric, app_a, gpus_a);
+    const CommId comm_b = test::create_comm(fabric, app_b, gpus_b);
+    auto ranks_b = test::make_ranks(fabric, app_b, gpus_b);
+    const std::size_t count = 512;
+    std::vector<gpu::DevicePtr> buf_b(4);
+    int b_remaining = 4;
+    for (std::size_t r = 0; r < 4; ++r) {
+      buf_b[r] = ranks_b[r].shim->alloc(count * sizeof(float));
+      for (auto& x : fabric.gpus().typed<float>(buf_b[r], count)) x = 1.0f;
+      ranks_b[r].shim->all_reduce(comm_b, buf_b[r], buf_b[r], count,
+                                  coll::DataType::kFloat32,
+                                  coll::ReduceOp::kSum, *ranks_b[r].stream,
+                                  [&b_remaining](Time) { --b_remaining; });
+    }
+
+    svc::CommStrategy rev = fabric.strategy_of(comm_a);
+    for (auto& o : rev.channel_orders) o = o.reversed();
+    fabric.reconfigure(comm_a, rev, {0.0, 0.0, 0.0, race.last_rank_delay});
+    fabric.loop().schedule_after(race.destroy_after, [&fabric, comm_a] {
+      fabric.destroy_communicator(comm_a);
+    });
+
+    EXPECT_NO_THROW(fabric.loop().run())
+        << "destroy after " << race.destroy_after << " s";
+    EXPECT_EQ(b_remaining, 0);
+    for (std::size_t r = 0; r < 4; ++r) {
+      for (const float x : fabric.gpus().typed<float>(buf_b[r], count)) {
+        ASSERT_EQ(x, 4.0f);
+      }
+    }
+    ASSERT_EQ(fabric.list_communicators().size(), 1u);
+    EXPECT_EQ(fabric.list_communicators().front().id, comm_b);
+  }
+}
+
 }  // namespace
 }  // namespace mccs

@@ -19,6 +19,7 @@
 #include <map>
 #include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -363,6 +364,49 @@ TEST(NetsimBatch, CancelInsideBatchOfSameBatchStart) {
   loop.run();
   EXPECT_TRUE(survivor_done);
   EXPECT_FALSE(cancelled_done);
+}
+
+TEST(NetsimBatch, DisjointSubComponentsSolveApartInsideOneBatch) {
+  // max_min_allocate binds every flow whose share lies within a 1e-12
+  // relative tolerance of the round's best share, so a joint solve of two
+  // flows on disjoint paths whose bottlenecks differ by less than that would
+  // fix both at the tighter one's rate. A batch's union solve reproduces the
+  // per-mutation solves only because allocate_component solves each
+  // disjoint sub-component on its own.
+  auto cl = cluster::make_testbed();
+  // Intra-rack flows under different leaves: their paths share no link.
+  const NodeId a_src = cl.host(HostId{0}).nic_nodes[0];
+  const NodeId a_dst = cl.host(HostId{1}).nic_nodes[0];
+  const NodeId b_src = cl.host(HostId{2}).nic_nodes[0];
+  const NodeId b_dst = cl.host(HostId{3}).nic_nodes[0];
+  const LinkId degraded = cl.topology().out_links(a_src).front();
+
+  // Rates right after one batch that starts the selected flows (0 = absent).
+  auto solve = [&](bool start_a, bool start_b) {
+    sim::EventLoop loop;
+    Network net(loop, cl.topology());
+    net.set_link_state(degraded, LinkState::kDegraded, 1.0 - 4e-13);
+    auto start = [&net](NodeId src, NodeId dst) {
+      FlowSpec spec;
+      spec.src = src;
+      spec.dst = dst;
+      spec.size = 1'000'000'000;
+      return net.start_flow(std::move(spec));
+    };
+    std::optional<FlowId> a, b;
+    {
+      Network::SolveBatch batch(net);
+      if (start_a) a = start(a_src, a_dst);
+      if (start_b) b = start(b_src, b_dst);
+    }
+    return std::pair{a ? net.flow_rate(*a) : 0.0, b ? net.flow_rate(*b) : 0.0};
+  };
+  const Bandwidth a_alone = solve(true, false).first;
+  const Bandwidth b_alone = solve(false, true).second;
+  const auto [a_joint, b_joint] = solve(true, true);
+  ASSERT_LT(a_alone, b_alone);  // the degrade really is the tighter bottleneck
+  EXPECT_EQ(time_bits(a_joint), time_bits(a_alone));
+  EXPECT_EQ(time_bits(b_joint), time_bits(b_alone));
 }
 
 TEST(NetsimBatch, EmptyBatchRunsNoSolve) {

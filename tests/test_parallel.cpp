@@ -1,13 +1,12 @@
 // Task-pool unit tests and the threads=1 vs threads=8 determinism
-// regression. The pool's contract (src/common/parallel.h) is that chunk
+// regressions. The pool's contract (src/common/parallel.h) is that chunk
 // boundaries depend only on (n, grain), so any layer that writes disjoint
 // slots and combines serially must produce byte-identical output for every
 // thread count. The tests here pin that end to end:
 //
 //   * pool mechanics — exact chunk coverage, inline single-thread path,
-//     nested flattening, parallel_invoke, reconfiguration;
-//   * netsim — a randomized churn's completion stream, %.17g-formatted, is
-//     string-equal between threads=1 and threads=8;
+//     nested flattening, reconfiguration, a first dispatch after a re-shape
+//     that reaches every worker, and exceptions forwarded to the caller;
 //   * fabric — a two-tenant AllReduce workload's telemetry_snapshot()
 //     (virtual time, metrics, link/flow state) is string-equal;
 //   * collectives — a 4 MiB sharded reduce is memcmp-equal to the
@@ -17,13 +16,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <chrono>
 #include <cstring>
-#include <limits>
 #include <mutex>
 #include <random>
-#include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,11 +29,8 @@
 #include "cluster/cluster.h"
 #include "collectives/types.h"
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "helpers.h"
 #include "mccs/fabric.h"
-#include "netsim/network.h"
-#include "sim/event_loop.h"
 
 namespace mccs {
 namespace {
@@ -43,8 +38,8 @@ namespace {
 using coll::DataType;
 using coll::ReduceOp;
 
-/// Restores the default pool to its environment-derived shape on scope exit,
-/// so a failing test can't leak an odd thread count into later tests.
+/// Restores the pool to its environment-derived shape on scope exit, so a
+/// failing test can't leak an odd thread count into later tests.
 struct ThreadCountGuard {
   ~ThreadCountGuard() { par::set_threads(0); }
 };
@@ -52,8 +47,9 @@ struct ThreadCountGuard {
 // --- pool mechanics ---------------------------------------------------------
 
 TEST(ParallelPool, ChunkBoundariesDependOnlyOnGrainAndCoverExactlyOnce) {
+  ThreadCountGuard guard;
   for (const int threads : {1, 2, 8}) {
-    par::Pool pool{par::ParallelOptions{threads}};
+    par::set_threads(threads);
     for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
                                 std::size_t{64}, std::size_t{1000}}) {
       for (const std::size_t grain : {std::size_t{1}, std::size_t{16},
@@ -62,7 +58,7 @@ TEST(ParallelPool, ChunkBoundariesDependOnlyOnGrainAndCoverExactlyOnce) {
         for (auto& h : hits) h.store(0);
         std::mutex mu;
         std::vector<std::pair<std::size_t, std::size_t>> chunks;
-        pool.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
+        par::parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
           {
             std::lock_guard<std::mutex> lk(mu);
             chunks.emplace_back(begin, end);
@@ -86,10 +82,11 @@ TEST(ParallelPool, ChunkBoundariesDependOnlyOnGrainAndCoverExactlyOnce) {
 }
 
 TEST(ParallelPool, SingleThreadRunsInlineOnCaller) {
-  par::Pool pool{par::ParallelOptions{1}};
+  ThreadCountGuard guard;
+  par::set_threads(1);
   const auto caller = std::this_thread::get_id();
   int calls = 0;
-  pool.parallel_for(100, 10, [&](std::size_t, std::size_t) {
+  par::parallel_for(100, 10, [&](std::size_t, std::size_t) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     ++calls;  // safe: inline path is strictly sequential
   });
@@ -97,15 +94,16 @@ TEST(ParallelPool, SingleThreadRunsInlineOnCaller) {
 }
 
 TEST(ParallelPool, NestedParallelForFlattensInline) {
-  par::Pool pool{par::ParallelOptions{4}};
+  ThreadCountGuard guard;
+  par::set_threads(4);
   std::vector<std::atomic<int>> hits(64);
   for (auto& h : hits) h.store(0);
-  pool.parallel_for(8, 1, [&](std::size_t ob, std::size_t oe) {
+  par::parallel_for(8, 1, [&](std::size_t ob, std::size_t oe) {
     for (std::size_t o = ob; o < oe; ++o) {
       const auto me = std::this_thread::get_id();
       // The nested region must run inline on the issuing worker: same
       // thread, full coverage, no deadlock against the single live job.
-      pool.parallel_for(8, 2, [&](std::size_t ib, std::size_t ie) {
+      par::parallel_for(8, 2, [&](std::size_t ib, std::size_t ie) {
         EXPECT_EQ(std::this_thread::get_id(), me);
         for (std::size_t i = ib; i < ie; ++i) hits[o * 8 + i].fetch_add(1);
       });
@@ -114,24 +112,14 @@ TEST(ParallelPool, NestedParallelForFlattensInline) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelPool, ParallelInvokeRunsEveryTaskOnce) {
-  par::Pool pool{par::ParallelOptions{3}};
-  std::atomic<int> a{0}, b{0}, c{0};
-  pool.parallel_invoke({[&] { a.fetch_add(1); }, [&] { b.fetch_add(1); },
-                        [&] { c.fetch_add(1); }});
-  EXPECT_EQ(a.load(), 1);
-  EXPECT_EQ(b.load(), 1);
-  EXPECT_EQ(c.load(), 1);
-}
-
 TEST(ParallelPool, SetThreadsReconfiguresBetweenRegions) {
-  par::Pool pool{par::ParallelOptions{1}};
+  ThreadCountGuard guard;
   for (const int t : {4, 1, 2}) {
-    pool.set_threads(t);
-    EXPECT_EQ(pool.threads(), t);
+    par::set_threads(t);
+    EXPECT_EQ(par::thread_count(), t);
     std::vector<std::atomic<int>> hits(128);
     for (auto& h : hits) h.store(0);
-    pool.parallel_for(hits.size(), 8, [&](std::size_t begin, std::size_t end) {
+    par::parallel_for(hits.size(), 8, [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
     });
     for (auto& h : hits) ASSERT_EQ(h.load(), 1) << "threads=" << t;
@@ -151,54 +139,52 @@ TEST(ParallelPool, DefaultPoolReshapeAndRestore) {
   EXPECT_GE(par::thread_count(), 1);
 }
 
-// --- determinism regression: netsim ----------------------------------------
-
-/// A randomized churn on the testbed; every completion appended to `out` as
-/// "id time" with time at full double precision. Any cross-thread-count
-/// divergence in the solver — even one ulp — changes the string.
-std::string churn_completion_stream(std::uint64_t seed) {
-  auto cl = cluster::make_testbed();
-  sim::EventLoop loop;
-  net::Network net(loop, cl.topology());
-  Rng rng(seed);
-  const auto hosts = cl.topology().hosts();
-  std::string out;
-
-  for (int i = 0; i < 48; ++i) {
-    loop.schedule_at(rng.uniform() * 0.04, [&, i] {
-      const NodeId src = hosts[rng.below(hosts.size())];
-      NodeId dst = hosts[rng.below(hosts.size())];
-      if (dst == src) dst = hosts[(dst.get() + 1) % hosts.size()];
-      net::FlowSpec spec;
-      spec.src = src;
-      spec.dst = dst;
-      spec.size = 1 + rng.below(150'000'000);
-      spec.ecmp_key = rng.engine()();
-      spec.start_latency = rng.uniform() < 0.3 ? rng.uniform() * 1e-3 : 0.0;
-      if (rng.uniform() < 0.25) spec.rate_cap = gbps(4 + rng.uniform() * 30);
-      spec.weight = rng.uniform() < 0.2 ? 0.5 + rng.uniform() * 2.0 : 1.0;
-      spec.on_complete = [&out](FlowId id, Time at) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%u %.17g\n", id.get(), at);
-        out += buf;
-      };
-      net.start_flow(std::move(spec));
-      (void)i;
-    });
-  }
-  loop.run();
-  return out;
+TEST(ParallelPool, FirstDispatchAfterReshapeReachesEveryWorker) {
+  // Workers start lazily inside the dispatch that needs them. One that the
+  // OS schedules only after that dispatch was published must still run it,
+  // or the job silently loses width. Four chunks that each wait until all
+  // four have started can only all see the full count if all three workers
+  // plus the caller join the very first job.
+  ThreadCountGuard guard;
+  par::set_threads(4);
+  std::atomic<int> started{0};
+  std::atomic<int> saw_all{0};
+  par::parallel_for(4, 1, [&](std::size_t, std::size_t) {
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (started.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (started.load() == 4) saw_all.fetch_add(1);
+  });
+  EXPECT_EQ(saw_all.load(), 4);
 }
 
-TEST(ParallelDeterminism, NetsimChurnByteIdenticalThreads1Vs8) {
+TEST(ParallelPool, ChunkExceptionReachesCallerAfterJobDrains) {
+  // A chunk that throws — on a worker or on the caller — must not unwind the
+  // caller while other threads still run chunks of the job on its stack:
+  // every chunk retires, then the caller rethrows, and the pool stays usable.
   ThreadCountGuard guard;
-  for (const std::uint64_t seed : {11ull, 222ull, 3333ull}) {
-    par::set_threads(1);
-    const std::string one = churn_completion_stream(seed);
-    par::set_threads(8);
-    const std::string eight = churn_completion_stream(seed);
-    EXPECT_FALSE(one.empty()) << "seed " << seed;
-    EXPECT_EQ(one, eight) << "seed " << seed;
+  for (const int threads : {1, 4}) {
+    par::set_threads(threads);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(par::parallel_for(8, 1,
+                                   [&](std::size_t begin, std::size_t) {
+                                     if (begin == 3) {
+                                       throw std::runtime_error("chunk 3");
+                                     }
+                                     ran.fetch_add(1);
+                                   }),
+                 std::runtime_error);
+    if (threads > 1) {
+      EXPECT_EQ(ran.load(), 7);  // the inline path stops at the throw
+    }
+    std::atomic<int> total{0};
+    par::parallel_for(64, 4, [&](std::size_t begin, std::size_t end) {
+      total.fetch_add(static_cast<int>(end - begin));
+    });
+    EXPECT_EQ(total.load(), 64) << "threads=" << threads;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -61,18 +62,22 @@ void run_reduce_and_check(Fabric& fabric, AppId app,
   }
 }
 
+// gtest prints a parameter struct as its raw bytes and CTest names the case
+// after that print, so the padding after `tree` is a zeroed member: left
+// implicit, it would put stack bytes in the test name.
 struct ReduceCase {
   int nranks;
   int root;
   bool tree;
+  std::uint8_t pad[3] = {};
 };
 
 class ReduceP : public ::testing::TestWithParam<ReduceCase> {};
 
 TEST_P(ReduceP, ReduceToRootIsExact) {
-  const auto [nranks, root, tree] = GetParam();
+  const ReduceCase& c = GetParam();
   Fabric fabric{cluster::make_testbed()};
-  if (tree) {
+  if (c.tree) {
     fabric.set_strategy_provider([&fabric](const svc::CommInfo& info) {
       svc::CommStrategy s = svc::nccl_default_strategy(info.gpus, fabric.cluster());
       s.algorithm = coll::Algorithm::kTree;
@@ -81,8 +86,8 @@ TEST_P(ReduceP, ReduceToRootIsExact) {
     });
   }
   std::vector<GpuId> gpus;
-  for (int r = 0; r < nranks; ++r) gpus.push_back(GpuId{static_cast<std::uint32_t>(r)});
-  run_reduce_and_check(fabric, AppId{1}, gpus, 517, root);
+  for (int r = 0; r < c.nranks; ++r) gpus.push_back(GpuId{static_cast<std::uint32_t>(r)});
+  run_reduce_and_check(fabric, AppId{1}, gpus, 517, c.root);
 }
 
 INSTANTIATE_TEST_SUITE_P(

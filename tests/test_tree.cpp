@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -106,15 +107,19 @@ std::vector<Ledger> run_tree(int n, CollectiveKind kind, int root,
   return state;
 }
 
+// gtest prints a parameter struct as its raw bytes and CTest names the case
+// after that print, so `n` is 64-bit: an int would leave four padding bytes
+// before `chunks`, and whatever the stack held there would enter the name.
 struct TreeCase {
-  int n;
+  std::int64_t n;
   std::size_t chunks;
 };
 
 class TreeScheduleP : public ::testing::TestWithParam<TreeCase> {};
 
 TEST_P(TreeScheduleP, AllReduceSumsEveryContributionExactlyOnce) {
-  const auto [n, chunks] = GetParam();
+  const int n = static_cast<int>(GetParam().n);
+  const std::size_t chunks = GetParam().chunks;
   auto state = run_tree(n, CollectiveKind::kAllReduce, 0, chunks);
   for (int r = 0; r < n; ++r) {
     for (std::size_t c = 0; c < chunks; ++c) {
@@ -127,7 +132,8 @@ TEST_P(TreeScheduleP, AllReduceSumsEveryContributionExactlyOnce) {
 }
 
 TEST_P(TreeScheduleP, BroadcastDeliversRootEverywhere) {
-  const auto [n, chunks] = GetParam();
+  const int n = static_cast<int>(GetParam().n);
+  const std::size_t chunks = GetParam().chunks;
   const int root = n / 3;
   auto state = run_tree(n, CollectiveKind::kBroadcast, root, chunks);
   for (int r = 0; r < n; ++r) {
