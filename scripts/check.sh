@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, run the test suite, then run the
+# Tier-1 verification: configure, build, run the test suite and the
+# end-to-end benchmark's smoke mode (its correctness checks), then run the
 # simulation-engine and datapath microbenches and validate the schema (and
 # speedup gates) of their JSON output (so perf-tracking tooling downstream
 # never silently breaks).
@@ -106,6 +107,13 @@ fi
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
+
+# Every benchmark workload at ~1/50 size with all its correctness checks:
+# exact collective sums, exactly-once completion, and the audit that no
+# installed route crosses a failed link (ctl_churn_1k drives the production
+# controller under it). A failed check exits non-zero.
+echo "== benchmark smoke (correctness checks) =="
+python3 benchmark/run.py --smoke
 
 echo "== micro_flowsim =="
 (cd build/bench && ./micro_flowsim)

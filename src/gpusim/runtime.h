@@ -122,6 +122,24 @@ class Gpu {
     return *it->second;
   }
 
+  /// Release a stream. An idle stream goes now. A busy one (a trailing op
+  /// still draining) gets a marker appended, and is released once the
+  /// marker completes, never while an op or loop event still refers to it.
+  void destroy_stream(StreamId sid) {
+    Stream& s = stream(sid);
+    if (s.idle()) {
+      streams_.erase(sid.get());
+      return;
+    }
+    // The marker's callback runs inside the stream's own completion, so
+    // the erase is deferred to a fresh loop event.
+    s.enqueue_callback([this, sid] {
+      loop_->schedule_after(0.0, [this, sid] { destroy_stream(sid); });
+    });
+  }
+
+  [[nodiscard]] std::size_t stream_count() const { return streams_.size(); }
+
   std::shared_ptr<GpuEvent> create_event() {
     return std::make_shared<GpuEvent>(id_);
   }

@@ -90,6 +90,7 @@ void ProxyEngine::destroy_communicator(CommId comm) {
     MCCS_CHECK(p2p.sends.empty() && p2p.recvs.empty(),
                "destroying a communicator with outstanding P2P operations");
   }
+  ctx_->gpus->gpu(gpu_).destroy_stream(st.comm_stream->id());
   comms_.erase(comm.get());
   destroyed_.insert(comm.get());
   drop_comm_metrics(comm);

@@ -22,7 +22,6 @@ Controller::~Controller() {
 }
 
 IncrementalAssigner& Controller::warm_assigner() {
-  MCCS_EXPECTS(incremental_);
   if (assigner_ == nullptr) {
     assigner_ = std::make_unique<IncrementalAssigner>(
         fabric_->cluster(), fabric_->network().routing());
@@ -43,7 +42,6 @@ Controller::ControllerSnapshot Controller::snapshot() const {
 }
 
 Controller::RestoreOutcome Controller::restore(const ControllerSnapshot& snap) {
-  MCCS_EXPECTS(incremental_);
   MCCS_EXPECTS(link_change_consumer_ < 0);  // a fresh controller restores
   failed_links_ = snap.failed_links;
   net::Network& network = fabric_->network();
@@ -75,17 +73,7 @@ Controller::RestoreOutcome Controller::restore(const ControllerSnapshot& snap) {
   // Seed the assigner with the live communicator set, then either adopt the
   // snapshot's decisions (warm) or leave everything dirty (cold). rebalance()
   // runs the replayed/dirty solve and pushes any changed routes out.
-  for (const svc::CommInfo& info : fabric_->list_communicators()) {
-    if (assigner.has_item(info.id)) continue;
-    const svc::CommStrategy strategy = fabric_->strategy_of(info.id);
-    AssignItem item;
-    item.comm = info.id;
-    item.app = info.app;
-    item.gpus_by_rank = &info.gpus;  // add_item copies both
-    item.strategy = &strategy;
-    item.high_priority = priority_apps_.count(info.app.get()) > 0;
-    assigner.add_item(item);
-  }
+  sync_items(fabric_->list_communicators(), nullptr, nullptr);
   if (outcome == RestoreOutcome::kWarmReplay) {
     assigner.adopt_assignment(snap.assignments);
   }
@@ -107,66 +95,15 @@ svc::CommStrategy Controller::ring_strategy(const svc::CommInfo& info) const {
   return s;
 }
 
-std::unordered_map<std::uint32_t, RouteMap> Controller::compute_routes(
-    const svc::CommInfo* extra, const svc::CommStrategy* extra_strategy,
-    std::unordered_map<std::uint32_t, std::vector<GpuId>>& gpu_storage,
-    std::unordered_map<std::uint32_t, svc::CommStrategy>& strategy_storage) {
-  if (incremental_) {
-    return compute_routes_incremental(extra, extra_strategy, gpu_storage,
-                                      strategy_storage);
-  }
-  std::vector<AssignItem> items;
-  bool extra_is_live = false;
-  for (const svc::CommInfo& info : fabric_->list_communicators()) {
-    gpu_storage[info.id.get()] = info.gpus;
-    // A live comm named by `extra` gets the override strategy: the fabric
-    // still reports the pre-swap one until the barrier completes.
-    const bool overridden = extra != nullptr && info.id == extra->id;
-    extra_is_live = extra_is_live || overridden;
-    strategy_storage[info.id.get()] =
-        overridden ? *extra_strategy : fabric_->strategy_of(info.id);
-    AssignItem item;
-    item.comm = info.id;
-    item.app = info.app;
-    item.gpus_by_rank = &gpu_storage[info.id.get()];
-    item.strategy = &strategy_storage[info.id.get()];
-    item.high_priority = priority_apps_.count(info.app.get()) > 0;
-    items.push_back(item);
-  }
-  if (extra != nullptr && !extra_is_live) {
-    gpu_storage[extra->id.get()] = extra->gpus;
-    strategy_storage[extra->id.get()] = *extra_strategy;
-    AssignItem item;
-    item.comm = extra->id;
-    item.app = extra->app;
-    item.gpus_by_rank = &gpu_storage[extra->id.get()];
-    item.strategy = &strategy_storage[extra->id.get()];
-    item.high_priority = priority_apps_.count(extra->app.get()) > 0;
-    items.push_back(item);
-  }
-
-  AssignOptions options;
-  if (flow_policy_ == FlowPolicy::kPfa) options.reserved_routes = reserved_routes_;
-  options.failed_links = failed_links_;
-  options.telemetry = &fabric_->telemetry();
-  options.now = fabric_->loop().now();
-  return assign_flows(items, fabric_->cluster(), fabric_->network().routing(),
-                      options);
-}
-
-std::unordered_map<std::uint32_t, RouteMap> Controller::compute_routes_incremental(
-    const svc::CommInfo* extra, const svc::CommStrategy* extra_strategy,
-    std::unordered_map<std::uint32_t, std::vector<GpuId>>& gpu_storage,
-    std::unordered_map<std::uint32_t, svc::CommStrategy>& strategy_storage) {
-  if (assigner_ == nullptr) {
-    assigner_ = std::make_unique<IncrementalAssigner>(
-        fabric_->cluster(), fabric_->network().routing());
-  }
-  assigner_->set_telemetry(&fabric_->telemetry());
-  assigner_->set_reserved_routes(flow_policy_ == FlowPolicy::kPfa
-                                     ? reserved_routes_
-                                     : std::unordered_set<std::uint32_t>{});
-  assigner_->set_failed_links(failed_links_);
+void Controller::compute_routes(const std::vector<svc::CommInfo>& live,
+                                const svc::CommInfo* extra,
+                                const svc::CommStrategy* extra_strategy) {
+  IncrementalAssigner& assigner = warm_assigner();
+  assigner.set_telemetry(&fabric_->telemetry());
+  assigner.set_reserved_routes(flow_policy_ == FlowPolicy::kPfa
+                                   ? reserved_routes_
+                                   : std::unordered_set<std::uint32_t>{});
+  assigner.set_failed_links(failed_links_);
   // Consume the netsim's change-set: links whose administrative state moved
   // since the last solve dirty exactly the tenants routed across them. The
   // ack releases consumed entries for trimming, bounding the log's memory.
@@ -177,61 +114,80 @@ std::unordered_map<std::uint32_t, RouteMap> Controller::compute_routes_increment
   const std::size_t end = network.link_change_end();
   for (std::size_t i = network.link_change_cursor(link_change_consumer_);
        i < end; ++i) {
-    assigner_->mark_link_dirty(network.link_change(i).link);
+    assigner.mark_link_dirty(network.link_change(i).link);
   }
   network.ack_link_changes(link_change_consumer_, end);
 
-  // Diff the fabric's live communicator set against the warm state:
-  // departures first (their freed demand seeds the closure), then arrivals
-  // and priority flips.
-  std::vector<svc::CommInfo> live = fabric_->list_communicators();
-  std::unordered_set<std::uint32_t> live_ids;
-  for (const svc::CommInfo& info : live) {
-    live_ids.insert(info.id.get());
-    gpu_storage[info.id.get()] = info.gpus;
-    strategy_storage[info.id.get()] = fabric_->strategy_of(info.id);
+  sync_items(live, extra, extra_strategy);
+  last_solve_stats_ = assigner.solve(fabric_->loop().now());
+}
+
+void Controller::sync_items(const std::vector<svc::CommInfo>& live,
+                            const svc::CommInfo* extra,
+                            const svc::CommStrategy* extra_strategy) {
+  IncrementalAssigner& assigner = warm_assigner();
+  // Departures first (their freed demand seeds the closure), then arrivals,
+  // strategy and priority changes. Both id lists ascend, so one merge walk
+  // finds the departures.
+  auto next = live.begin();
+  for (CommId id : assigner.item_ids()) {
+    while (next != live.end() && next->id < id) ++next;
+    const bool is_live = (next != live.end() && next->id == id) ||
+                         (extra != nullptr && extra->id == id);
+    if (!is_live) assigner.remove_item(id);
   }
-  if (extra != nullptr) {
-    if (live_ids.count(extra->id.get()) == 0) live.push_back(*extra);
-    live_ids.insert(extra->id.get());
-    gpu_storage[extra->id.get()] = extra->gpus;
-    // Override: for an algorithm swap the fabric still reports the
-    // pre-barrier strategy, so the caller's replacement wins.
-    strategy_storage[extra->id.get()] = *extra_strategy;
-  }
-  for (CommId id : assigner_->item_ids()) {
-    if (live_ids.count(id.get()) == 0) assigner_->remove_item(id);
-  }
-  for (const svc::CommInfo& info : live) {
+  auto sync = [&](const svc::CommInfo& info,
+                  const svc::CommStrategy& strategy) {
     const bool priority = priority_apps_.count(info.app.get()) > 0;
-    if (!assigner_->has_item(info.id)) {
+    if (!assigner.has_item(info.id)) {
       AssignItem item;
       item.comm = info.id;
       item.app = info.app;
-      item.gpus_by_rank = &gpu_storage[info.id.get()];
-      item.strategy = &strategy_storage[info.id.get()];
+      item.gpus_by_rank = &info.gpus;
+      item.strategy = &strategy;
       item.high_priority = priority;
-      assigner_->add_item(item);
-    } else {
-      // Sync the warm copy with the (possibly overridden) strategy. A
-      // flow-shape change — an algorithm swap's new edge list — re-registers
-      // the item and dirties the links its old flows loaded; route-only
-      // differences just refresh the stored copy.
-      assigner_->update_strategy(info.id, strategy_storage[info.id.get()]);
-      if (assigner_->item_high_priority(info.id) != priority) {
-        assigner_->set_high_priority(info.id, priority);
-      }
+      assigner.add_item(item);
+      return;
     }
-  }
-
-  last_solve_stats_ = assigner_->solve(fabric_->loop().now());
-
-  std::unordered_map<std::uint32_t, RouteMap> result;
-  result.reserve(live.size());
+    // A flow-shape change (an algorithm swap's new edge list) re-registers
+    // the item; anything else leaves the warm copy as it is.
+    assigner.update_strategy(info.id, strategy);
+    assigner.set_high_priority(info.id, priority);
+  };
   for (const svc::CommInfo& info : live) {
-    result[info.id.get()] = assigner_->routes_of(info.id);
+    // The swap override wins: the fabric reports the pre-barrier strategy.
+    const bool overridden = extra != nullptr && info.id == extra->id;
+    sync(info, overridden ? *extra_strategy : fabric_->strategy_of(info.id));
   }
-  return result;
+  if (extra != nullptr && !assigner.has_item(extra->id)) {
+    sync(*extra, *extra_strategy);
+  }
+}
+
+int Controller::reassign(const svc::CommInfo* extra,
+                         const svc::CommStrategy* extra_strategy,
+                         AppId must_move) {
+  const std::vector<svc::CommInfo> live = fabric_->list_communicators();
+  compute_routes(live, extra, extra_strategy);
+  int reconfigured = 0;
+  for (const svc::CommInfo& info : live) {
+    const RouteMap& routes = assigner_->routes_of(info.id);
+    // The swapped communicator always reconfigures (its schedule changed
+    // even when its routes did not); the stalled app too, since the
+    // barrier's epoch bump re-rolls its ECMP-placed connections.
+    const bool swapped = extra != nullptr && info.id == extra->id;
+    const svc::CommStrategy& current =
+        swapped ? *extra_strategy : fabric_->strategy_of(info.id);
+    if (!swapped && current.routes == routes &&
+        !(must_move.valid() && info.app == must_move)) {
+      continue;
+    }
+    svc::CommStrategy s = current;
+    s.routes = routes;
+    fabric_->reconfigure(info.id, std::move(s));
+    ++reconfigured;
+  }
+  return reconfigured;
 }
 
 svc::CommStrategy Controller::provide(const svc::CommInfo& info) {
@@ -243,37 +199,16 @@ svc::CommStrategy Controller::provide(const svc::CommInfo& info) {
   }
   if (flow_policy_ == FlowPolicy::kEcmp) return strategy;
 
-  std::unordered_map<std::uint32_t, std::vector<GpuId>> gpu_storage;
-  std::unordered_map<std::uint32_t, svc::CommStrategy> strategy_storage;
-  auto routes = compute_routes(&info, &strategy, gpu_storage, strategy_storage);
-
-  // Reconfigure existing communicators whose placement moved.
-  for (const svc::CommInfo& existing : fabric_->list_communicators()) {
-    const RouteMap& updated = routes[existing.id.get()];
-    svc::CommStrategy s = strategy_storage[existing.id.get()];
-    if (s.routes != updated) {
-      s.routes = updated;
-      fabric_->reconfigure(existing.id, std::move(s));
-    }
-  }
-
-  strategy.routes = std::move(routes[info.id.get()]);
+  // Place the arrival and reconfigure existing communicators whose
+  // placement moved.
+  reassign(&info, &strategy, AppId{});
+  strategy.routes = assigner_->routes_of(info.id);
   return strategy;
 }
 
 void Controller::rebalance() {
   if (flow_policy_ == FlowPolicy::kEcmp) return;
-  std::unordered_map<std::uint32_t, std::vector<GpuId>> gpu_storage;
-  std::unordered_map<std::uint32_t, svc::CommStrategy> strategy_storage;
-  auto routes = compute_routes(nullptr, nullptr, gpu_storage, strategy_storage);
-  for (const svc::CommInfo& info : fabric_->list_communicators()) {
-    const RouteMap& updated = routes[info.id.get()];
-    svc::CommStrategy s = strategy_storage[info.id.get()];
-    if (s.routes != updated) {
-      s.routes = updated;
-      fabric_->reconfigure(info.id, std::move(s));
-    }
-  }
+  reassign(nullptr, nullptr, AppId{});
 }
 
 coll::CostParams Controller::cost_params() const {
@@ -316,20 +251,7 @@ bool Controller::swap_algorithm(CommId comm, coll::Algorithm algorithm,
   // Re-place flows with the new algorithm's compiled edge list. `strategy`
   // rides as the override — the fabric reports the pre-swap strategy until
   // the barrier completes, so compute_routes must not read it back.
-  std::unordered_map<std::uint32_t, std::vector<GpuId>> gpu_storage;
-  std::unordered_map<std::uint32_t, svc::CommStrategy> strategy_storage;
-  auto routes = compute_routes(&info, &strategy, gpu_storage, strategy_storage);
-
-  // The swapped communicator always reconfigures (its schedule changed even
-  // when its routes did not); neighbours only when their placement moved.
-  for (const svc::CommInfo& existing : fabric_->list_communicators()) {
-    const RouteMap& updated = routes[existing.id.get()];
-    svc::CommStrategy s = strategy_storage[existing.id.get()];
-    if (existing.id == comm || s.routes != updated) {
-      s.routes = updated;
-      fabric_->reconfigure(existing.id, std::move(s));
-    }
-  }
+  reassign(&info, &strategy, AppId{});
   return true;
 }
 
@@ -407,32 +329,16 @@ std::vector<LinkId> Controller::failed_links() const {
 }
 
 int Controller::reconfigure_around_failures(AppId must_move) {
-  int reconfigured = 0;
-  if (flow_policy_ == FlowPolicy::kEcmp) {
-    // No explicit routes to steer: reconfigure the affected app's comms so
-    // the epoch bump re-rolls every connection's ECMP placement.
-    for (const svc::CommInfo& info : fabric_->list_communicators()) {
-      if (!must_move.valid() || info.app != must_move) continue;
-      fabric_->reconfigure(info.id, fabric_->strategy_of(info.id));
-      ++reconfigured;
-    }
-    return reconfigured;
+  if (flow_policy_ != FlowPolicy::kEcmp) {
+    return reassign(nullptr, nullptr, must_move);
   }
-
-  std::unordered_map<std::uint32_t, std::vector<GpuId>> gpu_storage;
-  std::unordered_map<std::uint32_t, svc::CommStrategy> strategy_storage;
-  auto routes = compute_routes(nullptr, nullptr, gpu_storage, strategy_storage);
+  // No explicit routes to steer: reconfigure the affected app's comms so
+  // the epoch bump re-rolls every connection's ECMP placement.
+  int reconfigured = 0;
   for (const svc::CommInfo& info : fabric_->list_communicators()) {
-    const RouteMap& updated = routes[info.id.get()];
-    svc::CommStrategy s = strategy_storage[info.id.get()];
-    // The stalled app reconfigures even with unchanged routes: the barrier's
-    // epoch bump re-rolls its ECMP-placed connections too.
-    if (s.routes != updated ||
-        (must_move.valid() && info.app == must_move)) {
-      s.routes = updated;
-      fabric_->reconfigure(info.id, std::move(s));
-      ++reconfigured;
-    }
+    if (!must_move.valid() || info.app != must_move) continue;
+    fabric_->reconfigure(info.id, fabric_->strategy_of(info.id));
+    ++reconfigured;
   }
   return reconfigured;
 }

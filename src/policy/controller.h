@@ -4,6 +4,12 @@
 // drives policy — ring configuration at communicator creation, flow
 // (re)assignment whenever a job joins or exits, priority flow assignment,
 // and time-window traffic scheduling.
+//
+// Flow assignment runs warm: one IncrementalAssigner keeps the placement
+// alive across control events and re-solves only the dirty closure of each
+// one (the tenants and links the event touched). Its result is bitwise the
+// one-shot assign_flows greedy over the live communicators in ascending id
+// order (flow_assign.h), which stays the audit and test oracle.
 
 #include <memory>
 #include <string_view>
@@ -47,21 +53,8 @@ class Controller {
   /// Route the pairwise mesh too (AllToAll-heavy tenants, e.g. MoE).
   void set_route_pairwise_mesh(bool v) { route_mesh_ = v; }
 
-  /// Warm-started incremental flow assignment: keep an IncrementalAssigner
-  /// alive across control-plane events and re-solve only the dirty closure
-  /// (tenants and links touched by the event) instead of running the full
-  /// FFA/PFA greedy each time. Assignment-identical to the full re-solve
-  /// (see flow_assign.h); off by default so existing harnesses and goldens
-  /// keep the one-shot solver. Flow-generating strategy changes (an
-  /// algorithm swap rewrites the compiled edge list) are synced into the
-  /// warm state via IncrementalAssigner::update_strategy on every route
-  /// computation, so swaps and route-only reconfigurations both stay
-  /// assignment-identical to the one-shot solver.
-  void set_incremental(bool v) { incremental_ = v; }
-  [[nodiscard]] bool incremental() const { return incremental_; }
-
-  /// Closure statistics of the last incremental re-solve (zeros when the
-  /// incremental path has not run).
+  /// Closure statistics of the last route decision (zeros before the
+  /// first one).
   [[nodiscard]] const IncrementalSolveStats& last_solve_stats() const {
     return last_solve_stats_;
   }
@@ -176,11 +169,11 @@ class Controller {
     kWarmReplay,   ///< log replay from the cursor covered the outage
     kColdRebuild,  ///< history trimmed past the cursor: full re-solve forced
   };
-  /// Resume from `snap` on this (freshly constructed, incremental-mode)
-  /// controller. Registers a change-log consumer AT the snapshot cursor so
-  /// every link event that fired during the outage replays into the dirty
-  /// closure; adopts the snapshot assignment as the warm state; then
-  /// rebalances (comms whose routes moved during the outage reconfigure).
+  /// Resume from `snap` on this (freshly constructed) controller. Registers
+  /// a change-log consumer AT the snapshot cursor so every link event that
+  /// fired during the outage replays into the dirty closure; adopts the
+  /// snapshot assignment as the warm state; then rebalances (comms whose
+  /// routes moved during the outage reconfigure).
   /// When the network trimmed the log past the cursor, restore REFUSES to
   /// gap silently: it counts controller_cold_rebuild_total in the fabric's
   /// metrics, discards the warm assignment, and re-solves everything from
@@ -188,9 +181,8 @@ class Controller {
   /// only tells how much work it cost.
   RestoreOutcome restore(const ControllerSnapshot& snap);
 
-  /// The warm assigner (incremental mode only; constructed on first use).
-  /// Tests and the chaos harness reach through it for audit configuration
-  /// and state poisoning.
+  /// The warm assigner (constructed on first use). Tests and the chaos
+  /// harness reach through it for audit configuration and state poisoning.
   [[nodiscard]] IncrementalAssigner& warm_assigner();
   [[nodiscard]] const std::vector<RecoveryRecord>& recovery_log() const {
     return recovery_log_;
@@ -209,24 +201,30 @@ class Controller {
   /// ones whose routes changed (always including `must_move` if valid).
   int reconfigure_around_failures(AppId must_move);
 
-  /// Flow placement for all known comms; returns per-comm route maps.
-  /// `extra` names either a communicator not yet registered (arrival) or a
-  /// live one whose strategy is being replaced (algorithm swap) — in the
-  /// latter case `extra_strategy` overrides the fabric's current strategy,
-  /// which still reads pre-barrier.
-  std::unordered_map<std::uint32_t, RouteMap> compute_routes(
-      const svc::CommInfo* extra, const svc::CommStrategy* extra_strategy,
-      std::unordered_map<std::uint32_t, std::vector<GpuId>>& gpu_storage,
-      std::unordered_map<std::uint32_t, svc::CommStrategy>& strategy_storage);
+  /// The one route path: sync the warm assigner with `live` (the fabric's
+  /// communicators, ascending id), feed it the network's link change-set and
+  /// this controller's failed/reserved/priority state, then re-solve the
+  /// dirty closure. `extra` names either a communicator not yet registered
+  /// (arrival) or a live one whose strategy is being replaced (algorithm
+  /// swap) — in the latter case `extra_strategy` overrides the fabric's
+  /// current strategy, which still reads pre-barrier. Routes are read back
+  /// through warm_assigner().routes_of.
+  void compute_routes(const std::vector<svc::CommInfo>& live,
+                      const svc::CommInfo* extra,
+                      const svc::CommStrategy* extra_strategy);
+  /// compute_routes' diff of `live` (plus `extra`) against the warm items:
+  /// departures, arrivals, flow-shape changes and priority flips.
+  void sync_items(const std::vector<svc::CommInfo>& live,
+                  const svc::CommInfo* extra,
+                  const svc::CommStrategy* extra_strategy);
 
-  /// The incremental variant of compute_routes: sync the warm assigner with
-  /// the fabric's live communicator set, feed it the network's link
-  /// change-set and this controller's failed/reserved/priority state, then
-  /// solve the dirty closure only.
-  std::unordered_map<std::uint32_t, RouteMap> compute_routes_incremental(
-      const svc::CommInfo* extra, const svc::CommStrategy* extra_strategy,
-      std::unordered_map<std::uint32_t, std::vector<GpuId>>& gpu_storage,
-      std::unordered_map<std::uint32_t, svc::CommStrategy>& strategy_storage);
+  /// One route decision: compute_routes over the current live set, then
+  /// reconfigure every live communicator whose installed routes differ from
+  /// the solved ones, every communicator of `must_move` (if valid), and a
+  /// live `extra` (the swapped communicator, installed with
+  /// `extra_strategy`). Returns how many communicators were reconfigured.
+  int reassign(const svc::CommInfo* extra,
+               const svc::CommStrategy* extra_strategy, AppId must_move);
 
   svc::Fabric* fabric_;
   RingPolicy ring_policy_ = RingPolicy::kLocalityAware;
@@ -239,9 +237,8 @@ class Controller {
   std::uint64_t stall_reports_ = 0;
 
   Bytes auto_algorithm_bytes_ = 0;
-  bool incremental_ = false;
   std::unique_ptr<IncrementalAssigner> assigner_;  ///< lazily built
-  /// Registered link-change consumer (lazily, with the assigner). Acking
+  /// Registered link-change consumer (lazily, at the first decision). Acking
   /// what we consumed lets the network trim the change log behind us.
   int link_change_consumer_ = -1;
   IncrementalSolveStats last_solve_stats_;

@@ -290,7 +290,10 @@ void IncrementalAssigner::add_item(const AssignItem& item) {
   st.app = item.app;
   st.high_priority = item.high_priority;
   st.gpus = *item.gpus_by_rank;
-  st.strategy = *item.strategy;
+  // Only the flow shape is kept: the routes are this assigner's output.
+  st.strategy.algorithm = item.strategy->algorithm;
+  st.strategy.channel_orders = item.strategy->channel_orders;
+  st.strategy.route_pairwise_mesh = item.strategy->route_pairwise_mesh;
 
   AssignItem owned = item;
   owned.gpus_by_rank = &st.gpus;
@@ -370,10 +373,7 @@ bool IncrementalAssigner::update_strategy(CommId comm,
       st.strategy.algorithm == strategy.algorithm &&
       st.strategy.route_pairwise_mesh == strategy.route_pairwise_mesh &&
       orders_equal();
-  if (same_shape) {
-    st.strategy = strategy;
-    return false;
-  }
+  if (same_shape) return false;
 
   // Re-register: removal subtracts the old demand and dirties the links it
   // loaded; re-adding rebuilds the flow list and candidate footprint from

@@ -227,8 +227,9 @@ class IncrementalAssigner {
   [[nodiscard]] double total_link_demand() const;
 
   // --- event API ---------------------------------------------------------------
-  /// Register a communicator (copies its GPU list and strategy; the item is
-  /// dirty until the next solve). The comm id must not be live here.
+  /// Register a communicator (copies its GPU list and its strategy's flow
+  /// shape — algorithm, channel orders, mesh flag — but not its routes; the
+  /// item is dirty until the next solve). The comm id must not be live here.
   void add_item(const AssignItem& item);
   /// Drop a communicator (departure / kill). Links it loaded become dirty.
   void remove_item(CommId comm);
@@ -241,8 +242,8 @@ class IncrementalAssigner {
   /// demand comes off (dirtying the links it loaded), its flow list and
   /// candidate footprint are rebuilt from the new edge list, and the item
   /// re-solves at the next solve(). Shape-neutral changes (routes, tree
-  /// pipeline chunks) just refresh the stored copy. Returns whether the
-  /// flow shape changed.
+  /// pipeline chunks) are ignored without a copy. Returns whether the flow
+  /// shape changed.
   bool update_strategy(CommId comm, const svc::CommStrategy& strategy);
   /// Mark a link changed (the netsim change-set feed: state transitions,
   /// capacity rescales). Items whose candidate paths cross it re-solve.
@@ -272,7 +273,7 @@ class IncrementalAssigner {
     AppId app{};
     bool high_priority = false;
     std::vector<GpuId> gpus;
-    svc::CommStrategy strategy;
+    svc::CommStrategy strategy;  ///< flow shape only; routes stay empty
     std::vector<PendingFlow> flows;             ///< enumeration order = drain order
     std::vector<std::uint32_t> candidate_links; ///< sorted unique, all paths
     RouteMap routes;

@@ -6,9 +6,12 @@
 #include <chrono>
 #include <functional>
 #include <iostream>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "mccs/fabric.h"
+#include "policy/flow_assign.h"
 
 namespace mccs::test {
 
@@ -97,6 +100,50 @@ void fill_pattern(svc::Fabric& fabric, gpu::DevicePtr ptr, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     span[i] = static_cast<T>((rank + 1) * 1000 + static_cast<int>(i % 977) + salt);
   }
+}
+
+/// The one-shot assign_flows oracle over the fabric's live communicators:
+/// ascending ids (list_communicators' order), their installed strategies,
+/// the given failed links, reserved routes and high-priority apps — what
+/// the controller's warm assigner must reproduce bit for bit.
+inline std::unordered_map<std::uint32_t, policy::RouteMap> oracle_routes(
+    svc::Fabric& fabric, const std::vector<LinkId>& failed_links,
+    const std::unordered_set<std::uint32_t>& reserved_routes = {},
+    const std::unordered_set<std::uint32_t>& priority_apps = {}) {
+  const std::vector<svc::CommInfo> infos = fabric.list_communicators();
+  std::vector<policy::AssignItem> items;
+  items.reserve(infos.size());
+  for (const svc::CommInfo& info : infos) {
+    policy::AssignItem item;
+    item.comm = info.id;
+    item.app = info.app;
+    item.gpus_by_rank = &info.gpus;
+    item.strategy = &fabric.strategy_of(info.id);
+    item.high_priority = priority_apps.count(info.app.get()) > 0;
+    items.push_back(item);
+  }
+  policy::AssignOptions options;
+  options.reserved_routes = reserved_routes;
+  for (LinkId l : failed_links) options.failed_links.insert(l.get());
+  return policy::assign_flows(items, fabric.cluster(),
+                              fabric.network().routing(), options);
+}
+
+inline std::uint64_t oracle_digest(
+    svc::Fabric& fabric, const std::vector<LinkId>& failed_links,
+    const std::unordered_set<std::uint32_t>& reserved_routes = {},
+    const std::unordered_set<std::uint32_t>& priority_apps = {}) {
+  return policy::assignment_digest(
+      oracle_routes(fabric, failed_links, reserved_routes, priority_apps));
+}
+
+/// assignment_digest of the routes every live communicator has installed.
+inline std::uint64_t installed_digest(svc::Fabric& fabric) {
+  std::unordered_map<std::uint32_t, policy::RouteMap> installed;
+  for (const svc::CommInfo& info : fabric.list_communicators()) {
+    installed[info.id.get()] = fabric.strategy_of(info.id).routes;
+  }
+  return policy::assignment_digest(installed);
 }
 
 }  // namespace mccs::test

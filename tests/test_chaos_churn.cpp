@@ -278,34 +278,10 @@ std::vector<GpuId> cross_rack_gpus(const cluster::Cluster& cluster, int n,
   return out;
 }
 
-std::uint64_t oracle_digest(svc::Fabric& fabric, policy::Controller& ctrl) {
-  std::vector<policy::AssignItem> items;
-  std::vector<svc::CommInfo> infos = fabric.list_communicators();
-  std::vector<svc::CommStrategy> strategies;
-  strategies.reserve(infos.size());
-  for (const svc::CommInfo& info : infos) {
-    strategies.push_back(fabric.strategy_of(info.id));
-  }
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    policy::AssignItem item;
-    item.comm = infos[i].id;
-    item.app = infos[i].app;
-    item.gpus_by_rank = &infos[i].gpus;
-    item.strategy = &strategies[i];
-    items.push_back(item);
-  }
-  policy::AssignOptions options;
-  std::vector<LinkId> failed = ctrl.failed_links();
-  for (LinkId l : failed) options.failed_links.insert(l.get());
-  return policy::assignment_digest(policy::assign_flows(
-      items, fabric.cluster(), fabric.network().routing(), options));
-}
-
 TEST(ControllerRestart, WarmReplayCoversTheOutage) {
   svc::Fabric fabric{cluster::make_spine_leaf(small_clos())};
   auto old_ctrl = std::make_unique<policy::Controller>(fabric);
   old_ctrl->set_flow_policy(policy::Controller::FlowPolicy::kFfa);
-  old_ctrl->set_incremental(true);
   old_ctrl->attach();
   mccs::test::create_comm(fabric, AppId{1},
                           cross_rack_gpus(fabric.cluster(), 4, 0));
@@ -323,7 +299,6 @@ TEST(ControllerRestart, WarmReplayCoversTheOutage) {
 
   policy::Controller ctrl(fabric);
   ctrl.set_flow_policy(policy::Controller::FlowPolicy::kFfa);
-  ctrl.set_incremental(true);
   ctrl.attach();
   const auto outcome = ctrl.restore(snap);
   EXPECT_EQ(outcome, policy::Controller::RestoreOutcome::kWarmReplay);
@@ -333,14 +308,13 @@ TEST(ControllerRestart, WarmReplayCoversTheOutage) {
                 "controller_cold_rebuild_total"),
             0u);
   EXPECT_EQ(policy::assignment_digest(ctrl.warm_assigner().assignments()),
-            oracle_digest(fabric, ctrl));
+            mccs::test::oracle_digest(fabric, ctrl.failed_links()));
 }
 
 TEST(ControllerRestart, TrimmedHistoryForcesLoudColdRebuild) {
   svc::Fabric fabric{cluster::make_spine_leaf(small_clos())};
   auto old_ctrl = std::make_unique<policy::Controller>(fabric);
   old_ctrl->set_flow_policy(policy::Controller::FlowPolicy::kFfa);
-  old_ctrl->set_incremental(true);
   old_ctrl->attach();
   mccs::test::create_comm(fabric, AppId{1},
                           cross_rack_gpus(fabric.cluster(), 4, 0));
@@ -361,7 +335,6 @@ TEST(ControllerRestart, TrimmedHistoryForcesLoudColdRebuild) {
 
   policy::Controller ctrl(fabric);
   ctrl.set_flow_policy(policy::Controller::FlowPolicy::kFfa);
-  ctrl.set_incremental(true);
   ctrl.attach();
   const auto outcome = ctrl.restore(snap);
   EXPECT_EQ(outcome, policy::Controller::RestoreOutcome::kColdRebuild);
@@ -370,7 +343,7 @@ TEST(ControllerRestart, TrimmedHistoryForcesLoudColdRebuild) {
             1u);
   // Cold, but correct: the rebuilt assignment matches the oracle.
   EXPECT_EQ(policy::assignment_digest(ctrl.warm_assigner().assignments()),
-            oracle_digest(fabric, ctrl));
+            mccs::test::oracle_digest(fabric, ctrl.failed_links()));
   network.unregister_link_change_consumer(pacer);
 }
 

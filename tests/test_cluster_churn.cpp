@@ -1,16 +1,21 @@
 // Seconds-scale churn smoke for the warm-started control plane, tier-1:
 //
-//   * two identical fabrics driven through the same tenant churn — creates,
-//     a kill, link failure + recovery, re-admission — one controller in
-//     incremental mode, one in full-re-solve mode; installed routes must
-//     match after every step (the live-fabric complement of the
-//     assign_flows-level property test);
-//   * a create/collective/kill soak asserting the telemetry registry stops
-//     growing — per-comm plan-cache counters must be evicted on teardown;
+//   * one fabric driven through tenant churn — creates, a kill, link failure
+//     + recovery, re-admission — whose installed routes must equal the
+//     one-shot assign_flows oracle after every step (the live-fabric
+//     complement of the assigner-level property test), plus a seeded fuzz
+//     of the same comparison over 100 random event sequences that also
+//     swap algorithms, destroy communicators and flip priorities;
+//   * create/collective/teardown soaks asserting the telemetry registry and
+//     each GPU's stream table stop growing;
 //   * FIFO admission-control ordering and the seeded Poisson churn trace.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/admission.h"
@@ -21,6 +26,7 @@
 #include "netsim/network.h"
 #include "policy/controller.h"
 #include "workload/arrivals.h"
+#include "workload/chaos.h"
 
 namespace mccs {
 namespace {
@@ -45,92 +51,207 @@ cluster::SpineLeafSpec smoke_spec() {
   return spec;
 }
 
-/// Two fabrics, one churn script: the incremental controller must install
-/// exactly the routes the full one does at every step.
-struct ChurnPair {
-  Fabric full{cluster::make_spine_leaf(smoke_spec())};
-  Fabric inc{cluster::make_spine_leaf(smoke_spec())};
-  policy::Controller ctl_full{full};
-  policy::Controller ctl_inc{inc};
+/// One fabric under the production controller: PFA with route 0 reserved
+/// for the high-priority apps in `priority`.
+struct ChurnWorld {
+  Fabric fabric{cluster::make_spine_leaf(smoke_spec())};
+  policy::Controller ctl{fabric};
+  const std::unordered_set<std::uint32_t> reserved{0};
+  std::unordered_set<std::uint32_t> priority;
 
-  ChurnPair() {
-    for (policy::Controller* c : {&ctl_full, &ctl_inc}) {
-      c->set_ring_policy(policy::Controller::RingPolicy::kLocalityAware);
-      c->set_flow_policy(policy::Controller::FlowPolicy::kPfa);
-      c->set_reserved_routes({0});
-      c->set_high_priority(AppId{2});
-      c->attach();
+  explicit ChurnWorld(std::unordered_set<std::uint32_t> high_priority = {})
+      : priority(std::move(high_priority)) {
+    ctl.set_ring_policy(policy::Controller::RingPolicy::kLocalityAware);
+    ctl.set_flow_policy(policy::Controller::FlowPolicy::kPfa);
+    ctl.set_reserved_routes(reserved);
+    for (std::uint32_t app : priority) ctl.set_high_priority(AppId{app});
+    ctl.attach();
+  }
+
+  void set_priority(AppId app, bool high) {
+    if (high) {
+      priority.insert(app.get());
+      ctl.set_high_priority(app);
+    } else {
+      priority.erase(app.get());
+      ctl.clear_high_priority(app);
     }
-    ctl_inc.set_incremental(true);
   }
 
-  CommId create_on_both(AppId app, const std::vector<GpuId>& gpus) {
-    const CommId a = create_comm(full, app, gpus);
-    const CommId b = create_comm(inc, app, gpus);
-    EXPECT_EQ(a.get(), b.get()) << "comm ids diverged between the fabrics";
-    settle();
-    return a;
-  }
-
-  void settle() {
-    full.loop().run();
-    inc.loop().run();
-  }
-
-  /// Every live communicator's installed routes must be identical.
-  void expect_routes_match(const char* step) {
-    const auto live = full.list_communicators();
-    ASSERT_EQ(live.size(), inc.list_communicators().size()) << step;
-    for (const svc::CommInfo& info : live) {
-      EXPECT_EQ(full.strategy_of(info.id).routes, inc.strategy_of(info.id).routes)
+  /// Every live communicator's installed routes must be the oracle's.
+  void expect_routes_match_oracle(const char* step) {
+    fabric.loop().run();
+    const auto expected =
+        test::oracle_routes(fabric, ctl.failed_links(), reserved, priority);
+    for (const svc::CommInfo& info : fabric.list_communicators()) {
+      const auto it = expected.find(info.id.get());
+      EXPECT_EQ(fabric.strategy_of(info.id).routes,
+                it == expected.end() ? policy::RouteMap{} : it->second)
           << step << ": comm " << info.id.get();
     }
   }
 };
 
 TEST(ClusterChurn, IncrementalControllerMatchesFullUnderChurn) {
-  ChurnPair p;
+  ChurnWorld w({2});
 
   // Arrivals: two intra-rack tenants (racks 0 and 1), one high-priority
   // cross-rack tenant (racks 2 and 3).
-  p.create_on_both(AppId{1}, {GpuId{0}, GpuId{1}, GpuId{2}, GpuId{3}});
-  p.expect_routes_match("first tenant");
-  p.create_on_both(AppId{2}, {GpuId{8}, GpuId{9}, GpuId{12}, GpuId{13}});
-  p.expect_routes_match("high-priority cross-rack tenant");
-  p.create_on_both(AppId{3}, {GpuId{4}, GpuId{5}, GpuId{6}, GpuId{7}});
-  p.expect_routes_match("third tenant");
+  create_comm(w.fabric, AppId{1}, {GpuId{0}, GpuId{1}, GpuId{2}, GpuId{3}});
+  w.expect_routes_match_oracle("first tenant");
+  create_comm(w.fabric, AppId{2}, {GpuId{8}, GpuId{9}, GpuId{12}, GpuId{13}});
+  w.expect_routes_match_oracle("high-priority cross-rack tenant");
+  create_comm(w.fabric, AppId{3}, {GpuId{4}, GpuId{5}, GpuId{6}, GpuId{7}});
+  w.expect_routes_match_oracle("third tenant");
+  // The rack-local arrival shares no candidate link with the other two
+  // tenants, so its decision re-solves its own item only; a silent fallback
+  // to full re-solves would solve every live item.
+  const policy::IncrementalSolveStats& arrival = w.ctl.last_solve_stats();
+  EXPECT_EQ(arrival.live_items, 3u);
+  EXPECT_LT(arrival.solved_items, arrival.live_items);
 
   // Link failure: take one fabric link down in the netsim (feeds the
-  // incremental controller's change-log cursor) and tell both controllers,
-  // as the stall->confirm path would.
-  const auto link_count = p.full.cluster().topology().link_count();
+  // controller's change-log cursor) and tell the controller, as the
+  // stall->confirm path would.
+  const auto link_count = w.fabric.cluster().topology().link_count();
   const LinkId victim{static_cast<std::uint32_t>(link_count - 1)};
-  p.full.network().set_link_state(victim, net::LinkState::kDown);
-  p.inc.network().set_link_state(victim, net::LinkState::kDown);
-  p.ctl_full.mark_link_failed(victim);
-  p.ctl_inc.mark_link_failed(victim);
-  p.settle();
-  p.expect_routes_match("link failed");
+  w.fabric.network().set_link_state(victim, net::LinkState::kDown);
+  w.ctl.mark_link_failed(victim);
+  w.expect_routes_match_oracle("link failed");
 
   // Recovery: link back up, exclusion lifted.
-  p.full.network().set_link_state(victim, net::LinkState::kUp);
-  p.inc.network().set_link_state(victim, net::LinkState::kUp);
-  p.ctl_full.clear_link_failed(victim);
-  p.ctl_inc.clear_link_failed(victim);
-  p.settle();
-  p.expect_routes_match("link recovered");
+  w.fabric.network().set_link_state(victim, net::LinkState::kUp);
+  w.ctl.clear_link_failed(victim);
+  w.expect_routes_match_oracle("link recovered");
 
   // Departure: the priority tenant leaves; survivors rebalance.
-  p.full.kill_app(AppId{2});
-  p.inc.kill_app(AppId{2});
-  p.ctl_full.rebalance();
-  p.ctl_inc.rebalance();
-  p.settle();
-  p.expect_routes_match("tenant killed");
+  w.fabric.kill_app(AppId{2});
+  w.ctl.rebalance();
+  w.expect_routes_match_oracle("tenant killed");
 
   // Re-admission onto the freed GPUs (warm add after a removal).
-  p.create_on_both(AppId{4}, {GpuId{8}, GpuId{9}, GpuId{12}, GpuId{13}});
-  p.expect_routes_match("re-admitted tenant");
+  create_comm(w.fabric, AppId{4}, {GpuId{8}, GpuId{9}, GpuId{12}, GpuId{13}});
+  w.expect_routes_match_oracle("re-admitted tenant");
+}
+
+/// One seeded sequence of control events against the production controller;
+/// returns a description of the first step whose installed routes differ
+/// from the oracle, or an empty string.
+std::string churn_fuzz_seed(std::uint64_t seed, int events) {
+  ChurnWorld w;
+  Rng rng(seed);
+  const std::vector<LinkId> links = workload::fabric_links(w.fabric.cluster());
+  struct Tenant {
+    CommId comm;
+    AppId app;
+    std::vector<GpuId> gpus;
+  };
+  std::vector<Tenant> live;
+  std::vector<GpuId> free_gpus;
+  for (std::uint32_t g = 0; g < w.fabric.cluster().gpu_count(); ++g) {
+    free_gpus.push_back(GpuId{g});
+  }
+  std::vector<LinkId> down;
+  std::uint32_t next_app = 1;
+
+  auto release = [&](std::size_t i) {
+    free_gpus.insert(free_gpus.end(), live[i].gpus.begin(), live[i].gpus.end());
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.below(n));
+  };
+
+  for (int e = 0; e < events; ++e) {
+    std::string what;
+    switch (rng.below(7)) {
+      case 0: {  // arrival on 2-8 random free GPUs
+        if (free_gpus.size() < 2) continue;
+        rng.shuffle(free_gpus);
+        const std::size_t n =
+            2 + pick(std::min<std::size_t>(free_gpus.size(), 8) - 1);
+        Tenant t;
+        t.app = AppId{next_app++};
+        t.gpus.assign(free_gpus.end() - static_cast<std::ptrdiff_t>(n),
+                      free_gpus.end());
+        free_gpus.resize(free_gpus.size() - n);
+        t.comm = create_comm(w.fabric, t.app, t.gpus);
+        live.push_back(t);
+        what = "arrival";
+        break;
+      }
+      case 1: {  // orderly departure
+        if (live.empty()) continue;
+        const std::size_t i = pick(live.size());
+        w.fabric.destroy_communicator(live[i].comm);
+        release(i);
+        w.ctl.rebalance();
+        what = "destroy";
+        break;
+      }
+      case 2: {  // tenant kill
+        if (live.empty()) continue;
+        const std::size_t i = pick(live.size());
+        w.fabric.kill_app(live[i].app);
+        release(i);
+        w.ctl.rebalance();
+        what = "kill";
+        break;
+      }
+      case 3: {  // link down
+        const LinkId l = links[pick(links.size())];
+        if (std::find(down.begin(), down.end(), l) != down.end()) continue;
+        w.fabric.network().set_link_state(l, net::LinkState::kDown);
+        w.ctl.mark_link_failed(l);
+        down.push_back(l);
+        what = "link down";
+        break;
+      }
+      case 4: {  // restore
+        if (down.empty()) continue;
+        const std::size_t i = pick(down.size());
+        w.fabric.network().set_link_state(down[i], net::LinkState::kUp);
+        w.ctl.clear_link_failed(down[i]);
+        down.erase(down.begin() + static_cast<std::ptrdiff_t>(i));
+        what = "restore";
+        break;
+      }
+      case 5: {  // algorithm swap
+        if (live.empty()) continue;
+        constexpr coll::Algorithm kAlgorithms[] = {
+            coll::Algorithm::kRing, coll::Algorithm::kTree,
+            coll::Algorithm::kDoubleBinaryTree};
+        w.ctl.swap_algorithm(live[pick(live.size())].comm,
+                             kAlgorithms[pick(3)]);
+        what = "swap";
+        break;
+      }
+      case 6: {  // priority flip
+        if (live.empty()) continue;
+        const AppId app = live[pick(live.size())].app;
+        w.set_priority(app, w.priority.count(app.get()) == 0);
+        w.ctl.rebalance();
+        what = "priority flip";
+        break;
+      }
+    }
+    w.fabric.loop().run();
+    if (test::installed_digest(w.fabric) !=
+        test::oracle_digest(w.fabric, w.ctl.failed_links(), w.reserved,
+                            w.priority)) {
+      std::ostringstream os;
+      os << "seed " << seed << ": event " << e << " (" << what
+         << ") left installed routes that differ from the oracle";
+      return os.str();
+    }
+  }
+  return {};
+}
+
+TEST(ClusterChurn, ControllerChurnFuzzMatchesOracle) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    EXPECT_EQ(churn_fuzz_seed(seed, 40), std::string{});
+  }
 }
 
 TEST(ClusterChurn, TelemetryRegistryDoesNotGrowAcrossCommLifecycles) {
@@ -169,6 +290,44 @@ TEST(ClusterChurn, TelemetryRegistryDoesNotGrowAcrossCommLifecycles) {
     EXPECT_EQ(sizes[i], sizes[1])
         << "telemetry registry grew across comm lifecycles (cycle " << i
         << "): plan-cache counters leaked";
+  }
+}
+
+TEST(ClusterChurn, CommStreamsDoNotLeakAcrossCommLifecycles) {
+  Fabric fabric{cluster::make_testbed()};
+  const AppId app{1};
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+  const std::size_t count = 256;
+  // One tenant process per GPU for the whole soak: its app streams and
+  // buffers are created once, so only communicator streams could grow.
+  auto ranks = make_ranks(fabric, app, gpus);
+  std::vector<gpu::DevicePtr> buf(gpus.size());
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    buf[r] = ranks[r].shim->alloc(count * sizeof(float));
+  }
+
+  std::vector<std::vector<std::size_t>> streams;  // per cycle, per rank
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    const CommId comm = create_comm(fabric, app, gpus);
+    int remaining = static_cast<int>(gpus.size());
+    for (std::size_t r = 0; r < gpus.size(); ++r) {
+      ranks[r].shim->all_reduce(comm, buf[r], buf[r], count,
+                                coll::DataType::kFloat32, coll::ReduceOp::kSum,
+                                *ranks[r].stream,
+                                [&remaining](Time) { --remaining; });
+    }
+    ASSERT_TRUE(await(fabric, remaining));
+    fabric.destroy_communicator(comm);
+    fabric.loop().run();
+    std::vector<std::size_t> per_rank;
+    for (GpuId g : gpus) per_rank.push_back(fabric.gpus().gpu(g).stream_count());
+    streams.push_back(per_rank);
+  }
+
+  // Each rank's communicator stream goes with its communicator.
+  for (std::size_t i = 1; i < streams.size(); ++i) {
+    EXPECT_EQ(streams[i], streams[0])
+        << "GPU stream tables grew across comm lifecycles (cycle " << i << ")";
   }
 }
 

@@ -188,6 +188,25 @@ TEST_F(GpuFixture, ComputeBusyTimeAccumulates) {
   EXPECT_DOUBLE_EQ(s.compute_busy_time(), 3.0);
 }
 
+TEST_F(GpuFixture, DestroyStreamReleasesIdleStreamAtOnceBusyOneAfterDrain) {
+  Gpu& dev = runtime.gpu(GpuId{0});
+  const StreamId idle = dev.create_stream().id();
+  Stream& busy = dev.create_stream();
+  EXPECT_EQ(dev.stream_count(), 2u);
+  dev.destroy_stream(idle);
+  EXPECT_EQ(dev.stream_count(), 1u);
+
+  // A trailing op still queued: the stream outlives the call and goes once
+  // the op has completed.
+  double done = -1;
+  busy.enqueue_compute(2.0, "tail", [&] { done = loop.now(); });
+  dev.destroy_stream(busy.id());
+  EXPECT_EQ(dev.stream_count(), 1u);
+  loop.run();
+  EXPECT_DOUBLE_EQ(done, 2.0);
+  EXPECT_EQ(dev.stream_count(), 0u);
+}
+
 }  // namespace
 }  // namespace mccs::gpu
 
