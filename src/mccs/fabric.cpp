@@ -13,8 +13,7 @@ Fabric::Fabric(cluster::Cluster cluster)
 
 Fabric::Fabric(cluster::Cluster cluster, Options options)
     : cluster_(std::move(cluster)) {
-  network_ = std::make_unique<net::Network>(loop_, cluster_.topology(),
-                                            options.network);
+  network_ = std::make_unique<net::Network>(loop_, cluster_.topology());
   gpus_ = std::make_unique<gpu::GpuRuntime>(loop_, cluster_.gpu_count(),
                                             options.gpu_config);
 

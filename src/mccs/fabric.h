@@ -55,9 +55,6 @@ class Fabric {
     ServiceConfig config{};
     gpu::DeviceConfig gpu_config{};
     std::uint64_t seed = 1;
-    /// Forwarded to the simulated Network (e.g. `incremental = false` builds
-    /// a fabric on the reference max-min oracle for cross-validation runs).
-    net::Network::Options network{};
   };
 
   explicit Fabric(cluster::Cluster cluster);

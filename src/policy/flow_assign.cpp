@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "collectives/compiler.h"
-#include "netsim/network.h"
 
 namespace mccs::policy {
 namespace {
@@ -79,7 +78,6 @@ std::uint32_t best_route(const PendingFlow& f, const net::Routing& routing,
                          const std::vector<double>& own_demand,
                          const std::unordered_set<std::uint32_t>& reserved,
                          bool restrict_to_unreserved,
-                         const net::Network* live,
                          const std::unordered_set<std::uint32_t>& failed,
                          double* score_out) {
   const auto& paths = routing.paths(f.src, f.dst);
@@ -102,10 +100,7 @@ std::uint32_t best_route(const PendingFlow& f, const net::Routing& routing,
     double score = 0.0;
     for (LinkId l : paths[r]) {
       const double cap = cluster.topology().link(l).capacity;
-      double load = link_demand[l.get()] + 0.5 * own_demand[l.get()];
-      // Live telemetry (O(1) per-link index lookup): traffic the demand
-      // model can't see — background flows, other tenants' libraries.
-      if (live != nullptr) load += live->link_throughput(l);
+      const double load = link_demand[l.get()] + 0.5 * own_demand[l.get()];
       score = std::max(score, (load + f.demand) / cap);
     }
     if (!restrict_to_unreserved && f.high_priority && reserved.count(r) > 0) {
@@ -223,7 +218,7 @@ std::unordered_map<std::uint32_t, RouteMap> assign_flows(
         const std::uint32_t r = best_route(
             f, routing, cluster, link_demand, item_demand[i],
             options.reserved_routes, /*restrict_to_unreserved=*/!f.high_priority,
-            options.network, options.failed_links, &score);
+            options.failed_links, &score);
         for (LinkId l : routing.paths(f.src, f.dst)[r]) {
           link_demand[l.get()] += f.demand;
           item_demand[i][l.get()] += f.demand;
@@ -508,7 +503,7 @@ IncrementalSolveStats IncrementalAssigner::solve(Time now) {
         const std::uint32_t r = best_route(
             f, *routing_, *cluster_, link_demand_, own_pool_[i],
             reserved_routes_, /*restrict_to_unreserved=*/!f.high_priority,
-            /*live=*/nullptr, failed_links_, &score);
+            failed_links_, &score);
         for (LinkId l : routing_->paths(f.src, f.dst)[r]) {
           link_demand_[l.get()] += f.demand;
           own_pool_[i][l.get()] += f.demand;

@@ -26,10 +26,6 @@
 #include "netsim/routing.h"
 #include "telemetry/telemetry.h"
 
-namespace mccs::net {
-class Network;
-}
-
 namespace mccs::policy {
 
 /// One communicator whose flows need placement.
@@ -44,16 +40,6 @@ struct AssignItem {
 struct AssignOptions {
   /// Route indices reserved for high-priority apps (PFA). Empty => plain FFA.
   std::unordered_set<std::uint32_t> reserved_routes;
-
-  /// Live network telemetry. When set, best-fit scoring adds each candidate
-  /// link's measured throughput (an O(1) read of the Network's per-link
-  /// index) to the modelled demand, so the assignment steers around traffic
-  /// the demand model cannot see — chiefly background/external flows (the
-  /// Fig.-7 scenario). Collectives being reassigned are typically mid-flight,
-  /// so their own live rates inflate every candidate of every path they
-  /// already use; the demand model remains the primary signal and the live
-  /// term breaks its ties. Null (default) preserves the pure-demand scoring.
-  const net::Network* network = nullptr;
 
   /// Links the controller has confirmed failed (by LinkId value). Paths
   /// crossing any of them are excluded from best-fit placement; if EVERY
@@ -148,11 +134,6 @@ struct IncrementalSolveStats {
 /// cycle — the restriction of the global drain order) reproduces the full
 /// result. tests/test_incremental_assign.cpp property-checks this over
 /// randomized event streams.
-///
-/// Deliberately unsupported: AssignOptions::network (live-telemetry tie
-/// breaking). Live link throughput changes continuously, so *every* item
-/// would be dirty at every solve and warm starting could never skip work;
-/// callers that want telemetry-steered scoring use the one-shot solver.
 class IncrementalAssigner {
  public:
   IncrementalAssigner(const cluster::Cluster& cluster,

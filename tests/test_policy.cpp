@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "cluster/cluster.h"
-#include "netsim/network.h"
 #include "policy/flow_assign.h"
 #include "policy/ring_config.h"
 #include "policy/traffic_schedule.h"
@@ -156,53 +155,6 @@ TEST_F(TwoJobFixture, AssignmentIsDeterministic) {
   const auto r2 = assign_flows(items(), cl, routing);
   EXPECT_EQ(r1.at(0), r2.at(0));
   EXPECT_EQ(r1.at(1), r2.at(1));
-}
-
-TEST(FlowAssign, LiveTelemetrySteersAroundBackgroundTraffic) {
-  // Two leaves, two spine paths. A background flow occupies spine 0 between
-  // the two hosts; the demand model alone cannot see it (ties break to
-  // route 0), but with `AssignOptions::network` set the live link throughput
-  // pushes the collective's forward edge onto the other spine.
-  cluster::SpineLeafSpec spec;
-  spec.num_spines = 2;
-  spec.num_leaves = 2;
-  spec.hosts_per_leaf = 2;
-  spec.gpus_per_host = 1;
-  spec.nics_per_host = 1;
-  auto cl = cluster::make_spine_leaf(spec);
-  net::Routing routing(cl.topology());
-
-  // Background traffic between the *other* host pair (hosts 1 and 3), pinned
-  // to spine route 0: it shares only the leaf-spine fabric links with the
-  // collective, not the NIC uplinks.
-  sim::EventLoop loop;
-  net::Network network(loop, cl.topology());
-  network.start_flow({.src = cl.host(HostId{1}).nic_nodes[0],
-                      .dst = cl.host(HostId{3}).nic_nodes[0],
-                      .route = RouteId{0},
-                      .background_demand = gbps(40),
-                      .on_complete = {}});
-
-  std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};  // hosts 0 and 2
-  auto strat = locality_aware_strategy(gpus, cl);
-  std::vector<AssignItem> items{AssignItem{CommId{0}, AppId{1}, &gpus, &strat, false}};
-  const auto& order = strat.channel_orders[0];
-  // The ring edge leaving host 0 — the direction the background flow loads.
-  int p0 = 0;
-  for (int p = 0; p < 2; ++p) {
-    const GpuId g = gpus[static_cast<std::size_t>(order.rank_at(p))];
-    if (cl.host_of_gpu(g) == HostId{0}) p0 = p;
-  }
-  const auto key = svc::CommStrategy::route_key(0, order.rank_at(p0),
-                                                order.rank_at(p0 + 1));
-
-  const auto blind = assign_flows(items, cl, routing);
-  EXPECT_EQ(blind.at(0).at(key).get(), 0u);
-
-  AssignOptions live;
-  live.network = &network;
-  const auto steered = assign_flows(items, cl, routing, live);
-  EXPECT_NE(steered.at(0).at(key).get(), 0u);
 }
 
 TEST(FlowAssign, ScalesRoughlyLinearlyInJobSize) {
