@@ -18,9 +18,10 @@ constexpr std::size_t kLinkChangeTrimBatch = 1024;
 
 /// Weighted max-min fair allocation with per-flow caps (progressive filling),
 /// scoped to one bottleneck component. `residual` and `weight_on_link` are
-/// link-indexed scratch arrays owned by the caller; only entries for `links`
-/// (the union of the flows' paths) are read or written, so the caller can
-/// reuse them across calls without O(link_count) re-initialisation.
+/// link-indexed scratch arrays owned by the caller; only entries on the
+/// flows' paths are read or written, so the caller can reuse them across
+/// calls without O(link_count) re-initialisation. The caller loads those
+/// links' `residual` capacity; their `weight_on_link` is zeroed here.
 ///
 /// Returns true on a clean solve. A pathological capacity state (an
 /// unconstrained flow, or an iteration that cannot fix anything) pins the
@@ -30,7 +31,6 @@ constexpr std::size_t kLinkChangeTrimBatch = 1024;
 bool Network::max_min_allocate(std::vector<AllocFlow>& flows,
                                std::vector<Bandwidth>& residual,
                                std::vector<double>& weight_on_link,
-                               const std::vector<std::uint32_t>& links,
                                std::vector<std::uint32_t>& unsatisfied) {
   auto pin_unfixed_at_zero = [&flows, &unsatisfied] {
     for (AllocFlow& f : flows) {
@@ -44,7 +44,9 @@ bool Network::max_min_allocate(std::vector<AllocFlow>& flows,
   if (flows.empty()) return true;
 
   // Per-link unfixed weight sums.
-  for (std::uint32_t l : links) weight_on_link[l] = 0.0;
+  for (const AllocFlow& f : flows) {
+    for (LinkId l : f.path) weight_on_link[l.get()] = 0.0;
+  }
   for (const AllocFlow& f : flows) {
     for (LinkId l : f.path) weight_on_link[l.get()] += f.weight;
   }
@@ -102,6 +104,7 @@ void Network::reserve_flows(std::size_t concurrent, std::size_t lifetime) {
   hot_rate_.reserve(concurrent);
   hot_last_update_.reserve(concurrent);
   hot_mark_.reserve(concurrent);
+  hot_label_.reserve(concurrent);
   param_.reserve(concurrent);
   cold_.reserve(concurrent);
   link_pos_.reserve(concurrent);
@@ -137,7 +140,8 @@ void Network::set_telemetry(telemetry::Telemetry* t) {
 
 Network::StorageFootprint Network::flow_state_footprint() {
   StorageFootprint f;
-  f.hot = sizeof(Bytes) + sizeof(Bandwidth) + sizeof(Time) + sizeof(std::uint64_t);
+  f.hot = sizeof(Bytes) + sizeof(Bandwidth) + sizeof(Time) +
+          sizeof(std::uint64_t) + sizeof(std::uint32_t);
   f.param = sizeof(FlowParam);
   f.cold = sizeof(FlowCold);
   return f;
@@ -172,6 +176,7 @@ std::uint32_t Network::acquire_slot() {
     hot_rate_.push_back(0.0);
     hot_last_update_.push_back(0.0);
     hot_mark_.push_back(0);
+    hot_label_.push_back(0);
     param_.emplace_back();
     cold_.emplace_back();
     link_pos_.emplace_back();
@@ -640,48 +645,61 @@ void Network::collect_component(PathView seed) {
   ++epoch_;
   comp_flows_.clear();
   comp_links_.clear();
+  comp_count_ = 0;
   auto mark_link = [this](LinkId l) {
-    if (link_mark_[l.get()] != epoch_) {
-      link_mark_[l.get()] = epoch_;
-      comp_links_.push_back(l.get());
+    link_mark_[l.get()] = epoch_;
+    comp_links_.push_back(l.get());
+    // Effective capacity folds in the administrative link state: degraded
+    // links keep a fraction, down links contribute zero (their flows come
+    // out of the solve at rate zero and simply stall — no completion event).
+    residual_[l.get()] = topo_->link(l).capacity * capacity_scale_[l.get()];
+  };
+  // BFS over links from `start` under a fresh sub-component label: any flow
+  // on a reached link joins it and contributes its own links to the
+  // frontier. Sub-components share no link, so each BFS reaches only links
+  // no earlier one did.
+  auto discover = [this, &mark_link](LinkId start, bool dirty) {
+    const auto label = static_cast<std::uint32_t>(comp_count_++);
+    if (comps_.size() < comp_count_) comps_.emplace_back();
+    SubComp& sc = comps_[label];
+    sc.background.clear();
+    sc.normal.clear();
+    sc.dirty = dirty;
+    const std::size_t from = comp_links_.size();
+    mark_link(start);
+    for (std::size_t i = from; i < comp_links_.size(); ++i) {
+      for (const LinkIndex::Member m : links_[comp_links_[i]].flows) {
+        if (hot_mark_[m.slot] == epoch_) continue;
+        hot_mark_[m.slot] = epoch_;
+        hot_label_[m.slot] = label;
+        comp_flows_.push_back(m.slot);
+        for (LinkId l : param_[m.slot].path) {
+          if (link_mark_[l.get()] != epoch_) mark_link(l);
+        }
+      }
     }
   };
-  // Seed links are always included (even if now memberless) so their index
-  // throughput is refreshed after a removal.
-  for (LinkId l : seed) mark_link(l);
-  // BFS over links: any flow on a reached link joins the component and
-  // contributes its own links to the frontier.
-  for (std::size_t i = 0; i < comp_links_.size(); ++i) {
-    for (const LinkIndex::Member m : links_[comp_links_[i]].flows) {
-      if (hot_mark_[m.slot] == epoch_) continue;
-      hot_mark_[m.slot] = epoch_;
-      comp_flows_.push_back(m.slot);
-      for (LinkId l : param_[m.slot].path) mark_link(l);
+  // Seed links are always included (even if now memberless, which yields an
+  // empty label) so their index throughput is refreshed after a removal.
+  for (LinkId l : seed) {
+    if (link_mark_[l.get()] != epoch_) discover(l, /*dirty=*/true);
+  }
+  if (!options_.incremental) {
+    // Every marked link's members are visited, so an unvisited allocatable
+    // flow's first link is unmarked and starts a component of its own.
+    for (std::uint32_t s = live_head_; s != kNoSlot; s = live_next_[s]) {
+      if (allocatable(s) && hot_mark_[s] != epoch_) {
+        discover(param_[s].path.front(), /*dirty=*/false);
+      }
     }
   }
-  // Ascending-id order matches the reference path bit-for-bit (the solver's
-  // floating-point results depend on per-link accumulation order).
+  // Ascending-id order matches across collection modes and solve groupings
+  // bit-for-bit (the solver's floating-point results depend on per-link
+  // accumulation order).
   std::sort(comp_flows_.begin(), comp_flows_.end(),
             [this](std::uint32_t a, std::uint32_t b) {
               return param_[a].seq < param_[b].seq;
             });
-}
-
-void Network::collect_all() {
-  ++epoch_;
-  comp_flows_.clear();
-  comp_links_.clear();
-  // The live list is ascending-id, so the collected set needs no sort.
-  for (std::uint32_t s = live_head_; s != kNoSlot; s = live_next_[s]) {
-    if (!allocatable(s)) continue;
-    comp_flows_.push_back(s);
-    for (LinkId l : param_[s].path) {
-      if (link_mark_[l.get()] != epoch_) {
-        link_mark_[l.get()] = epoch_;
-        comp_links_.push_back(l.get());
-      }
-    }
-  }
 }
 
 void Network::reallocate(PathView seed) {
@@ -710,22 +728,8 @@ void Network::reallocate(PathView seed) {
 void Network::solve_now(PathView seed) {
   ++solves_total_;
   if (solves_counter_ != nullptr) solves_counter_->increment();
-  solve_seed_ = seed;
-  if (options_.incremental) {
-    collect_component(seed);
-  } else {
-    collect_all();
-    // Reference mode still refreshes the seed's links below even when they
-    // lost their last member.
-    for (LinkId l : seed) {
-      if (link_mark_[l.get()] != epoch_) {
-        link_mark_[l.get()] = epoch_;
-        comp_links_.push_back(l.get());
-      }
-    }
-  }
+  collect_component(seed);
   allocate_component();
-  solve_seed_ = {};
 }
 
 void Network::begin_batch() {
@@ -760,82 +764,25 @@ void Network::end_batch() {
 void Network::allocate_component() {
   const Time now = loop_->now();
 
-  // Canonicalize the collected link order. Discovery order depends on the
-  // seed that reached the component (a single mutated path vs a batch's
-  // dirty-link union), and the solver's bottleneck scan breaks exact
-  // fair-share ties by iteration order — so without this, the same component
-  // could freeze links in a different sequence and drift by an ulp depending
-  // on how the mutations that produced it were grouped into solves. Sorted,
-  // the solve is a pure function of component content (flows already walk in
-  // ascending id order), which is what the batched/unbatched completion-time
-  // identity rests on.
-  std::sort(comp_links_.begin(), comp_links_.end());
-
-  // Partition the collected flows into disjoint bottleneck sub-components
-  // (union-find over their links) and solve each one on its own. A
-  // multi-link seed — a completed or cancelled flow's path, a failed link,
-  // a batch's dirty-link union — can gather flows that share no link with
-  // each other. A joint solve of such a set is NOT arithmetically the
-  // separate solves: max_min_allocate binds every flow whose share is within
-  // a 1e-12 relative tolerance of the round's best share, so one
-  // sub-component's bottleneck could fix another's flows at a near-equal
-  // rate. Solving each sub-component alone makes its rates a function of its
-  // own content only, which is what lets a batch's union solve reproduce the
-  // per-mutation solves bit for bit (DESIGN.md §15). Rates, progress
-  // integration, and completion events are then applied in ascending
-  // flow-id order across all sub-components.
-  for (std::uint32_t l : comp_links_) uf_parent_[l] = l;
-  auto find_root = [this](std::uint32_t l) {
-    while (uf_parent_[l] != l) {
-      uf_parent_[l] = uf_parent_[uf_parent_[l]];  // path halving
-      l = uf_parent_[l];
-    }
-    return l;
-  };
-  for (std::uint32_t s : comp_flows_) {
-    const PathView p = param_[s].path;
-    // `acc` stays a live root throughout (both operands of every union are
-    // roots, and we keep the winner): re-parenting a non-root would silently
-    // undo an earlier union and split the component.
-    std::uint32_t acc = find_root(p.front().get());
-    for (std::size_t i = 1; i < p.size(); ++i) {
-      const std::uint32_t r = find_root(p[i].get());
-      if (r == acc) continue;
-      const std::uint32_t lo = std::min(acc, r);
-      uf_parent_[std::max(acc, r)] = lo;
-      acc = lo;
-    }
-  }
-  // Sub-component order: ascending first-member flow id (deterministic).
-  comp_roots_.clear();
-  auto comp_of = [this](std::uint32_t root) {
-    for (std::size_t i = 0; i < comp_roots_.size(); ++i) {
-      if (comp_roots_[i] == root) return i;
-    }
-    comp_roots_.push_back(root);
-    return comp_roots_.size() - 1;
-  };
-  for (std::uint32_t s : comp_flows_) {
-    comp_of(find_root(param_[s].path.front().get()));
-  }
-  const std::size_t num_comps = comp_roots_.size();
-
-  // The SubComp pool is high-water sized and cleared in place: inner vectors
-  // keep their capacity, so a warm solve allocates nothing here.
-  if (comps_.size() < num_comps) comps_.resize(num_comps);
-  for (std::size_t i = 0; i < num_comps; ++i) {
-    SubComp& sc = comps_[i];
-    sc.background.clear();
-    sc.normal.clear();
-    sc.links.clear();
-    sc.dirty = false;
-  }
-
-  // Build each sub-component's flow lists in ascending id order (the order
-  // the solver's floating point depends on) and hand it its own links.
+  // Solve each discovery-labelled sub-component on its own. A multi-link
+  // seed — a completed or cancelled flow's path, a failed link, a batch's
+  // dirty-link union — can gather flows that share no link with each other.
+  // A joint solve of such a set is NOT arithmetically the separate solves:
+  // max_min_allocate binds every flow whose share is within a 1e-12 relative
+  // tolerance of the round's best share, so one sub-component's bottleneck
+  // could fix another's flows at a near-equal rate. Solving each
+  // sub-component alone makes its rates a function of its own content only,
+  // which is what lets a batch's union solve reproduce the per-mutation
+  // solves bit for bit (DESIGN.md §15). Label order is irrelevant: the
+  // sub-components touch disjoint entries of the shared link-indexed scratch
+  // (residual_, loaded at discovery, and weight_scratch_). Each flow list is
+  // built in ascending id order, the order the solver's floating point
+  // depends on. Background flows take their demand with strict priority
+  // first, sharing capacity weighted by demand if oversubscribed; normal
+  // flows max-min share the remainder.
   for (std::uint32_t s : comp_flows_) {
     const FlowParam& p = param_[s];
-    SubComp& sc = comps_[comp_of(find_root(p.path.front().get()))];
+    SubComp& sc = comps_[hot_label_[s]];
     if (p.background_demand > 0.0) {
       sc.background.push_back(
           AllocFlow{s, p.path, p.background_demand, p.background_demand});
@@ -843,55 +790,14 @@ void Network::allocate_component() {
       sc.normal.push_back(AllocFlow{s, p.path, p.weight, p.rate_cap});
     }
   }
-  for (std::uint32_t l : comp_links_) {
-    // Memberless links (e.g. the just-vacated path that seeded this solve)
-    // belong to no sub-component; they only need the index refresh below.
-    const std::uint32_t root = find_root(l);
-    for (std::size_t i = 0; i < comp_roots_.size(); ++i) {
-      if (comp_roots_[i] == root) {
-        comps_[i].links.push_back(l);
-        break;
-      }
-    }
-  }
-  // Mark the sub-components reachable from the solve's seed links as dirty.
-  // Incremental collection only ever gathers seed-reachable flows, so every
-  // sub-component is dirty there; reference mode collects everything and
-  // this restores the same partition — see SubComp::dirty for why the
-  // distinction must be identical across modes. A memberless seed link's
-  // root is absent from comp_roots_ and marks nothing.
-  for (const LinkId l : solve_seed_) {
-    if (link_mark_[l.get()] != epoch_) continue;  // stale seed, not collected
-    const std::uint32_t root = find_root(l.get());
-    for (std::size_t i = 0; i < comp_roots_.size(); ++i) {
-      if (comp_roots_[i] == root) {
-        comps_[i].dirty = true;
-        break;
-      }
-    }
-  }
-
-  // Solve the sub-components in order. The shared link-indexed scratch
-  // arrays (residual_, weight_scratch_) are reused: disjoint sub-components
-  // touch disjoint link entries. Background flows take their demand with
-  // strict priority first, sharing capacity weighted by demand if
-  // oversubscribed; normal flows max-min share the remainder.
   unsatisfied_scratch_.clear();
   bool solved = true;
-  for (std::size_t i = 0; i < num_comps; ++i) {
+  for (std::size_t i = 0; i < comp_count_; ++i) {
     SubComp& sc = comps_[i];
-    for (std::uint32_t l : sc.links) {
-      // Effective capacity folds in the administrative link state: degraded
-      // links keep a fraction, down links contribute zero (their flows come
-      // out of the solve at rate zero and simply stall — no completion
-      // event).
-      residual_[l] = topo_->link(LinkId{l}).capacity * capacity_scale_[l];
-    }
     const bool bg_ok = max_min_allocate(sc.background, residual_,
-                                        weight_scratch_, sc.links,
-                                        unsatisfied_scratch_);
+                                        weight_scratch_, unsatisfied_scratch_);
     const bool normal_ok = max_min_allocate(sc.normal, residual_,
-                                            weight_scratch_, sc.links,
+                                            weight_scratch_,
                                             unsatisfied_scratch_);
     solved = solved && bg_ok && normal_ok;
   }
@@ -949,11 +855,11 @@ void Network::allocate_component() {
   // up-then-back rate excursion) would split the completion by one ulp.
   // The extra cost is two loads and a store per dirty flow, inside a loop
   // that already visits it, plus one event reschedule per dirty flow.
-  comp_cursor_bg_.assign(num_comps, 0);
-  comp_cursor_normal_.assign(num_comps, 0);
+  comp_cursor_bg_.assign(comp_count_, 0);
+  comp_cursor_normal_.assign(comp_count_, 0);
   for (std::uint32_t s : comp_flows_) {
     const FlowParam& p = param_[s];
-    const std::size_t ci = comp_of(find_root(p.path.front().get()));
+    const std::uint32_t ci = hot_label_[s];
     SubComp& sc = comps_[ci];
     if (p.background_demand > 0.0) {
       const AllocFlow& a = sc.background[comp_cursor_bg_[ci]++];
@@ -1023,6 +929,15 @@ void Network::allocate_component() {
   // The utilization sampler integrates the *outgoing* rate over the interval
   // it was in force before the new one replaces it, and (enabled mode only)
   // drops a counter sample on the timeline when the rate actually changed.
+  //
+  // Links go in ascending id order. Discovery order depends on the seed that
+  // reached the component, but the timeline merges a same-instant link_gbps
+  // sample into the previous one only when their keys match position by
+  // position (Timeline::counter). Unsorted, two same-instant solves of one
+  // component reached from different seed links would record two samples
+  // instead of one (NetsimBatch.SameInstantSolvesFromDifferentSeedsShare-
+  // OneLinkSample).
+  std::sort(comp_links_.begin(), comp_links_.end());
   const bool record = telemetry_ != nullptr && telemetry_->enabled();
   if (record) counter_scratch_.clear();
   for (std::uint32_t l : comp_links_) {

@@ -153,7 +153,6 @@ class Network {
         batch_link_mark_(topo.link_count(), 0),
         residual_(topo.link_count(), 0.0),
         weight_scratch_(topo.link_count(), 0.0),
-        uf_parent_(topo.link_count(), 0),
         link_bytes_(topo.link_count(), 0.0),
         link_sample_time_(topo.link_count(), 0.0) {}
 
@@ -172,11 +171,11 @@ class Network {
   void reserve_flows(std::size_t concurrent, std::size_t lifetime);
 
   /// Per-flow-state slab cost in bytes, by temperature class: `hot` is the
-  /// SoA touched every rate solve (remaining / rate / last_update / mark),
-  /// `param` the per-flow solve parameters (path view, caps, weight, flags),
-  /// `cold` everything touched only at start/completion (spec, timestamps,
-  /// event handles). Compile-time facts surfaced for the scale bench, which
-  /// reports bytes-per-flow-state alongside events/s.
+  /// SoA touched every rate solve (remaining / rate / last_update / mark /
+  /// label), `param` the per-flow solve parameters (path view, caps, weight,
+  /// flags), `cold` everything touched only at start/completion (spec,
+  /// timestamps, event handles). Compile-time facts surfaced for the scale
+  /// bench, which reports bytes-per-flow-state alongside events/s.
   struct StorageFootprint {
     std::size_t hot = 0;
     std::size_t param = 0;
@@ -467,15 +466,18 @@ class Network {
   void insert_into_index(std::uint32_t slot);
   void remove_from_index(std::uint32_t slot);
 
-  /// Gather the connected component of allocatable flows reachable from
-  /// `seed` through shared links into comp_flows_ (slots, ascending flow id)
-  /// and comp_links_. Reference mode gathers everything.
+  /// Gather the allocatable flows reachable from `seed` through shared links
+  /// into comp_flows_ (slots, ascending flow id) and their links into
+  /// comp_links_, loading each link's residual capacity as it is reached.
+  /// One BFS runs per seed link no earlier BFS reached, under a fresh dirty
+  /// sub-component label that every flow it reaches records in hot_label_.
+  /// Reference mode then continues from every allocatable flow still
+  /// unreached, under clean labels, so it gathers everything.
   void collect_component(PathView seed);
-  void collect_all();
 
-  /// Re-solve max-min over comp_flows_ / comp_links_ and apply: rates,
-  /// link-index throughput, and completion events (kept when the rate is
-  /// unchanged within kRateEpsilon).
+  /// Solve each labelled sub-component and apply: rates, link-index
+  /// throughput, and completion events (kept in a clean sub-component when
+  /// the rate is bitwise unchanged).
   void allocate_component();
 
   /// Flow-set change entry point: scope to `seed`'s component (or everything
@@ -523,6 +525,7 @@ class Network {
   std::vector<Bandwidth> hot_rate_;
   std::vector<Time> hot_last_update_;    ///< when remaining was integrated
   std::vector<std::uint64_t> hot_mark_;  ///< component-BFS visit epoch
+  std::vector<std::uint32_t> hot_label_; ///< sub-component of the last visit
   std::vector<FlowParam> param_;
   std::vector<FlowCold> cold_;
   /// Backpointers: link_pos_[slot][k] = this flow's index in
@@ -631,12 +634,12 @@ class Network {
   std::vector<Bandwidth> residual_;
   std::vector<double> weight_scratch_;
 
-  // Disjoint sub-component partition of a collected flow set (union-find
-  // over links + per-component apply cursors). Each sub-component solves on
-  // its own, then all apply in ascending flow-id order (see
-  // allocate_component for why the partition is kept). The SubComp pool is
-  // high-water sized: entries are cleared, never shrunk, so their inner
-  // vectors keep their capacity across events.
+  // Disjoint sub-components of a collected flow set, one per discovery
+  // label (comps_[0, comp_count_)), plus per-component apply cursors. Each
+  // sub-component solves on its own, then all apply in ascending flow-id
+  // order (see allocate_component for why they solve apart). The SubComp
+  // pool is high-water sized: entries are cleared, never shrunk, so their
+  // inner vectors keep their capacity across events.
   struct AllocFlow {
     std::uint32_t slot;
     PathView path;
@@ -648,20 +651,15 @@ class Network {
   struct SubComp {
     std::vector<AllocFlow> background;
     std::vector<AllocFlow> normal;
-    std::vector<std::uint32_t> links;
-    /// Contains a seed (mutated) link. Progress integration anchors only in
-    /// dirty sub-components, so the anchor set — and therefore every
+    /// Discovered from a seed (mutated) link. Progress integration anchors
+    /// only in dirty sub-components, so the anchor set — and therefore every
     /// remaining-bytes bit pattern — is a pure function of the mutation
     /// timeline, identical across incremental/reference collection and
     /// per-event/batched solve grouping (DESIGN.md §15).
     bool dirty = false;
   };
-  std::vector<std::uint32_t> uf_parent_;
-  std::vector<std::uint32_t> comp_roots_;
   std::vector<SubComp> comps_;
-  /// Seed links of the in-flight solve (set by solve_now for the duration of
-  /// allocate_component; used to mark dirty sub-components).
-  PathView solve_seed_{};
+  std::size_t comp_count_ = 0;  ///< labels issued by the last discovery
   std::vector<std::size_t> comp_cursor_bg_;
   std::vector<std::size_t> comp_cursor_normal_;
 
@@ -670,7 +668,6 @@ class Network {
   static bool max_min_allocate(std::vector<AllocFlow>& flows,
                                std::vector<Bandwidth>& residual,
                                std::vector<double>& weight_on_link,
-                               const std::vector<std::uint32_t>& links,
                                std::vector<std::uint32_t>& unsatisfied);
 
   // Link-utilization sampler: cumulative bytes as of `link_sample_time_`,

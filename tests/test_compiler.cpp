@@ -523,7 +523,9 @@ TEST(AlgorithmChoice, TreeWinsSmallAllReduceRingWinsLarge) {
     const Algorithm a =
         coll::choose_algorithm(CollectiveKind::kAllReduce, 8, b, p);
     if (a == Algorithm::kRing) ring_seen = true;
-    if (ring_seen) EXPECT_EQ(a, Algorithm::kRing) << "bytes " << b;
+    if (ring_seen) {
+      EXPECT_EQ(a, Algorithm::kRing) << "bytes " << b;
+    }
   }
   // AllGather has no latency-optimal variant in the search space: ring always.
   for (Bytes b : {Bytes{1024}, Bytes{1} << 20, Bytes{1} << 28}) {

@@ -1,13 +1,13 @@
 // Batched-mutation epoch (solve coalescing) tests.
 //
 // The contract under test (DESIGN.md §15): a Network with coalescing on
-// produces a simulation bitwise identical to the per-mutation solve path —
-// every flow completes at the bit-identical virtual instant and the link
-// change-log is entry-for-entry equal. The one permitted difference is the
-// ORDER of completions within a single instant (per-flow cascades re-insert
-// same-instant events in solve-history order; a coalesced solve emits them
-// in ascending flow id), so streams are compared per flow id and after a
-// canonical (time bits, id) sort, never positionally.
+// produces a simulation bitwise identical to the per-mutation solve path, in
+// both collection modes — every flow completes at the bit-identical virtual
+// instant and the link change-log is entry-for-entry equal. The one
+// permitted difference is the ORDER of completions within a single instant
+// (per-flow cascades re-insert same-instant events in solve-history order; a
+// coalesced solve emits them in ascending flow id), so streams are compared
+// per flow id and after a canonical (time bits, id) sort, never positionally.
 
 #include <gtest/gtest.h>
 
@@ -148,10 +148,11 @@ struct BatchRunResult {
 };
 
 BatchRunResult run_batch_plan(const cluster::Cluster& cl, const BatchPlan& plan,
-                              bool coalesce) {
+                              bool incremental, bool coalesce) {
   sim::EventLoop loop;
   Network net(loop, cl.topology(),
-              Network::Options{.incremental = true, .coalesce = coalesce});
+              Network::Options{.incremental = incremental,
+                               .coalesce = coalesce});
   BatchRunResult res;
   std::vector<std::optional<FlowId>> ids(plan.starts.size());
 
@@ -239,35 +240,59 @@ BatchRunResult run_batch_plan(const cluster::Cluster& cl, const BatchPlan& plan,
   return res;
 }
 
-/// One seed: run the same plan batched and unbatched and compare.
+/// Per flow id, `a` and `b` complete the same flows at bitwise-identical
+/// instants. Returns false (after reporting) when they do not.
+bool same_completions_per_flow(const BatchRunResult& a, const BatchRunResult& b,
+                               std::uint64_t seed, const char* what) {
+  EXPECT_EQ(a.completions.size(), b.completions.size())
+      << "seed " << seed << " (" << what << ")";
+  if (a.completions.size() != b.completions.size()) return false;
+  std::map<std::uint32_t, std::uint64_t> by_id;
+  for (const auto& [id, bits] : a.completions) {
+    EXPECT_TRUE(by_id.emplace(id, bits).second)
+        << "seed " << seed << ": flow " << id << " completed twice";
+  }
+  for (const auto& [id, bits] : b.completions) {
+    const auto it = by_id.find(id);
+    EXPECT_NE(it, by_id.end()) << "seed " << seed << " flow " << id;
+    if (it == by_id.end()) return false;
+    EXPECT_EQ(it->second, bits)
+        << "seed " << seed << " flow " << id << ": " << what
+        << " completion instants differ";
+  }
+  return true;
+}
+
+/// One seed: run the same plan batched and unbatched under one collection
+/// mode and compare. Reference collection also labels the sub-components no
+/// seed link reaches, as clean; its batched run must match the incremental
+/// batched run too, which never collects those flows at all.
 /// Returns the number of completions cross-checked.
 std::size_t check_batched_vs_unbatched(const cluster::Cluster& cl,
                                        const std::vector<NodeId>& hosts,
-                                       std::uint64_t seed) {
+                                       std::uint64_t seed, bool incremental) {
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 7);
   const BatchPlan plan =
       make_batch_plan(hosts, cl.topology().link_count(), rng);
-  const BatchRunResult bat = run_batch_plan(cl, plan, /*coalesce=*/true);
-  const BatchRunResult unb = run_batch_plan(cl, plan, /*coalesce=*/false);
+  const BatchRunResult bat =
+      run_batch_plan(cl, plan, incremental, /*coalesce=*/true);
+  const BatchRunResult unb =
+      run_batch_plan(cl, plan, incremental, /*coalesce=*/false);
 
   // Coalescing must never run MORE solves than per-mutation solving.
   EXPECT_LE(bat.solves, unb.solves) << "seed " << seed;
 
   // Per flow id: the completion instant is bitwise identical.
-  EXPECT_EQ(bat.completions.size(), unb.completions.size()) << "seed " << seed;
-  if (bat.completions.size() != unb.completions.size()) return 0;
-  std::map<std::uint32_t, std::uint64_t> by_id;
-  for (const auto& [id, bits] : bat.completions) {
-    EXPECT_TRUE(by_id.emplace(id, bits).second)
-        << "seed " << seed << ": flow " << id << " completed twice";
+  if (!same_completions_per_flow(bat, unb, seed, "batched and unbatched")) {
+    return 0;
   }
-  for (const auto& [id, bits] : unb.completions) {
-    const auto it = by_id.find(id);
-    EXPECT_NE(it, by_id.end()) << "seed " << seed << " flow " << id;
-    if (it == by_id.end()) return 0;
-    EXPECT_EQ(it->second, bits)
-        << "seed " << seed << " flow " << id
-        << ": batched and unbatched completion instants differ";
+  if (!incremental) {
+    const BatchRunResult inc =
+        run_batch_plan(cl, plan, /*incremental=*/true, /*coalesce=*/true);
+    if (!same_completions_per_flow(bat, inc, seed,
+                                   "reference and incremental batched")) {
+      return 0;
+    }
   }
 
   // The canonical (time bits, id) sort of the two streams is identical —
@@ -287,13 +312,13 @@ std::size_t check_batched_vs_unbatched(const cluster::Cluster& cl,
   return bat.completions.size();
 }
 
-TEST(NetsimBatch, BatchedMatchesUnbatchedAcross500Seeds) {
+/// The seeded sweep under one collection mode. Seeds are independent (each
+/// builds its own EventLoop/Network), so the sweep fans out across the task
+/// pool. MCCS_NETSIM_BATCH_SEEDS trims it for expensive instrumented runs
+/// (TSan/ASan).
+void batched_vs_unbatched_sweep(bool incremental) {
   const auto cl = cluster::make_testbed();
   const auto hosts = cl.topology().hosts();
-
-  // Seeds are independent (each builds its own EventLoop/Network), so the
-  // sweep fans out across the task pool. MCCS_NETSIM_BATCH_SEEDS trims the
-  // sweep for expensive instrumented runs (TSan/ASan).
   std::size_t num_seeds = 500;
   if (const char* env = std::getenv("MCCS_NETSIM_BATCH_SEEDS")) {
     const long v = std::strtol(env, nullptr, 10);
@@ -303,11 +328,19 @@ TEST(NetsimBatch, BatchedMatchesUnbatchedAcross500Seeds) {
   par::parallel_for(num_seeds, 16, [&](std::size_t begin, std::size_t end) {
     std::size_t local = 0;
     for (std::size_t seed = begin; seed < end; ++seed) {
-      local += check_batched_vs_unbatched(cl, hosts, seed);
+      local += check_batched_vs_unbatched(cl, hosts, seed, incremental);
     }
     total_completions.fetch_add(local, std::memory_order_relaxed);
   });
   EXPECT_GE(total_completions.load(), num_seeds);
+}
+
+TEST(NetsimBatch, BatchedMatchesUnbatchedAcross500Seeds) {
+  batched_vs_unbatched_sweep(/*incremental=*/true);
+}
+
+TEST(NetsimBatch, ReferenceCollectionMatchesUnbatchedAndIncremental) {
+  batched_vs_unbatched_sweep(/*incremental=*/false);
 }
 
 // --- edge cases -------------------------------------------------------------
@@ -497,6 +530,37 @@ TEST(NetsimBatch, TelemetryNeitherPerturbsNorDivergesAcrossRuns) {
   EXPECT_EQ(trace_on, trace_on2);          // deterministic counter stream
   EXPECT_EQ(done_on, done_off);            // observation does not perturb
   EXPECT_NE(trace_on, trace_off);          // ...but it did observe something
+}
+
+TEST(NetsimBatch, SameInstantSolvesFromDifferentSeedsShareOneLinkSample) {
+  // Timeline::counter merges a same-instant link_gbps sample into the
+  // previous one only when their keys match position by position. Seeded
+  // from a flow's last link and then from its first, two unbatched solves
+  // discover its links in different orders; the solve records them in
+  // ascending link order, so the second sample must overwrite the first.
+  auto cl = cluster::make_testbed();
+  sim::EventLoop loop;
+  Network net(loop, cl.topology());
+  telemetry::Telemetry tel(true);
+  net.set_telemetry(&tel);
+  // Cross-rack: NIC -> leaf -> spine -> leaf -> NIC.
+  const FlowId f = net.start_flow({.src = cl.host(HostId{0}).nic_nodes[0],
+                                   .dst = cl.host(HostId{2}).nic_nodes[0],
+                                   .size = 1_GB, .on_complete = {}});
+  const PathView path = net.flow_path(f);
+  ASSERT_EQ(path.size(), 4u);
+  const Bandwidth nominal = net.flow_rate(f);
+  std::size_t added = 0;
+  loop.schedule_at(1e-3, [&] {
+    const std::size_t before = tel.timeline().event_count();
+    net.set_link_state(path[3], LinkState::kDegraded, 0.5);
+    EXPECT_EQ(net.flow_rate(f), nominal * 0.5);
+    net.set_link_state(path[0], LinkState::kDegraded, 0.25);
+    EXPECT_EQ(net.flow_rate(f), nominal * 0.25);
+    added = tel.timeline().event_count() - before;
+  });
+  loop.run_until(2e-3);
+  EXPECT_EQ(added, 1u);
 }
 
 }  // namespace

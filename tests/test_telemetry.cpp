@@ -114,11 +114,18 @@ class JsonParser {
       case '{': return object();
       case '[': return array();
       case '"': return string_value();
-      case 't': return literal("true", JsonValue{JsonValue::kBool, true});
-      case 'f': return literal("false", JsonValue{JsonValue::kBool, false});
+      case 't': return literal("true", boolean(true));
+      case 'f': return literal("false", boolean(false));
       case 'n': return literal("null", JsonValue{});
       default: return number();
     }
+  }
+
+  static JsonValue boolean(bool b) {
+    JsonValue v;
+    v.kind = JsonValue::kBool;
+    v.boolean = b;
+    return v;
   }
 
   JsonValue literal(std::string_view lit, JsonValue v) {
