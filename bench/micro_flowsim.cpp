@@ -19,7 +19,11 @@
 // BENCH_scale.json:
 //   * kind=perf rows: the full churn workload in incremental mode, with an
 //     order-sensitive FNV-1a digest of the completion stream (flow id,
-//     completion time) that pins the simulated behaviour across changes;
+//     completion time) that pins the simulated behaviour across changes,
+//     and the solve-epoch breakdown (`Network::solve_stats`): per-solve
+//     means of flows, links, sub-component labels, water-filling rounds
+//     and re-derived completions, and the phase times of the sampled
+//     solves in microseconds;
 //   * kind=identity rows: a trimmed workload run under both engine modes —
 //     digests must match (component-scoped == global oracle) — plus the
 //     compile-time bytes-per-flow-state split (hot SoA / solve params /
@@ -210,6 +214,7 @@ struct RunResult {
   std::uint64_t solves = 0;      ///< Network::solves_total at loop drain
   std::uint64_t coalesced = 0;   ///< mutations folded into batch closes
   std::uint64_t batches = 0;     ///< non-empty batch closes
+  net::Network::SolveStats stats;  ///< solve-epoch breakdown at loop drain
   double wall_s = 0.0;
   Time sim_s = 0.0;
 
@@ -369,6 +374,7 @@ RunResult run_workload(const cluster::Cluster& cl, const Workload& w,
   res.solves = net.solves_total();
   res.coalesced = net.coalesced_flows_total();
   res.batches = net.batches_total();
+  res.stats = net.solve_stats();
   return res;
 }
 
@@ -473,16 +479,46 @@ int main() {
     const double rate = static_cast<double>(bat.events) / bat.wall_s;
     std::printf("%-6d %-10s %10llu %9.3f %14.0f\n", gpus, "perf",
                 static_cast<unsigned long long>(bat.events), bat.wall_s, rate);
+    // Solve-epoch breakdown: counts per solve, phase times per timed solve.
+    const net::Network::SolveStats& st = bat.stats;
+    const auto per_solve = [&st](std::uint64_t n) {
+      return static_cast<double>(n) / static_cast<double>(st.solves);
+    };
+    const auto us = [&st](double s) {
+      return s * 1e6 / static_cast<double>(st.timed);
+    };
+    const double epoch_s =
+        st.discover_s + st.solve_s + st.schedule_s + st.refresh_s;
+    std::printf("       per solve: %.1f flows, %.1f links, %.2f labels, "
+                "%.2f rounds, %.1f completions; us per timed solve "
+                "(%llu timed): discover %.2f, solve %.2f, schedule %.2f, "
+                "refresh %.2f, epoch %.2f\n",
+                per_solve(st.flows), per_solve(st.links), per_solve(st.labels),
+                per_solve(st.rounds), per_solve(st.completions),
+                static_cast<unsigned long long>(st.timed), us(st.discover_s),
+                us(st.solve_s), us(st.schedule_s), us(st.refresh_s),
+                us(epoch_s));
     std::fprintf(sjson,
                  "{\"bench\":\"micro_flowsim_scale\",\"kind\":\"perf\","
                  "\"gpus\":%d,\"events\":%llu,"
                  "\"sim_s\":%.6f,\"wall_s\":%.6f,\"events_per_sec\":%.1f,"
                  "\"solves_per_event\":%.4f,\"mean_batch_width\":%.2f,"
-                 "\"digest\":\"%016llx\"}\n",
+                 "\"digest\":\"%016llx\",\"flows_per_solve\":%.3f,"
+                 "\"links_per_solve\":%.3f,\"labels_per_solve\":%.3f,"
+                 "\"rounds_per_solve\":%.3f,\"completions_per_solve\":%.3f,"
+                 "\"timed_solves\":%llu,\"discover_us\":%.4f,"
+                 "\"solve_us\":%.4f,\"schedule_us\":%.4f,"
+                 "\"refresh_us\":%.4f,\"epoch_us\":%.4f}\n",
                  gpus, static_cast<unsigned long long>(bat.events), bat.sim_s,
                  bat.wall_s, rate, bat.solves_per_event(),
                  bat.mean_batch_width(),
-                 static_cast<unsigned long long>(bat.digest));
+                 static_cast<unsigned long long>(bat.digest),
+                 per_solve(st.flows), per_solve(st.links),
+                 per_solve(st.labels), per_solve(st.rounds),
+                 per_solve(st.completions),
+                 static_cast<unsigned long long>(st.timed), us(st.discover_s),
+                 us(st.solve_s), us(st.schedule_s), us(st.refresh_s),
+                 us(epoch_s));
 
     const Workload tw = trim_workload(w, 16, 2);
     const RunResult ref = run_workload(

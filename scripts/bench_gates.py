@@ -73,7 +73,10 @@ TABLE = [
      {"reference": FLOWSIM, "incremental": FLOWSIM}, []),
     ("BENCH_scale.json", "kind", {
         "perf": keys("bench kind gpus events sim_s wall_s events_per_sec "
-                     "digest solves_per_event mean_batch_width"),
+                     "digest solves_per_event mean_batch_width "
+                     "flows_per_solve links_per_solve labels_per_solve "
+                     "rounds_per_solve completions_per_solve timed_solves "
+                     "discover_us solve_us schedule_us refresh_us epoch_us"),
         "identity": keys("bench kind gpus identical_to_reference "
                          "verify_events hot_bytes param_bytes cold_bytes "
                          "bytes_per_flow_state"),
@@ -95,6 +98,9 @@ TABLE = [
          each("coalesce", lambda r: r["gpus"] != 8192 or r["reduction"] >= 3.0)),
         ("8k events_per_sec >= 20000",
          each("perf", lambda r: r["gpus"] != 8192 or r["events_per_sec"] >= 20000)),
+        ("perf labels_per_solve >= 1, completions_per_solve <= flows_per_solve",
+         each("perf", lambda r: r["labels_per_solve"] >= 1
+              and r["completions_per_solve"] <= r["flows_per_solve"])),
         ("768 perf events_per_sec >= 0.5x BENCH_flowsim.json's 768 incremental",
          scale_768_vs_flowsim),
     ]),

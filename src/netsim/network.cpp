@@ -27,11 +27,12 @@ constexpr std::size_t kLinkChangeTrimBatch = 1024;
 /// unconstrained flow, or an iteration that cannot fix anything) pins the
 /// remaining unfixed flows at rate zero, appends their slots to
 /// `unsatisfied`, and returns false — degrading those flows instead of
-/// aborting the service.
+/// aborting the service. Each round of the fill adds one to `rounds`.
 bool Network::max_min_allocate(std::vector<AllocFlow>& flows,
                                std::vector<Bandwidth>& residual,
                                std::vector<double>& weight_on_link,
-                               std::vector<std::uint32_t>& unsatisfied) {
+                               std::vector<std::uint32_t>& unsatisfied,
+                               std::uint64_t& rounds) {
   auto pin_unfixed_at_zero = [&flows, &unsatisfied] {
     for (AllocFlow& f : flows) {
       if (f.fixed) continue;
@@ -53,6 +54,7 @@ bool Network::max_min_allocate(std::vector<AllocFlow>& flows,
 
   std::size_t unfixed = flows.size();
   while (unfixed > 0) {
+    ++rounds;
     // Find the tightest constraint: either a link's fair share-per-weight or
     // a flow's own cap-per-weight (the cap acts as a private pseudo-link).
     double best_share = std::numeric_limits<double>::infinity();
@@ -104,7 +106,6 @@ void Network::reserve_flows(std::size_t concurrent, std::size_t lifetime) {
   hot_rate_.reserve(concurrent);
   hot_last_update_.reserve(concurrent);
   hot_mark_.reserve(concurrent);
-  hot_label_.reserve(concurrent);
   param_.reserve(concurrent);
   cold_.reserve(concurrent);
   link_pos_.reserve(concurrent);
@@ -125,8 +126,8 @@ void Network::set_telemetry(telemetry::Telemetry* t) {
     // The members are authoritative from construction; a late attach (the
     // Fabric wires telemetry right after constructing the network) catches
     // the registry up so both views agree.
-    if (solves_counter_->value() < solves_total_) {
-      solves_counter_->increment(solves_total_ - solves_counter_->value());
+    if (solves_counter_->value() < stats_.solves) {
+      solves_counter_->increment(stats_.solves - solves_counter_->value());
     }
     if (coalesced_counter_->value() < coalesced_flows_total_) {
       coalesced_counter_->increment(coalesced_flows_total_ -
@@ -141,7 +142,7 @@ void Network::set_telemetry(telemetry::Telemetry* t) {
 Network::StorageFootprint Network::flow_state_footprint() {
   StorageFootprint f;
   f.hot = sizeof(Bytes) + sizeof(Bandwidth) + sizeof(Time) +
-          sizeof(std::uint64_t) + sizeof(std::uint32_t);
+          sizeof(std::uint64_t);
   f.param = sizeof(FlowParam);
   f.cold = sizeof(FlowCold);
   return f;
@@ -176,7 +177,6 @@ std::uint32_t Network::acquire_slot() {
     hot_rate_.push_back(0.0);
     hot_last_update_.push_back(0.0);
     hot_mark_.push_back(0);
-    hot_label_.push_back(0);
     param_.emplace_back();
     cold_.emplace_back();
     link_pos_.emplace_back();
@@ -313,47 +313,33 @@ void Network::activate_cohort(std::uint64_t key) {
 }
 
 void Network::schedule_pending_completions() {
-  // Group the solve's rescheduled completions by exact instant. The common
-  // case — every instant distinct — takes the singleton path below and costs
-  // one per-flow event each, as before. Flows sharing a bit-identical
-  // completion instant (a symmetric cascade: equal sizes, equal rates) share
-  // one cohort event instead of N.
-  //
-  // Ordering: pending_completions_ is in apply order (ascending flow id).
-  // Distinct instants never contend for queue position, so emitting events
-  // here, grouped, instead of one-by-one inside the apply loop is
-  // order-equivalent; within one instant the cohort drains its members in
-  // enrollment order — the order their per-flow events would have fired in.
-  const std::size_t n = pending_completions_.size();
-  auto schedule_singleton = [this](const PendingCompletion& pc) {
-    const std::uint32_t id = param_[pc.slot].seq;
-    cold_[pc.slot].completion =
-        loop_->schedule_at(pc.at, [this, id] { complete_flow(id); });
-  };
-  if (n == 1) {
-    schedule_singleton(pending_completions_[0]);
-    pending_completions_.clear();
-    return;
-  }
-  pending_order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pending_order_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::sort(pending_order_.begin(), pending_order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              if (pending_completions_[a].bits != pending_completions_[b].bits) {
-                return pending_completions_[a].bits < pending_completions_[b].bits;
-              }
-              return a < b;  // stable within a group: keep apply order
+  // One list feeds both modes, in (instant, flow id) order. It arrives label
+  // by label (each sub-component applies on its own, and labels come in seed
+  // order), so it is sorted here. Events at distinct instants never contend
+  // for queue position, and same-instant events fire in schedule order, so
+  // breaking ties by id makes a solve's same-instant completions fire in
+  // ascending flow id whichever labels derived them. With coalescing, flows
+  // sharing a bit-identical instant (a symmetric cascade: equal sizes, equal
+  // rates) share one cohort event instead of N, and the cohort drains its
+  // members in that same order; the common case — every instant distinct —
+  // costs one per-flow event each, as without coalescing.
+  std::sort(pending_completions_.begin(), pending_completions_.end(),
+            [](const PendingCompletion& a, const PendingCompletion& b) {
+              return a.bits != b.bits ? a.bits < b.bits : a.id < b.id;
             });
+  const std::size_t n = pending_completions_.size();
   for (std::size_t i = 0; i < n;) {
+    const PendingCompletion& first = pending_completions_[i];
+    const Time at = cold_[first.slot].completion_at;
     std::size_t j = i + 1;
-    while (j < n && pending_completions_[pending_order_[j]].bits ==
-                        pending_completions_[pending_order_[i]].bits) {
+    while (options_.coalesce && j < n &&
+           pending_completions_[j].bits == first.bits) {
       ++j;
     }
     if (j == i + 1) {
-      schedule_singleton(pending_completions_[pending_order_[i]]);
+      const std::uint32_t id = first.id;
+      cold_[first.slot].completion =
+          loop_->schedule_at(at, [this, id] { complete_flow(id); });
       i = j;
       continue;
     }
@@ -367,16 +353,14 @@ void Network::schedule_pending_completions() {
     }
     CompletionCohort& co = completion_cohorts_[idx];
     MCCS_ASSERT(co.ids.empty() && !co.draining);
-    for (std::size_t k = i; k < j; ++k) {
-      const PendingCompletion& pc = pending_completions_[pending_order_[k]];
-      co.ids.push_back(param_[pc.slot].seq);
+    for (; i < j; ++i) {
+      const PendingCompletion& pc = pending_completions_[i];
+      co.ids.push_back(pc.id);
       cold_[pc.slot].cohort_key = idx;
       cold_[pc.slot].in_cohort = true;
     }
-    co.event = loop_->schedule_at(
-        pending_completions_[pending_order_[i]].at,
-        [this, idx] { drain_completion_cohort(idx); });
-    i = j;
+    co.event =
+        loop_->schedule_at(at, [this, idx] { drain_completion_cohort(idx); });
   }
   pending_completions_.clear();
 }
@@ -645,7 +629,7 @@ void Network::collect_component(PathView seed) {
   ++epoch_;
   comp_flows_.clear();
   comp_links_.clear();
-  comp_count_ = 0;
+  comps_.clear();
   auto mark_link = [this](LinkId l) {
     link_mark_[l.get()] = epoch_;
     comp_links_.push_back(l.get());
@@ -657,27 +641,31 @@ void Network::collect_component(PathView seed) {
   // BFS over links from `start` under a fresh sub-component label: any flow
   // on a reached link joins it and contributes its own links to the
   // frontier. Sub-components share no link, so each BFS reaches only links
-  // no earlier one did.
+  // no earlier one did, and the flows it reaches form one contiguous range
+  // of comp_flows_.
   auto discover = [this, &mark_link](LinkId start, bool dirty) {
-    const auto label = static_cast<std::uint32_t>(comp_count_++);
-    if (comps_.size() < comp_count_) comps_.emplace_back();
-    SubComp& sc = comps_[label];
-    sc.background.clear();
-    sc.normal.clear();
-    sc.dirty = dirty;
+    const auto begin = static_cast<std::uint32_t>(comp_flows_.size());
     const std::size_t from = comp_links_.size();
     mark_link(start);
     for (std::size_t i = from; i < comp_links_.size(); ++i) {
       for (const LinkIndex::Member m : links_[comp_links_[i]].flows) {
         if (hot_mark_[m.slot] == epoch_) continue;
         hot_mark_[m.slot] = epoch_;
-        hot_label_[m.slot] = label;
-        comp_flows_.push_back(m.slot);
-        for (LinkId l : param_[m.slot].path) {
+        const FlowParam& p = param_[m.slot];
+        comp_flows_.push_back(std::uint64_t{p.seq} << 32 | m.slot);
+        for (LinkId l : p.path) {
           if (link_mark_[l.get()] != epoch_) mark_link(l);
         }
       }
     }
+    // Ascending id within the label matches across collection modes and
+    // solve groupings bit for bit (the solver's floating-point results
+    // depend on per-link accumulation order). The packed key sorts by id
+    // without a lookup. Labels share no link, so their relative order
+    // reaches no rate and nothing sorts across them.
+    std::sort(comp_flows_.begin() + begin, comp_flows_.end());
+    comps_.push_back(
+        SubComp{begin, static_cast<std::uint32_t>(comp_flows_.size()), dirty});
   };
   // Seed links are always included (even if now memberless, which yields an
   // empty label) so their index throughput is refreshed after a removal.
@@ -693,13 +681,6 @@ void Network::collect_component(PathView seed) {
       }
     }
   }
-  // Ascending-id order matches across collection modes and solve groupings
-  // bit-for-bit (the solver's floating-point results depend on per-link
-  // accumulation order).
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return param_[a].seq < param_[b].seq;
-            });
 }
 
 void Network::reallocate(PathView seed) {
@@ -726,10 +707,16 @@ void Network::reallocate(PathView seed) {
 }
 
 void Network::solve_now(PathView seed) {
-  ++solves_total_;
+  timing_ = stats_.solves++ % kTimedSolveStride == 0;
+  if (timing_) {
+    ++stats_.timed;
+    lap_start_ = std::chrono::steady_clock::now();
+  }
   if (solves_counter_ != nullptr) solves_counter_->increment();
   collect_component(seed);
-  allocate_component();
+  lap(stats_.discover_s);
+  allocate_component();  // laps the solve, schedule and refresh phases
+  timing_ = false;
 }
 
 void Network::begin_batch() {
@@ -763,6 +750,9 @@ void Network::end_batch() {
 
 void Network::allocate_component() {
   const Time now = loop_->now();
+  stats_.flows += comp_flows_.size();
+  stats_.links += comp_links_.size();
+  stats_.labels += comps_.size();
 
   // Solve each discovery-labelled sub-component on its own. A multi-link
   // seed — a completed or cancelled flow's path, a failed link, a batch's
@@ -775,66 +765,25 @@ void Network::allocate_component() {
   // which is what lets a batch's union solve reproduce the per-mutation
   // solves bit for bit (DESIGN.md §15). Label order is irrelevant: the
   // sub-components touch disjoint entries of the shared link-indexed scratch
-  // (residual_, loaded at discovery, and weight_scratch_). Each flow list is
-  // built in ascending id order, the order the solver's floating point
-  // depends on. Background flows take their demand with strict priority
-  // first, sharing capacity weighted by demand if oversubscribed; normal
-  // flows max-min share the remainder.
-  for (std::uint32_t s : comp_flows_) {
-    const FlowParam& p = param_[s];
-    SubComp& sc = comps_[hot_label_[s]];
-    if (p.background_demand > 0.0) {
-      sc.background.push_back(
-          AllocFlow{s, p.path, p.background_demand, p.background_demand});
-    } else {
-      sc.normal.push_back(AllocFlow{s, p.path, p.weight, p.rate_cap});
-    }
-  }
-  unsatisfied_scratch_.clear();
-  bool solved = true;
-  for (std::size_t i = 0; i < comp_count_; ++i) {
-    SubComp& sc = comps_[i];
-    const bool bg_ok = max_min_allocate(sc.background, residual_,
-                                        weight_scratch_, unsatisfied_scratch_);
-    const bool normal_ok = max_min_allocate(sc.normal, residual_,
-                                            weight_scratch_,
-                                            unsatisfied_scratch_);
-    solved = solved && bg_ok && normal_ok;
-  }
-  if (!solved) {
-    ++allocation_error_count_;
-    if (allocation_error_handler_) {
-      AllocationError err;
-      err.at = now;
-      err.flows.reserve(unsatisfied_scratch_.size());
-      for (std::uint32_t s : unsatisfied_scratch_) {
-        err.flows.push_back(FlowId{param_[s].seq});
-      }
-      std::sort(err.flows.begin(), err.flows.end());
-      // Fresh event: the handler may mutate the flow set (cancel the
-      // offending flows, start replacements) without re-entering this solve.
-      loop_->schedule_after(0.0, [this, err = std::move(err)] {
-        if (allocation_error_handler_) allocation_error_handler_(err);
-      });
-    }
-  }
-
-  // Apply the solved rates, iterating comp_flows_ in ascending id order
-  // across all sub-components (each sub-component's lists were built in that
-  // same order, so per-component cursors walk them in lockstep). Completion
-  // events therefore enter the event loop in flow-id order, however the
-  // flows were partitioned. A flow in a clean sub-component whose rate is
-  // bitwise unchanged keeps its rate, its un-integrated progress, and its
-  // already-scheduled completion event — the lazy fast path that lets an
-  // untouched bottleneck component cost nothing (a component whose flow set
-  // did not change re-derives the identical bits: the solve iterates flows
-  // in ascending id order, so its arithmetic depends only on the
-  // component's content, never on the seed that found it). Exact
-  // comparison, not an epsilon: a tolerance would let a flow keep
-  // running at a stale near-equal rate, and *which* intermediate rate it
-  // kept would depend on how the mutations that produced this state were
-  // grouped into solves — breaking the batched/unbatched completion-time
-  // identity that solve coalescing is built on.
+  // (residual_, loaded at discovery, and weight_scratch_) and disjoint flows,
+  // so each label is filled, solved and applied before the next. Each flow
+  // list is filled from the label's id-sorted range, the order the solver's
+  // floating point depends on. Background flows take their demand with
+  // strict priority first, sharing capacity weighted by demand if
+  // oversubscribed; normal flows max-min share the remainder.
+  //
+  // Apply: a flow in a clean sub-component whose rate is bitwise unchanged
+  // keeps its rate, its un-integrated progress, and its already-scheduled
+  // completion event — the lazy fast path that lets an untouched bottleneck
+  // component cost nothing (a component whose flow set did not change
+  // re-derives the identical bits: the solve iterates flows in ascending id
+  // order, so its arithmetic depends only on the component's content, never
+  // on the seed that found it). Exact comparison, not an epsilon: a
+  // tolerance would let a flow keep running at a stale near-equal rate, and
+  // *which* intermediate rate it kept would depend on how the mutations
+  // that produced this state were grouped into solves — breaking the
+  // batched/unbatched completion-time identity that solve coalescing is
+  // built on.
   //
   // touch() runs BEFORE the fast-path continue for every flow in a dirty
   // sub-component. Progress integration r*(t1-t0) + r*(t2-t1) is not bitwise
@@ -855,74 +804,90 @@ void Network::allocate_component() {
   // up-then-back rate excursion) would split the completion by one ulp.
   // The extra cost is two loads and a store per dirty flow, inside a loop
   // that already visits it, plus one event reschedule per dirty flow.
-  comp_cursor_bg_.assign(comp_count_, 0);
-  comp_cursor_normal_.assign(comp_count_, 0);
-  for (std::uint32_t s : comp_flows_) {
-    const FlowParam& p = param_[s];
-    const std::uint32_t ci = hot_label_[s];
-    SubComp& sc = comps_[ci];
-    if (p.background_demand > 0.0) {
-      const AllocFlow& a = sc.background[comp_cursor_bg_[ci]++];
-      MCCS_ASSERT(a.slot == s);
-      hot_rate_[s] = a.rate;
-      continue;
-    }
-    const AllocFlow& a = sc.normal[comp_cursor_normal_[ci]++];
-    MCCS_ASSERT(a.slot == s);
-    const bool dirty = sc.dirty;
-    if (dirty || a.rate != hot_rate_[s]) {
-      touch(s, now);  // integrate at the old rate first
-    }
-    if (!dirty && a.rate == hot_rate_[s]) continue;
-    hot_rate_[s] = a.rate;
-    FlowCold& c = cold_[s];
-    loop_->cancel(c.completion);
-    c.completion = {};
-    // Completion-instant clamp: a flow whose completion is already queued at
-    // this very instant IS finished — see FlowCold::completion_at. Forcing
-    // remaining to zero here makes the re-derived completion land at `now`
-    // again (both branches below schedule "complete now" for remaining <= 0)
-    // instead of one ulp later from quotient-rounding residue.
-    if (c.completion_at == now) hot_remaining_[s] = 0.0;
-    c.completion_at = kNoCompletion;
-    if (options_.coalesce) {
-      // Coalesce mode: defer to schedule_pending_completions, which groups
-      // this solve's completions by exact instant. `now + eta` is
-      // bit-for-bit the instant schedule_after(eta) would compute, so flows
-      // that would have completed in one same-instant cascade of per-flow
-      // events land in one group. A stalled flow (rate ~ 0, bytes left)
-      // enrolls nowhere, exactly as it would have no event.
-      leave_completion_cohort(s);
-      PendingCompletion pc;
-      pc.slot = s;
-      if (hot_remaining_[s] <= 0.0) {
-        pc.at = now + 0.0;  // == schedule_after(0.0)
-      } else if (hot_rate_[s] > kRateEpsilon) {
-        pc.at = now + hot_remaining_[s] / hot_rate_[s];
+  unsatisfied_scratch_.clear();
+  bool solved = true;
+  for (const SubComp& sc : comps_) {
+    if (sc.begin == sc.end) continue;  // a memberless seed link's label
+    alloc_background_.clear();
+    alloc_normal_.clear();
+    for (std::uint32_t k = sc.begin; k < sc.end; ++k) {
+      const auto s = static_cast<std::uint32_t>(comp_flows_[k]);  // the slot
+      const FlowParam& p = param_[s];
+      if (p.background_demand > 0.0) {
+        alloc_background_.push_back(
+            AllocFlow{s, p.path, p.background_demand, p.background_demand});
       } else {
+        alloc_normal_.push_back(AllocFlow{s, p.path, p.weight, p.rate_cap});
+      }
+    }
+    const bool bg_ok =
+        max_min_allocate(alloc_background_, residual_, weight_scratch_,
+                         unsatisfied_scratch_, stats_.rounds);
+    const bool normal_ok =
+        max_min_allocate(alloc_normal_, residual_, weight_scratch_,
+                         unsatisfied_scratch_, stats_.rounds);
+    solved = solved && bg_ok && normal_ok;
+
+    for (const AllocFlow& a : alloc_background_) hot_rate_[a.slot] = a.rate;
+    for (const AllocFlow& a : alloc_normal_) {
+      const std::uint32_t s = a.slot;
+      if (sc.dirty || a.rate != hot_rate_[s]) {
+        touch(s, now);  // integrate at the old rate first
+      }
+      if (!sc.dirty && a.rate == hot_rate_[s]) continue;
+      hot_rate_[s] = a.rate;
+      FlowCold& c = cold_[s];
+      loop_->cancel(c.completion);
+      c.completion = {};
+      leave_completion_cohort(s);
+      // Completion-instant clamp: a flow whose completion is already queued
+      // at this very instant IS finished — see FlowCold::completion_at.
+      // Forcing remaining to zero here makes the re-derived completion land
+      // at `now` again instead of one ulp later from quotient-rounding
+      // residue.
+      if (c.completion_at == now) hot_remaining_[s] = 0.0;
+      // `now + eta` is bit for bit the instant schedule_after(eta) would
+      // compute, so flows that would have completed in one same-instant
+      // cascade of per-flow events share one instant here. A stalled flow
+      // (rate ~ 0, bytes left) gets no completion.
+      if (hot_remaining_[s] <= 0.0) {
+        c.completion_at = now + 0.0;  // already delivered: complete "now"
+      } else if (hot_rate_[s] > kRateEpsilon) {
+        c.completion_at = now + hot_remaining_[s] / hot_rate_[s];
+      } else {
+        c.completion_at = kNoCompletion;
         continue;
       }
-      c.completion_at = pc.at;
-      static_assert(sizeof(pc.bits) == sizeof(pc.at));
-      std::memcpy(&pc.bits, &pc.at, sizeof(pc.bits));
+      PendingCompletion pc{0, param_[s].seq, s};
+      static_assert(sizeof(pc.bits) == sizeof(c.completion_at));
+      std::memcpy(&pc.bits, &c.completion_at, sizeof(pc.bits));
       pending_completions_.push_back(pc);
-      continue;
-    }
-    const std::uint32_t id = p.seq;
-    if (hot_remaining_[s] <= 0.0) {
-      // Already delivered; complete "now" (from a fresh event for re-entrancy).
-      c.completion = loop_->schedule_after(0.0, [this, id] { complete_flow(id); });
-      c.completion_at = now + 0.0;
-    } else if (hot_rate_[s] > kRateEpsilon) {
-      const Time eta = hot_remaining_[s] / hot_rate_[s];
-      c.completion = loop_->schedule_after(eta, [this, id] { complete_flow(id); });
-      c.completion_at = now + eta;  // bit-identical to schedule_after's instant
     }
   }
-
-  if (options_.coalesce && !pending_completions_.empty()) {
-    schedule_pending_completions();
+  if (!solved) {
+    ++allocation_error_count_;
+    if (allocation_error_handler_) {
+      AllocationError err;
+      err.at = now;
+      err.flows.reserve(unsatisfied_scratch_.size());
+      for (std::uint32_t s : unsatisfied_scratch_) {
+        err.flows.push_back(FlowId{param_[s].seq});
+      }
+      std::sort(err.flows.begin(), err.flows.end());
+      // Fresh event: the handler may mutate the flow set (cancel the
+      // offending flows, start replacements) without re-entering this solve.
+      loop_->schedule_after(0.0, [this, err = std::move(err)] {
+        if (allocation_error_handler_) allocation_error_handler_(err);
+      });
+    }
   }
+  lap(stats_.solve_s);
+  // Completions go on the loop as fresh events (never completed inline, for
+  // re-entrancy), after the error report: it precedes any completion due at
+  // this instant.
+  stats_.completions += pending_completions_.size();
+  schedule_pending_completions();
+  lap(stats_.schedule_s);
 
   // Refresh the touched links' monitored throughput from their members'
   // fresh rates (exact recomputation, so incremental updates cannot drift).
@@ -930,14 +895,12 @@ void Network::allocate_component() {
   // it was in force before the new one replaces it, and (enabled mode only)
   // drops a counter sample on the timeline when the rate actually changed.
   //
-  // Links go in ascending id order. Discovery order depends on the seed that
-  // reached the component, but the timeline merges a same-instant link_gbps
-  // sample into the previous one only when their keys match position by
-  // position (Timeline::counter). Unsorted, two same-instant solves of one
-  // component reached from different seed links would record two samples
-  // instead of one (NetsimBatch.SameInstantSolvesFromDifferentSeedsShare-
-  // OneLinkSample).
-  std::sort(comp_links_.begin(), comp_links_.end());
+  // Each link's refresh reads only that link, so the links go in discovery
+  // order, unsorted. That order depends on the seed that reached the
+  // component, and reaches only the key order of the link_gbps sample: the
+  // timeline merges a same-instant sample over the same link set into the
+  // previous one in any key order (Timeline::counter; NetsimBatch.SameInstant-
+  // SolvesFromDifferentSeedsShareOneLinkSample).
   const bool record = telemetry_ != nullptr && telemetry_->enabled();
   if (record) counter_scratch_.clear();
   for (std::uint32_t l : comp_links_) {
@@ -969,6 +932,7 @@ void Network::allocate_component() {
         link_track_, "link_gbps", now, counter_scratch_.data(),
         counter_scratch_.data() + counter_scratch_.size(), link_sample_event_);
   }
+  lap(stats_.refresh_s);
 }
 
 void Network::emit_flow_span(std::uint32_t slot, bool completed) {

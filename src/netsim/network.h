@@ -40,6 +40,7 @@
 // slab, warm scratch) a start/complete cycle performs no heap allocation in
 // `reallocate` (guarded by tests/test_netsim_slab.cpp).
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -171,8 +172,8 @@ class Network {
   void reserve_flows(std::size_t concurrent, std::size_t lifetime);
 
   /// Per-flow-state slab cost in bytes, by temperature class: `hot` is the
-  /// SoA touched every rate solve (remaining / rate / last_update / mark /
-  /// label), `param` the per-flow solve parameters (path view, caps, weight,
+  /// SoA touched every rate solve (remaining / rate / last_update / mark),
+  /// `param` the per-flow solve parameters (path view, caps, weight,
   /// flags), `cold` everything touched only at start/completion (spec,
   /// timestamps, event handles). Compile-time facts surfaced for the scale
   /// bench, which reports bytes-per-flow-state alongside events/s.
@@ -218,7 +219,28 @@ class Network {
   /// Max-min solves actually run (each allocate_component pass). Mirrored to
   /// the metrics registry as `netsim_solves_total` when telemetry is
   /// attached. With coalescing, a batch of N same-instant mutations pays 1.
-  [[nodiscard]] std::uint64_t solves_total() const { return solves_total_; }
+  [[nodiscard]] std::uint64_t solves_total() const { return stats_.solves; }
+
+  /// What solve epochs cost, summed over the Network's life. The counts
+  /// cover every solve. The phase times cover one solve in
+  /// kTimedSolveStride (`timed` of them, starting with the first), read
+  /// from steady_clock at each phase boundary; together they are the epoch.
+  struct SolveStats {
+    std::uint64_t solves = 0;
+    std::uint64_t flows = 0;        ///< allocatable flows collected
+    std::uint64_t links = 0;        ///< links collected
+    std::uint64_t labels = 0;       ///< sub-components, empty ones included
+    std::uint64_t rounds = 0;       ///< water-filling rounds
+    std::uint64_t completions = 0;  ///< completion instants re-derived
+    std::uint64_t timed = 0;        ///< solves whose phases were clocked
+    double discover_s = 0.0;  ///< discovery with its per-label sorts
+    double solve_s = 0.0;     ///< every label filled, water-filled and applied
+    double schedule_s = 0.0;  ///< completion events onto the loop
+    double refresh_s = 0.0;   ///< link throughput, byte integrals, link sample
+  };
+  static constexpr std::uint64_t kTimedSolveStride = 64;
+  [[nodiscard]] const SolveStats& solve_stats() const { return stats_; }
+
   /// Mutations whose re-solve was absorbed into a batch-close union solve
   /// (registry name: `netsim_coalesced_flows_total`).
   [[nodiscard]] std::uint64_t coalesced_flows_total() const {
@@ -467,17 +489,19 @@ class Network {
   void remove_from_index(std::uint32_t slot);
 
   /// Gather the allocatable flows reachable from `seed` through shared links
-  /// into comp_flows_ (slots, ascending flow id) and their links into
-  /// comp_links_, loading each link's residual capacity as it is reached.
-  /// One BFS runs per seed link no earlier BFS reached, under a fresh dirty
-  /// sub-component label that every flow it reaches records in hot_label_.
-  /// Reference mode then continues from every allocatable flow still
-  /// unreached, under clean labels, so it gathers everything.
+  /// into comp_flows_ and their links into comp_links_, loading each link's
+  /// residual capacity as it is reached. One BFS runs per seed link no
+  /// earlier BFS reached, under a fresh dirty sub-component label: a
+  /// SubComp holding the contiguous range of comp_flows_ that BFS appended,
+  /// sorted by flow id. Reference mode then continues from every
+  /// allocatable flow still unreached, under clean labels, so it gathers
+  /// everything.
   void collect_component(PathView seed);
 
-  /// Solve each labelled sub-component and apply: rates, link-index
-  /// throughput, and completion events (kept in a clean sub-component when
-  /// the rate is bitwise unchanged).
+  /// Fill, solve and apply each labelled sub-component in turn (rates and
+  /// completion instants; a clean sub-component keeps a flow whose rate is
+  /// bitwise unchanged), schedule the completions, then refresh the
+  /// collected links' throughput.
   void allocate_component();
 
   /// Flow-set change entry point: scope to `seed`'s component (or everything
@@ -489,15 +513,25 @@ class Network {
   /// The undeferred body of reallocate (collect + allocate + count).
   void solve_now(PathView seed);
 
+  /// Phase clock of a timed solve: charge the time since the last lap to
+  /// `phase_s`. A no-op on untimed solves.
+  void lap(double& phase_s) {
+    if (!timing_) return;
+    const auto t = std::chrono::steady_clock::now();
+    phase_s += std::chrono::duration<double>(t - lap_start_).count();
+    lap_start_ = t;
+  }
+
   void complete_flow(std::uint32_t id);
   void activate_flow(std::uint32_t id);
   /// Activate every surviving member of the cohort keyed by `key` (one
   /// virtual instant) inside an internal batch: one solve for the burst.
   void activate_cohort(std::uint64_t key);
 
-  /// Turn the solve's deferred completion list (pending_completions_) into
-  /// loop events: flows due at a bit-identical instant share one cohort
-  /// event, the rest get the classic per-flow event. Coalesce mode only.
+  /// Turn the solve's completion list (pending_completions_) into loop
+  /// events in (instant, flow id) order. With coalescing, flows due at a
+  /// bit-identical instant share one cohort event and the rest get the
+  /// classic per-flow event; without it every flow gets its own.
   void schedule_pending_completions();
   /// Remove `slot` from its completion cohort, if any (pause / cancel / rate
   /// change); a cohort whose last member leaves drops its event.
@@ -525,7 +559,6 @@ class Network {
   std::vector<Bandwidth> hot_rate_;
   std::vector<Time> hot_last_update_;    ///< when remaining was integrated
   std::vector<std::uint64_t> hot_mark_;  ///< component-BFS visit epoch
-  std::vector<std::uint32_t> hot_label_; ///< sub-component of the last visit
   std::vector<FlowParam> param_;
   std::vector<FlowCold> cold_;
   /// Backpointers: link_pos_[slot][k] = this flow's index in
@@ -570,7 +603,8 @@ class Network {
 
   // Scratch for component discovery + allocation (persistent to avoid O(L)
   // work per event; only entries for comp_links_ are ever read or written).
-  std::vector<std::uint32_t> comp_flows_;  ///< slots, ascending flow id
+  /// (flow id << 32) | slot, one contiguous range per label (see SubComp).
+  std::vector<std::uint64_t> comp_flows_;
   std::vector<std::uint32_t> comp_links_;
   std::vector<std::uint64_t> link_mark_;
   std::uint64_t epoch_ = 0;
@@ -616,16 +650,19 @@ class Network {
   };
   std::vector<CompletionCohort> completion_cohorts_;  ///< pool, never shrunk
   std::vector<std::uint32_t> free_cohorts_;           ///< recycled pool slots
+  /// A completion instant one solve derived; the instant itself is in the
+  /// flow's FlowCold::completion_at.
   struct PendingCompletion {
-    std::uint64_t bits;  ///< completion-instant Time bit pattern (group key)
+    std::uint64_t bits;  ///< completion-instant Time bit pattern (sort key)
+    std::uint32_t id;    ///< external flow id (tie-break within an instant)
     std::uint32_t slot;
-    Time at;
   };
-  std::vector<PendingCompletion> pending_completions_;  ///< apply-order, per solve
-  std::vector<std::uint32_t> pending_order_;            ///< grouping sort scratch
+  std::vector<PendingCompletion> pending_completions_;  ///< per solve
   std::vector<std::uint32_t> drain_ids_;                ///< drain walk scratch
 
-  std::uint64_t solves_total_ = 0;
+  SolveStats stats_;
+  bool timing_ = false;  ///< the running solve is clocked (see lap)
+  std::chrono::steady_clock::time_point lap_start_;
   std::uint64_t coalesced_flows_total_ = 0;
   std::uint64_t batches_total_ = 0;
   telemetry::Counter* solves_counter_ = nullptr;
@@ -635,11 +672,8 @@ class Network {
   std::vector<double> weight_scratch_;
 
   // Disjoint sub-components of a collected flow set, one per discovery
-  // label (comps_[0, comp_count_)), plus per-component apply cursors. Each
-  // sub-component solves on its own, then all apply in ascending flow-id
-  // order (see allocate_component for why they solve apart). The SubComp
-  // pool is high-water sized: entries are cleared, never shrunk, so their
-  // inner vectors keep their capacity across events.
+  // label. Each is filled into the two solver lists, solved and applied on
+  // its own (see allocate_component for why they solve apart).
   struct AllocFlow {
     std::uint32_t slot;
     PathView path;
@@ -649,26 +683,27 @@ class Network {
     bool fixed = false;
   };
   struct SubComp {
-    std::vector<AllocFlow> background;
-    std::vector<AllocFlow> normal;
+    std::uint32_t begin;  ///< [begin, end) of comp_flows_, ascending flow id
+    std::uint32_t end;
     /// Discovered from a seed (mutated) link. Progress integration anchors
     /// only in dirty sub-components, so the anchor set — and therefore every
     /// remaining-bytes bit pattern — is a pure function of the mutation
     /// timeline, identical across incremental/reference collection and
     /// per-event/batched solve grouping (DESIGN.md §15).
-    bool dirty = false;
+    bool dirty;
   };
-  std::vector<SubComp> comps_;
-  std::size_t comp_count_ = 0;  ///< labels issued by the last discovery
-  std::vector<std::size_t> comp_cursor_bg_;
-  std::vector<std::size_t> comp_cursor_normal_;
+  std::vector<SubComp> comps_;  ///< labels issued by the last discovery
+  std::vector<AllocFlow> alloc_background_;  ///< one label's lists at a time
+  std::vector<AllocFlow> alloc_normal_;
 
   /// Weighted max-min fair allocation with per-flow caps (progressive
-  /// filling), scoped to one bottleneck component (see network.cpp).
+  /// filling), scoped to one bottleneck component (see network.cpp). Adds
+  /// its water-filling rounds to `rounds`.
   static bool max_min_allocate(std::vector<AllocFlow>& flows,
                                std::vector<Bandwidth>& residual,
                                std::vector<double>& weight_on_link,
-                               std::vector<std::uint32_t>& unsatisfied);
+                               std::vector<std::uint32_t>& unsatisfied,
+                               std::uint64_t& rounds);
 
   // Link-utilization sampler: cumulative bytes as of `link_sample_time_`,
   // integrated from the allocated rate whenever a link's throughput is

@@ -1,5 +1,8 @@
 #include "telemetry/timeline.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "common/check.h"
 #include "telemetry/json.h"
 
@@ -31,6 +34,51 @@ void append_event_prefix(std::string& out, bool& first) {
 void append_ts(std::string& out, Time t) { append_double(out, t * 1e6); }
 
 }  // namespace
+
+bool Timeline::overwrite_same_keys(std::uint32_t at, const Arg* values,
+                                   std::size_t n) {
+  Arg* old = args_.data() + at;
+  std::size_t same = 0;  // leading keys that match position by position
+  while (same < n && old[same].key == values[same].key) ++same;
+  if (same < n) {
+    // The rest must hold the same keys in another order. Their address sums
+    // differ for almost any other key set, which rejects it cheaply; sorted
+    // by address, the two lists must then match position by position.
+    std::uintptr_t old_sum = 0;
+    std::uintptr_t new_sum = 0;
+    for (std::size_t i = same; i < n; ++i) {
+      old_sum += reinterpret_cast<std::uintptr_t>(old[i].key);
+      new_sum += reinterpret_cast<std::uintptr_t>(values[i].key);
+    }
+    if (old_sum != new_sum) return false;
+    key_scratch_.clear();
+    for (std::size_t i = same; i < n; ++i) {
+      key_scratch_.emplace_back(old[i].key, static_cast<std::uint32_t>(i));
+    }
+    for (std::size_t i = same; i < n; ++i) {
+      key_scratch_.emplace_back(values[i].key, static_cast<std::uint32_t>(i));
+    }
+    const auto by_key = [](const auto& a, const auto& b) {
+      return std::less<const char*>{}(a.first, b.first);
+    };
+    const auto same_key = [](const auto& a, const auto& b) {
+      return a.first == b.first;
+    };
+    const auto mid =
+        key_scratch_.begin() + static_cast<std::ptrdiff_t>(n - same);
+    std::sort(key_scratch_.begin(), mid, by_key);
+    std::sort(mid, key_scratch_.end(), by_key);
+    if (!std::equal(key_scratch_.begin(), mid, mid, key_scratch_.end(),
+                    same_key)) {
+      return false;
+    }
+    for (auto o = key_scratch_.begin(), v = mid; o != mid; ++o, ++v) {
+      old[o->second].value = values[v->second].value;
+    }
+  }
+  std::copy(values, values + same, old);
+  return true;
+}
 
 int Timeline::track(std::string_view process, std::string_view thread) {
   std::string key(process);

@@ -30,6 +30,7 @@
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -99,29 +100,20 @@ class Timeline {
   /// run time (e.g. the changed links of one reallocation, batched into a
   /// single event). Coalescing additionally requires the previous sample to
   /// carry the same keys, so a burst touching a different link set appends
-  /// rather than erasing the earlier links' values.
+  /// rather than erasing the earlier links' values. The keys may come in any
+  /// order (a caller lists them as it finds them); a coalesced sample keeps
+  /// the previous sample's key order.
   std::size_t counter(int track, const char* name, Time t, const Arg* begin,
                       const Arg* end, std::size_t coalesce = kNoSample) {
     MCCS_ASSERT(track >= 0 && static_cast<std::size_t>(track) < tracks_.size());
     const auto n = static_cast<std::size_t>(end - begin);
     if (coalesce < events_.size()) {
-      Event& prev = events_[coalesce];
+      const Event& prev = events_[coalesce];
       if (prev.kind == Kind::kCounter && prev.begin == t &&
           prev.track == track && prev.name == name &&
-          prev.args_end - prev.args_begin == n) {
-        bool same_keys = true;
-        for (std::uint32_t i = 0; i < n; ++i) {
-          if (args_[prev.args_begin + i].key != begin[i].key) {
-            same_keys = false;
-            break;
-          }
-        }
-        if (same_keys) {
-          for (std::uint32_t i = 0; i < n; ++i) {
-            args_[prev.args_begin + i] = begin[i];
-          }
-          return coalesce;
-        }
+          prev.args_end - prev.args_begin == n &&
+          overwrite_same_keys(prev.args_begin, begin, n)) {
+        return coalesce;
       }
     }
     const auto args_begin = static_cast<std::uint32_t>(args_.size());
@@ -182,12 +174,19 @@ class Timeline {
     return static_cast<std::uint32_t>(args_.size());
   }
 
+  /// If `values` carries the same keys as the `n` args at `at`, in any
+  /// order, write its values over them, each under its own key, and return
+  /// true; otherwise change nothing and return false.
+  bool overwrite_same_keys(std::uint32_t at, const Arg* values, std::size_t n);
+
   std::vector<Track> tracks_;
   std::unordered_map<std::string, int> track_by_key_;
   std::unordered_map<std::string, int> pid_by_process_;
   std::unordered_map<int, int> next_tid_by_pid_;
   std::vector<Event> events_;
   std::vector<Arg> args_;  ///< shared argument arena
+  /// overwrite_same_keys' (key, position) pairs: the old keys, then the new.
+  std::vector<std::pair<const char*, std::uint32_t>> key_scratch_;
 };
 
 }  // namespace mccs::telemetry

@@ -460,5 +460,44 @@ TEST(Network, UnsatisfiableAllocationReportsTypedError) {
   EXPECT_EQ(net.flow_rate(f), 0.0);
 }
 
+TEST(Network, SolveStatsCountOneCrossRackStart) {
+  auto cl = cluster::make_testbed();
+  sim::EventLoop loop;
+  Network net(loop, cl.topology());
+  // On an idle testbed a cross-rack start solves once: one label holding the
+  // flow and its four links (NIC -> leaf -> spine -> leaf -> NIC), one
+  // water-filling round, one completion. The first solve is always timed.
+  const FlowId f = net.start_flow({.src = cl.host(HostId{0}).nic_nodes[0],
+                                   .dst = cl.host(HostId{2}).nic_nodes[0],
+                                   .size = 1_GB, .on_complete = {}});
+  ASSERT_EQ(net.flow_path(f).size(), 4u);
+  const Network::SolveStats& st = net.solve_stats();
+  EXPECT_EQ(st.solves, 1u);
+  EXPECT_EQ(st.flows, 1u);
+  EXPECT_EQ(st.links, 4u);
+  EXPECT_EQ(st.labels, 1u);
+  EXPECT_EQ(st.rounds, 1u);
+  EXPECT_EQ(st.completions, 1u);
+  EXPECT_EQ(st.timed, 1u);
+  const double epoch_s =
+      st.discover_s + st.solve_s + st.schedule_s + st.refresh_s;
+  EXPECT_GT(epoch_s, 0.0);
+
+  // The completion re-solves from the flow's now memberless path: each of
+  // its four links starts an empty label, so nothing is filled or derived.
+  // The second solve is not timed.
+  loop.run();
+  EXPECT_EQ(st.solves, 2u);
+  EXPECT_EQ(st.flows, 1u);
+  EXPECT_EQ(st.links, 8u);
+  EXPECT_EQ(st.labels, 5u);
+  EXPECT_EQ(st.rounds, 1u);
+  EXPECT_EQ(st.completions, 1u);
+  EXPECT_EQ(st.timed, 1u);
+  EXPECT_EQ(st.discover_s + st.solve_s + st.schedule_s + st.refresh_s,
+            epoch_s);
+  EXPECT_EQ(net.solves_total(), st.solves);
+}
+
 }  // namespace
 }  // namespace mccs::net

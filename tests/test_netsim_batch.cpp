@@ -144,15 +144,19 @@ struct BatchRunResult {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> completions;  ///< (id, tbits), arrival order
   std::vector<std::tuple<std::uint32_t, int, std::uint64_t, std::uint64_t>>
       link_log;  ///< (link, state, frac bits, time bits)
+  std::vector<std::uint64_t> link_bits;  ///< per link at the end: bytes, throughput
   std::uint64_t solves = 0;
 };
 
 BatchRunResult run_batch_plan(const cluster::Cluster& cl, const BatchPlan& plan,
-                              bool incremental, bool coalesce) {
+                              bool incremental, bool coalesce,
+                              bool telemetry_on = false) {
   sim::EventLoop loop;
   Network net(loop, cl.topology(),
               Network::Options{.incremental = incremental,
                                .coalesce = coalesce});
+  telemetry::Telemetry tel(telemetry_on);
+  net.set_telemetry(&tel);
   BatchRunResult res;
   std::vector<std::optional<FlowId>> ids(plan.starts.size());
 
@@ -236,6 +240,10 @@ BatchRunResult run_batch_plan(const cluster::Cluster& cl, const BatchPlan& plan,
                               time_bits(lc.capacity_fraction),
                               time_bits(lc.at));
   }
+  for (std::uint32_t l = 0; l < cl.topology().link_count(); ++l) {
+    res.link_bits.push_back(time_bits(net.link_bytes(LinkId{l})));
+    res.link_bits.push_back(time_bits(net.link_throughput(LinkId{l})));
+  }
   res.solves = net.solves_total();
   return res;
 }
@@ -264,9 +272,10 @@ bool same_completions_per_flow(const BatchRunResult& a, const BatchRunResult& b,
 }
 
 /// One seed: run the same plan batched and unbatched under one collection
-/// mode and compare. Reference collection also labels the sub-components no
-/// seed link reaches, as clean; its batched run must match the incremental
-/// batched run too, which never collects those flows at all.
+/// mode and compare, then batched again with the timeline recording.
+/// Reference collection also labels the sub-components no seed link reaches,
+/// as clean; its batched run must match the incremental batched run too,
+/// which never collects those flows at all.
 /// Returns the number of completions cross-checked.
 std::size_t check_batched_vs_unbatched(const cluster::Cluster& cl,
                                        const std::vector<NodeId>& hosts,
@@ -309,6 +318,15 @@ std::size_t check_batched_vs_unbatched(const cluster::Cluster& cl,
   // The link change-log (an application-ordered journal that downstream
   // consumers replay) is entry-for-entry identical.
   EXPECT_EQ(bat.link_log, unb.link_log) << "seed " << seed;
+
+  // Observing changes no simulated byte: with the timeline recording, the
+  // batched run completes the same flows in the same order at the same
+  // instants, and leaves every link's byte integral and throughput equal,
+  // bit for bit.
+  const BatchRunResult traced = run_batch_plan(
+      cl, plan, incremental, /*coalesce=*/true, /*telemetry_on=*/true);
+  EXPECT_EQ(traced.completions, bat.completions) << "seed " << seed;
+  EXPECT_EQ(traced.link_bits, bat.link_bits) << "seed " << seed;
   return bat.completions.size();
 }
 
@@ -442,6 +460,46 @@ TEST(NetsimBatch, DisjointSubComponentsSolveApartInsideOneBatch) {
   EXPECT_EQ(time_bits(b_joint), time_bits(b_alone));
 }
 
+TEST(NetsimBatch, SameInstantCompletionsFromDifferentLabelsFireInIdOrder) {
+  // A (h0 -> h1) and B (h2 -> h3) stay under their own leaves and share no
+  // link. C (h2 -> h1) crosses from B's uplink to A's downlink, so all three
+  // run at half the NIC rate. Cancelling C re-solves from C's path, whose
+  // first link reaches B and whose last reaches A: that solve labels B
+  // before A. A and B then finish equal remaining bytes at the full rate,
+  // at one instant, and must complete in flow-id order in both modes.
+  auto cl = cluster::make_testbed();
+  const auto nic = [&cl](std::uint32_t h) {
+    return cl.host(HostId{h}).nic_nodes[0];
+  };
+  for (const bool coalesce : {true, false}) {
+    SCOPED_TRACE(coalesce ? "coalesce on" : "coalesce off");
+    sim::EventLoop loop;
+    Network net(loop, cl.topology(), Network::Options{.coalesce = coalesce});
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> done;
+    const auto start = [&](std::uint32_t src, std::uint32_t dst, Bytes size) {
+      return net.start_flow({.src = nic(src), .dst = nic(dst), .size = size,
+                             .on_complete = [&done](FlowId id, Time t) {
+                               done.emplace_back(id.get(), time_bits(t));
+                             }});
+    };
+    const FlowId a = start(0, 1, 64_MB);
+    const FlowId b = start(2, 3, 64_MB);
+    const FlowId c = start(2, 1, 1_GB);
+    const PathView pa = net.flow_path(a);
+    const PathView pb = net.flow_path(b);
+    const PathView pc = net.flow_path(c);
+    ASSERT_EQ(pc.size(), 4u);
+    ASSERT_EQ(pc[0], pb[0]);
+    ASSERT_EQ(pc[3], pa[pa.size() - 1]);
+    loop.schedule_at(1e-3, [&] { net.cancel_flow(c); });
+    loop.run();
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0].first, a.get());
+    EXPECT_EQ(done[1].first, b.get());
+    EXPECT_EQ(done[0].second, done[1].second);
+  }
+}
+
 TEST(NetsimBatch, EmptyBatchRunsNoSolve) {
   auto cl = cluster::make_testbed();
   sim::EventLoop loop;
@@ -534,10 +592,10 @@ TEST(NetsimBatch, TelemetryNeitherPerturbsNorDivergesAcrossRuns) {
 
 TEST(NetsimBatch, SameInstantSolvesFromDifferentSeedsShareOneLinkSample) {
   // Timeline::counter merges a same-instant link_gbps sample into the
-  // previous one only when their keys match position by position. Seeded
-  // from a flow's last link and then from its first, two unbatched solves
-  // discover its links in different orders; the solve records them in
-  // ascending link order, so the second sample must overwrite the first.
+  // previous one when it carries the same keys. Seeded from a flow's last
+  // link and then from its first, two unbatched solves discover its links,
+  // and list them in the sample, in different orders; the second sample
+  // must still overwrite the first.
   auto cl = cluster::make_testbed();
   sim::EventLoop loop;
   Network net(loop, cl.topology());

@@ -278,14 +278,26 @@ TEST(NetworkSlab, SteadyStateFlowChurnIsAllocationFree) {
   const auto cl = cluster::make_scaled_sim_cluster(4096);
   constexpr std::size_t kFlows = 128;
 
-  // Two wave shapes: one solve per start, and every start inside one
+  // Three wave shapes: one solve per start; every start inside one
   // SolveBatch — a union solve over many sub-component labels, whose seed
   // also holds the links a flow started and cancelled in the same batch left
-  // memberless (hosts 1 and 4 carry none of the wave's flows).
-  for (const bool batched : {false, true}) {
-    SCOPED_TRACE(batched ? "batched wave" : "per-start wave");
+  // memberless (hosts 1 and 4 carry none of the wave's flows); and one solve
+  // per start with coalescing off, whose completions are scheduled one by
+  // one from the same sorted list that forms cohorts with it on.
+  struct WaveShape {
+    const char* name;
+    bool batched;
+    bool coalesce;
+  };
+  for (const WaveShape shape : {WaveShape{"per-start wave", false, true},
+                                WaveShape{"batched wave", true, true},
+                                WaveShape{"per-start wave, coalesce off",
+                                          false, false}}) {
+    SCOPED_TRACE(shape.name);
+    const bool batched = shape.batched;
     sim::EventLoop loop;
-    Network net(loop, cl.topology());
+    Network net(loop, cl.topology(),
+                Network::Options{.coalesce = shape.coalesce});
     net.reserve_flows(kFlows + 8, /*lifetime=*/kFlows * 8);
 
     std::size_t completed = 0;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -482,6 +483,43 @@ TEST(TelemetryTimeline, CounterCoalescingKeepsLastSampleOfBurst) {
   }
   ASSERT_EQ(link0_values.size(), 1u);
   EXPECT_DOUBLE_EQ(link0_values[0], 2.0);  // only the burst's last value
+}
+
+TEST(TelemetryTimeline, CounterCoalescingMatchesKeysInAnyOrder) {
+  telemetry::Timeline tl;
+  const int t = tl.track("netsim", "links");
+  static const char* k0 = "link0";
+  static const char* k1 = "link1";
+  static const char* k2 = "link2";
+  const telemetry::Arg first[] = {{k0, 1.0}, {k1, 2.0}, {k2, 3.0}};
+  const telemetry::Arg permuted[] = {{k2, 30.0}, {k0, 10.0}, {k1, 20.0}};
+  const telemetry::Arg other[] = {{k2, 4.0}, {k0, 5.0}, {"link3", 6.0}};
+
+  std::size_t s = tl.counter(t, "gbps", 1e-6, std::begin(first),
+                             std::end(first), telemetry::Timeline::kNoSample);
+  // Same instant, same keys in another order: overwritten in place, each
+  // value under its own key, in the first sample's key order.
+  s = tl.counter(t, "gbps", 1e-6, std::begin(permuted), std::end(permuted), s);
+  EXPECT_EQ(tl.event_count(), 1u);
+  // Same instant and arity, another key set: appends.
+  s = tl.counter(t, "gbps", 1e-6, std::begin(other), std::end(other), s);
+  EXPECT_EQ(tl.event_count(), 2u);
+
+  const std::string json = tl.chrome_trace_json();
+  const JsonValue v = parse_json(json);
+  std::map<std::string, double> merged;
+  for (const JsonValue& e : v.at("traceEvents").items) {
+    if (e.at("ph").text != "C" || e.at("args").has("link3")) continue;
+    for (const auto& [key, value] : e.at("args").fields) {
+      merged[key] = value.number;
+    }
+  }
+  const std::map<std::string, double> expected{
+      {"link0", 10.0}, {"link1", 20.0}, {"link2", 30.0}};
+  EXPECT_EQ(merged, expected);
+  // The merged sample is exported first, in its original key order.
+  EXPECT_LT(json.find("\"link0\""), json.find("\"link1\""));
+  EXPECT_LT(json.find("\"link1\""), json.find("\"link2\""));
 }
 
 TEST(TelemetryTimeline, ReserveIsIdempotentAndKeepsRecordsIntact) {
