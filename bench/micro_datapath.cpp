@@ -58,7 +58,6 @@ void bench_plans(std::FILE* json) {
   setup.nranks = 4;
   setup.gpus = {GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
   const svc::CommStrategy strategy = svc::nccl_default_strategy(setup.gpus, cl);
-  setup.strategy = strategy;
 
   const std::vector<PlanShape> shapes = {
       {coll::CollectiveKind::kAllReduce, 262144, 0},

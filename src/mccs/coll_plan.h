@@ -211,8 +211,7 @@ class CollPlanCache {
 
  private:
   // Null registry pointers fall back to the owned counters — by accessor,
-  // not by pointing at them, so the cache stays safely movable (CommRank
-  // instances move into their container on install).
+  // not by pointing at them, so the cache stays safely movable.
   [[nodiscard]] telemetry::Counter& hits() const {
     return hits_ != nullptr ? *hits_ : own_hits_;
   }

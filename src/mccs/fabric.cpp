@@ -7,6 +7,20 @@
 #include "telemetry/json.h"
 
 namespace mccs::svc {
+namespace {
+
+/// A strategy every rank of an `nranks` communicator can execute: at least
+/// one channel, each ring over exactly the communicator's ranks (a RingOrder
+/// is a permutation of 0..size-1 by construction, so its size decides).
+void check_strategy(const CommStrategy& strategy, int nranks) {
+  MCCS_CHECK(strategy.num_channels() >= 1, "strategy has no channels");
+  for (const coll::RingOrder& order : strategy.channel_orders) {
+    MCCS_CHECK(order.size() == static_cast<std::size_t>(nranks),
+               "channel order does not cover the communicator's ranks");
+  }
+}
+
+}  // namespace
 
 Fabric::Fabric(cluster::Cluster cluster)
     : Fabric(std::move(cluster), Options{}) {}
@@ -105,19 +119,19 @@ void Fabric::finish_bootstrap(UniqueId /*uid*/, BootstrapState state) {
     info.gpus.push_back(e.gpu);
   }
 
-  const CommStrategy strategy =
+  auto strategy = std::make_shared<const CommStrategy>(
       strategy_provider_ ? strategy_provider_(info)
-                         : nccl_default_strategy(info.gpus, cluster_);
+                         : nccl_default_strategy(info.gpus, cluster_));
+  check_strategy(*strategy, info.nranks);
 
+  CommSetup setup;
+  setup.id = info.id;
+  setup.app = info.app;
+  setup.nranks = state.nranks;
+  setup.gpus = info.gpus;
   for (const BootstrapEntry& e : state.joined) {
-    CommSetup setup;
-    setup.id = info.id;
-    setup.app = info.app;
     setup.rank = e.rank;
-    setup.nranks = state.nranks;
-    setup.gpus = info.gpus;
-    setup.strategy = strategy;
-    proxy_for(e.gpu).install_communicator(setup);
+    proxy_for(e.gpu).install_communicator(setup, strategy);
   }
   comms_.emplace(info.id.get(), info);
 
@@ -163,14 +177,16 @@ void Fabric::reconfigure(CommId comm, CommStrategy strategy,
   const CommInfo& info = comm_info(comm);
   MCCS_EXPECTS(delays.empty() ||
                delays.size() == static_cast<std::size_t>(info.nranks));
+  check_strategy(strategy, info.nranks);
   const std::uint64_t round = ++reconfig_rounds_[comm.get()];
+  const auto shared = std::make_shared<const CommStrategy>(std::move(strategy));
   for (int r = 0; r < info.nranks; ++r) {
     const GpuId gpu = info.gpus[static_cast<std::size_t>(r)];
     ProxyEngine* proxy = &proxy_for(gpu);
     const Time extra = delays.empty() ? 0.0 : delays[static_cast<std::size_t>(r)];
     context_.send_control(HostId{0}, cluster_.host_of_gpu(gpu),
-                          [proxy, comm, round, strategy] {
-                            proxy->request_reconfigure(comm, round, strategy);
+                          [proxy, comm, round, shared] {
+                            proxy->request_reconfigure(comm, round, shared);
                           },
                           extra);
   }

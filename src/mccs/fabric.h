@@ -80,7 +80,9 @@ class Fabric {
   UniqueId new_unique_id();
 
   /// Provider hook choosing the initial strategy for a new communicator.
-  /// Defaults to the NCCL-model strategy (user rank order, ECMP).
+  /// Defaults to the NCCL-model strategy (user rank order, ECMP). The result
+  /// is checked once, as reconfigure() checks its strategy, and shared by
+  /// every rank.
   void set_strategy_provider(std::function<CommStrategy(const CommInfo&)> provider);
 
   /// Called by shims; when all `nranks` ranks of `uid` joined, installs the
@@ -98,12 +100,18 @@ class Fabric {
   /// way still fails loudly — only a kill excuses a dangling reference.
   [[nodiscard]] const CommInfo* find_comm_info(CommId comm) const;
 
-  /// Current strategy as seen by rank 0's proxy.
+  /// Current strategy as seen by rank 0's proxy. Every rank shares this one
+  /// object; it lives until a later reconfiguration replaces it on every
+  /// rank, or the communicator goes away.
   [[nodiscard]] const CommStrategy& strategy_of(CommId comm);
 
   /// Send a reconfiguration command to every rank's proxy. `delays[r]` adds
   /// extra control-plane delay for rank r (tests use this to force the
-  /// Fig.-4 race); empty means the configured control latency only.
+  /// Fig.-4 race); empty means the configured control latency only. All
+  /// ranks receive one shared, immutable copy of `strategy`. A strategy
+  /// with no channel, or with a channel order that does not cover exactly
+  /// the communicator's ranks, throws ContractViolation here and leaves the
+  /// installed strategy and the event loop untouched.
   void reconfigure(CommId comm, CommStrategy strategy,
                    std::vector<Time> delays = {});
 

@@ -53,29 +53,30 @@ ProxyEngine::CommRank* ProxyEngine::find_reconfiguring_comm(CommId comm) {
   return find_comm(comm);
 }
 
-void ProxyEngine::install_communicator(const CommSetup& setup) {
+void ProxyEngine::install_communicator(
+    const CommSetup& setup, std::shared_ptr<const CommStrategy> strategy) {
   MCCS_EXPECTS(setup.nranks >= 1);
   MCCS_EXPECTS(setup.gpus.size() == static_cast<std::size_t>(setup.nranks));
   MCCS_EXPECTS(setup.rank >= 0 && setup.rank < setup.nranks);
   MCCS_EXPECTS(setup.gpus[static_cast<std::size_t>(setup.rank)] == gpu_);
-  MCCS_CHECK(comms_.count(setup.id.get()) == 0, "communicator already installed");
-  MCCS_EXPECTS(!setup.strategy.channel_orders.empty());
+  MCCS_EXPECTS(strategy != nullptr);
 
-  CommRank st;
+  // Built in place: moving a finished CommRank in would allocate again for
+  // its deque.
+  auto [it, inserted] = comms_.try_emplace(setup.id.get());
+  MCCS_CHECK(inserted, "communicator already installed");
+  CommRank& st = it->second;
   st.setup = setup;
-  st.strategy = setup.strategy;
+  st.strategy = std::move(strategy);
   st.comm_stream = &ctx_->gpus->gpu(gpu_).create_stream();
-  auto [it, inserted] = comms_.emplace(setup.id.get(), std::move(st));
   if (ctx_->telemetry != nullptr) {
     // Registry-backed plan-cache counters, labeled per (comm, gpu) so the
-    // registry can aggregate per communicator or per device. Bound after the
-    // CommRank reached its final address (bind before the move would not
-    // matter for registry pointers, but keep the orderings aligned).
+    // registry can aggregate per communicator or per device.
     telemetry::MetricsRegistry& reg = ctx_->telemetry->metrics();
     const telemetry::Labels labels{
         {"comm", std::to_string(setup.id.get())},
         {"gpu", std::to_string(gpu_.get())}};
-    it->second.plan_cache.bind_registry(
+    st.plan_cache.bind_registry(
         reg.counter("plan_cache_hits", labels),
         reg.counter("plan_cache_misses", labels),
         reg.counter("plan_cache_invalidations", labels));
@@ -131,7 +132,7 @@ void ProxyEngine::drop_comm_metrics(CommId comm) {
 }
 
 const CommStrategy& ProxyEngine::strategy(CommId comm) const {
-  return comm_state(comm).strategy;
+  return *comm_state(comm).strategy;
 }
 
 std::int64_t ProxyEngine::last_completed(CommId comm) const {
@@ -170,7 +171,7 @@ std::shared_ptr<const CollPlan> ProxyEngine::cached_plan(
     CommId comm, coll::CollectiveKind kind, std::size_t count,
     coll::DataType dtype, int root) const {
   const CommRank& st = comm_state(comm);
-  return st.plan_cache.peek(st.strategy, kind, count, dtype, root);
+  return st.plan_cache.peek(*st.strategy, kind, count, dtype, root);
 }
 
 // --- issue / launch -----------------------------------------------------------
@@ -383,7 +384,7 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
   // Attach the (cached) collective plan and reset pooled per-channel cursor
   // state — on a warm cache this allocates nothing.
   a.plan = st.plan_cache.acquire(st.epoch, ctx_->config.enable_plan_cache,
-                                 st.setup, st.strategy, *ctx_->cluster,
+                                 st.setup, *st.strategy, *ctx_->cluster,
                                  args.kind, args.count, args.dtype, args.root);
   const int num_channels = static_cast<int>(a.plan->channels.size());
   if (!st.exec_pool.empty()) {
@@ -481,9 +482,10 @@ void ProxyEngine::start_step(CommRank& st, ActiveColl& a, ChannelExec& ch) {
       // Route and ECMP key are resolved live (not from the plan): the
       // unsafe-reconfig ablation swaps strategy/epoch mid-flight and must
       // keep observing the swap, exactly as before the plan cache.
-      auto rit = st.strategy.routes.find(
+      const auto& routes = st.strategy->routes;
+      auto rit = routes.find(
           CommStrategy::route_key(ch.channel, st.setup.rank, step.send_to));
-      if (rit != st.strategy.routes.end()) t.route = rit->second;
+      if (rit != routes.end()) t.route = rit->second;
       t.ecmp_key =
           connection_ecmp_key(st.setup.id, ch.channel, st.setup.rank,
                               step.send_to, st.epoch, ctx_->seed);
@@ -818,15 +820,16 @@ ProxyEngine::RoundState* ProxyEngine::active_round(CommRank& st) {
   return &it->second;
 }
 
-void ProxyEngine::request_reconfigure(CommId comm, std::uint64_t round,
-                                      CommStrategy new_strategy) {
+void ProxyEngine::request_reconfigure(
+    CommId comm, std::uint64_t round,
+    std::shared_ptr<const CommStrategy> new_strategy) {
   // Tolerate a comm torn down before the controller's command landed (kill
   // or destroy racing a reconfiguration); stale rounds for a LIVE comm are
   // still a contract violation below.
   CommRank* stp = find_reconfiguring_comm(comm);
   if (stp == nullptr) return;
   CommRank& st = *stp;
-  MCCS_EXPECTS(new_strategy.num_channels() >= 1);
+  MCCS_EXPECTS(new_strategy != nullptr);
   if (ctx_->config.unsafe_immediate_reconfig) {
     // Ablation mode: swap the strategy with no synchronization. Ranks that
     // have not yet launched the same sequence number will now use a

@@ -39,14 +39,14 @@
 
 namespace mccs::svc {
 
-/// Everything a proxy needs to serve one rank of a communicator.
+/// Everything a proxy needs to serve one rank of a communicator, besides
+/// its strategy.
 struct CommSetup {
   CommId id;
   AppId app;
   int rank = 0;
   int nranks = 0;
   std::vector<GpuId> gpus;  ///< by rank
-  CommStrategy strategy;
 };
 
 /// A validated collective work request handed over by the frontend engine.
@@ -85,7 +85,10 @@ class ProxyEngine {
   [[nodiscard]] HostId host() const { return host_; }
 
   // --- communicator lifecycle -------------------------------------------------
-  void install_communicator(const CommSetup& setup);
+  /// `strategy` is the one immutable object every rank of the communicator
+  /// shares; the caller (Fabric) has validated it against `setup.nranks`.
+  void install_communicator(const CommSetup& setup,
+                            std::shared_ptr<const CommStrategy> strategy);
   /// Orderly teardown of an idle communicator. Reconfiguration messages
   /// still in flight for it (a barrier round it took part in) are dropped on
   /// arrival; any other late message is a contract violation.
@@ -102,6 +105,8 @@ class ProxyEngine {
   [[nodiscard]] bool has_communicator(CommId comm) const {
     return comms_.count(comm.get()) > 0;
   }
+  /// The installed strategy. The object lives until a later reconfiguration
+  /// replaces it on every rank, or the communicator goes away.
   [[nodiscard]] const CommStrategy& strategy(CommId comm) const;
 
   // --- data path ---------------------------------------------------------------
@@ -133,9 +138,10 @@ class ProxyEngine {
   /// Provider reconfiguration command (arrives via the control plane, at
   /// arbitrary per-rank times — the race Fig. 4 illustrates). Rounds are
   /// assigned monotonically per communicator by the controller (Fabric) and
-  /// applied strictly in order at every rank.
+  /// applied strictly in order at every rank. Every rank of one round
+  /// receives the same strategy object, validated by the Fabric.
   void request_reconfigure(CommId comm, std::uint64_t round,
-                           CommStrategy new_strategy);
+                           std::shared_ptr<const CommStrategy> new_strategy);
 
   /// Control-ring AllGather traffic for one reconfiguration round:
   /// `origin`'s last-launched sequence number, forwarded hop by hop.
@@ -205,7 +211,8 @@ class ProxyEngine {
 
   /// Barrier state of one reconfiguration round (Fig. 4).
   struct RoundState {
-    CommStrategy strategy;        ///< valid once the request arrived
+    /// Set once the request arrived.
+    std::shared_ptr<const CommStrategy> strategy;
     bool request_pending = false; ///< command received, not yet processed
     bool activated = false;       ///< command processed: launches held,
                                   ///< own value contributed to the barrier
@@ -247,7 +254,9 @@ class ProxyEngine {
 
   struct CommRank {
     CommSetup setup;
-    CommStrategy strategy;
+    /// Shared with the communicator's other ranks and with the barrier rounds
+    /// and control messages that carry the same decision.
+    std::shared_ptr<const CommStrategy> strategy;
     gpu::Stream* comm_stream = nullptr;
     std::uint64_t next_seq = 0;
     std::int64_t last_launched_seq = kNone;

@@ -1,0 +1,45 @@
+// Binary-wide operator new/delete that count while a test::AllocationCounter
+// (helpers.h) is alive. Every other test sees a plain malloc-backed
+// operator new.
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "helpers.h"
+
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_count{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Every delete funnels into one out-of-line free: inlined at a call site,
+// GCC 12 pairs the counting operator new with a bare free() and reports a
+// spurious -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+
+namespace mccs::test {
+
+AllocationCounter::AllocationCounter() {
+  MCCS_CHECK(!g_counting.load(), "allocation counters do not nest");
+  g_count.store(0);
+  g_counting.store(true);
+}
+
+AllocationCounter::~AllocationCounter() { g_counting.store(false); }
+
+std::uint64_t AllocationCounter::count() const { return g_count.load(); }
+
+}  // namespace mccs::test

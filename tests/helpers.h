@@ -4,6 +4,7 @@
 // completion) finish.
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <iostream>
 #include <unordered_map>
@@ -13,7 +14,30 @@
 #include "mccs/fabric.h"
 #include "policy/flow_assign.h"
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MCCS_UNDER_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MCCS_UNDER_SANITIZER 1
+#endif
+#endif
+
 namespace mccs::test {
+
+/// Counts the test binary's calls to operator new (alloc_counter.cpp) while
+/// it is alive. One at a time. Sanitizer builds (MCCS_UNDER_SANITIZER)
+/// allocate through their runtime's own interceptors as well, so a test
+/// asserts no absolute count there.
+class AllocationCounter {
+ public:
+  AllocationCounter();
+  ~AllocationCounter();
+  AllocationCounter(const AllocationCounter&) = delete;
+  AllocationCounter& operator=(const AllocationCounter&) = delete;
+
+  /// Allocations since construction.
+  [[nodiscard]] std::uint64_t count() const;
+};
 
 /// Create a communicator over `gpus` (rank r = gpus[r]) for one app and run
 /// the loop until every rank's service installed it.

@@ -249,5 +249,32 @@ TEST(CommLifecycle, DestroyDuringReconfigurationDropsLateProtocolMessages) {
   }
 }
 
+TEST(CommLifecycle, ReconfigurationAllocationsDoNotScaleWithRoutes) {
+  // A decision's strategy is one object every rank shares, so what a
+  // reconfiguration allocates must not grow with the route table it carries.
+  // The extra routes are keyed on a channel the schedule never uses, so they
+  // change nothing else.
+  const auto reconfigure_allocations = [](int extra_routes) {
+    svc::Fabric fabric{cluster::make_testbed()};
+    const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+    const CommId comm = test::create_comm(fabric, AppId{1}, gpus);
+    svc::CommStrategy strategy = fabric.strategy_of(comm);
+    const int unused_channel = strategy.num_channels();
+    for (int k = 0; k < extra_routes; ++k) {
+      strategy.routes[svc::CommStrategy::route_key(unused_channel, k, k + 1)] =
+          RouteId{0};
+    }
+    fabric.reconfigure(comm, std::move(strategy));  // warm-up
+    fabric.loop().run();
+
+    svc::CommStrategy again = fabric.strategy_of(comm);
+    test::AllocationCounter allocs;
+    fabric.reconfigure(comm, std::move(again));
+    fabric.loop().run();
+    return allocs.count();
+  };
+  EXPECT_EQ(reconfigure_allocations(16), reconfigure_allocations(32));
+}
+
 }  // namespace
 }  // namespace mccs

@@ -6,10 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <limits>
-#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -17,46 +15,10 @@
 
 #include "cluster/cluster.h"
 #include "common/rng.h"
+#include "helpers.h"
 #include "mccs/fabric.h"
 #include "netsim/network.h"
 #include "sim/event_loop.h"
-
-// --- allocation counting ------------------------------------------------------
-//
-// Binary-wide operator new/delete that count while armed. Only the
-// steady-state guard test arms them; every other test sees a plain
-// malloc-backed operator new. Sanitizer builds keep the counters (the
-// instrumented runtime allocates through its own interceptors, so counts
-// are meaningless there and the strict assertion is skipped).
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// Every delete funnels into one out-of-line free: inlined at a call site,
-// GCC 12 pairs the counting operator new with a bare free() and reports a
-// spurious -Wmismatched-new-delete.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define MCCS_UNDER_SANITIZER 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define MCCS_UNDER_SANITIZER 1
-#endif
-#endif
 
 namespace mccs::net {
 
@@ -326,24 +288,27 @@ TEST(NetworkSlab, SteadyStateFlowChurnIsAllocationFree) {
     // pool to their high-water marks. Counting through the first one doubles
     // as a self-test of the instrumented operator new — a cold wave must
     // allocate, or the zero below would be vacuous.
-    g_alloc_count.store(0);
-    g_count_allocs.store(true);
-    run_wave();
-    g_count_allocs.store(false);
-    EXPECT_GT(g_alloc_count.load(), 0u);
+    std::uint64_t cold = 0;
+    {
+      test::AllocationCounter allocs;
+      run_wave();
+      cold = allocs.count();
+    }
+    EXPECT_GT(cold, 0u);
     run_wave();
     ASSERT_EQ(completed, 2 * kFlows);
 
     // Measured wave: identical shape, so steady state by construction.
-    g_alloc_count.store(0);
-    g_count_allocs.store(true);
-    run_wave();
-    g_count_allocs.store(false);
+    [[maybe_unused]] std::uint64_t steady = 0;
+    {
+      test::AllocationCounter allocs;
+      run_wave();
+      steady = allocs.count();
+    }
     ASSERT_EQ(completed, 3 * kFlows);
 
 #if !defined(MCCS_UNDER_SANITIZER)
-    EXPECT_EQ(g_alloc_count.load(), 0u)
-        << "per-event hot path allocated in steady state";
+    EXPECT_EQ(steady, 0u) << "per-event hot path allocated in steady state";
 #endif
   }
 }

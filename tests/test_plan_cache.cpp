@@ -255,7 +255,6 @@ TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
   tree.algorithm = coll::Algorithm::kTree;
   CommStrategy tree_fine = tree;
   tree_fine.tree_pipeline_chunks = 2;
-  setup.strategy = ring;
 
   svc::CollPlanCache cache;
   const auto kind = CollectiveKind::kAllReduce;
@@ -331,7 +330,6 @@ TEST(PlanCacheProperty, CachedPlanEqualsFreshBuildOverRandomShapes) {
         rng.below(2) == 0) {
       strategy.algorithm = coll::Algorithm::kTree;
     }
-    setup.strategy = strategy;
 
     const std::size_t count = 1 + rng.below(5000);
     const DataType dtype =

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -22,6 +23,19 @@ using svc::Fabric;
 using test::await;
 using test::create_comm;
 using test::make_ranks;
+
+/// The address of the one strategy object every rank of `comm` holds; a
+/// rank holding a copy of its own fails the calling test.
+std::uintptr_t shared_strategy_address(Fabric& fabric, CommId comm,
+                                       const std::vector<GpuId>& gpus) {
+  const auto address = [&](GpuId g) {
+    return reinterpret_cast<std::uintptr_t>(&fabric.proxy_for(g).strategy(comm));
+  };
+  for (GpuId g : gpus) {
+    EXPECT_EQ(address(g), address(gpus.front())) << "gpu " << g.get();
+  }
+  return address(gpus.front());
+}
 
 struct ReconfigFixture : ::testing::Test {
   Fabric fabric{cluster::make_testbed()};
@@ -70,12 +84,34 @@ struct ReconfigFixture : ::testing::Test {
 };
 
 TEST_F(ReconfigFixture, ReconfigureOnIdleCommunicatorSwapsStrategy) {
+  // One strategy object per decision, shared by every rank.
+  const std::uintptr_t installed = shared_strategy_address(fabric, comm, gpus);
   const CommStrategy target = reversed_strategy();
   fabric.reconfigure(comm, target);
   fabric.loop().run();
+  EXPECT_NE(shared_strategy_address(fabric, comm, gpus), installed);
   for (GpuId g : gpus) {
     EXPECT_TRUE(fabric.proxy_for(g).strategy(comm) == target);
     EXPECT_FALSE(fabric.proxy_for(g).reconfig_in_progress(comm));
+  }
+}
+
+TEST(ReconfigAblation, ImmediateSwapSharesOneStrategyAcrossRanks) {
+  // The unsafe_immediate_reconfig ablation skips the barrier, but each rank
+  // still swaps in the decision's one shared object.
+  Fabric::Options options;
+  options.config.unsafe_immediate_reconfig = true;
+  Fabric fabric{cluster::make_testbed(), options};
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+  const CommId comm = create_comm(fabric, AppId{1}, gpus);
+  const std::uintptr_t installed = shared_strategy_address(fabric, comm, gpus);
+  CommStrategy target = fabric.strategy_of(comm);
+  for (auto& o : target.channel_orders) o = o.reversed();
+  fabric.reconfigure(comm, target);
+  fabric.loop().run();
+  EXPECT_NE(shared_strategy_address(fabric, comm, gpus), installed);
+  for (GpuId g : gpus) {
+    EXPECT_TRUE(fabric.proxy_for(g).strategy(comm) == target);
   }
 }
 

@@ -131,9 +131,57 @@ TEST_F(MisuseFixture, StaleReconfigurationRoundIsRejected) {
   fabric.reconfigure(comm, strategy);
   fabric.loop().run();
   // Re-delivering round 1 by hand must be rejected as stale.
-  EXPECT_THROW(
-      fabric.proxy_for(GpuId{0}).request_reconfigure(comm, 1, strategy),
-      ContractViolation);
+  EXPECT_THROW(fabric.proxy_for(GpuId{0}).request_reconfigure(
+                   comm, 1, std::make_shared<const svc::CommStrategy>(strategy)),
+               ContractViolation);
+}
+
+TEST_F(MisuseFixture, MalformedReconfigurationIsRejectedAtTheCall) {
+  // A strategy no rank can execute is the provider's error and is reported
+  // to the provider at the call. Left to the ranks, an empty channel list
+  // throws out of every rank's barrier inside the event loop, and a ring
+  // over too few ranks aborts the loop at the next launch, stopping every
+  // tenant.
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+  const CommId comm = create_comm(fabric, app, gpus);
+  const svc::CommStrategy installed = fabric.strategy_of(comm);
+
+  svc::CommStrategy no_channels = installed;
+  no_channels.channel_orders.clear();
+  EXPECT_THROW(fabric.reconfigure(comm, no_channels), ContractViolation);
+  svc::CommStrategy short_ring = installed;
+  short_ring.channel_orders = {coll::RingOrder::identity(gpus.size() - 1)};
+  EXPECT_THROW(fabric.reconfigure(comm, short_ring), ContractViolation);
+
+  EXPECT_NO_THROW(fabric.loop().run());
+  EXPECT_TRUE(fabric.strategy_of(comm) == installed);
+  auto ranks = make_ranks(fabric, app, gpus);
+  const std::size_t count = 256;
+  std::vector<gpu::DevicePtr> buf(gpus.size());
+  int remaining = static_cast<int>(gpus.size());
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    buf[r] = ranks[r].shim->alloc(count * sizeof(float));
+    for (auto& x : fabric.gpus().typed<float>(buf[r], count)) {
+      x = static_cast<float>(r + 1);
+    }
+    ranks[r].shim->all_reduce(comm, buf[r], buf[r], count,
+                              coll::DataType::kFloat32, coll::ReduceOp::kSum,
+                              *ranks[r].stream,
+                              [&remaining](Time) { --remaining; });
+  }
+  ASSERT_TRUE(test::await(fabric, remaining));
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    for (const float x : fabric.gpus().typed<float>(buf[r], count)) {
+      ASSERT_EQ(x, 10.0f) << "rank " << r;
+    }
+  }
+
+  // The rejected calls took no reconfiguration round: the next one applies.
+  svc::CommStrategy reversed = installed;
+  for (auto& o : reversed.channel_orders) o = o.reversed();
+  fabric.reconfigure(comm, reversed);
+  fabric.loop().run();
+  EXPECT_TRUE(fabric.strategy_of(comm) == reversed);
 }
 
 TEST_F(MisuseFixture, ConnectRejectsGpuOnAnotherHost) {
