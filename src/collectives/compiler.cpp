@@ -45,8 +45,8 @@ int tid_of_rank(int rank, int root, int n, bool mirror) {
 }
 
 // --- phase emitters ----------------------------------------------------------
-// Each appends one decomposed phase's CommSteps, numbering from `index` and
-// tagging from `tag_base` so phases stay disjoint in tag space.
+// Each appends one phase's CommSteps, numbering from `index` and tagging
+// from `tag_base` so phases stay disjoint in tag space.
 
 /// Ring phase from precomputed RingSteps. `buffer_kind` selects the
 /// positional-chunk -> buffer-chunk mapping of the PARENT collective (an
@@ -138,8 +138,8 @@ void append_tree_broadcast(ChannelSchedule& sched, int& index, int nranks,
 /// Pairwise-mesh reduce-scatter phase in ring-position space: at round s,
 /// send my contribution to block `to` directly to rank `to`, receive rank
 /// `from`'s contribution to my block and reduce. With a locality ring order
-/// the early rounds pair same-host neighbours (hierarchy pass). Round-robin
-/// in position space keeps every round a perfect matching of send/recv pairs.
+/// the early rounds pair same-host neighbours. Round-robin in position space
+/// keeps every round a perfect matching of send/recv pairs.
 void append_mesh_reducescatter(ChannelSchedule& sched, int& index,
                                const RingOrder& order, int rank,
                                int tag_base) {
@@ -239,24 +239,6 @@ void append_star_reduce(ChannelSchedule& sched, int& index, int nranks,
   }
 }
 
-// --- hierarchy pass ----------------------------------------------------------
-
-HierarchySummary summarize_hierarchy(const CompileInput& in) {
-  HierarchySummary h;
-  if (in.host_of_rank == nullptr || in.host_of_rank->empty()) return h;
-  MCCS_EXPECTS(static_cast<int>(in.host_of_rank->size()) == in.nranks);
-  const std::unordered_set<int> hosts(in.host_of_rank->begin(),
-                                      in.host_of_rank->end());
-  h.nhosts = static_cast<int>(hosts.size());
-  for (int p = 0; p < in.nranks; ++p) {
-    const int a = (*in.host_of_rank)[static_cast<std::size_t>(in.order->rank_at(p))];
-    const int b =
-        (*in.host_of_rank)[static_cast<std::size_t>(in.order->rank_at(p + 1))];
-    if (a != b) ++h.cross_host_ring_edges;
-  }
-  return h;
-}
-
 /// Apply the fallback contract: the algorithm whose lowering actually runs.
 Algorithm effective_algorithm(CollectiveKind kind, Algorithm algo) {
   switch (kind) {
@@ -292,7 +274,7 @@ std::size_t dbt_chunks(std::size_t tree_chunks) {
 
 }  // namespace
 
-CompiledSchedule compile_collective(const CompileInput& in) {
+ChannelSchedule compile_collective(const CompileInput& in) {
   MCCS_EXPECTS(in.order != nullptr);
   MCCS_EXPECTS(in.nranks >= 2);
   MCCS_EXPECTS(in.rank >= 0 && in.rank < in.nranks);
@@ -301,69 +283,52 @@ CompiledSchedule compile_collective(const CompileInput& in) {
   const int n = in.nranks;
   const std::size_t nsz = static_cast<std::size_t>(n);
 
-  CompiledSchedule out;
-  out.hierarchy = summarize_hierarchy(in);
-
   // Fixed-shape kinds first: no algorithm choice, dedicated builders.
   switch (in.kind) {
     case CollectiveKind::kAllToAll:
-      out.schedule = build_alltoall_schedule(n, in.rank);
-      out.phases = {{PhaseOp::kAllToAll, PhaseShape::kMesh, 0, 0, 0, nsz}};
-      return out;
+      return build_alltoall_schedule(n, in.rank);
     case CollectiveKind::kGather:
-      out.schedule = build_gather_schedule(n, in.rank, in.root);
-      out.phases = {{PhaseOp::kGather, PhaseShape::kStar, in.root, 0, 0, nsz}};
-      return out;
+      return build_gather_schedule(n, in.rank, in.root);
     case CollectiveKind::kScatter:
-      out.schedule = build_scatter_schedule(n, in.rank, in.root);
-      out.phases = {{PhaseOp::kScatter, PhaseShape::kStar, in.root, 0, 0, nsz}};
-      return out;
+      return build_scatter_schedule(n, in.rank, in.root);
     default:
       break;
   }
 
   const Algorithm algo = effective_algorithm(in.kind, in.algorithm);
-  const int pos = in.order->position_of(in.rank);
+  ChannelSchedule out;
 
   if (algo == Algorithm::kRing) {
-    out.is_ring = true;
-    out.my_position = pos;
+    const int pos = in.order->position_of(in.rank);
     switch (in.kind) {
       case CollectiveKind::kAllReduce: {
-        // Decomposition: reduce-scatter then all-gather over the same ring.
-        // The all-gather enters at position + 1 (where the reduce-scatter
-        // leaves each position's finished chunk) with tags rebased past the
+        // Reduce-scatter then all-gather over the same ring. The all-gather
+        // enters at position + 1 (where the reduce-scatter leaves each
+        // position's finished chunk) with tags rebased past the
         // reduce-scatter's n-1; the concatenation reproduces
         // ring_allreduce_steps step for step, so plans compiled here are
         // bit-identical to the historical fused builder.
-        out.schedule.num_chunks = nsz;
+        out.num_chunks = nsz;
         int index = 0;
-        append_ring_phase(out.schedule, index, in.kind, *in.order, in.rank,
+        append_ring_phase(out, index, in.kind, *in.order, in.rank,
                           ring_reducescatter_steps(n, pos), 0);
-        append_ring_phase(out.schedule, index, in.kind, *in.order, in.rank,
+        append_ring_phase(out, index, in.kind, *in.order, in.rank,
                           ring_allgather_steps(n, mod(pos + 1, n)), n - 1);
-        out.phases = {{PhaseOp::kReduceScatter, PhaseShape::kRing, 0, 0, 0, nsz},
-                      {PhaseOp::kAllGather, PhaseShape::kRing, 0, n - 1, 0, nsz}};
         return out;
       }
       case CollectiveKind::kReduce:
-        out.schedule = build_chain_reduce_schedule(*in.order, in.rank, in.root);
-        out.phases = {{PhaseOp::kReduce, PhaseShape::kChain, in.root, 0, 0, nsz}};
-        return out;
-      case CollectiveKind::kAllGather:
-        out.schedule = build_ring_schedule(in.kind, *in.order, in.rank, in.root);
-        out.phases = {{PhaseOp::kAllGather, PhaseShape::kRing, 0, 0, 0, nsz}};
-        return out;
+        return build_chain_reduce_schedule(*in.order, in.rank, in.root);
       case CollectiveKind::kReduceScatter:
-        out.schedule = build_ring_schedule(in.kind, *in.order, in.rank, in.root);
-        out.phases = {
-            {PhaseOp::kReduceScatter, PhaseShape::kRing, 0, 0, 0, nsz}};
-        return out;
+        // The plan's finalization copies this rank's reduced stripe out of
+        // buffer block `rank`; the ring must finish that block here.
+        MCCS_CHECK(chunk_to_buffer_index(in.kind, *in.order,
+                                         reducescatter_owned_chunk(n, pos)) ==
+                       static_cast<std::size_t>(in.rank),
+                   "reduce-scatter chunk ownership mismatch");
+        return build_ring_schedule(in.kind, *in.order, in.rank, in.root);
+      case CollectiveKind::kAllGather:
       case CollectiveKind::kBroadcast:
-        out.schedule = build_ring_schedule(in.kind, *in.order, in.rank, in.root);
-        out.phases = {
-            {PhaseOp::kBroadcast, PhaseShape::kRing, in.root, 0, 0, nsz}};
-        return out;
+        return build_ring_schedule(in.kind, *in.order, in.rank, in.root);
       default:
         MCCS_CHECK(false, "unhandled ring lowering");
     }
@@ -371,29 +336,22 @@ CompiledSchedule compile_collective(const CompileInput& in) {
 
   if (algo == Algorithm::kTree) {
     const std::size_t kk = std::max<std::size_t>(1, in.tree_chunks);
-    out.schedule.num_chunks = kk;
+    out.num_chunks = kk;
     int index = 0;
     switch (in.kind) {
       case CollectiveKind::kAllReduce:
-        // Decomposition: Reduce to rank 0, then Broadcast back down the same
-        // tree. Identical emission to build_tree_allreduce_schedule.
-        append_tree_reduce(out.schedule, index, n, in.rank, 0, false, 0, kk, 0);
-        append_tree_broadcast(out.schedule, index, n, in.rank, 0, false, 0, kk,
+        // Reduce to rank 0, then Broadcast back down the same tree.
+        // Identical emission to build_tree_allreduce_schedule.
+        append_tree_reduce(out, index, n, in.rank, 0, false, 0, kk, 0);
+        append_tree_broadcast(out, index, n, in.rank, 0, false, 0, kk,
                               2 * static_cast<int>(kk));
-        out.phases = {{PhaseOp::kReduce, PhaseShape::kTree, 0, 0, 0, kk},
-                      {PhaseOp::kBroadcast, PhaseShape::kTree, 0,
-                       2 * static_cast<int>(kk), 0, kk}};
         return out;
       case CollectiveKind::kBroadcast:
-        append_tree_broadcast(out.schedule, index, n, in.rank, in.root, false,
-                              0, kk, 0);
-        out.phases = {
-            {PhaseOp::kBroadcast, PhaseShape::kTree, in.root, 0, 0, kk}};
+        append_tree_broadcast(out, index, n, in.rank, in.root, false, 0, kk,
+                              0);
         return out;
       case CollectiveKind::kReduce:
-        append_tree_reduce(out.schedule, index, n, in.rank, in.root, false, 0,
-                           kk, 0);
-        out.phases = {{PhaseOp::kReduce, PhaseShape::kTree, in.root, 0, 0, kk}};
+        append_tree_reduce(out, index, n, in.rank, in.root, false, 0, kk, 0);
         return out;
       default:
         MCCS_CHECK(false, "tree lowering: kind should have fallen back");
@@ -403,7 +361,7 @@ CompiledSchedule compile_collective(const CompileInput& in) {
   if (algo == Algorithm::kDoubleBinaryTree) {
     const std::size_t kk = dbt_chunks(in.tree_chunks);
     const std::size_t half = kk / 2;
-    out.schedule.num_chunks = kk;
+    out.num_chunks = kk;
     int index = 0;
     if (in.kind == CollectiveKind::kAllReduce) {
       // Two trees with different roots split the chunk range: tree A (root 0)
@@ -414,19 +372,12 @@ CompiledSchedule compile_collective(const CompileInput& in) {
       // the composition deadlock-free by the same induction as a single
       // tree.
       const int root_b = n / 2;
-      append_tree_reduce(out.schedule, index, n, in.rank, 0, false, 0, half, 0);
-      append_tree_reduce(out.schedule, index, n, in.rank, root_b, false, half,
-                         kk, 0);
+      append_tree_reduce(out, index, n, in.rank, 0, false, 0, half, 0);
+      append_tree_reduce(out, index, n, in.rank, root_b, false, half, kk, 0);
       const int base = 2 * static_cast<int>(kk);
-      append_tree_broadcast(out.schedule, index, n, in.rank, 0, false, 0, half,
+      append_tree_broadcast(out, index, n, in.rank, 0, false, 0, half, base);
+      append_tree_broadcast(out, index, n, in.rank, root_b, false, half, kk,
                             base);
-      append_tree_broadcast(out.schedule, index, n, in.rank, root_b, false,
-                            half, kk, base);
-      out.phases = {{PhaseOp::kReduce, PhaseShape::kTree, 0, 0, 0, half},
-                    {PhaseOp::kReduce, PhaseShape::kTree, root_b, 0, half, kk},
-                    {PhaseOp::kBroadcast, PhaseShape::kTree, 0, base, 0, half},
-                    {PhaseOp::kBroadcast, PhaseShape::kTree, root_b, base,
-                     half, kk}};
       return out;
     }
     MCCS_CHECK(in.kind == CollectiveKind::kBroadcast,
@@ -434,44 +385,32 @@ CompiledSchedule compile_collective(const CompileInput& in) {
     // Both trees share the caller's root; the second is the mirrored tree
     // (tid = root - rank), so interior nodes of one are leaves of the other
     // and each tree streams half the chunks.
-    append_tree_broadcast(out.schedule, index, n, in.rank, in.root, false, 0,
-                          half, 0);
-    append_tree_broadcast(out.schedule, index, n, in.rank, in.root, true, half,
-                          kk, 0);
-    out.phases = {
-        {PhaseOp::kBroadcast, PhaseShape::kTree, in.root, 0, 0, half},
-        {PhaseOp::kBroadcast, PhaseShape::kTree, in.root, 0, half, kk}};
+    append_tree_broadcast(out, index, n, in.rank, in.root, false, 0, half, 0);
+    append_tree_broadcast(out, index, n, in.rank, in.root, true, half, kk, 0);
     return out;
   }
 
   MCCS_CHECK(algo == Algorithm::kPairwise, "unknown algorithm");
-  out.schedule.num_chunks = nsz;
+  out.num_chunks = nsz;
   int index = 0;
   switch (in.kind) {
     case CollectiveKind::kAllReduce:
-      // Decomposition: mesh reduce-scatter then mesh all-gather, one direct
-      // flow per rank pair per phase — no forwarding, 2 steps of latency.
-      append_mesh_reducescatter(out.schedule, index, *in.order, in.rank, 0);
-      append_mesh_allgather(out.schedule, index, *in.order, in.rank, n);
-      out.phases = {{PhaseOp::kReduceScatter, PhaseShape::kMesh, 0, 0, 0, nsz},
-                    {PhaseOp::kAllGather, PhaseShape::kMesh, 0, n, 0, nsz}};
+      // Mesh reduce-scatter then mesh all-gather, one direct flow per rank
+      // pair per phase — no forwarding, 2 steps of latency.
+      append_mesh_reducescatter(out, index, *in.order, in.rank, 0);
+      append_mesh_allgather(out, index, *in.order, in.rank, n);
       return out;
     case CollectiveKind::kAllGather:
-      append_mesh_allgather(out.schedule, index, *in.order, in.rank, 0);
-      out.phases = {{PhaseOp::kAllGather, PhaseShape::kMesh, 0, 0, 0, nsz}};
+      append_mesh_allgather(out, index, *in.order, in.rank, 0);
       return out;
     case CollectiveKind::kReduceScatter:
-      append_mesh_reducescatter(out.schedule, index, *in.order, in.rank, 0);
-      out.phases = {{PhaseOp::kReduceScatter, PhaseShape::kMesh, 0, 0, 0, nsz}};
+      append_mesh_reducescatter(out, index, *in.order, in.rank, 0);
       return out;
     case CollectiveKind::kBroadcast:
-      append_star_broadcast(out.schedule, index, n, in.rank, in.root, nsz, 0);
-      out.phases = {
-          {PhaseOp::kBroadcast, PhaseShape::kStar, in.root, 0, 0, nsz}};
+      append_star_broadcast(out, index, n, in.rank, in.root, nsz, 0);
       return out;
     case CollectiveKind::kReduce:
-      append_star_reduce(out.schedule, index, n, in.rank, in.root, nsz, 0);
-      out.phases = {{PhaseOp::kReduce, PhaseShape::kStar, in.root, 0, 0, nsz}};
+      append_star_reduce(out, index, n, in.rank, in.root, nsz, 0);
       return out;
     default:
       MCCS_CHECK(false, "unhandled pairwise lowering");
@@ -626,19 +565,6 @@ Algorithm choose_algorithm(CollectiveKind kind, int nranks, Bytes bytes,
     }
   }
   return best;
-}
-
-std::uint32_t compiler_fingerprint(std::size_t tree_pipeline_chunks) {
-  // FNV-1a over the pass-pipeline version plus every strategy knob (beyond
-  // the algorithm) that shapes emitted schedules. Bump kPassVersion whenever
-  // a pass changes emission — cached plans keyed on the old value then die
-  // with their epoch instead of leaking stale shapes across a deploy.
-  constexpr std::uint32_t kPassVersion = 1;
-  std::uint32_t h = 2166136261u;
-  const auto fold = [&h](std::uint32_t v) { h = (h ^ v) * 16777619u; };
-  fold(kPassVersion);
-  fold(static_cast<std::uint32_t>(tree_pipeline_chunks));
-  return h;
 }
 
 }  // namespace mccs::coll

@@ -1,35 +1,29 @@
 #pragma once
-// Collective plan compiler: a small IR and three passes that lower any
-// (CollectiveKind, Algorithm) pair into the per-rank ChannelSchedule the
-// proxy engine executes (the GC3 / HiCCL structure: compile the collective
-// once, execute the plan many times — arXiv:2201.11840 / 2408.05962).
+// Collective plan compiler: lowers any (CollectiveKind, Algorithm) pair into
+// the per-rank ChannelSchedule the proxy engine executes. The service
+// compiles each collective shape once and replays the plan (mccs/coll_plan.h),
+// the compile-once/execute-many structure of GC3 and HiCCL
+// (arXiv:2201.11840 / 2408.05962). Unlike those compilers there is no IR for
+// later passes to rewrite: compile_collective is one lowering function that
+// emits CommSteps directly.
 //
-// Passes, in order:
+// Composite collectives lower as concatenated phases over a shared chunked
+// buffer: AllReduce as ReduceScatter + AllGather (ring, pairwise) or Reduce +
+// Broadcast (tree, double binary tree); Gather/Scatter as the copy-duals of
+// Reduce/Broadcast over a root star. Each phase gets a disjoint tag base so
+// the concatenated schedule keeps the one-slot-per-tag invariant
+// build_coll_plan checks. Ring phases run over the strategy's RingOrder,
+// which the locality policy builds as intra-host runs chained host to host;
+// mesh phases exchange in ring-position space, so with a locality order the
+// early rounds are the same-host neighbours.
 //
-//  1. DECOMPOSITION — rewrite the collective as a list of phases over a
-//     shared chunked buffer: AllReduce becomes ReduceScatter + AllGather
-//     (ring, pairwise) or Reduce + Broadcast (tree, double binary tree);
-//     Gather/Scatter lower as the copy-duals of Reduce/Broadcast over a
-//     root star. Each phase gets a disjoint tag base so the concatenated
-//     schedule keeps the one-slot-per-tag invariant build_coll_plan checks.
-//
-//  2. HIERARCHY — bind the phase structure to the topology. Ring phases run
-//     over the strategy's RingOrder, which the locality policy builds as
-//     intra-host runs chained host to host (intra-host chunked ring, one
-//     cross-host flow per adjacent host pair); mesh phases exchange in ring-
-//     position space, so with a locality order the early rounds are the
-//     same-host neighbours and cross-host traffic spreads over later rounds.
-//     The pass also summarises the topology (host count, cross-host edge
-//     count) for the cost model and the benches.
-//
-//  3. LOWERING / ALGORITHM BINDING — emit CommSteps per phase. Under kRing
-//     the emission is bit-identical to the hand-written builders in
-//     schedule.cpp (build_ring_schedule / build_chain_reduce_schedule /
-//     star / mesh builders) — the paper-figure goldens depend on that, and
-//     test_compiler.cpp checks it step for step. kTree reuses the rotated
-//     complete-binary-tree builders; kDoubleBinaryTree splits the chunk
-//     range across two differently-rooted trees; kPairwise exchanges
-//     directly over the mesh.
+// Under kRing the emission is bit-identical to the hand-written builders in
+// schedule.cpp (build_ring_schedule / build_chain_reduce_schedule / star /
+// mesh builders) — the paper-figure goldens depend on that, and
+// test_compiler.cpp checks it step for step. kTree reuses the rotated
+// complete-binary-tree builders; kDoubleBinaryTree splits the chunk range
+// across two differently-rooted trees; kPairwise exchanges directly over the
+// mesh.
 //
 // Algorithm choice itself (choose_algorithm) is a separate selection pass
 // over the analytic alpha-beta cost model: the controller runs it per
@@ -48,7 +42,6 @@
 // a kind; the fallbacks make every (kind, algorithm) pair executable.
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -59,38 +52,6 @@
 
 namespace mccs::coll {
 
-/// Decomposition-pass vocabulary: what one phase does...
-enum class PhaseOp {
-  kReduceScatter,
-  kAllGather,
-  kReduce,
-  kBroadcast,
-  kAllToAll,
-  kGather,
-  kScatter,
-};
-
-/// ...and the peer structure it runs over.
-enum class PhaseShape {
-  kRing,   ///< ring-order neighbour exchange (positional chunks)
-  kChain,  ///< pipelined chain along the ring order, terminating at a root
-  kTree,   ///< rotated complete binary tree
-  kMesh,   ///< direct pairwise exchange, round-robin in position space
-  kStar,   ///< root <-> every other rank directly
-};
-
-/// One phase of the decomposed collective (the IR node).
-struct PhasePlan {
-  PhaseOp op = PhaseOp::kAllGather;
-  PhaseShape shape = PhaseShape::kRing;
-  int root = 0;       ///< rank-space root (trees, chains, stars)
-  int tag_base = 0;   ///< first tag this phase may use (disjoint per phase)
-  std::size_t chunk_begin = 0;  ///< buffer chunk subset [begin, end)
-  std::size_t chunk_end = 0;
-
-  friend bool operator==(const PhasePlan&, const PhasePlan&) = default;
-};
-
 /// Everything the compiler needs about one (collective, channel, rank).
 struct CompileInput {
   CollectiveKind kind = CollectiveKind::kAllReduce;
@@ -98,36 +59,15 @@ struct CompileInput {
   int nranks = 0;
   int rank = 0;
   int root = 0;
-  /// The channel's ring order (hierarchy pass input: the locality policy
-  /// encodes the intra-host runs here). Required.
+  /// The channel's ring order (the locality policy encodes the intra-host
+  /// runs here). Required.
   const RingOrder* order = nullptr;
   /// Pipeline granularity of tree algorithms (CommStrategy setting).
   std::size_t tree_chunks = 8;
-  /// Host of every rank, for the hierarchy summary. Optional (empty =>
-  /// single-host assumed).
-  const std::vector<int>* host_of_rank = nullptr;
 };
 
-/// Hierarchy-pass summary of the communicator's topology.
-struct HierarchySummary {
-  int nhosts = 1;
-  int cross_host_ring_edges = 0;  ///< ring-successor edges crossing hosts
-
-  friend bool operator==(const HierarchySummary&, const HierarchySummary&) =
-      default;
-};
-
-/// Compilation result: the executable schedule plus the IR that produced it.
-struct CompiledSchedule {
-  ChannelSchedule schedule;
-  bool is_ring = false;  ///< positional (ring) execution semantics
-  int my_position = 0;   ///< ring position of `rank` (ring mode only)
-  std::vector<PhasePlan> phases;  ///< decomposition record
-  HierarchySummary hierarchy;
-};
-
-/// Run all passes for one (collective, channel, rank).
-CompiledSchedule compile_collective(const CompileInput& in);
+/// Lower one (collective, channel, rank) to the schedule the proxy runs.
+ChannelSchedule compile_collective(const CompileInput& in);
 
 /// Algorithms that produce a distinct schedule for `kind` (the compiler's
 /// search space; the correctness sweep enumerates exactly this).
@@ -161,11 +101,5 @@ Time algorithm_cost(Algorithm algorithm, CollectiveKind kind, int nranks,
 /// the earlier enum value (kRing first), so the default wins when equal.
 Algorithm choose_algorithm(CollectiveKind kind, int nranks, Bytes bytes,
                            const CostParams& p);
-
-/// Fingerprint of the pass pipeline plus every strategy knob (beyond the
-/// algorithm itself) that shapes emitted plans. Folded into the plan-cache
-/// key next to the algorithm: two strategies that agree on shape but not on
-/// fingerprint must never share a cached plan.
-std::uint32_t compiler_fingerprint(std::size_t tree_pipeline_chunks);
 
 }  // namespace mccs::coll

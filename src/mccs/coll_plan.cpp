@@ -58,7 +58,7 @@ PlanKey make_plan_key(const CommStrategy& strategy, coll::CollectiveKind kind,
                  root,
                  strategy.num_channels(),
                  strategy.algorithm,
-                 coll::compiler_fingerprint(strategy.tree_pipeline_chunks)};
+                 strategy.tree_pipeline_chunks};
 }
 
 std::shared_ptr<const CollPlan> build_coll_plan(
@@ -80,14 +80,6 @@ std::shared_ptr<const CollPlan> build_coll_plan(
   plan->root = root;
   plan->channels.resize(static_cast<std::size_t>(num_channels));
 
-  // Hierarchy-pass input: the host of every rank (the locality ring orders
-  // already encode hosts, but the compiler also summarises them).
-  std::vector<int> host_of_rank;
-  host_of_rank.reserve(setup.gpus.size());
-  for (const GpuId gpu : setup.gpus) {
-    host_of_rank.push_back(static_cast<int>(cluster.host_of_gpu(gpu).get()));
-  }
-
   for (int c = 0; c < num_channels; ++c) {
     CollPlan::Channel& pc = plan->channels[static_cast<std::size_t>(c)];
     coll::CompileInput in;
@@ -98,11 +90,7 @@ std::shared_ptr<const CollPlan> build_coll_plan(
     in.root = root;
     in.order = &strategy.channel_orders[static_cast<std::size_t>(c)];
     in.tree_chunks = strategy.tree_pipeline_chunks;
-    in.host_of_rank = &host_of_rank;
-    const coll::CompiledSchedule compiled = coll::compile_collective(in);
-    pc.is_ring = compiled.is_ring;
-    pc.my_position = compiled.my_position;
-    const coll::ChannelSchedule& sched = compiled.schedule;
+    const coll::ChannelSchedule sched = coll::compile_collective(in);
     plan->num_chunks = sched.num_chunks;
 
     pc.chunk_ranges.reserve(sched.num_chunks);
@@ -143,18 +131,9 @@ std::shared_ptr<const CollPlan> build_coll_plan(
     if (kind == coll::CollectiveKind::kReduceScatter) {
       // This rank's fully-reduced chunk (this channel's stripe) moves from
       // the scratch buffer to the user's recv buffer on channel finish. Both
-      // lowerings — ring and pairwise mesh — leave it in block `rank`; the
-      // ring derivation below double-checks the position arithmetic agrees.
-      const auto buffer_chunk = static_cast<std::size_t>(rank);
-      if (pc.is_ring) {
-        const std::size_t owned =
-            coll::reducescatter_owned_chunk(n, pc.my_position);
-        const std::size_t mapped = coll::chunk_to_buffer_index(
-            kind, strategy.channel_orders[static_cast<std::size_t>(c)], owned);
-        MCCS_CHECK(mapped == buffer_chunk,
-                   "reduce-scatter chunk ownership mismatch");
-      }
-      pc.rs_src = pc.chunk_ranges[buffer_chunk];
+      // lowerings — ring and pairwise mesh — leave it in block `rank` (the
+      // ring lowering checks its position arithmetic agrees).
+      pc.rs_src = pc.chunk_ranges[static_cast<std::size_t>(rank)];
       const auto sub = coll::chunk_range(count,
                                          static_cast<std::size_t>(num_channels),
                                          static_cast<std::size_t>(c));

@@ -83,8 +83,6 @@ struct CollPlan {
   };
 
   struct Channel {
-    bool is_ring = false;
-    int my_position = 0;  ///< ring mode only
     std::vector<Step> steps;
     std::vector<RecvSlot> recv_slots;
     /// Dense tag → recv-slot index (-1 = tag not expected). Tags are small
@@ -115,11 +113,11 @@ struct CollPlan {
 /// Cache key. `root` only matters for rooted collectives but is always part
 /// of the key (callers pass 0 otherwise); the reduction op never is — it
 /// affects the arithmetic applied to delivered bytes, not the plan. The
-/// `algorithm` and compiler `fingerprint` ARE part of the key: plans are
-/// compiled from the strategy, and an epoch alone does not distinguish two
-/// strategies that produce different schedules for the same shape. A
-/// shape-only key turned a same-epoch algorithm swap into silent execution
-/// of the old algorithm's cached plan (the stale-plan hazard
+/// strategy's `algorithm` and `tree_pipeline_chunks` ARE part of the key:
+/// plans are compiled from the strategy, and an epoch alone does not
+/// distinguish two strategies that produce different schedules for the same
+/// shape. A shape-only key turned a same-epoch algorithm swap into silent
+/// execution of the old algorithm's cached plan (the stale-plan hazard
 /// test_plan_cache.cpp regresses).
 struct PlanKey {
   coll::CollectiveKind kind = coll::CollectiveKind::kAllReduce;
@@ -128,7 +126,7 @@ struct PlanKey {
   int root = 0;
   int num_channels = 0;
   coll::Algorithm algorithm = coll::Algorithm::kRing;
-  std::uint32_t fingerprint = 0;  ///< coll::compiler_fingerprint(...)
+  std::size_t tree_pipeline_chunks = 0;
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
@@ -149,7 +147,7 @@ struct PlanKeyHash {
     mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.root)));
     mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.num_channels)));
     mix(static_cast<std::uint64_t>(k.algorithm));
-    mix(static_cast<std::uint64_t>(k.fingerprint));
+    mix(k.tree_pipeline_chunks);
     return static_cast<std::size_t>(h);
   }
 };
@@ -197,7 +195,7 @@ class CollPlanCache {
 
   /// The cached plan for a shape under `strategy`, or nullptr (never
   /// builds). Test hook. Keyed through make_plan_key, so a strategy whose
-  /// algorithm or compiler fingerprint differs from the cached plan's sees
+  /// algorithm or tree pipeline chunks differ from the cached plan's sees
   /// nullptr, not the other strategy's plan.
   [[nodiscard]] std::shared_ptr<const CollPlan> peek(
       const CommStrategy& strategy, coll::CollectiveKind kind,

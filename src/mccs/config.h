@@ -18,8 +18,6 @@ struct ServiceConfig {
   // --- shim <-> service IPC (shared-memory command queues) -----------------
   /// Shim command queue -> frontend engine delivery.
   Time shim_to_service_latency = micros(15);
-  /// Entries per shim command ring (bounded shared-memory queue).
-  std::size_t ipc_queue_capacity = 256;
   /// Completion notification back to the shim.
   Time service_to_shim_latency = micros(15);
 
@@ -78,7 +76,6 @@ struct ServiceConfig {
   /// backoff, capped at 16x) so a reconfiguration can still drain the
   /// stalled collective over surviving paths.
   int transport_max_retries = 3;
-  Time transport_retry_backoff = micros(100);
 
   // --- telemetry (see DESIGN.md "Telemetry subsystem") -----------------------
   /// Record the virtual-time span/event timeline (frontend/proxy/transport/

@@ -49,10 +49,9 @@ struct ServiceContext {
   /// Proxy engine serving a GPU anywhere in the cluster.
   std::function<ProxyEngine&(GpuId)> proxy_for;
 
-  /// Deliver a control-plane message between hosts after `extra` delay on
-  /// top of the configured control-hop latency.
-  std::function<void(HostId from, HostId to, std::function<void()> fn, Time extra)>
-      send_control;
+  /// Deliver a control-plane message after `extra` delay on top of the
+  /// configured control-hop latency.
+  std::function<void(std::function<void()> fn, Time extra)> send_control;
 
   /// Escalation sink for transport stalls (set via Fabric::set_stall_handler,
   /// typically by a policy::Controller with fault recovery enabled). Null =>

@@ -41,8 +41,7 @@ Fabric::Fabric(cluster::Cluster cluster, Options options)
   context_.telemetry = &telemetry_;
   network_->set_telemetry(&telemetry_);
   context_.proxy_for = [this](GpuId gpu) -> ProxyEngine& { return proxy_for(gpu); };
-  context_.send_control = [this](HostId /*from*/, HostId /*to*/,
-                                 std::function<void()> fn, Time extra) {
+  context_.send_control = [this](std::function<void()> fn, Time extra) {
     loop_.schedule_after(context_.config.control_hop_latency + extra,
                          std::move(fn));
   };
@@ -181,11 +180,9 @@ void Fabric::reconfigure(CommId comm, CommStrategy strategy,
   const std::uint64_t round = ++reconfig_rounds_[comm.get()];
   const auto shared = std::make_shared<const CommStrategy>(std::move(strategy));
   for (int r = 0; r < info.nranks; ++r) {
-    const GpuId gpu = info.gpus[static_cast<std::size_t>(r)];
-    ProxyEngine* proxy = &proxy_for(gpu);
+    ProxyEngine* proxy = &proxy_for(info.gpus[static_cast<std::size_t>(r)]);
     const Time extra = delays.empty() ? 0.0 : delays[static_cast<std::size_t>(r)];
-    context_.send_control(HostId{0}, cluster_.host_of_gpu(gpu),
-                          [proxy, comm, round, shared] {
+    context_.send_control([proxy, comm, round, shared] {
                             proxy->request_reconfigure(comm, round, shared);
                           },
                           extra);
@@ -193,15 +190,19 @@ void Fabric::reconfigure(CommId comm, CommStrategy strategy,
 }
 
 void Fabric::destroy_communicator(CommId comm) {
-  const CommInfo info = comm_info(comm);  // copy: the registry entry goes away
-  for (GpuId gpu : info.gpus) {
+  for (GpuId gpu : comm_info(comm).gpus) {
     ProxyEngine* proxy = &proxy_for(gpu);
-    context_.send_control(HostId{0}, cluster_.host_of_gpu(gpu),
-                          [proxy, comm] { proxy->destroy_communicator(comm); },
+    context_.send_control([proxy, comm] { proxy->destroy_communicator(comm); },
                           0.0);
   }
   comms_.erase(comm.get());
   reconfig_rounds_.erase(comm.get());
+}
+
+void Fabric::destroy_rank(CommId comm, GpuId gpu) {
+  if (killed_comms_.count(comm.get()) > 0) return;
+  if (comms_.erase(comm.get()) > 0) reconfig_rounds_.erase(comm.get());
+  proxy_for(gpu).destroy_communicator(comm);
 }
 
 KillReport Fabric::kill_app(AppId app) {

@@ -90,6 +90,13 @@ class Fabric {
   void bootstrap_join(UniqueId uid, int nranks, int rank, AppId app, GpuId gpu,
                       std::function<void(CommId)> on_ready);
 
+  /// Called by shims: one rank's comm_destroy. The first rank to leave
+  /// removes the communicator from the registry, as destroy_communicator
+  /// does, so policies stop planning for it; each call then tears down its
+  /// own rank's proxy state. A call for a communicator the provider killed
+  /// meanwhile is dropped.
+  void destroy_rank(CommId comm, GpuId gpu);
+
   // --- management API (§4.3) --------------------------------------------------------
   [[nodiscard]] std::vector<CommInfo> list_communicators() const;
   [[nodiscard]] const CommInfo& comm_info(CommId comm) const;

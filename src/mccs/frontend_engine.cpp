@@ -3,6 +3,12 @@
 #include <string>
 
 namespace mccs::svc {
+namespace {
+
+/// Entries per shim command ring (bounded shared-memory queue).
+constexpr std::size_t kIpcQueueCapacity = 256;
+
+}  // namespace
 
 gpu::DevicePtr FrontendEngine::handle_alloc(GpuId gpu, Bytes size) {
   MCCS_EXPECTS(size > 0);
@@ -130,7 +136,7 @@ CommandQueue<ShimCommand>& FrontendEngine::command_queue(GpuId gpu) {
              .emplace(gpu.get(),
                       std::make_unique<CommandQueue<ShimCommand>>(
                           *ctx_->loop, ctx_->config.shim_to_service_latency,
-                          ctx_->config.ipc_queue_capacity,
+                          kIpcQueueCapacity,
                           [this](ShimCommand c) { consume(std::move(c)); }))
              .first;
   }

@@ -84,17 +84,17 @@ void ProxyEngine::install_communicator(
 }
 
 void ProxyEngine::destroy_communicator(CommId comm) {
-  CommRank& st = comm_state(comm);
+  auto it = comms_.find(comm.get());
+  MCCS_EXPECTS(it != comms_.end());
+  const CommRank& st = it->second;
   MCCS_CHECK(st.active.empty() && st.held.empty(),
              "destroying a communicator with outstanding collectives");
   for (const auto& [peer, p2p] : st.p2p) {
     MCCS_CHECK(p2p.sends.empty() && p2p.recvs.empty(),
                "destroying a communicator with outstanding P2P operations");
   }
-  ctx_->gpus->gpu(gpu_).destroy_stream(st.comm_stream->id());
-  comms_.erase(comm.get());
+  release_comm(it);
   destroyed_.insert(comm.get());
-  drop_comm_metrics(comm);
 }
 
 std::size_t ProxyEngine::abort_communicator(CommId comm) {
@@ -102,26 +102,30 @@ std::size_t ProxyEngine::abort_communicator(CommId comm) {
   if (it == comms_.end()) return 0;
   CommRank& st = it->second;
   const std::size_t dropped = st.active.size() + st.held.size();
-  // Scratch buffers of active collectives would leak with the tenant gone;
-  // everything else (events, tokens, rounds) dies with the CommRank. The
-  // communicator stream simply never advances past its dangling external
-  // ops — it belongs to the killed tenant's communicator, so nobody waits.
+  // Work buffers of active collectives would leak with the tenant gone.
+  // Completing each one's external op lets the communicator stream drain, so
+  // release_comm can free it; the completion callbacks die with the CommRank
+  // and never fire. Held collectives never reached the stream.
   for (auto& [seq, a] : st.active) {
     if (a.scratch.valid()) ctx_->gpus->gpu(gpu_).release(a.scratch.mem);
+    st.comm_stream->complete_external(a.token);
   }
-  comms_.erase(it);
+  release_comm(it);
   aborted_.insert(comm.get());
-  drop_comm_metrics(comm);
   return dropped;
 }
 
-void ProxyEngine::drop_comm_metrics(CommId comm) {
+void ProxyEngine::release_comm(
+    std::unordered_map<std::uint32_t, CommRank>::iterator it) {
+  const CommId comm = it->second.setup.id;
+  // A stream still draining its last ops is freed once they finish.
+  ctx_->gpus->gpu(gpu_).destroy_stream(it->second.comm_stream->id());
+  comms_.erase(it);
   // The registry-backed plan-cache counters are labeled per (comm, gpu);
-  // with the CommRank (and its cache, which held the handles) gone, keeping
-  // the series would leak one entry per communicator ever created. Dropping
-  // here bounds the registry by the live communicator population under
-  // churn. Must run AFTER the CommRank is erased — the cache's bound
-  // handles point into the registry.
+  // keeping the series would leak one entry per communicator ever created.
+  // Dropping them bounds the registry by the live communicator population
+  // under churn. This runs after the CommRank is erased: its cache held
+  // handles into the registry.
   if (ctx_->telemetry == nullptr) return;
   telemetry::MetricsRegistry& reg = ctx_->telemetry->metrics();
   const telemetry::Labels labels{{"comm", std::to_string(comm.get())},
@@ -666,13 +670,12 @@ void ProxyEngine::p2p_launch(CommRank& st, int peer, std::uint64_t op_index,
     P2pOp& op = ps.sends.at(op_index);
     op.launched = true;
     // Announce to the receiving proxy (rendezvous step 1).
-    const GpuId peer_gpu = st.setup.gpus[static_cast<std::size_t>(peer)];
-    ProxyEngine* remote = &ctx_->proxy_for(peer_gpu);
+    ProxyEngine* remote =
+        &ctx_->proxy_for(st.setup.gpus[static_cast<std::size_t>(peer)]);
     const CommId comm = st.setup.id;
     const int my_rank = st.setup.rank;
     const Bytes bytes = op.req.count * coll::dtype_size(op.req.dtype);
-    ctx_->send_control(host_, ctx_->cluster->host_of_gpu(peer_gpu),
-                       [remote, comm, my_rank, op_index, bytes,
+    ctx_->send_control([remote, comm, my_rank, op_index, bytes,
                         buf = op.req.buffer, gpu = gpu_] {
                          remote->on_p2p_send_request(comm, my_rank, op_index,
                                                      bytes, buf, gpu);
@@ -712,12 +715,11 @@ void ProxyEngine::p2p_try_start_transfer(CommRank& st, int src_rank,
              "P2P send/recv sizes disagree");
 
   // Tell the sender where to put the data (rendezvous step 2).
-  const GpuId src_gpu = st.setup.gpus[static_cast<std::size_t>(src_rank)];
-  ProxyEngine* remote = &ctx_->proxy_for(src_gpu);
+  ProxyEngine* remote =
+      &ctx_->proxy_for(st.setup.gpus[static_cast<std::size_t>(src_rank)]);
   const CommId comm = st.setup.id;
   const int my_rank = st.setup.rank;
-  ctx_->send_control(host_, ctx_->cluster->host_of_gpu(src_gpu),
-                     [remote, comm, my_rank, op_index,
+  ctx_->send_control([remote, comm, my_rank, op_index,
                       dst = recv->second.req.buffer] {
                        remote->on_p2p_recv_posted(comm, my_rank, op_index, dst);
                      },
@@ -892,12 +894,10 @@ void ProxyEngine::on_control_value(CommId comm, std::uint64_t round,
 void ProxyEngine::send_control_to_successor(CommRank& st, std::uint64_t round,
                                             int origin, std::int64_t value) {
   const int succ = (st.setup.rank + 1) % st.setup.nranks;
-  const GpuId succ_gpu = st.setup.gpus[static_cast<std::size_t>(succ)];
-  ProxyEngine* peer = &ctx_->proxy_for(succ_gpu);
-  const HostId to = ctx_->cluster->host_of_gpu(succ_gpu);
+  ProxyEngine* peer =
+      &ctx_->proxy_for(st.setup.gpus[static_cast<std::size_t>(succ)]);
   const CommId comm = st.setup.id;
-  ctx_->send_control(host_, to,
-                     [peer, comm, round, origin, value] {
+  ctx_->send_control([peer, comm, round, origin, value] {
                        peer->on_control_value(comm, round, origin, value);
                      },
                      0.0);

@@ -97,10 +97,11 @@ class ProxyEngine {
   /// Forced teardown (tenant kill): drop the rank's state for `comm`
   /// unconditionally — active collectives, held launches, pending
   /// deliveries, P2P rendezvous, barrier rounds. Completion callbacks of the
-  /// dropped work never fire; late control/data messages addressed to the
-  /// dead communicator are ignored on arrival. Returns the number of
-  /// launched-or-held collectives dropped. No-op (returns 0) if the
-  /// communicator is not installed here.
+  /// dropped work never fire; the communicator stream is freed once the
+  /// launched collectives' stream ops drain; late control/data messages
+  /// addressed to the dead communicator are ignored on arrival. Returns the
+  /// number of launched-or-held collectives dropped. No-op (returns 0) if
+  /// the communicator is not installed here.
   std::size_t abort_communicator(CommId comm);
   [[nodiscard]] bool has_communicator(CommId comm) const {
     return comms_.count(comm.get()) > 0;
@@ -278,10 +279,10 @@ class ProxyEngine {
 
   CommRank& comm_state(CommId comm);
   const CommRank& comm_state(CommId comm) const;
-  /// Evict this rank's registry-backed per-comm instruments (plan-cache
-  /// counters). Called by both teardown paths — orderly destroy and kill —
-  /// after the CommRank is gone, so the registry tracks live comms only.
-  void drop_comm_metrics(CommId comm);
+  /// The teardown both paths share, orderly destroy and kill: free the
+  /// communicator stream, erase the CommRank and evict its registry-backed
+  /// plan-cache counters, so streams and the registry track live comms only.
+  void release_comm(std::unordered_map<std::uint32_t, CommRank>::iterator it);
   /// Tolerant lookup for entry points that can legitimately race with a
   /// tenant kill (late control messages, in-flight deliveries): null when
   /// the communicator was torn down by abort_communicator. A comm that was

@@ -35,9 +35,10 @@ void Shim::comm_init_rank(UniqueId uid, int nranks, int rank,
 }
 
 void Shim::comm_destroy(CommId comm) {
-  ProxyEngine* proxy = &ctx_->proxy_for(gpu_);
-  ctx_->loop->schedule_after(ctx_->config.shim_to_service_latency,
-                             [proxy, comm] { proxy->destroy_communicator(comm); });
+  Fabric& fabric = service_->fabric();
+  ctx_->loop->schedule_after(
+      ctx_->config.shim_to_service_latency,
+      [&fabric, comm, gpu = gpu_] { fabric.destroy_rank(comm, gpu); });
 }
 
 void Shim::collective(CommId comm, CollectiveArgs args, gpu::Stream& app_stream,

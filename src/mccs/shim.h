@@ -45,6 +45,8 @@ class Shim {
   /// has joined and the service installed the communicator.
   void comm_init_rank(UniqueId uid, int nranks, int rank,
                       std::function<void(CommId)> on_ready);
+  /// Leave a communicator (Fabric::destroy_rank, after the IPC hop). The
+  /// first rank to leave removes it from the provider's registry.
   void comm_destroy(CommId comm);
 
   // --- collectives ---------------------------------------------------------------

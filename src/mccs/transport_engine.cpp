@@ -7,6 +7,13 @@
 #include "netsim/routing.h"
 
 namespace mccs::svc {
+namespace {
+
+/// Extra start latency of a re-posted chunk: linear backoff per retry
+/// attempt, capped at 16x.
+Time retry_backoff(int attempts) { return micros(100) * std::min(attempts, 16); }
+
+}  // namespace
 
 TransportEngine::TransportEngine(ServiceContext& ctx, HostId host, int nic_index)
     : ctx_(&ctx), host_(host), nic_index_(nic_index) {
@@ -101,9 +108,9 @@ void TransportEngine::start_flow(std::uint64_t sid, AppGate* gate) {
         t.ecmp_key + static_cast<std::uint64_t>(s.attempts));
   }
   spec.app = t.app;
-  spec.start_latency =
-      ctx_->config.network_hop_latency + ctx_->config.transport_step_overhead +
-      ctx_->config.transport_retry_backoff * std::min(s.attempts, 16);
+  spec.start_latency = ctx_->config.network_hop_latency +
+                       ctx_->config.transport_step_overhead +
+                       retry_backoff(s.attempts);
   spec.on_complete = [this, sid](FlowId, Time) { finish_send(sid); };
 
   s.flow = ctx_->network->start_flow(std::move(spec));
@@ -164,8 +171,7 @@ void TransportEngine::arm_deadline(std::uint64_t sid) {
   }
   const double bytes = static_cast<double>(std::max<Bytes>(s.transfer.bytes, 1));
   Time bound = ctx_->config.network_hop_latency +
-               ctx_->config.transport_step_overhead +
-               ctx_->config.transport_retry_backoff * std::min(s.attempts, 16);
+               ctx_->config.transport_step_overhead + retry_backoff(s.attempts);
   if (std::isfinite(bottleneck) && bottleneck > 0.0) bound += bytes / bottleneck;
   s.deadline_dt = std::max(slack * bound, ctx_->config.chunk_deadline_floor);
   s.deadline =

@@ -5,9 +5,10 @@
 //     one-shot assign_flows oracle after every step (the live-fabric
 //     complement of the assigner-level property test), plus a seeded fuzz
 //     of the same comparison over 100 random event sequences that also
-//     swap algorithms, destroy communicators and flip priorities;
+//     swap algorithms, destroy communicators (from the provider and from
+//     every rank) and flip priorities;
 //   * create/collective/teardown soaks asserting the telemetry registry and
-//     each GPU's stream table stop growing;
+//     each GPU's stream table stop growing, under destroy and under kill;
 //   * FIFO admission-control ordering and the seeded Poisson churn trace.
 
 #include <gtest/gtest.h>
@@ -164,7 +165,7 @@ std::string churn_fuzz_seed(std::uint64_t seed, int events) {
 
   for (int e = 0; e < events; ++e) {
     std::string what;
-    switch (rng.below(7)) {
+    switch (rng.below(8)) {
       case 0: {  // arrival on 2-8 random free GPUs
         if (free_gpus.size() < 2) continue;
         rng.shuffle(free_gpus);
@@ -234,6 +235,18 @@ std::string churn_fuzz_seed(std::uint64_t seed, int events) {
         what = "priority flip";
         break;
       }
+      case 7: {  // the tenant leaves: every rank calls comm_destroy
+        if (live.empty()) continue;
+        const std::size_t i = pick(live.size());
+        for (GpuId g : live[i].gpus) {
+          w.fabric.connect(live[i].app, g).comm_destroy(live[i].comm);
+        }
+        w.fabric.loop().run();
+        release(i);
+        w.ctl.rebalance();
+        what = "tenant destroy";
+        break;
+      }
     }
     w.fabric.loop().run();
     if (test::installed_digest(w.fabric) !=
@@ -294,40 +307,66 @@ TEST(ClusterChurn, TelemetryRegistryDoesNotGrowAcrossCommLifecycles) {
 }
 
 TEST(ClusterChurn, CommStreamsDoNotLeakAcrossCommLifecycles) {
-  Fabric fabric{cluster::make_testbed()};
-  const AppId app{1};
-  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
-  const std::size_t count = 256;
-  // One tenant process per GPU for the whole soak: its app streams and
-  // buffers are created once, so only communicator streams could grow.
-  auto ranks = make_ranks(fabric, app, gpus);
-  std::vector<gpu::DevicePtr> buf(gpus.size());
-  for (std::size_t r = 0; r < gpus.size(); ++r) {
-    buf[r] = ranks[r].shim->alloc(count * sizeof(float));
-  }
-
-  std::vector<std::vector<std::size_t>> streams;  // per cycle, per rank
-  for (int cycle = 0; cycle < 12; ++cycle) {
-    const CommId comm = create_comm(fabric, app, gpus);
-    int remaining = static_cast<int>(gpus.size());
+  // Each rank's communicator stream goes with its communicator, through an
+  // orderly destroy and through a kill that lands while a collective runs.
+  for (const bool kill : {false, true}) {
+    SCOPED_TRACE(kill ? "kill" : "destroy");
+    Fabric fabric{cluster::make_testbed()};
+    const AppId app{1};
+    const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+    const std::size_t count = 256;
+    // One tenant process per GPU for the whole soak: its app streams and
+    // buffers are created once, so only communicator streams could grow.
+    auto ranks = make_ranks(fabric, app, gpus);
+    std::vector<gpu::DevicePtr> buf(gpus.size());
     for (std::size_t r = 0; r < gpus.size(); ++r) {
-      ranks[r].shim->all_reduce(comm, buf[r], buf[r], count,
-                                coll::DataType::kFloat32, coll::ReduceOp::kSum,
-                                *ranks[r].stream,
-                                [&remaining](Time) { --remaining; });
+      buf[r] = ranks[r].shim->alloc(count * sizeof(float));
     }
-    ASSERT_TRUE(await(fabric, remaining));
-    fabric.destroy_communicator(comm);
-    fabric.loop().run();
-    std::vector<std::size_t> per_rank;
-    for (GpuId g : gpus) per_rank.push_back(fabric.gpus().gpu(g).stream_count());
-    streams.push_back(per_rank);
-  }
+    int remaining = 0;
+    const auto all_reduce = [&](CommId comm) {
+      remaining = static_cast<int>(gpus.size());
+      for (std::size_t r = 0; r < gpus.size(); ++r) {
+        ranks[r].shim->all_reduce(comm, buf[r], buf[r], count,
+                                  coll::DataType::kFloat32,
+                                  coll::ReduceOp::kSum, *ranks[r].stream,
+                                  [&remaining](Time) { --remaining; });
+      }
+    };
 
-  // Each rank's communicator stream goes with its communicator.
-  for (std::size_t i = 1; i < streams.size(); ++i) {
-    EXPECT_EQ(streams[i], streams[0])
-        << "GPU stream tables grew across comm lifecycles (cycle " << i << ")";
+    std::vector<std::vector<std::size_t>> streams;  // per cycle, per rank
+    for (int cycle = 0; cycle < 12; ++cycle) {
+      const CommId comm = create_comm(fabric, app, gpus);
+      all_reduce(comm);
+      ASSERT_TRUE(await(fabric, remaining))
+          << "cycle " << cycle
+          << ": the app streams still wait on an aborted collective";
+      if (kill) {
+        all_reduce(comm);
+        ASSERT_TRUE(test::await_until(fabric, [&] {
+          for (GpuId g : gpus) {
+            if (fabric.proxy_for(g).active_count(comm) != 1) return false;
+          }
+          return true;
+        }));
+        fabric.kill_app(app);
+      } else {
+        fabric.destroy_communicator(comm);
+      }
+      fabric.loop().run();
+      EXPECT_EQ(remaining, kill ? static_cast<int>(gpus.size()) : 0)
+          << "an aborted collective reported completion";
+      std::vector<std::size_t> per_rank;
+      for (GpuId g : gpus) {
+        per_rank.push_back(fabric.gpus().gpu(g).stream_count());
+      }
+      streams.push_back(per_rank);
+    }
+
+    for (std::size_t i = 1; i < streams.size(); ++i) {
+      EXPECT_EQ(streams[i], streams[0])
+          << "GPU stream tables grew across comm lifecycles (cycle " << i
+          << ")";
+    }
   }
 }
 

@@ -12,8 +12,7 @@
 //    nranks in [2, 64] and multiple roots (the phantom-reduce-edge bugfix);
 //  * edge coverage — every send a compiled schedule performs is inside
 //    algorithm_edges(), so flow assignment places demand for all of it;
-//  * the algorithm-choice pass (analytic cost model), the hierarchy summary
-//    and the compiler fingerprint;
+//  * the algorithm-choice pass (analytic cost model);
 //  * end-to-end numerical correctness through the MCCS service for the two
 //    algorithms no legacy builder covers (double binary tree, pairwise),
 //    including a 17-rank communicator and the single-rank short-circuit.
@@ -40,7 +39,6 @@ using coll::Algorithm;
 using coll::ChannelSchedule;
 using coll::CollectiveKind;
 using coll::CommStep;
-using coll::CompiledSchedule;
 using coll::CompileInput;
 using coll::RingOrder;
 
@@ -121,12 +119,11 @@ std::vector<Ledger> run_schedules(const std::vector<ChannelSchedule>& scheds,
   return state;
 }
 
-std::vector<CompiledSchedule> compile_all(CollectiveKind kind, Algorithm algo,
-                                          const RingOrder& order, int root,
-                                          std::size_t tree_chunks,
-                                          const std::vector<int>* hosts = nullptr) {
+std::vector<ChannelSchedule> compile_all(CollectiveKind kind, Algorithm algo,
+                                         const RingOrder& order, int root,
+                                         std::size_t tree_chunks) {
   const int n = static_cast<int>(order.size());
-  std::vector<CompiledSchedule> out;
+  std::vector<ChannelSchedule> out;
   out.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     CompileInput in;
@@ -137,7 +134,6 @@ std::vector<CompiledSchedule> compile_all(CollectiveKind kind, Algorithm algo,
     in.root = root;
     in.order = &order;
     in.tree_chunks = tree_chunks;
-    in.host_of_rank = hosts;
     out.push_back(coll::compile_collective(in));
   }
   return out;
@@ -301,7 +297,7 @@ TEST_P(CompiledSweepP, EveryAlgorithmMatchesOracleForRanks2To17) {
                        << root << " pos0 " << order.rank_at(0));
           const auto compiled = compile_all(kind, algo, order, root, 3);
           // One plan shape per communicator: every rank agrees on chunks.
-          const std::size_t chunks = compiled[0].schedule.num_chunks;
+          const std::size_t chunks = compiled[0].num_chunks;
           // Flow assignment advertises the algorithm's steady-state edge
           // superset (the root-0 AllReduce trees). Rooted tree collectives
           // at other roots — and the DBT mirror broadcast — use rotated
@@ -313,17 +309,15 @@ TEST_P(CompiledSweepP, EveryAlgorithmMatchesOracleForRanks2To17) {
               !is_fixed_shape(kind) &&
               !(is_rooted(kind) && tree_like &&
                 (root != 0 || algo == Algorithm::kDoubleBinaryTree));
-          std::vector<ChannelSchedule> scheds;
           const auto edges = coll::algorithm_edges(algo, order);
           const std::set<std::pair<int, int>> edge_set(edges.begin(),
                                                        edges.end());
           for (int r = 0; r < n; ++r) {
-            const auto& cs = compiled[static_cast<std::size_t>(r)];
-            ASSERT_EQ(cs.schedule.num_chunks, chunks) << "rank " << r;
-            ASSERT_FALSE(cs.phases.empty()) << "rank " << r;
+            const ChannelSchedule& cs = compiled[static_cast<std::size_t>(r)];
+            ASSERT_EQ(cs.num_chunks, chunks) << "rank " << r;
             // One recv slot per tag (the invariant build_coll_plan enforces).
             std::set<int> tags;
-            for (const CommStep& st : cs.schedule.steps) {
+            for (const CommStep& st : cs.steps) {
               if (st.has_recv()) {
                 ASSERT_TRUE(tags.insert(st.recv_tag).second)
                     << "rank " << r << " duplicate recv tag " << st.recv_tag;
@@ -335,10 +329,9 @@ TEST_P(CompiledSweepP, EveryAlgorithmMatchesOracleForRanks2To17) {
                     << "->" << st.send_to;
               }
             }
-            scheds.push_back(cs.schedule);
           }
           const auto state = run_schedules(
-              scheds, initial_state(kind, n, root, chunks),
+              compiled, initial_state(kind, n, root, chunks),
               kind == CollectiveKind::kAllToAll);
           verify_state(kind, n, root, chunks, state);
         }
@@ -409,13 +402,8 @@ TEST(CompilerLowering, RingIsBitIdenticalToHandwrittenBuilders) {
                          << rank << " root " << root);
             const auto compiled =
                 compile_all(kind, Algorithm::kRing, order, root, 8);
-            expect_same_schedule(compiled[static_cast<std::size_t>(rank)].schedule,
+            expect_same_schedule(compiled[static_cast<std::size_t>(rank)],
                                  legacy_ring(kind, order, rank, root));
-            if (!is_fixed_shape(kind)) {
-              EXPECT_TRUE(compiled[static_cast<std::size_t>(rank)].is_ring);
-              EXPECT_EQ(compiled[static_cast<std::size_t>(rank)].my_position,
-                        order.position_of(rank));
-            }
           }
         }
       }
@@ -432,16 +420,16 @@ TEST(CompilerLowering, TreeIsBitIdenticalToTreeBuilders) {
                                           << " rank " << rank);
         const auto ar = compile_all(CollectiveKind::kAllReduce,
                                     Algorithm::kTree, id, 0, kk);
-        expect_same_schedule(ar[static_cast<std::size_t>(rank)].schedule,
+        expect_same_schedule(ar[static_cast<std::size_t>(rank)],
                              coll::build_tree_allreduce_schedule(n, rank, kk));
         const int root = (n - 1) / 2;
         const auto bc = compile_all(CollectiveKind::kBroadcast,
                                     Algorithm::kTree, id, root, kk);
-        expect_same_schedule(bc[static_cast<std::size_t>(rank)].schedule,
+        expect_same_schedule(bc[static_cast<std::size_t>(rank)],
                              coll::build_tree_broadcast_schedule(n, rank, root, kk));
         const auto rd = compile_all(CollectiveKind::kReduce, Algorithm::kTree,
                                     id, root, kk);
-        expect_same_schedule(rd[static_cast<std::size_t>(rank)].schedule,
+        expect_same_schedule(rd[static_cast<std::size_t>(rank)],
                              coll::build_tree_reduce_schedule(n, rank, root, kk));
       }
     }
@@ -450,15 +438,15 @@ TEST(CompilerLowering, TreeIsBitIdenticalToTreeBuilders) {
 
 TEST(CompilerLowering, TreeScheduleIgnoresRingOrder) {
   // Trees operate in rank space: permuting the ring order must not change
-  // the emitted schedule (only the flow edges and the hierarchy summary).
+  // the emitted schedule (only the flow edges).
   const int n = 7;
   for (int rank = 0; rank < n; ++rank) {
     const auto a = compile_all(CollectiveKind::kAllReduce, Algorithm::kTree,
                                RingOrder::identity(n), 0, 4);
     const auto b = compile_all(CollectiveKind::kAllReduce, Algorithm::kTree,
                                scrambled_order(n), 0, 4);
-    expect_same_schedule(a[static_cast<std::size_t>(rank)].schedule,
-                         b[static_cast<std::size_t>(rank)].schedule);
+    expect_same_schedule(a[static_cast<std::size_t>(rank)],
+                         b[static_cast<std::size_t>(rank)]);
   }
 }
 
@@ -551,33 +539,6 @@ TEST(AlgorithmChoice, SearchSpacePerKind) {
   // the default (ties break to kRing).
   for (const K k : {K::kAllReduce, K::kAllGather, K::kBroadcast, K::kReduce}) {
     EXPECT_EQ(algos(k).front(), Algorithm::kRing);
-  }
-}
-
-TEST(CompilerFingerprint, DistinguishesPlanShapingKnobs) {
-  EXPECT_EQ(coll::compiler_fingerprint(8), coll::compiler_fingerprint(8));
-  EXPECT_NE(coll::compiler_fingerprint(1), coll::compiler_fingerprint(8));
-  EXPECT_NE(coll::compiler_fingerprint(3), coll::compiler_fingerprint(4));
-}
-
-// --- hierarchy summary -----------------------------------------------------------
-
-TEST(CompilerHierarchy, CountsHostsAndCrossHostRingEdges) {
-  const std::vector<int> hosts = {0, 0, 1, 1};
-  {
-    // Locality order: host runs are contiguous => 2 crossings.
-    const auto c = compile_all(CollectiveKind::kAllReduce, Algorithm::kRing,
-                               RingOrder::identity(4), 0, 8, &hosts);
-    EXPECT_EQ(c[0].hierarchy.nhosts, 2);
-    EXPECT_EQ(c[0].hierarchy.cross_host_ring_edges, 2);
-  }
-  {
-    // Host-alternating order 0,2,1,3: every ring hop crosses hosts.
-    const RingOrder alt(std::vector<int>{0, 2, 1, 3});
-    const auto c = compile_all(CollectiveKind::kAllReduce, Algorithm::kRing,
-                               alt, 0, 8, &hosts);
-    EXPECT_EQ(c[0].hierarchy.nhosts, 2);
-    EXPECT_EQ(c[0].hierarchy.cross_host_ring_edges, 4);
   }
 }
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "helpers.h"
@@ -150,16 +152,39 @@ TEST(RouteKey, PacksChannelAndRanksWithoutCollision) {
 namespace mccs {
 namespace {
 
+/// The message of the ContractViolation `fn` throws, or "" if it returns.
+std::string violation_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return {};
+}
+
 TEST(CommLifecycle, FabricDestroyRemovesEverywhere) {
-  svc::Fabric fabric{cluster::make_testbed()};
-  const std::vector<GpuId> gpus{GpuId{0}, GpuId{4}};
-  const CommId comm = test::create_comm(fabric, AppId{1}, gpus);
-  EXPECT_EQ(fabric.list_communicators().size(), 1u);
-  fabric.destroy_communicator(comm);
-  fabric.loop().run();
-  EXPECT_TRUE(fabric.list_communicators().empty());
-  for (GpuId g : gpus) {
-    EXPECT_FALSE(fabric.proxy_for(g).has_communicator(comm));
+  // Through either entry, the provider's destroy or every rank's own, the
+  // communicator leaves the registry and every proxy, and the management
+  // reads that walk the registry keep working.
+  for (const bool every_rank : {false, true}) {
+    SCOPED_TRACE(every_rank ? "every rank" : "provider");
+    svc::Fabric fabric{cluster::make_testbed()};
+    const AppId app{1};
+    const std::vector<GpuId> gpus{GpuId{0}, GpuId{4}};
+    const CommId comm = test::create_comm(fabric, app, gpus);
+    EXPECT_EQ(fabric.list_communicators().size(), 1u);
+    if (every_rank) {
+      for (GpuId g : gpus) fabric.connect(app, g).comm_destroy(comm);
+    } else {
+      fabric.destroy_communicator(comm);
+    }
+    fabric.loop().run();
+    EXPECT_TRUE(fabric.list_communicators().empty());
+    for (GpuId g : gpus) {
+      EXPECT_FALSE(fabric.proxy_for(g).has_communicator(comm));
+    }
+    EXPECT_EQ(violation_of([&fabric] { (void)fabric.telemetry_snapshot(); }),
+              "");
   }
 }
 
@@ -186,16 +211,34 @@ TEST(CommLifecycle, DestroyThenCreateReusesCleanState) {
 }
 
 TEST(CommLifecycle, DestroyWithInFlightCollectiveFailsLoudly) {
-  svc::Fabric fabric{cluster::make_testbed()};
-  const std::vector<GpuId> gpus{GpuId{0}, GpuId{4}};
-  const CommId comm = test::create_comm(fabric, AppId{1}, gpus);
-  auto ranks = test::make_ranks(fabric, AppId{1}, gpus);
-  gpu::DevicePtr buf = ranks[0].shim->alloc(1024);
-  // Only rank 0 issues, so the collective stays outstanding forever.
-  ranks[0].shim->all_reduce(comm, buf, buf, 256, coll::DataType::kFloat32,
-                            coll::ReduceOp::kSum, *ranks[0].stream);
-  fabric.destroy_communicator(comm);
-  EXPECT_THROW(fabric.loop().run(), ContractViolation);
+  // Destroyed at once, the communicator is gone before the collective
+  // reaches the proxy, which rejects it as unknown. Destroyed once the
+  // collective is active, the proxy's outstanding-collectives check fires.
+  for (const bool after_launch : {false, true}) {
+    SCOPED_TRACE(after_launch ? "after launch" : "before launch");
+    svc::Fabric fabric{cluster::make_testbed()};
+    const std::vector<GpuId> gpus{GpuId{0}, GpuId{4}};
+    const CommId comm = test::create_comm(fabric, AppId{1}, gpus);
+    auto ranks = test::make_ranks(fabric, AppId{1}, gpus);
+    gpu::DevicePtr buf = ranks[0].shim->alloc(1024);
+    // Only rank 0 calls it, so the collective stays outstanding forever.
+    ranks[0].shim->all_reduce(comm, buf, buf, 256, coll::DataType::kFloat32,
+                              coll::ReduceOp::kSum, *ranks[0].stream);
+    if (after_launch) {
+      const svc::ProxyEngine& proxy = fabric.proxy_for(gpus[0]);
+      ASSERT_TRUE(test::await_until(
+          fabric, [&] { return proxy.active_count(comm) == 1; }));
+    }
+    fabric.destroy_communicator(comm);
+    const std::string what = violation_of([&fabric] { fabric.loop().run(); });
+    EXPECT_NE(what, "");
+    if (after_launch) {
+      EXPECT_NE(what.find("destroying a communicator with outstanding "
+                          "collectives"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(CommLifecycle, DestroyDuringReconfigurationDropsLateProtocolMessages) {

@@ -238,9 +238,9 @@ TEST_F(PlanCacheFixture, AlgorithmSwapUnderLoadThroughTheBarrier) {
 
 TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
   // Defense-in-depth behind the epoch bump: even within one epoch, a
-  // strategy that differs only in algorithm (or in a plan-shaping knob the
-  // fingerprint folds in) must miss. Before the algorithm-keyed PlanKey the
-  // second acquire returned the ring plan.
+  // strategy that differs only in algorithm (or only in tree pipeline
+  // chunks, the other plan-shaping knob) must miss. Before the
+  // algorithm-keyed PlanKey the second acquire returned the ring plan.
   const cluster::Cluster cl = cluster::make_testbed();
   svc::CommSetup setup;
   setup.id = CommId{7};
@@ -268,7 +268,7 @@ TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
       svc::build_coll_plan(setup, tree, cl, kind, 1024, DataType::kFloat32, 0);
   EXPECT_TRUE(*tree_plan == *fresh);
 
-  // Pipeline granularity is part of the fingerprint, not the algorithm.
+  // Pipeline granularity is its own part of the key, not the algorithm's.
   const auto fine_plan = cache.acquire(0, true, setup, tree_fine, cl, kind,
                                        1024, DataType::kFloat32, 0);
   ASSERT_NE(fine_plan, tree_plan);
