@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,8 @@ void bench_plans(std::FILE* json) {
   setup.rank = 0;
   setup.nranks = 4;
   setup.gpus = {GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
-  const svc::CommStrategy strategy = svc::nccl_default_strategy(setup.gpus, cl);
+  const auto strategy = std::make_shared<const svc::CommStrategy>(
+      svc::nccl_default_strategy(setup.gpus, cl));
 
   const std::vector<PlanShape> shapes = {
       {coll::CollectiveKind::kAllReduce, 262144, 0},
@@ -76,18 +78,18 @@ void bench_plans(std::FILE* json) {
 
     auto t0 = Clock::now();
     for (int i = 0; i < kColdIters; ++i) {
-      auto plan = svc::build_coll_plan(setup, strategy, cl, s.kind, s.count,
+      auto plan = svc::build_coll_plan(setup, *strategy, cl, s.kind, s.count,
                                        dtype, s.root);
       MCCS_CHECK(plan != nullptr, "plan build failed");
     }
     const double cold_ns = seconds_since(t0) * 1e9 / kColdIters;
 
     svc::CollPlanCache cache;
-    (void)cache.acquire(0, true, setup, strategy, cl, s.kind, s.count, dtype,
+    (void)cache.acquire(true, setup, strategy, cl, s.kind, s.count, dtype,
                         s.root);  // prime
     t0 = Clock::now();
     for (int i = 0; i < kWarmIters; ++i) {
-      auto plan = cache.acquire(0, true, setup, strategy, cl, s.kind, s.count,
+      auto plan = cache.acquire(true, setup, strategy, cl, s.kind, s.count,
                                 dtype, s.root);
       MCCS_CHECK(plan != nullptr, "plan acquire failed");
     }
@@ -102,7 +104,7 @@ void bench_plans(std::FILE* json) {
                  "{\"bench\":\"micro_datapath\",\"section\":\"plan\","
                  "\"kind\":\"%s\",\"count\":%zu,\"channels\":%d,"
                  "\"cold_ns\":%.1f,\"warm_ns\":%.1f,\"speedup\":%.3f}\n",
-                 name.c_str(), s.count, strategy.num_channels(), cold_ns,
+                 name.c_str(), s.count, strategy->num_channels(), cold_ns,
                  warm_ns, speedup);
   }
 }

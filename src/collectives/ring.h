@@ -160,9 +160,6 @@ inline double allgather_edge_volume(int n, Bytes total_output_bytes) {
   MCCS_EXPECTS(n >= 2);
   return static_cast<double>(n - 1) / n * static_cast<double>(total_output_bytes);
 }
-inline double reducescatter_edge_volume(int n, Bytes total_input_bytes) {
-  return allgather_edge_volume(n, total_input_bytes);
-}
 inline double broadcast_edge_volume(int /*n*/, Bytes total_bytes) {
   return static_cast<double>(total_bytes);
 }

@@ -50,17 +50,6 @@ PlanByteRange chunk_byte_range(coll::CollectiveKind kind, std::size_t count,
 
 }  // namespace
 
-PlanKey make_plan_key(const CommStrategy& strategy, coll::CollectiveKind kind,
-                      std::size_t count, coll::DataType dtype, int root) {
-  return PlanKey{kind,
-                 count,
-                 dtype,
-                 root,
-                 strategy.num_channels(),
-                 strategy.algorithm,
-                 strategy.tree_pipeline_chunks};
-}
-
 std::shared_ptr<const CollPlan> build_coll_plan(
     const CommSetup& setup, const CommStrategy& strategy,
     const cluster::Cluster& cluster, coll::CollectiveKind kind,
@@ -146,16 +135,16 @@ std::shared_ptr<const CollPlan> build_coll_plan(
 }
 
 std::shared_ptr<const CollPlan> CollPlanCache::acquire(
-    std::uint64_t epoch, bool enabled, const CommSetup& setup,
-    const CommStrategy& strategy, const cluster::Cluster& cluster,
-    coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,
-    int root) {
-  if (epoch != epoch_) {
+    bool enabled, const CommSetup& setup,
+    const std::shared_ptr<const CommStrategy>& strategy,
+    const cluster::Cluster& cluster, coll::CollectiveKind kind,
+    std::size_t count, coll::DataType dtype, int root) {
+  if (strategy != strategy_) {
     if (!plans_.empty()) invalidations().increment();
     plans_.clear();
-    epoch_ = epoch;
+    strategy_ = strategy;
   }
-  const PlanKey key = make_plan_key(strategy, kind, count, dtype, root);
+  const PlanKey key{kind, count, dtype, root};
   if (enabled) {
     auto it = plans_.find(key);
     if (it != plans_.end()) {
@@ -164,15 +153,17 @@ std::shared_ptr<const CollPlan> CollPlanCache::acquire(
     }
   }
   misses().increment();
-  auto plan = build_coll_plan(setup, strategy, cluster, kind, count, dtype, root);
+  auto plan = build_coll_plan(setup, *strategy, cluster, kind, count, dtype, root);
   if (enabled) plans_.emplace(key, plan);
   return plan;
 }
 
 std::shared_ptr<const CollPlan> CollPlanCache::peek(
-    const CommStrategy& strategy, coll::CollectiveKind kind, std::size_t count,
-    coll::DataType dtype, int root) const {
-  auto it = plans_.find(make_plan_key(strategy, kind, count, dtype, root));
+    const std::shared_ptr<const CommStrategy>& strategy,
+    coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,
+    int root) const {
+  if (strategy != strategy_) return nullptr;
+  auto it = plans_.find(PlanKey{kind, count, dtype, root});
   return it == plans_.end() ? nullptr : it->second;
 }
 

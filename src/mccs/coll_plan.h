@@ -12,13 +12,13 @@
 // arrival bitmaps referencing the shared plan (the GC3/HiCCL
 // plan-once/execute-many structure, arXiv:2201.11840 / 2408.05962).
 //
-// Invalidation contract: plans are valid for exactly one connection *epoch*.
-// The Fig.-4 reconfiguration barrier bumps the epoch when it tears down peer
-// connections (begin_update; also the unsafe ablation path), which is also
-// the only moment the strategy — and therefore any plan content — can
-// change. CollPlanCache compares its epoch against the communicator's on
-// every acquire and drops all entries on mismatch, so a stale plan can never
-// outlive the configuration it was compiled for.
+// Invalidation contract: a cache holds the plans of one strategy object.
+// Each provider decision is one immutable CommStrategy shared by every rank,
+// and a rank's strategy changes only when the Fig.-4 barrier finishes its
+// connection update (or the unsafe ablation swaps it). CollPlanCache keeps
+// the strategy its plans were compiled from and drops every entry when
+// handed another, so a stale plan can never outlive the configuration it was
+// compiled for.
 //
 // Deliberately NOT part of a plan (looked up live per send instead): the
 // explicit route table and the connection ECMP key. Both are cheap, and the
@@ -110,30 +110,18 @@ struct CollPlan {
   friend bool operator==(const CollPlan&, const CollPlan&) = default;
 };
 
-/// Cache key. `root` only matters for rooted collectives but is always part
-/// of the key (callers pass 0 otherwise); the reduction op never is — it
-/// affects the arithmetic applied to delivered bytes, not the plan. The
-/// strategy's `algorithm` and `tree_pipeline_chunks` ARE part of the key:
-/// plans are compiled from the strategy, and an epoch alone does not
-/// distinguish two strategies that produce different schedules for the same
-/// shape. A shape-only key turned a same-epoch algorithm swap into silent
-/// execution of the old algorithm's cached plan (the stale-plan hazard
-/// test_plan_cache.cpp regresses).
+/// Cache key within one strategy. `root` only matters for rooted collectives
+/// but is always part of the key (callers pass 0 otherwise); the reduction
+/// op never is — it affects the arithmetic applied to delivered bytes, not
+/// the plan.
 struct PlanKey {
   coll::CollectiveKind kind = coll::CollectiveKind::kAllReduce;
   std::size_t count = 0;
   coll::DataType dtype = coll::DataType::kFloat32;
   int root = 0;
-  int num_channels = 0;
-  coll::Algorithm algorithm = coll::Algorithm::kRing;
-  std::size_t tree_pipeline_chunks = 0;
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
-
-/// The cache key a strategy produces for one collective shape.
-PlanKey make_plan_key(const CommStrategy& strategy, coll::CollectiveKind kind,
-                      std::size_t count, coll::DataType dtype, int root);
 
 struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const {
@@ -145,9 +133,6 @@ struct PlanKeyHash {
     mix(k.count);
     mix(static_cast<std::uint64_t>(k.dtype));
     mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.root)));
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.num_channels)));
-    mix(static_cast<std::uint64_t>(k.algorithm));
-    mix(k.tree_pipeline_chunks);
     return static_cast<std::size_t>(h);
   }
 };
@@ -160,7 +145,7 @@ std::shared_ptr<const CollPlan> build_coll_plan(
     const cluster::Cluster& cluster, coll::CollectiveKind kind,
     std::size_t count, coll::DataType dtype, int root);
 
-/// Per-communicator-rank plan cache, keyed by the connection epoch.
+/// Per-communicator-rank plan cache for the rank's current strategy.
 class CollPlanCache {
  public:
   /// Counter snapshot. Backed by the fabric's MetricsRegistry once
@@ -170,7 +155,7 @@ class CollPlanCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;          ///< plan built (cache disabled or absent)
-    std::uint64_t invalidations = 0;   ///< epoch flushes that dropped entries
+    std::uint64_t invalidations = 0;   ///< strategy changes that dropped entries
   };
 
   /// Redirect the cache's counters to registry-interned instruments. Must be
@@ -183,29 +168,25 @@ class CollPlanCache {
   }
 
   /// Return the plan for the given shape, building (and, if `enabled`,
-  /// retaining) it on a miss. An `epoch` different from the cache's drops
-  /// every entry first — see the invalidation contract above.
-  std::shared_ptr<const CollPlan> acquire(std::uint64_t epoch, bool enabled,
-                                          const CommSetup& setup,
-                                          const CommStrategy& strategy,
-                                          const cluster::Cluster& cluster,
-                                          coll::CollectiveKind kind,
-                                          std::size_t count,
-                                          coll::DataType dtype, int root);
+  /// retaining) it on a miss. A strategy other than the cache's drops every
+  /// entry first — see the invalidation contract above.
+  std::shared_ptr<const CollPlan> acquire(
+      bool enabled, const CommSetup& setup,
+      const std::shared_ptr<const CommStrategy>& strategy,
+      const cluster::Cluster& cluster, coll::CollectiveKind kind,
+      std::size_t count, coll::DataType dtype, int root);
 
   /// The cached plan for a shape under `strategy`, or nullptr (never
-  /// builds). Test hook. Keyed through make_plan_key, so a strategy whose
-  /// algorithm or tree pipeline chunks differ from the cached plan's sees
-  /// nullptr, not the other strategy's plan.
+  /// builds). Test hook. Another strategy's plans are never returned.
   [[nodiscard]] std::shared_ptr<const CollPlan> peek(
-      const CommStrategy& strategy, coll::CollectiveKind kind,
-      std::size_t count, coll::DataType dtype, int root) const;
+      const std::shared_ptr<const CommStrategy>& strategy,
+      coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,
+      int root) const;
 
   [[nodiscard]] Stats stats() const {
     return Stats{hits().value(), misses().value(), invalidations().value()};
   }
   [[nodiscard]] std::size_t size() const { return plans_.size(); }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
  private:
   // Null registry pointers fall back to the owned counters — by accessor,
@@ -220,7 +201,9 @@ class CollPlanCache {
     return invalidations_ != nullptr ? *invalidations_ : own_invalidations_;
   }
 
-  std::uint64_t epoch_ = 0;
+  /// Held, not observed: while the cache keeps it alive, no later strategy
+  /// can reuse its address.
+  std::shared_ptr<const CommStrategy> strategy_;
   std::unordered_map<PlanKey, std::shared_ptr<const CollPlan>, PlanKeyHash>
       plans_;
   mutable telemetry::Counter own_hits_, own_misses_, own_invalidations_;

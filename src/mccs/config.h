@@ -53,7 +53,7 @@ struct ServiceConfig {
 
   /// Cache compiled collective plans per (comm, kind, count, dtype, root)
   /// across launches (host-side fast path; see mccs/coll_plan.h). Plans are
-  /// invalidated on every reconfiguration epoch. Affects host CPU time only,
+  /// dropped whenever the rank's strategy changes. Affects host CPU time only,
   /// never simulated timing; `false` rebuilds every plan from scratch (the
   /// cold path bench/micro_datapath measures against).
   bool enable_plan_cache = true;

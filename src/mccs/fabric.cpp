@@ -424,17 +424,8 @@ std::string Fabric::telemetry_snapshot() {
 }
 
 std::vector<TraceRecord> Fabric::trace(AppId app) const {
-  std::vector<TraceRecord> out;
-  for (const auto& svc : services_) {
-    for (const TraceRecord& r : svc->collect_trace()) {
-      if (r.app == app) out.push_back(r);
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const TraceRecord& a, const TraceRecord& b) {
-    if (a.comm != b.comm) return a.comm < b.comm;
-    if (a.seq != b.seq) return a.seq < b.seq;
-    return a.rank < b.rank;
-  });
+  std::vector<TraceRecord> out = trace_all();
+  std::erase_if(out, [app](const TraceRecord& r) { return r.app != app; });
   return out;
 }
 

@@ -127,7 +127,8 @@ class Fabric {
   void set_traffic_schedule(AppId app, const TrafficSchedule& schedule);
   void clear_traffic_schedule(AppId app);
 
-  /// All collective trace records of one application, cluster-wide.
+  /// All collective trace records of one application, cluster-wide:
+  /// trace_all() filtered to `app`.
   [[nodiscard]] std::vector<TraceRecord> trace(AppId app) const;
 
   /// Every collective trace record in the cluster (all applications), sorted

@@ -40,59 +40,20 @@ bool FrontendEngine::validate(gpu::DevicePtr ptr, Bytes len) const {
 }
 
 void FrontendEngine::handle_collective(CommId comm, GpuId gpu,
-                                       WorkRequest request, int nranks) {
+                                       WorkRequest request) {
   const CollectiveArgs& args = request.args;
-  const Bytes esize = coll::dtype_size(args.dtype);
-  const Bytes count = args.count;
-  const Bytes nb = static_cast<Bytes>(nranks);
-
-  Bytes send_len = 0;
-  Bytes recv_len = 0;
-  switch (args.kind) {
-    case coll::CollectiveKind::kAllReduce:
-      send_len = count * esize;
-      recv_len = count * esize;
-      break;
-    case coll::CollectiveKind::kAllGather:
-      send_len = count * esize;
-      recv_len = count * nb * esize;
-      break;
-    case coll::CollectiveKind::kReduceScatter:
-      send_len = count * nb * esize;
-      recv_len = count * esize;
-      break;
-    case coll::CollectiveKind::kBroadcast:
-      send_len = count * esize;
-      recv_len = count * esize;
-      break;
-    case coll::CollectiveKind::kReduce:
-      send_len = count * esize;
-      recv_len = count * esize;  // only read at the root, validated anyway
-      break;
-    case coll::CollectiveKind::kAllToAll:
-      send_len = count * nb * esize;
-      recv_len = count * nb * esize;
-      break;
-    case coll::CollectiveKind::kGather:
-      // recv only matters at the root; the service bounds-checks the root's
-      // larger access at apply time.
-      send_len = count * esize;
-      recv_len = count * esize;
-      break;
-    case coll::CollectiveKind::kScatter:
-      send_len = count * esize;  // full size only read at the root
-      recv_len = count * esize;
-      break;
-  }
-
-  MCCS_CHECK(validate(args.recv, recv_len),
+  // The shim is the tenant's own library, so nothing it sends is trusted:
+  // the rank and size come from the proxy, and the rank must be this app's.
+  ProxyEngine& proxy = ctx_->proxy_for(gpu);
+  const CommSetup* setup = proxy.installed_rank(comm);
+  if (setup == nullptr) return;
+  MCCS_CHECK(setup->app == app_,
+             "collective on another application's communicator");
+  const RankBuffers buffers = rank_buffers(args, setup->nranks, setup->rank);
+  MCCS_CHECK(buffers.recv == 0 || validate(args.recv, buffers.recv),
              "collective recv buffer is not a valid tenant allocation");
-  // Broadcast's send buffer is only read at the root; non-roots typically
-  // alias it to recv, which the recv check already covered.
-  if (args.kind != coll::CollectiveKind::kBroadcast || !(args.send == args.recv)) {
-    MCCS_CHECK(validate(args.send, send_len),
-               "collective send buffer is not a valid tenant allocation");
-  }
+  MCCS_CHECK(buffers.send == 0 || validate(args.send, buffers.send),
+             "collective send buffer is not a valid tenant allocation");
 
   if (ctx_->telemetry != nullptr && ctx_->telemetry->enabled()) {
     // Validation + the engine hop to the proxy, as a frontend-layer span.
@@ -106,10 +67,9 @@ void FrontendEngine::handle_collective(CommId comm, GpuId gpu,
             now + ctx_->config.engine_hop_latency,
             {{"comm", static_cast<std::int64_t>(comm.get())},
              {"gpu", static_cast<std::int64_t>(gpu.get())},
-             {"bytes", static_cast<std::uint64_t>(send_len)}});
+             {"bytes", static_cast<std::uint64_t>(buffers.send)}});
   }
 
-  ProxyEngine& proxy = ctx_->proxy_for(gpu);
   ctx_->loop->schedule_after(
       ctx_->config.engine_hop_latency,
       [&proxy, comm, request = std::move(request)]() mutable {
@@ -148,7 +108,7 @@ void FrontendEngine::consume(ShimCommand command) {
       [this](auto&& cmd) {
         using T = std::decay_t<decltype(cmd)>;
         if constexpr (std::is_same_v<T, CollectiveCommand>) {
-          handle_collective(cmd.comm, cmd.gpu, std::move(cmd.request), cmd.nranks);
+          handle_collective(cmd.comm, cmd.gpu, std::move(cmd.request));
         } else {
           handle_p2p(cmd.comm, cmd.gpu, std::move(cmd.request));
         }

@@ -23,7 +23,6 @@ namespace mccs::svc {
 struct CollectiveCommand {
   CommId comm;
   GpuId gpu;
-  int nranks = 0;
   WorkRequest request;
 };
 struct P2pCommand {
@@ -55,9 +54,10 @@ class FrontendEngine {
   /// frontend made for this app, and [offset, offset+len) must be in range.
   [[nodiscard]] bool validate(gpu::DevicePtr ptr, Bytes len) const;
 
-  /// Validate the request's buffers and hand it to the GPU's proxy engine
-  /// (after the engine-hop latency).
-  void handle_collective(CommId comm, GpuId gpu, WorkRequest request, int nranks);
+  /// Validate the extents rank_buffers gives for the rank `gpu`'s proxy has
+  /// installed, and hand the request to that proxy (after the engine-hop
+  /// latency). A command for a communicator killed meanwhile is dropped.
+  void handle_collective(CommId comm, GpuId gpu, WorkRequest request);
 
   /// Validate and forward a point-to-point operation.
   void handle_p2p(CommId comm, GpuId gpu, P2pRequest request);

@@ -48,6 +48,14 @@ ProxyEngine::CommRank* ProxyEngine::find_comm(CommId comm) {
   return nullptr;
 }
 
+const CommSetup* ProxyEngine::installed_rank(CommId comm) const {
+  auto it = comms_.find(comm.get());
+  if (it != comms_.end()) return &it->second.setup;
+  MCCS_CHECK(aborted_.count(comm.get()) > 0,
+             "communicator has no rank on this GPU");
+  return nullptr;
+}
+
 ProxyEngine::CommRank* ProxyEngine::find_reconfiguring_comm(CommId comm) {
   if (destroyed_.count(comm.get()) > 0) return nullptr;
   return find_comm(comm);
@@ -175,7 +183,7 @@ std::shared_ptr<const CollPlan> ProxyEngine::cached_plan(
     CommId comm, coll::CollectiveKind kind, std::size_t count,
     coll::DataType dtype, int root) const {
   const CommRank& st = comm_state(comm);
-  return st.plan_cache.peek(*st.strategy, kind, count, dtype, root);
+  return st.plan_cache.peek(st.strategy, kind, count, dtype, root);
 }
 
 // --- issue / launch -----------------------------------------------------------
@@ -262,117 +270,23 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
 
   const CollectiveArgs& args = a.req.args;
   const int n = st.setup.nranks;
-  const int rank = st.setup.rank;
-  const std::size_t esize = coll::dtype_size(args.dtype);
-  gpu::GpuRuntime& gpus = *ctx_->gpus;
-  gpu::Gpu& dev = gpus.gpu(gpu_);
+  gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
 
-  // Prepare the logical work buffer.
-  const bool move_data = ctx_->config.move_data;
-  switch (args.kind) {
-    case coll::CollectiveKind::kAllReduce: {
-      a.workbuf = args.recv;
-      if (move_data && !(args.send == args.recv)) {
-        auto src = dev.bytes(args.send, args.count * esize);
-        auto dst = dev.bytes(args.recv, args.count * esize);
-        std::memcpy(dst.data(), src.data(), src.size());
-      }
-      break;
-    }
-    case coll::CollectiveKind::kAllGather: {
-      a.workbuf = args.recv;
-      if (move_data) {
-        auto src = dev.bytes(args.send, args.count * esize);
-        auto dst = dev.bytes(
-            args.recv.at_offset(static_cast<Bytes>(rank) * args.count * esize),
-            args.count * esize);
-        std::memcpy(dst.data(), src.data(), src.size());
-      }
-      break;
-    }
-    case coll::CollectiveKind::kReduceScatter: {
-      const Bytes total = static_cast<Bytes>(args.count) * static_cast<Bytes>(n) * esize;
-      a.scratch = dev.allocate(total);
-      a.workbuf = a.scratch;
-      if (move_data) {
-        auto src = dev.bytes(args.send, total);
-        auto dst = dev.bytes(a.scratch, total);
-        std::memcpy(dst.data(), src.data(), src.size());
-      }
-      break;
-    }
-    case coll::CollectiveKind::kBroadcast: {
-      a.workbuf = args.recv;
-      if (move_data && rank == args.root && !(args.send == args.recv)) {
-        auto src = dev.bytes(args.send, args.count * esize);
-        auto dst = dev.bytes(args.recv, args.count * esize);
-        std::memcpy(dst.data(), src.data(), src.size());
-      }
-      break;
-    }
-    case coll::CollectiveKind::kReduce: {
-      // The root accumulates in its recv buffer; everyone else accumulates
-      // in a private copy of its input (the user's send buffer must stay
-      // intact while partial sums flow through).
-      if (rank == args.root) {
-        a.workbuf = args.recv;
-        if (move_data && !(args.send == args.recv)) {
-          auto src = dev.bytes(args.send, args.count * esize);
-          auto dst = dev.bytes(args.recv, args.count * esize);
-          std::memcpy(dst.data(), src.data(), src.size());
-        }
-      } else {
-        a.scratch = dev.allocate(args.count * esize);
-        a.workbuf = a.scratch;
-        if (move_data) {
-          auto src = dev.bytes(args.send, args.count * esize);
-          auto dst = dev.bytes(a.scratch, args.count * esize);
-          std::memcpy(dst.data(), src.data(), src.size());
-        }
-      }
-      break;
-    }
-    case coll::CollectiveKind::kAllToAll: {
-      // Results land in recv blocks; outgoing transfers read the (untouched)
-      // send buffer. The rank's own block moves locally.
-      a.workbuf = args.recv;
-      a.read_buf = args.send;
-      if (move_data) {
-        const Bytes block = args.count * esize;
-        auto src = dev.bytes(
-            args.send.at_offset(static_cast<Bytes>(rank) * block), block);
-        auto dst = dev.bytes(
-            args.recv.at_offset(static_cast<Bytes>(rank) * block), block);
-        std::memcpy(dst.data(), src.data(), src.size());
-      }
-      break;
-    }
-    case coll::CollectiveKind::kGather: {
-      a.workbuf = args.recv;
-      a.read_buf = args.send;
-      if (move_data && rank == args.root) {
-        const Bytes block = args.count * esize;
-        auto src = dev.bytes(args.send, block);
-        auto dst = dev.bytes(
-            args.recv.at_offset(static_cast<Bytes>(rank) * block), block);
-        std::memcpy(dst.data(), src.data(), src.size());
-      }
-      break;
-    }
-    case coll::CollectiveKind::kScatter: {
-      a.workbuf = args.recv;
-      a.read_buf = args.send;
-      if (move_data && rank == args.root) {
-        const Bytes block = args.count * esize;
-        auto src = dev.bytes(
-            args.send.at_offset(static_cast<Bytes>(rank) * block), block);
-        auto dst = dev.bytes(args.recv, block);
-        std::memcpy(dst.data(), src.data(), src.size());
-      }
-      break;
-    }
+  // Stage the buffers exactly as the frontend validated them.
+  const RankBuffers buffers = rank_buffers(args, n, st.setup.rank);
+  if (buffers.scratch > 0) a.scratch = dev.allocate(buffers.scratch);
+  const gpu::DevicePtr by_role[] = {args.send, args.recv, a.scratch};
+  const auto buffer = [&by_role](RankBuffer b) {
+    return by_role[static_cast<std::size_t>(b)];
+  };
+  a.workbuf = buffer(buffers.work);
+  a.read_buf = buffer(buffers.read);
+  if (ctx_->config.move_data && buffers.copy.len > 0) {
+    const Bytes len = buffers.copy.len;
+    auto src = dev.bytes(args.send.at_offset(buffers.copy.from), len);
+    auto dst = dev.bytes(buffer(buffers.copy.into).at_offset(buffers.copy.to), len);
+    std::memcpy(dst.data(), src.data(), src.size());
   }
-  if (!a.read_buf.valid()) a.read_buf = a.workbuf;
 
   if (n == 1) {
     // Single-participant communicator: the local copy is the collective.
@@ -387,9 +301,9 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
 
   // Attach the (cached) collective plan and reset pooled per-channel cursor
   // state — on a warm cache this allocates nothing.
-  a.plan = st.plan_cache.acquire(st.epoch, ctx_->config.enable_plan_cache,
-                                 st.setup, *st.strategy, *ctx_->cluster,
-                                 args.kind, args.count, args.dtype, args.root);
+  a.plan = st.plan_cache.acquire(ctx_->config.enable_plan_cache, st.setup,
+                                 st.strategy, *ctx_->cluster, args.kind,
+                                 args.count, args.dtype, args.root);
   const int num_channels = static_cast<int>(a.plan->channels.size());
   if (!st.exec_pool.empty()) {
     a.channels = std::move(st.exec_pool.back());
@@ -580,21 +494,17 @@ void ProxyEngine::apply_delivery(CommRank& st, ActiveColl& a, const Delivery& d)
 void ProxyEngine::finish_channel(CommRank& st, ActiveColl& a, ChannelExec& ch) {
   MCCS_CHECK(!ch.finished, "channel finished twice");
   ch.finished = true;
-  const CollectiveArgs& args = a.req.args;
-
-  if (args.kind == coll::CollectiveKind::kReduceScatter) {
-    // Copy this rank's fully-reduced chunk (this channel's stripe) from the
-    // scratch buffer to the user's recv buffer; ranges are precomputed (and
-    // ownership asserted) at plan-build time.
-    const CollPlan::Channel& pc =
-        a.plan->channels[static_cast<std::size_t>(ch.channel)];
-    if (ctx_->config.move_data && pc.rs_src.len > 0) {
-      auto src = ctx_->gpus->gpu(gpu_).bytes(a.scratch.at_offset(pc.rs_src.offset),
-                                             pc.rs_src.len);
-      auto dst = ctx_->gpus->gpu(gpu_).bytes(
-          args.recv.at_offset(pc.rs_dst.offset), pc.rs_dst.len);
-      std::memcpy(dst.data(), src.data(), src.size());
-    }
+  // ReduceScatter: this rank's fully reduced stripe moves from the work
+  // buffer to the user's recv buffer; the plan holds both ranges, and they
+  // are empty for every other kind.
+  const CollPlan::Channel& pc =
+      a.plan->channels[static_cast<std::size_t>(ch.channel)];
+  if (ctx_->config.move_data && pc.rs_src.len > 0) {
+    gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
+    auto src = dev.bytes(a.workbuf.at_offset(pc.rs_src.offset), pc.rs_src.len);
+    auto dst = dev.bytes(a.req.args.recv.at_offset(pc.rs_dst.offset),
+                         pc.rs_dst.len);
+    std::memcpy(dst.data(), src.data(), src.size());
   }
 
   if (--a.channels_remaining == 0) complete_collective(st, a.seq);

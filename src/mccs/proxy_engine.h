@@ -106,6 +106,10 @@ class ProxyEngine {
   [[nodiscard]] bool has_communicator(CommId comm) const {
     return comms_.count(comm.get()) > 0;
   }
+  /// This GPU's installed rank of `comm`, the one issue_collective runs:
+  /// null once a tenant kill tore it down. A communicator with no rank here
+  /// (never had one, or destroyed it) is a contract violation.
+  [[nodiscard]] const CommSetup* installed_rank(CommId comm) const;
   /// The installed strategy. The object lives until a later reconfiguration
   /// replaces it on every rank, or the communicator goes away.
   [[nodiscard]] const CommStrategy& strategy(CommId comm) const;
@@ -198,10 +202,10 @@ class ProxyEngine {
   struct ActiveColl {
     std::uint64_t seq = 0;
     WorkRequest req;
-    gpu::DevicePtr workbuf;      ///< write side (results land here)
-    gpu::DevicePtr read_buf;     ///< read side for outgoing transfers
-                                 ///< (== workbuf except AllToAll)
-    gpu::DevicePtr scratch;  ///< ReduceScatter / Reduce working copy
+    // The buffers rank_buffers names for this rank.
+    gpu::DevicePtr workbuf;   ///< write side (results land here)
+    gpu::DevicePtr read_buf;  ///< read side for outgoing transfers
+    gpu::DevicePtr scratch;   ///< ReduceScatter / Reduce working copy
     bool executing = false;
     std::shared_ptr<const CollPlan> plan;  ///< launch-invariant structure
     std::vector<ChannelExec> channels;
@@ -268,7 +272,7 @@ class ProxyEngine {
     std::unordered_map<std::uint64_t, ActiveColl> active;
     std::deque<HeldLaunch> held;
     std::unordered_map<std::uint64_t, std::vector<Delivery>> pending_deliveries;
-    CollPlanCache plan_cache;  ///< epoch-keyed (see coll_plan.h)
+    CollPlanCache plan_cache;  ///< plans of `strategy` (see coll_plan.h)
     /// Retired channel-exec vectors, reused to make warm launches
     /// allocation-free.
     std::vector<std::vector<ChannelExec>> exec_pool;

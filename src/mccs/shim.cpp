@@ -1,5 +1,7 @@
 #include "mccs/shim.h"
 
+#include <algorithm>
+
 #include "mccs/fabric.h"
 #include "mccs/service.h"
 
@@ -35,21 +37,32 @@ void Shim::comm_init_rank(UniqueId uid, int nranks, int rank,
 }
 
 void Shim::comm_destroy(CommId comm) {
+  // Checked against this GPU's installed rank, not the registry: the first
+  // rank to leave unregisters the communicator, and the rest must still be
+  // able to leave. A communicator the provider killed is dropped.
+  const CommSetup* setup = service_->proxy(gpu_).installed_rank(comm);
+  if (setup == nullptr) return;
+  MCCS_CHECK(setup->app == app_, "communicator of another application");
   Fabric& fabric = service_->fabric();
   ctx_->loop->schedule_after(
       ctx_->config.shim_to_service_latency,
       [&fabric, comm, gpu = gpu_] { fabric.destroy_rank(comm, gpu); });
 }
 
+const CommInfo* Shim::own_comm(CommId comm) const {
+  const CommInfo* info = service_->fabric().find_comm_info(comm);
+  if (info == nullptr) return nullptr;
+  MCCS_CHECK(info->app == app_, "communicator of another application");
+  MCCS_CHECK(std::find(info->gpus.begin(), info->gpus.end(), gpu_) !=
+                 info->gpus.end(),
+             "communicator has no rank on this GPU");
+  return info;
+}
+
 void Shim::collective(CommId comm, CollectiveArgs args, gpu::Stream& app_stream,
                       CompletionCallback on_complete) {
   MCCS_EXPECTS(app_stream.device() == gpu_);
-  // A tenant races its own teardown: an issue that arrives after the
-  // provider killed the communicator is dropped — the callback never fires,
-  // matching the fate of collectives that were in flight at the kill. The
-  // app stream is left untouched so surviving work on it proceeds.
-  const CommInfo* info = service_->fabric().find_comm_info(comm);
-  if (info == nullptr) return;
+  if (own_comm(comm) == nullptr) return;
   gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
 
   // Dependency capture (§4.1): the collective must wait for compute already
@@ -66,7 +79,6 @@ void Shim::collective(CommId comm, CollectiveArgs args, gpu::Stream& app_stream,
   CollectiveCommand cmd;
   cmd.comm = comm;
   cmd.gpu = gpu_;
-  cmd.nranks = info->nranks;
   cmd.request = std::move(req);
   service_->frontend(app_).command_queue(gpu_).push(std::move(cmd));
 }
@@ -179,34 +191,30 @@ void Shim::scatter(CommId comm, gpu::DevicePtr send, gpu::DevicePtr recv,
 void Shim::send(CommId comm, int peer, gpu::DevicePtr buffer, std::size_t count,
                 coll::DataType dtype, gpu::Stream& stream,
                 CompletionCallback on_complete) {
-  MCCS_EXPECTS(stream.device() == gpu_);
-  gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
-  P2pRequest req;
-  req.peer = peer;
-  req.is_send = true;
-  req.buffer = buffer;
-  req.count = count;
-  req.dtype = dtype;
-  req.ready_event = dev.create_event();
-  req.done_event = dev.create_event();
-  req.on_complete = std::move(on_complete);
-  stream.record_event(req.ready_event);
-  stream.wait_event(req.done_event);
-  P2pCommand cmd;
-  cmd.comm = comm;
-  cmd.gpu = gpu_;
-  cmd.request = std::move(req);
-  service_->frontend(app_).command_queue(gpu_).push(std::move(cmd));
+  p2p(comm, peer, true, buffer, count, dtype, stream, std::move(on_complete));
 }
 
 void Shim::recv(CommId comm, int peer, gpu::DevicePtr buffer, std::size_t count,
                 coll::DataType dtype, gpu::Stream& stream,
                 CompletionCallback on_complete) {
+  p2p(comm, peer, false, buffer, count, dtype, stream, std::move(on_complete));
+}
+
+void Shim::p2p(CommId comm, int peer, bool is_send, gpu::DevicePtr buffer,
+               std::size_t count, coll::DataType dtype, gpu::Stream& stream,
+               CompletionCallback on_complete) {
   MCCS_EXPECTS(stream.device() == gpu_);
+  const CommInfo* info = own_comm(comm);
+  if (info == nullptr) return;
+  // A GPU holds at most one rank of a communicator, so a peer on this GPU is
+  // the caller itself.
+  MCCS_CHECK(peer >= 0 && peer < info->nranks &&
+                 info->gpus[static_cast<std::size_t>(peer)] != gpu_,
+             "P2P peer is not another rank of the communicator");
   gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
   P2pRequest req;
   req.peer = peer;
-  req.is_send = false;
+  req.is_send = is_send;
   req.buffer = buffer;
   req.count = count;
   req.dtype = dtype;

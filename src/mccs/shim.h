@@ -21,6 +21,7 @@
 namespace mccs::svc {
 
 class Service;
+struct CommInfo;
 
 class Shim {
  public:
@@ -46,10 +47,18 @@ class Shim {
   void comm_init_rank(UniqueId uid, int nranks, int rank,
                       std::function<void(CommId)> on_ready);
   /// Leave a communicator (Fabric::destroy_rank, after the IPC hop). The
-  /// first rank to leave removes it from the provider's registry.
+  /// first rank to leave removes it from the provider's registry. Throws
+  /// ContractViolation at the call when this GPU holds no rank of `comm`
+  /// or the rank is another application's.
   void comm_destroy(CommId comm);
 
   // --- collectives ---------------------------------------------------------------
+  // A collective or P2P call on a communicator the provider killed is
+  // dropped: its callback never fires, like the work in flight at the kill,
+  // and the app stream is left untouched. A communicator that is unknown,
+  // another application's, or has no rank on this GPU throws
+  // ContractViolation at the call, with nothing enqueued.
+
   /// Generic entry point; the named wrappers below are the public API.
   void collective(CommId comm, CollectiveArgs args, gpu::Stream& app_stream,
                   CompletionCallback on_complete = {});
@@ -93,6 +102,14 @@ class Shim {
             CompletionCallback on_complete = {});
 
  private:
+  /// The registry entry of `comm` after the call-site checks above; null
+  /// when the provider killed it.
+  const CommInfo* own_comm(CommId comm) const;
+  /// send and recv; `peer` must be another rank of the communicator.
+  void p2p(CommId comm, int peer, bool is_send, gpu::DevicePtr buffer,
+           std::size_t count, coll::DataType dtype, gpu::Stream& stream,
+           CompletionCallback on_complete);
+
   ServiceContext* ctx_;
   Service* service_;
   AppId app_;

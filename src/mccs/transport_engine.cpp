@@ -281,14 +281,6 @@ std::size_t TransportEngine::abort_app(AppId app) {
   return dropped;
 }
 
-std::size_t TransportEngine::inflight_count(AppId app) const {
-  std::size_t n = 0;
-  for (const auto& [sid, s] : inflight_) {
-    if (s.transfer.app == app) ++n;
-  }
-  return n;
-}
-
 void TransportEngine::set_schedule(AppId app, TrafficSchedule schedule) {
   AppGate& gate = gates_[app.get()];
   gate.schedule = std::move(schedule);

@@ -84,9 +84,6 @@ class TransportEngine {
   /// run. Returns the number of sends dropped.
   std::size_t abort_app(AppId app);
 
-  /// In-flight (posted, not yet delivered) sends of one app on this engine.
-  [[nodiscard]] std::size_t inflight_count(AppId app) const;
-
   [[nodiscard]] Stats stats() const {
     return Stats{deadline_checks_->value(), retries_->value(),
                  escalations_->value()};

@@ -192,11 +192,6 @@ int Controller::reassign(const svc::CommInfo* extra,
 
 svc::CommStrategy Controller::provide(const svc::CommInfo& info) {
   svc::CommStrategy strategy = ring_strategy(info);
-  if (auto_algorithm_bytes_ > 0) {
-    strategy.algorithm = coll::choose_algorithm(
-        coll::CollectiveKind::kAllReduce, info.nranks, auto_algorithm_bytes_,
-        cost_params());
-  }
   if (flow_policy_ == FlowPolicy::kEcmp) return strategy;
 
   // Place the arrival and reconfigure existing communicators whose

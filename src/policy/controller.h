@@ -92,16 +92,6 @@ class Controller {
   bool swap_algorithm(CommId comm, coll::Algorithm algorithm,
                       std::size_t tree_pipeline_chunks = 0);
 
-  /// Automatic algorithm choice at communicator creation: when set to a
-  /// nonzero typical AllReduce payload, provide() runs the compiler's
-  /// analytic selection (choose_algorithm) for that size over this fabric's
-  /// cost parameters and installs the winner instead of defaulting to ring.
-  /// Off (0) by default — existing harnesses and the paper-figure goldens
-  /// rely on the ring default.
-  void set_auto_algorithm(Bytes typical_message_bytes) {
-    auto_algorithm_bytes_ = typical_message_bytes;
-  }
-
   /// The alpha-beta cost parameters the selection pass uses on this fabric:
   /// alpha from the service's per-step latency constants, beta from the
   /// NIC uplink rate of the cluster's first GPU.
@@ -236,7 +226,6 @@ class Controller {
   std::vector<RecoveryRecord> recovery_log_;
   std::uint64_t stall_reports_ = 0;
 
-  Bytes auto_algorithm_bytes_ = 0;
   std::unique_ptr<IncrementalAssigner> assigner_;  ///< lazily built
   /// Registered link-change consumer (lazily, at the first decision). Acking
   /// what we consumed lets the network trim the change log behind us.

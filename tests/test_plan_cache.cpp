@@ -1,10 +1,11 @@
 // Tests of the collective plan cache (mccs/coll_plan.h): hit/miss
-// accounting, epoch invalidation on reconfiguration, structural equality of
+// accounting, invalidation when the strategy changes, structural equality of
 // cached vs freshly built plans over randomized shapes, and behavioural
 // equivalence (results and virtual time) with the cache disabled.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -128,7 +129,7 @@ TEST_F(PlanCacheFixture, ReconfigurationInvalidatesCachedPlans) {
   fabric.reconfigure(comm, target);
   fabric.loop().run();
 
-  // The flush is lazy (on the first acquire under the new epoch), and the
+  // The flush is lazy (on the first acquire under the new strategy), and the
   // post-reconfig plan must differ structurally: the ring direction reversed.
   fill_ones();
   run_round();
@@ -237,10 +238,10 @@ TEST_F(PlanCacheFixture, AlgorithmSwapUnderLoadThroughTheBarrier) {
 }
 
 TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
-  // Defense-in-depth behind the epoch bump: even within one epoch, a
-  // strategy that differs only in algorithm (or only in tree pipeline
-  // chunks, the other plan-shaping knob) must miss. Before the
-  // algorithm-keyed PlanKey the second acquire returned the ring plan.
+  // A cache holds the plans of the one strategy object it was last handed.
+  // Handed another, here differing from the last only in algorithm and then
+  // only in tree pipeline chunks, it drops them and compiles, so it never
+  // serves the previous strategy's plan; handed the same object, it hits.
   const cluster::Cluster cl = cluster::make_testbed();
   svc::CommSetup setup;
   setup.id = CommId{7};
@@ -258,29 +259,31 @@ TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
 
   svc::CollPlanCache cache;
   const auto kind = CollectiveKind::kAllReduce;
-  const auto ring_plan =
-      cache.acquire(0, true, setup, ring, cl, kind, 1024, DataType::kFloat32, 0);
-  const auto tree_plan =
-      cache.acquire(0, true, setup, tree, cl, kind, 1024, DataType::kFloat32, 0);
-  ASSERT_NE(tree_plan, ring_plan);
-  ASSERT_FALSE(*tree_plan == *ring_plan);
-  const auto fresh =
-      svc::build_coll_plan(setup, tree, cl, kind, 1024, DataType::kFloat32, 0);
-  EXPECT_TRUE(*tree_plan == *fresh);
-
-  // Pipeline granularity is its own part of the key, not the algorithm's.
-  const auto fine_plan = cache.acquire(0, true, setup, tree_fine, cl, kind,
-                                       1024, DataType::kFloat32, 0);
-  ASSERT_NE(fine_plan, tree_plan);
-  EXPECT_FALSE(*fine_plan == *tree_plan);
-
-  // All three entries coexist; re-acquiring each is a hit.
-  EXPECT_EQ(cache.acquire(0, true, setup, ring, cl, kind, 1024,
-                          DataType::kFloat32, 0),
-            ring_plan);
-  EXPECT_EQ(cache.acquire(0, true, setup, tree, cl, kind, 1024,
-                          DataType::kFloat32, 0),
-            tree_plan);
+  std::shared_ptr<const CommStrategy> previous_strategy;
+  std::shared_ptr<const CollPlan> previous;
+  std::uint64_t misses = 0;
+  for (const CommStrategy& s : {ring, tree, tree_fine}) {
+    const auto strategy = std::make_shared<const CommStrategy>(s);
+    const auto plan = cache.acquire(true, setup, strategy, cl, kind, 1024,
+                                    DataType::kFloat32, 0);
+    EXPECT_EQ(cache.stats().misses, ++misses);
+    const auto fresh =
+        svc::build_coll_plan(setup, s, cl, kind, 1024, DataType::kFloat32, 0);
+    EXPECT_TRUE(*plan == *fresh);
+    if (previous != nullptr) {
+      EXPECT_FALSE(*plan == *previous);
+      EXPECT_EQ(cache.peek(previous_strategy, kind, 1024, DataType::kFloat32, 0),
+                nullptr);
+    }
+    EXPECT_EQ(cache.acquire(true, setup, strategy, cl, kind, 1024,
+                            DataType::kFloat32, 0),
+              plan);
+    EXPECT_EQ(cache.peek(strategy, kind, 1024, DataType::kFloat32, 0), plan);
+    previous_strategy = strategy;
+    previous = plan;
+  }
+  EXPECT_EQ(cache.stats().invalidations, 2u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // --- property test: cached plans are structurally identical to fresh builds --
@@ -337,10 +340,11 @@ TEST(PlanCacheProperty, CachedPlanEqualsFreshBuildOverRandomShapes) {
     const int root = static_cast<int>(rng.below(nranks));
 
     svc::CollPlanCache cache;
+    const auto shared = std::make_shared<const CommStrategy>(strategy);
     const auto first =
-        cache.acquire(0, true, setup, strategy, cl, kind, count, dtype, root);
+        cache.acquire(true, setup, shared, cl, kind, count, dtype, root);
     const auto cached =
-        cache.acquire(0, true, setup, strategy, cl, kind, count, dtype, root);
+        cache.acquire(true, setup, shared, cl, kind, count, dtype, root);
     const auto fresh =
         svc::build_coll_plan(setup, strategy, cl, kind, count, dtype, root);
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "helpers.h"
 #include "mccs/fabric.h"
@@ -85,6 +88,110 @@ TEST_F(MisuseFixture, AnotherTenantsBufferIsRejected) {
   shim_b.all_reduce(comm_b, stolen, stolen, 16, coll::DataType::kFloat32,
                     coll::ReduceOp::kSum, stream);
   EXPECT_THROW(fabric.loop().run(), ContractViolation);
+}
+
+TEST_F(MisuseFixture, ForeignCommunicatorIsRejectedAtTheCall) {
+  // App 2's communicator has ranks on GPUs 0 and 2. A collective or destroy
+  // naming it from app 1 (on GPU 0, where app 2 has a rank, or on GPU 4,
+  // where it has none), or from app 2 on GPU 4, throws at that call with
+  // nothing enqueued, so app 2's own AllReduce then sums exactly.
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
+  const CommId comm_b = create_comm(fabric, AppId{2}, gpus);
+  auto ranks_b = make_ranks(fabric, AppId{2}, gpus);
+  const std::size_t count = 64;
+  bool intruder_done = false;
+  for (const auto& [intruder_app, gpu] :
+       {std::pair{AppId{1}, GpuId{0}}, std::pair{AppId{1}, GpuId{4}},
+        std::pair{AppId{2}, GpuId{4}}}) {
+    SCOPED_TRACE(::testing::Message() << "app " << intruder_app.get()
+                                      << " on gpu " << gpu.get());
+    svc::Shim& intruder = fabric.connect(intruder_app, gpu);
+    gpu::DevicePtr own = intruder.alloc(count * sizeof(float));
+    for (float& x : fabric.gpus().typed<float>(own, count)) x = 7.0f;
+    EXPECT_THROW(intruder.all_reduce(comm_b, own, own, count,
+                                     coll::DataType::kFloat32,
+                                     coll::ReduceOp::kSum,
+                                     intruder.create_app_stream(),
+                                     [&intruder_done](Time) {
+                                       intruder_done = true;
+                                     }),
+                 ContractViolation);
+    EXPECT_THROW(intruder.comm_destroy(comm_b), ContractViolation);
+    EXPECT_NO_THROW(fabric.loop().run());
+    for (const float x : fabric.gpus().typed<float>(own, count)) {
+      ASSERT_EQ(x, 7.0f);
+    }
+  }
+  EXPECT_FALSE(intruder_done);
+  EXPECT_EQ(fabric.list_communicators().size(), 1u);
+
+  std::vector<gpu::DevicePtr> buf(gpus.size());
+  int remaining = static_cast<int>(gpus.size());
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    buf[r] = ranks_b[r].shim->alloc(count * sizeof(float));
+    for (float& x : fabric.gpus().typed<float>(buf[r], count)) {
+      x = static_cast<float>(r + 1);
+    }
+    ranks_b[r].shim->all_reduce(comm_b, buf[r], buf[r], count,
+                                coll::DataType::kFloat32, coll::ReduceOp::kSum,
+                                *ranks_b[r].stream,
+                                [&remaining](Time) { --remaining; });
+  }
+  ASSERT_TRUE(test::await(fabric, remaining));
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    for (const float x : fabric.gpus().typed<float>(buf[r], count)) {
+      ASSERT_EQ(x, 3.0f) << "rank " << r;
+    }
+  }
+}
+
+TEST_F(MisuseFixture, P2pIsCheckedAtTheCall) {
+  // A send or recv naming a communicator that never existed, another
+  // application's, or a peer that is not another rank throws at the call;
+  // one on a killed communicator is dropped. None of them reaches the loop.
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
+  const CommId comm = create_comm(fabric, app, gpus);
+  auto ranks = make_ranks(fabric, app, gpus);
+  const std::size_t count = 16;
+  gpu::DevicePtr buf = ranks[0].shim->alloc(count * sizeof(float));
+  const auto send = [&](svc::Shim& shim, CommId c, int peer) {
+    shim.send(c, peer, buf, count, coll::DataType::kFloat32,
+              shim.create_app_stream());
+  };
+  const auto recv = [&](svc::Shim& shim, CommId c, int peer) {
+    shim.recv(c, peer, buf, count, coll::DataType::kFloat32,
+              shim.create_app_stream());
+  };
+  const CommId never{comm.get() + 100};
+  EXPECT_THROW(send(*ranks[0].shim, never, 1), ContractViolation);
+  EXPECT_THROW(recv(*ranks[0].shim, never, 1), ContractViolation);
+  for (const int peer : {-1, 0, 2}) {  // below, the caller itself, beyond
+    SCOPED_TRACE(::testing::Message() << "peer " << peer);
+    EXPECT_THROW(send(*ranks[0].shim, comm, peer), ContractViolation);
+    EXPECT_THROW(recv(*ranks[0].shim, comm, peer), ContractViolation);
+  }
+  svc::Shim& other_app = fabric.connect(AppId{2}, GpuId{0});
+  EXPECT_THROW(send(other_app, comm, 1), ContractViolation);
+  EXPECT_THROW(recv(other_app, comm, 1), ContractViolation);
+  EXPECT_NO_THROW(fabric.loop().run());
+
+  // The communicator still works.
+  gpu::DevicePtr dst = ranks[1].shim->alloc(count * sizeof(float));
+  test::fill_pattern<float>(fabric, buf, count, 0);
+  int remaining = 2;
+  ranks[0].shim->send(comm, 1, buf, count, coll::DataType::kFloat32,
+                      *ranks[0].stream, [&remaining](Time) { --remaining; });
+  ranks[1].shim->recv(comm, 0, dst, count, coll::DataType::kFloat32,
+                      *ranks[1].stream, [&remaining](Time) { --remaining; });
+  ASSERT_TRUE(test::await(fabric, remaining));
+  auto in = fabric.gpus().typed<float>(buf, count);
+  auto out = fabric.gpus().typed<float>(dst, count);
+  for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(out[i], in[i]);
+
+  fabric.kill_app(app);
+  EXPECT_NO_THROW(send(*ranks[0].shim, comm, 1));
+  EXPECT_NO_THROW(recv(*ranks[1].shim, comm, 0));
+  EXPECT_NO_THROW(fabric.loop().run());
 }
 
 TEST_F(MisuseFixture, DoubleFreeThrows) {
