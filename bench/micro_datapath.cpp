@@ -8,7 +8,9 @@
 //             check.sh gate requires warm to be >= 3x faster.
 //  * reduce — GB/s of coll::reduce_bytes (op-specialized restrict-pointer
 //             loops, -O3) vs coll::reduce_bytes_reference (the pinned scalar
-//             oracle). The gate requires >= 2x on kFloat32 sum.
+//             oracle), timed in interleaved rounds; `speedup` is the median
+//             of the per-round ratios. The gate requires >= 2x on kFloat32
+//             sum.
 //  * e2e    — host wall ns per collective launch through the full fabric
 //             (shim -> frontend -> proxy) with the plan cache on vs off,
 //             plus the cache hit rate. Informational: simulated virtual
@@ -27,6 +29,7 @@
 #include "cluster/cluster.h"
 #include "collectives/types.h"
 #include "common.h"
+#include "common/stats.h"
 #include "mccs/coll_plan.h"
 #include "mccs/fabric.h"
 #include "mccs/proxy_engine.h"
@@ -84,7 +87,8 @@ void bench_plans(std::FILE* json) {
     }
     const double cold_ns = seconds_since(t0) * 1e9 / kColdIters;
 
-    svc::CollPlanCache cache;
+    telemetry::Counter hits, misses, invalidations;
+    svc::CollPlanCache cache{{hits, misses, invalidations}};
     (void)cache.acquire(true, setup, strategy, cl, s.kind, s.count, dtype,
                         s.root);  // prime
     t0 = Clock::now();
@@ -137,10 +141,14 @@ void bench_reduce_case(std::FILE* json, coll::DataType dtype,
   // L2-resident working set: the proxy reduces chunk-sized pieces, and the
   // compute-vs-memory balance at this size is where vectorization shows.
   constexpr std::size_t kBytes = 256 * 1024;
-  constexpr int kIters = 4000;
+  // Scalar and vector alternate round by round, so a busy spell on the host
+  // slows a round or two of either side rather than one whole side of the
+  // gated ratio.
+  constexpr int kRounds = 9;
+  constexpr int kItersPerRound = 500;
   std::vector<std::byte> acc(kBytes), in(kBytes);
   // Fill both operands with the value 1 of the benched type: sum grows
-  // linearly over kIters, prod stays at 1, min/max are stable — no overflow
+  // linearly over a round, prod stays at 1, min/max are stable — no overflow
   // and no denormals for any dtype/op combination.
   const auto fill_ones = [kBytes](std::byte* p, coll::DataType t) {
     const std::size_t n = kBytes / dtype_size(t);
@@ -178,16 +186,22 @@ void bench_reduce_case(std::FILE* json, coll::DataType dtype,
     acc = acc0;
     fn(std::span<std::byte>(acc), std::span<const std::byte>(in), dtype, op);
     const auto t0 = Clock::now();
-    for (int i = 0; i < kIters; ++i) {
+    for (int i = 0; i < kItersPerRound; ++i) {
       fn(std::span<std::byte>(acc), std::span<const std::byte>(in), dtype, op);
     }
     const double s = seconds_since(t0);
-    return static_cast<double>(kBytes) * kIters / s / 1e9;  // GB/s of acc data
+    return static_cast<double>(kBytes) * kItersPerRound / s / 1e9;  // GB/s
   };
 
-  const double scalar_gbps = run(coll::reduce_bytes_reference);
-  const double vector_gbps = run(coll::reduce_bytes);
-  const double speedup = vector_gbps / scalar_gbps;
+  std::vector<double> scalar(kRounds), vectorized(kRounds), ratio(kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    scalar[r] = run(coll::reduce_bytes_reference);
+    vectorized[r] = run(coll::reduce_bytes);
+    ratio[r] = vectorized[r] / scalar[r];
+  }
+  const double scalar_gbps = percentile(scalar, 50.0);
+  const double vector_gbps = percentile(vectorized, 50.0);
+  const double speedup = percentile(ratio, 50.0);
 
   std::printf("%-4s %-5s %12.2f %12.2f %8.2fx\n", dtype_name(dtype),
               op_name(op), scalar_gbps, vector_gbps, speedup);

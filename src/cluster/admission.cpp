@@ -97,11 +97,6 @@ std::vector<JobId> AdmissionQueue::take_rejected() {
   return out;
 }
 
-const std::vector<GpuId>* AdmissionQueue::placement_of(JobId job) const {
-  auto it = running_.find(job.get());
-  return it == running_.end() ? nullptr : &it->second;
-}
-
 bool AdmissionQueue::is_waiting(JobId job) const {
   return std::any_of(queue_.begin(), queue_.end(),
                      [&](const Waiting& w) { return w.job == job; });

@@ -80,8 +80,6 @@ class AdmissionQueue {
   /// exhaustion), in rejection order. Clears the pending list.
   std::vector<JobId> take_rejected();
 
-  /// The running job's placement, or null when unknown / still queued.
-  [[nodiscard]] const std::vector<GpuId>* placement_of(JobId job) const;
   [[nodiscard]] bool is_waiting(JobId job) const;
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }

@@ -156,13 +156,6 @@ inline double allreduce_edge_volume(int n, Bytes total_bytes) {
   MCCS_EXPECTS(n >= 2);
   return 2.0 * (n - 1) / n * static_cast<double>(total_bytes);
 }
-inline double allgather_edge_volume(int n, Bytes total_output_bytes) {
-  MCCS_EXPECTS(n >= 2);
-  return static_cast<double>(n - 1) / n * static_cast<double>(total_output_bytes);
-}
-inline double broadcast_edge_volume(int /*n*/, Bytes total_bytes) {
-  return static_cast<double>(total_bytes);
-}
 
 // --- nccl-tests bandwidth math ----------------------------------------------
 // algbw = size / time; busbw = algbw * factor, where the factor makes the

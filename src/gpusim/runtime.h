@@ -144,8 +144,6 @@ class Gpu {
     return std::make_shared<GpuEvent>(id_);
   }
 
-  [[nodiscard]] std::size_t allocation_count() const { return allocations_.size(); }
-
  private:
   sim::EventLoop* loop_;
   GpuId id_;

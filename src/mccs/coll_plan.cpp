@@ -140,7 +140,10 @@ std::shared_ptr<const CollPlan> CollPlanCache::acquire(
     const cluster::Cluster& cluster, coll::CollectiveKind kind,
     std::size_t count, coll::DataType dtype, int root) {
   if (strategy != strategy_) {
-    if (!plans_.empty()) invalidations().increment();
+    if (!plans_.empty()) {
+      ++stats_.invalidations;
+      gpu_.invalidations.increment();
+    }
     plans_.clear();
     strategy_ = strategy;
   }
@@ -148,11 +151,13 @@ std::shared_ptr<const CollPlan> CollPlanCache::acquire(
   if (enabled) {
     auto it = plans_.find(key);
     if (it != plans_.end()) {
-      hits().increment();
+      ++stats_.hits;
+      gpu_.hits.increment();
       return it->second;
     }
   }
-  misses().increment();
+  ++stats_.misses;
+  gpu_.misses.increment();
   auto plan = build_coll_plan(setup, *strategy, cluster, kind, count, dtype, root);
   if (enabled) plans_.emplace(key, plan);
   return plan;

@@ -148,24 +148,24 @@ std::shared_ptr<const CollPlan> build_coll_plan(
 /// Per-communicator-rank plan cache for the rank's current strategy.
 class CollPlanCache {
  public:
-  /// Counter snapshot. Backed by the fabric's MetricsRegistry once
-  /// bind_registry ran (proxy engines bind at install_communicator, labeled
-  /// by gpu/comm); standalone caches fall back to privately owned counters,
-  /// so the accessor works identically either way.
+  /// This cache's own counts, for one communicator rank. They live and die
+  /// with the cache; the GPU-wide totals below outlive it.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;          ///< plan built (cache disabled or absent)
     std::uint64_t invalidations = 0;   ///< strategy changes that dropped entries
   };
 
-  /// Redirect the cache's counters to registry-interned instruments. Must be
-  /// called before the first acquire (counts are not migrated).
-  void bind_registry(telemetry::Counter& hits, telemetry::Counter& misses,
-                     telemetry::Counter& invalidations) {
-    hits_ = &hits;
-    misses_ = &misses;
-    invalidations_ = &invalidations;
-  }
+  /// Counters every cache on one GPU adds into besides its own Stats. A
+  /// proxy engine interns them once in the fabric's MetricsRegistry, labeled
+  /// by its GPU; a standalone cache names counters of its own.
+  struct GpuCounters {
+    telemetry::Counter& hits;
+    telemetry::Counter& misses;
+    telemetry::Counter& invalidations;
+  };
+
+  explicit CollPlanCache(const GpuCounters& gpu) : gpu_(gpu) {}
 
   /// Return the plan for the given shape, building (and, if `enabled`,
   /// retaining) it on a miss. A strategy other than the cache's drops every
@@ -183,33 +183,17 @@ class CollPlanCache {
       coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,
       int root) const;
 
-  [[nodiscard]] Stats stats() const {
-    return Stats{hits().value(), misses().value(), invalidations().value()};
-  }
+  [[nodiscard]] Stats stats() const { return stats_; }
   [[nodiscard]] std::size_t size() const { return plans_.size(); }
 
  private:
-  // Null registry pointers fall back to the owned counters — by accessor,
-  // not by pointing at them, so the cache stays safely movable.
-  [[nodiscard]] telemetry::Counter& hits() const {
-    return hits_ != nullptr ? *hits_ : own_hits_;
-  }
-  [[nodiscard]] telemetry::Counter& misses() const {
-    return misses_ != nullptr ? *misses_ : own_misses_;
-  }
-  [[nodiscard]] telemetry::Counter& invalidations() const {
-    return invalidations_ != nullptr ? *invalidations_ : own_invalidations_;
-  }
-
   /// Held, not observed: while the cache keeps it alive, no later strategy
   /// can reuse its address.
   std::shared_ptr<const CommStrategy> strategy_;
   std::unordered_map<PlanKey, std::shared_ptr<const CollPlan>, PlanKeyHash>
       plans_;
-  mutable telemetry::Counter own_hits_, own_misses_, own_invalidations_;
-  telemetry::Counter* hits_ = nullptr;
-  telemetry::Counter* misses_ = nullptr;
-  telemetry::Counter* invalidations_ = nullptr;
+  Stats stats_;
+  GpuCounters gpu_;
 };
 
 }  // namespace mccs::svc

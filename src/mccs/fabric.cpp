@@ -411,6 +411,10 @@ std::string Fabric::telemetry_snapshot() {
       out += ",\"completed\":" + std::to_string(p.last_completed(info.id));
       out += ",\"active\":" + std::to_string(p.active_count(info.id));
       out += ",\"held\":" + std::to_string(p.held_count(info.id));
+      const CollPlanCache::Stats plans = p.plan_cache_stats(info.id);
+      out += ",\"plan_hits\":" + std::to_string(plans.hits);
+      out += ",\"plan_misses\":" + std::to_string(plans.misses);
+      out += ",\"plan_invalidations\":" + std::to_string(plans.invalidations);
       out += ",\"reconfig\":";
       out += p.reconfig_in_progress(info.id) ? "true" : "false";
       out += '}';

@@ -145,8 +145,8 @@ class Fabric {
 
   /// Machine-readable JSON snapshot of the fabric: virtual time, the metrics
   /// registry, per-link state / allocated throughput / cumulative bytes, live
-  /// flows, and per-communicator progress. The programmatic counterpart of
-  /// the human-oriented debug_dump.
+  /// flows, and per-communicator progress and plan-cache counts per rank.
+  /// The programmatic counterpart of the human-oriented debug_dump.
   [[nodiscard]] std::string telemetry_snapshot();
 
   /// One link's slice of the telemetry snapshot, as structured data: the

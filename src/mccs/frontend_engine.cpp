@@ -19,7 +19,7 @@ gpu::DevicePtr FrontendEngine::handle_alloc(GpuId gpu, Bytes size) {
   const gpu::DevicePtr service_ptr = dev.allocate(size);
   const gpu::MemHandle handle = dev.export_handle(service_ptr.mem);
   const gpu::DevicePtr app_ptr = dev.open_handle(handle);
-  registry_.emplace(key(gpu, app_ptr.mem), AllocInfo{gpu, size});
+  registry_.emplace(key(gpu, app_ptr.mem), size);
   return app_ptr;
 }
 
@@ -33,10 +33,13 @@ void FrontendEngine::handle_free(gpu::DevicePtr ptr) {
   dev.release(ptr.mem);  // ...then the service releases the allocation
 }
 
-bool FrontendEngine::validate(gpu::DevicePtr ptr, Bytes len) const {
+bool FrontendEngine::validate(GpuId gpu, gpu::DevicePtr ptr, Bytes len) const {
+  // The registry spans the host's GPUs, but the proxy that runs the command
+  // reads only its own GPU's memory.
+  if (ptr.gpu != gpu) return false;
   auto it = registry_.find(key(ptr.gpu, ptr.mem));
   if (it == registry_.end()) return false;
-  return ptr.offset + len <= it->second.size;
+  return ptr.offset + len <= it->second;
 }
 
 void FrontendEngine::handle_collective(CommId comm, GpuId gpu,
@@ -50,9 +53,9 @@ void FrontendEngine::handle_collective(CommId comm, GpuId gpu,
   MCCS_CHECK(setup->app == app_,
              "collective on another application's communicator");
   const RankBuffers buffers = rank_buffers(args, setup->nranks, setup->rank);
-  MCCS_CHECK(buffers.recv == 0 || validate(args.recv, buffers.recv),
+  MCCS_CHECK(buffers.recv == 0 || validate(gpu, args.recv, buffers.recv),
              "collective recv buffer is not a valid tenant allocation");
-  MCCS_CHECK(buffers.send == 0 || validate(args.send, buffers.send),
+  MCCS_CHECK(buffers.send == 0 || validate(gpu, args.send, buffers.send),
              "collective send buffer is not a valid tenant allocation");
 
   if (ctx_->telemetry != nullptr && ctx_->telemetry->enabled()) {
@@ -79,7 +82,7 @@ void FrontendEngine::handle_collective(CommId comm, GpuId gpu,
 
 void FrontendEngine::handle_p2p(CommId comm, GpuId gpu, P2pRequest request) {
   const Bytes len = request.count * coll::dtype_size(request.dtype);
-  MCCS_CHECK(validate(request.buffer, len),
+  MCCS_CHECK(validate(gpu, request.buffer, len),
              "P2P buffer is not a valid tenant allocation");
   ProxyEngine& proxy = ctx_->proxy_for(gpu);
   ctx_->loop->schedule_after(

@@ -50,9 +50,10 @@ class FrontendEngine {
   /// releases the allocation.
   void handle_free(gpu::DevicePtr ptr);
 
-  /// Validate a tenant buffer: it must come from an allocation this
-  /// frontend made for this app, and [offset, offset+len) must be in range.
-  [[nodiscard]] bool validate(gpu::DevicePtr ptr, Bytes len) const;
+  /// Validate a tenant buffer for a command on `gpu`: it must come from an
+  /// allocation this frontend made for this app on that GPU, and
+  /// [offset, offset+len) must be in range.
+  [[nodiscard]] bool validate(GpuId gpu, gpu::DevicePtr ptr, Bytes len) const;
 
   /// Validate the extents rank_buffers gives for the rank `gpu`'s proxy has
   /// installed, and hand the request to that proxy (after the engine-hop
@@ -67,14 +68,7 @@ class FrontendEngine {
   /// latency after the ring goes non-empty.
   CommandQueue<ShimCommand>& command_queue(GpuId gpu);
 
-  [[nodiscard]] std::size_t allocation_count() const { return registry_.size(); }
-
  private:
-  struct AllocInfo {
-    GpuId gpu;
-    Bytes size;
-  };
-
   static std::uint64_t key(GpuId gpu, MemId mem) {
     return (static_cast<std::uint64_t>(gpu.get()) << 32) | mem.get();
   }
@@ -85,7 +79,7 @@ class FrontendEngine {
   HostId host_;
   AppId app_;
   int track_ = -1;  ///< telemetry track, lazily interned (enabled mode only)
-  std::unordered_map<std::uint64_t, AllocInfo> registry_;
+  std::unordered_map<std::uint64_t, Bytes> registry_;  ///< size by key()
   std::unordered_map<std::uint32_t, std::unique_ptr<CommandQueue<ShimCommand>>>
       queues_;  ///< by GpuId
 };

@@ -26,7 +26,15 @@ std::uint64_t connection_ecmp_key(CommId comm, int channel, int src_rank,
 ProxyEngine::ProxyEngine(ServiceContext& ctx, HostId host, GpuId gpu,
                          std::function<TransportEngine&(int)> transport_for_nic)
     : ctx_(&ctx), host_(host), gpu_(gpu),
-      transport_for_nic_(std::move(transport_for_nic)) {}
+      transport_for_nic_(std::move(transport_for_nic)),
+      plan_counters_([&ctx, gpu]() -> CollPlanCache::GpuCounters {
+        MCCS_EXPECTS(ctx.telemetry != nullptr);
+        telemetry::MetricsRegistry& reg = ctx.telemetry->metrics();
+        const telemetry::Labels labels{{"gpu", std::to_string(gpu.get())}};
+        return {reg.counter("plan_cache_hits", labels),
+                reg.counter("plan_cache_misses", labels),
+                reg.counter("plan_cache_invalidations", labels)};
+      }()) {}
 
 ProxyEngine::CommRank& ProxyEngine::comm_state(CommId comm) {
   auto it = comms_.find(comm.get());
@@ -56,6 +64,12 @@ const CommSetup* ProxyEngine::installed_rank(CommId comm) const {
   return nullptr;
 }
 
+void ProxyEngine::mark_destroy_requested(CommId comm) {
+  CommRank& st = comm_state(comm);
+  MCCS_CHECK(!st.destroy_requested, "communicator rank destroyed twice");
+  st.destroy_requested = true;
+}
+
 ProxyEngine::CommRank* ProxyEngine::find_reconfiguring_comm(CommId comm) {
   if (destroyed_.count(comm.get()) > 0) return nullptr;
   return find_comm(comm);
@@ -71,24 +85,12 @@ void ProxyEngine::install_communicator(
 
   // Built in place: moving a finished CommRank in would allocate again for
   // its deque.
-  auto [it, inserted] = comms_.try_emplace(setup.id.get());
+  auto [it, inserted] = comms_.try_emplace(setup.id.get(), plan_counters_);
   MCCS_CHECK(inserted, "communicator already installed");
   CommRank& st = it->second;
   st.setup = setup;
   st.strategy = std::move(strategy);
   st.comm_stream = &ctx_->gpus->gpu(gpu_).create_stream();
-  if (ctx_->telemetry != nullptr) {
-    // Registry-backed plan-cache counters, labeled per (comm, gpu) so the
-    // registry can aggregate per communicator or per device.
-    telemetry::MetricsRegistry& reg = ctx_->telemetry->metrics();
-    const telemetry::Labels labels{
-        {"comm", std::to_string(setup.id.get())},
-        {"gpu", std::to_string(gpu_.get())}};
-    st.plan_cache.bind_registry(
-        reg.counter("plan_cache_hits", labels),
-        reg.counter("plan_cache_misses", labels),
-        reg.counter("plan_cache_invalidations", labels));
-  }
 }
 
 void ProxyEngine::destroy_communicator(CommId comm) {
@@ -125,22 +127,9 @@ std::size_t ProxyEngine::abort_communicator(CommId comm) {
 
 void ProxyEngine::release_comm(
     std::unordered_map<std::uint32_t, CommRank>::iterator it) {
-  const CommId comm = it->second.setup.id;
   // A stream still draining its last ops is freed once they finish.
   ctx_->gpus->gpu(gpu_).destroy_stream(it->second.comm_stream->id());
   comms_.erase(it);
-  // The registry-backed plan-cache counters are labeled per (comm, gpu);
-  // keeping the series would leak one entry per communicator ever created.
-  // Dropping them bounds the registry by the live communicator population
-  // under churn. This runs after the CommRank is erased: its cache held
-  // handles into the registry.
-  if (ctx_->telemetry == nullptr) return;
-  telemetry::MetricsRegistry& reg = ctx_->telemetry->metrics();
-  const telemetry::Labels labels{{"comm", std::to_string(comm.get())},
-                                 {"gpu", std::to_string(gpu_.get())}};
-  reg.drop("plan_cache_hits", labels);
-  reg.drop("plan_cache_misses", labels);
-  reg.drop("plan_cache_invalidations", labels);
 }
 
 const CommStrategy& ProxyEngine::strategy(CommId comm) const {

@@ -110,6 +110,10 @@ class ProxyEngine {
   /// null once a tenant kill tore it down. A communicator with no rank here
   /// (never had one, or destroyed it) is a contract violation.
   [[nodiscard]] const CommSetup* installed_rank(CommId comm) const;
+  /// Shim::comm_destroy's mark on this GPU's installed rank of `comm`,
+  /// taken when the destroy is requested: a second request from the rank
+  /// throws ContractViolation. The mark lives in the rank and goes with it.
+  void mark_destroy_requested(CommId comm);
   /// The installed strategy. The object lives until a later reconfiguration
   /// replaces it on every rank, or the communicator goes away.
   [[nodiscard]] const CommStrategy& strategy(CommId comm) const;
@@ -258,6 +262,9 @@ class ProxyEngine {
   };
 
   struct CommRank {
+    explicit CommRank(const CollPlanCache::GpuCounters& plan_counters)
+        : plan_cache(plan_counters) {}
+
     CommSetup setup;
     /// Shared with the communicator's other ranks and with the barrier rounds
     /// and control messages that carry the same decision.
@@ -279,13 +286,14 @@ class ProxyEngine {
     std::map<std::uint64_t, RoundState> rounds;  ///< un-applied reconfig rounds
     std::uint64_t last_applied_round = 0;
     std::map<int, P2pPeerState> p2p;  ///< by peer rank
+    bool destroy_requested = false;  ///< see mark_destroy_requested
   };
 
   CommRank& comm_state(CommId comm);
   const CommRank& comm_state(CommId comm) const;
   /// The teardown both paths share, orderly destroy and kill: free the
-  /// communicator stream, erase the CommRank and evict its registry-backed
-  /// plan-cache counters, so streams and the registry track live comms only.
+  /// communicator stream and erase the CommRank, so streams track live
+  /// comms only.
   void release_comm(std::unordered_map<std::uint32_t, CommRank>::iterator it);
   /// Tolerant lookup for entry points that can legitimately race with a
   /// tenant kill (late control messages, in-flight deliveries): null when
@@ -339,6 +347,9 @@ class ProxyEngine {
   /// reconfiguration messages are excused for these.
   std::unordered_set<std::uint32_t> destroyed_;
   std::vector<TraceRecord> trace_;
+  /// This GPU's plan-cache series, interned once at construction (label:
+  /// gpu). Every rank's cache adds into them, so they outlive communicators.
+  CollPlanCache::GpuCounters plan_counters_;
 };
 
 }  // namespace mccs::svc

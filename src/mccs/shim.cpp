@@ -39,10 +39,13 @@ void Shim::comm_init_rank(UniqueId uid, int nranks, int rank,
 void Shim::comm_destroy(CommId comm) {
   // Checked against this GPU's installed rank, not the registry: the first
   // rank to leave unregisters the communicator, and the rest must still be
-  // able to leave. A communicator the provider killed is dropped.
-  const CommSetup* setup = service_->proxy(gpu_).installed_rank(comm);
+  // able to leave. A communicator the provider killed is dropped. The rank
+  // lives until the destroy runs, so its mark refuses a second call.
+  ProxyEngine& proxy = service_->proxy(gpu_);
+  const CommSetup* setup = proxy.installed_rank(comm);
   if (setup == nullptr) return;
   MCCS_CHECK(setup->app == app_, "communicator of another application");
+  proxy.mark_destroy_requested(comm);
   Fabric& fabric = service_->fabric();
   ctx_->loop->schedule_after(
       ctx_->config.shim_to_service_latency,

@@ -48,8 +48,9 @@ class Shim {
                       std::function<void(CommId)> on_ready);
   /// Leave a communicator (Fabric::destroy_rank, after the IPC hop). The
   /// first rank to leave removes it from the provider's registry. Throws
-  /// ContractViolation at the call when this GPU holds no rank of `comm`
-  /// or the rank is another application's.
+  /// ContractViolation at the call when this GPU holds no rank of `comm`,
+  /// the rank is another application's, or this rank already asked to
+  /// leave.
   void comm_destroy(CommId comm);
 
   // --- collectives ---------------------------------------------------------------

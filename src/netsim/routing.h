@@ -71,11 +71,6 @@ class Routing {
   /// Computed lazily and cached. Throws if dst is unreachable.
   const std::vector<Path>& paths(NodeId src, NodeId dst) const;
 
-  /// Number of equal-cost paths between two nodes.
-  [[nodiscard]] std::size_t path_count(NodeId src, NodeId dst) const {
-    return paths(src, dst).size();
-  }
-
   /// Select a path by explicit route id (modulo the path count, mirroring a
   /// switch policy table that wraps).
   const Path& by_route_id(NodeId src, NodeId dst, RouteId route) const {

@@ -264,7 +264,6 @@ class IncrementalAssigner {
     std::uint64_t visit = 0;  ///< dirty-closure BFS epoch
   };
 
-  void seed_links_dirty(const std::vector<std::uint32_t>& links);
   /// Expand dirty items/links to the full interference closure; returns the
   /// affected comm ids ascending and the visited-link count.
   std::vector<std::uint32_t> collect_closure(std::size_t* links_touched);

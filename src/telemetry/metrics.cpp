@@ -103,12 +103,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   return *it->second.instrument;
 }
 
-std::size_t MetricsRegistry::drop(std::string_view name, Labels labels) {
-  sort_labels(labels);
-  const std::string key = intern_key(name, labels);
-  return counters_.erase(key) + gauges_.erase(key) + histograms_.erase(key);
-}
-
 std::uint64_t MetricsRegistry::counter_total(std::string_view name) const {
   std::uint64_t total = 0;
   for (const auto& [key, entry] : counters_) {

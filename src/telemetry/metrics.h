@@ -2,22 +2,20 @@
 // MetricsRegistry: the service-wide numeric-metrics half of the telemetry
 // subsystem (DESIGN.md §9). Prometheus-shaped instruments — monotonic
 // counters, last-value gauges, fixed-bucket histograms — keyed by a metric
-// name plus a small label set (tenant / comm / link / host / nic).
+// name plus a small label set (host / nic / gpu).
 //
 // Instruments are interned: the first lookup of a (name, labels) pair
 // creates the instrument, later lookups return the same one, and handles
-// stay valid until the instrument is explicitly dropped (heap storage, no
-// reallocation). Engines therefore resolve their instruments once at
-// construction and afterwards pay a single add on the hot path — cheap
-// enough that the replaced ad-hoc counters (transport retry/stall counts,
-// plan-cache hit rates) stay registry-backed even with the timeline
-// disabled.
+// stay valid for the registry's lifetime (heap storage, no reallocation).
+// Engines therefore resolve their instruments once at construction and
+// afterwards pay a single add on the hot path — cheap enough that the
+// replaced ad-hoc counters (transport retry/stall counts, plan-cache hit
+// rates) stay registry-backed even with the timeline disabled.
 //
-// Lifecycle: per-entity instruments (e.g. plan-cache counters labeled by
-// comm id) are dropped when the entity is torn down, so a registry under
-// tenant churn stays bounded by the LIVE entity population instead of the
-// all-time one. drop() invalidates only the dropped instrument's handles;
-// the owner must not touch them afterwards.
+// Series carry fixed-hardware labels (a NIC, a GPU) or none, never a
+// tenant's communicator: the registry is bounded by the fabric's size
+// whatever the tenant churn, and a series, once interned, lives as long as
+// the registry.
 
 #include <cstdint>
 #include <map>
@@ -92,14 +90,6 @@ class MetricsRegistry {
   /// re-interning an existing histogram.
   Histogram& histogram(std::string_view name, std::vector<double> bounds,
                        Labels labels = {});
-
-  /// Drop the instrument(s) interned under exactly (name, labels) — counter,
-  /// gauge, and/or histogram. Handles to them dangle afterwards; any later
-  /// lookup re-interns a zeroed instrument. Returns how many instruments
-  /// were erased (0 when the pair was never interned). Accumulated values
-  /// are lost by design: the registry reports live entities, and keeping
-  /// dead tenants' series would grow it without bound under churn.
-  std::size_t drop(std::string_view name, Labels labels);
 
   /// Sum of a counter over every label set it was interned with (e.g. total
   /// transport retries across all NICs). 0 if the name is unknown.

@@ -275,13 +275,14 @@ TEST(ClusterChurn, TelemetryRegistryDoesNotGrowAcrossCommLifecycles) {
   std::vector<std::size_t> sizes;
   for (int cycle = 0; cycle < 12; ++cycle) {
     const AppId app{static_cast<std::uint32_t>(cycle + 1)};
+    const std::size_t before = fabric.telemetry().metrics().size();
     const CommId comm = create_comm(fabric, app, gpus);
     auto ranks = make_ranks(fabric, app, gpus);
     std::vector<gpu::DevicePtr> buf(gpus.size());
     for (std::size_t r = 0; r < gpus.size(); ++r) {
       buf[r] = ranks[r].shim->alloc(count * sizeof(float));
     }
-    // One collective so the per-comm plan-cache counters really register.
+    // One collective, so every rank's plan cache counts.
     int remaining = static_cast<int>(gpus.size());
     for (std::size_t r = 0; r < gpus.size(); ++r) {
       ranks[r].shim->all_reduce(comm, buf[r], buf[r], count,
@@ -290,14 +291,18 @@ TEST(ClusterChurn, TelemetryRegistryDoesNotGrowAcrossCommLifecycles) {
                                 [&remaining](Time) { --remaining; });
     }
     ASSERT_TRUE(await(fabric, remaining));
+    if (cycle > 0) {
+      EXPECT_EQ(fabric.telemetry().metrics().size(), before)
+          << "cycle " << cycle << ": a live communicator interned series";
+    }
     fabric.kill_app(app);
     fabric.loop().run();
     sizes.push_back(fabric.telemetry().metrics().size());
   }
 
-  // The registry may warm up over the first cycles (global transport/net
-  // instruments interning once), but per-comm instruments must be evicted
-  // with their comm: after warm-up the size is flat.
+  // The first cycle may intern what a first collective needs once, but no
+  // series is per communicator: the plan cache's are per GPU, interned when
+  // the fabric is built. After the first cycle the size is flat.
   ASSERT_GE(sizes.size(), 4u);
   for (std::size_t i = 2; i < sizes.size(); ++i) {
     EXPECT_EQ(sizes[i], sizes[1])

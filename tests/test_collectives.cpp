@@ -286,8 +286,6 @@ TEST(BandwidthMath, AlgorithmBandwidthIsSizeOverTime) {
 
 TEST(BandwidthMath, EdgeVolumes) {
   EXPECT_DOUBLE_EQ(allreduce_edge_volume(4, 1000), 2.0 * 3 / 4 * 1000);
-  EXPECT_DOUBLE_EQ(allgather_edge_volume(4, 1000), 3.0 / 4 * 1000);
-  EXPECT_DOUBLE_EQ(broadcast_edge_volume(4, 1000), 1000.0);
 }
 
 // --- reduce_bytes ----------------------------------------------------------------

@@ -1,10 +1,12 @@
 // Tests of the collective plan cache (mccs/coll_plan.h): hit/miss
-// accounting, invalidation when the strategy changes, structural equality of
-// cached vs freshly built plans over randomized shapes, and behavioural
-// equivalence (results and virtual time) with the cache disabled.
+// accounting per rank and in the per-GPU registry series, invalidation when
+// the strategy changes, structural equality of cached vs freshly built plans
+// over randomized shapes, and behavioural equivalence (results and virtual
+// time) with the cache disabled.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -237,6 +239,83 @@ TEST_F(PlanCacheFixture, AlgorithmSwapUnderLoadThroughTheBarrier) {
   }
 }
 
+TEST(PlanCacheCounters, GpuSeriesKeepTheCountsOfTornDownCommunicators) {
+  // Two tenants' communicators share GPUs 0 and 2. The registry's plan-cache
+  // series are per GPU, so their fabric-wide totals are the ranks' own counts
+  // summed, and neither the orderly destroy of one communicator nor the kill
+  // of the other takes any count away.
+  Fabric fabric{cluster::make_testbed()};
+  const telemetry::MetricsRegistry& reg = fabric.telemetry().metrics();
+  struct Tenant {
+    AppId app;
+    std::vector<GpuId> gpus;
+    CommId comm{};
+    std::vector<test::RankCtx> ranks{};
+    std::vector<gpu::DevicePtr> buf{};
+  };
+  std::vector<Tenant> tenants{
+      {AppId{1}, {GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}}},
+      {AppId{2}, {GpuId{0}, GpuId{2}}}};
+  const std::size_t count = 256;
+  for (Tenant& t : tenants) {
+    t.comm = create_comm(fabric, t.app, t.gpus);
+    t.ranks = make_ranks(fabric, t.app, t.gpus);
+    for (const test::RankCtx& rank : t.ranks) {
+      t.buf.push_back(rank.shim->alloc(count * sizeof(float)));
+    }
+  }
+  const auto run_rounds = [&](const Tenant& t, int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      int remaining = static_cast<int>(t.gpus.size());
+      for (std::size_t r = 0; r < t.gpus.size(); ++r) {
+        t.ranks[r].shim->all_reduce(t.comm, t.buf[r], t.buf[r], count,
+                                    DataType::kFloat32, ReduceOp::kSum,
+                                    *t.ranks[r].stream,
+                                    [&remaining](Time) { --remaining; });
+      }
+      ASSERT_TRUE(await(fabric, remaining));
+    }
+  };
+  const auto rank_hits = [&](const Tenant& t) {
+    std::uint64_t hits = 0;
+    for (GpuId g : t.gpus) {
+      hits += fabric.proxy_for(g).plan_cache_stats(t.comm).hits;
+    }
+    return hits;
+  };
+  std::vector<std::uint64_t> totals;
+  const auto total = [&] {
+    totals.push_back(reg.counter_total("plan_cache_hits"));
+    return totals.back();
+  };
+  const Tenant& destroyed = tenants[0];
+  const Tenant& killed = tenants[1];
+
+  run_rounds(destroyed, 3);
+  run_rounds(killed, 4);
+  const std::uint64_t destroyed_hits = rank_hits(destroyed);
+  EXPECT_EQ(destroyed_hits, 2u * destroyed.gpus.size());
+  EXPECT_EQ(total(), destroyed_hits + rank_hits(killed));
+  for (const test::RankCtx& rank : destroyed.ranks) {
+    rank.shim->comm_destroy(destroyed.comm);
+  }
+  fabric.loop().run();
+  EXPECT_FALSE(fabric.proxy_for(GpuId{0}).has_communicator(destroyed.comm));
+  EXPECT_EQ(total(), destroyed_hits + rank_hits(killed));
+
+  run_rounds(killed, 2);
+  const std::uint64_t killed_hits = rank_hits(killed);
+  EXPECT_EQ(killed_hits, 5u * killed.gpus.size());
+  EXPECT_EQ(total(), destroyed_hits + killed_hits);
+  fabric.kill_app(killed.app);
+  fabric.loop().run();
+  EXPECT_EQ(total(), destroyed_hits + killed_hits);
+
+  EXPECT_TRUE(std::is_sorted(totals.begin(), totals.end()))
+      << "the fabric-wide plan-cache hits fell at a teardown";
+  EXPECT_EQ(reg.counter_series("plan_cache_hits"), fabric.cluster().gpu_count());
+}
+
 TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
   // A cache holds the plans of the one strategy object it was last handed.
   // Handed another, here differing from the last only in algorithm and then
@@ -257,7 +336,8 @@ TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
   CommStrategy tree_fine = tree;
   tree_fine.tree_pipeline_chunks = 2;
 
-  svc::CollPlanCache cache;
+  telemetry::Counter hits, misses_total, invalidations;
+  svc::CollPlanCache cache{{hits, misses_total, invalidations}};
   const auto kind = CollectiveKind::kAllReduce;
   std::shared_ptr<const CommStrategy> previous_strategy;
   std::shared_ptr<const CollPlan> previous;
@@ -284,6 +364,10 @@ TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
   }
   EXPECT_EQ(cache.stats().invalidations, 2u);
   EXPECT_EQ(cache.size(), 1u);
+  // The GPU-wide counters the cache adds into read the same as its own.
+  EXPECT_EQ(hits.value(), 3u);
+  EXPECT_EQ(misses_total.value(), misses);
+  EXPECT_EQ(invalidations.value(), 2u);
 }
 
 // --- property test: cached plans are structurally identical to fresh builds --
@@ -339,7 +423,8 @@ TEST(PlanCacheProperty, CachedPlanEqualsFreshBuildOverRandomShapes) {
         rng.below(2) == 0 ? DataType::kFloat32 : DataType::kInt64;
     const int root = static_cast<int>(rng.below(nranks));
 
-    svc::CollPlanCache cache;
+    telemetry::Counter hits, misses, invalidations;
+    svc::CollPlanCache cache{{hits, misses, invalidations}};
     const auto shared = std::make_shared<const CommStrategy>(strategy);
     const auto first =
         cache.acquire(true, setup, shared, cl, kind, count, dtype, root);

@@ -1,8 +1,9 @@
 // Tests of the per-rank buffer table (rank_buffers in mccs/api.h), which the
 // frontend validates and the proxy stages from: every byte range a compiled
 // plan touches lies inside the extent the table gives its buffer, a root
-// buffer too short for the table is refused at the frontend before any flow
-// starts, and a one-rank collective is exactly its local copy.
+// buffer too short for the table or a buffer on another GPU of the host is
+// refused at the frontend before any flow starts, and a one-rank collective
+// is exactly its local copy.
 
 #include <gtest/gtest.h>
 
@@ -150,18 +151,30 @@ std::string case_name(const RootedCase& c) {
 /// Printed without the struct's padding bytes, so test names stay stable.
 void PrintTo(const RootedCase& c, std::ostream* os) { *os << case_name(c); }
 
+svc::Fabric::Options options(bool move_data) {
+  svc::Fabric::Options o;
+  o.config.move_data = move_data;
+  o.gpu_config.materialize_memory = move_data;
+  return o;
+}
+
+/// Run the loop, which must stop at the frontend's refusal of a buffer
+/// before any flow starts or any proxy issues.
+void expect_refused_at_frontend(svc::Fabric& fabric) {
+  const std::uint64_t solves = fabric.network().solves_total();
+  const std::string what = violation_of([&fabric] { fabric.loop().run(); });
+  EXPECT_NE(what.find("is not a valid tenant allocation"), std::string::npos)
+      << what;
+  EXPECT_EQ(fabric.network().solves_total(), solves) << "a flow started";
+  EXPECT_EQ(fabric.network().active_flow_count(), 0u);
+  EXPECT_TRUE(fabric.trace_all().empty()) << "a proxy issued the collective";
+}
+
 class RootBufferP : public ::testing::TestWithParam<RootedCase> {
  protected:
   static constexpr int kRoot = 2;
   static constexpr std::size_t kCount = 53;
   const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
-
-  static svc::Fabric::Options options(bool move_data) {
-    svc::Fabric::Options o;
-    o.config.move_data = move_data;
-    o.gpu_config.materialize_memory = move_data;
-    return o;
-  }
 
   /// Issue one Gather or Scatter over `gpus` whose root buffer (Gather's
   /// recv, Scatter's send) holds `root_blocks` blocks; every other buffer
@@ -207,13 +220,7 @@ TEST_P(RootBufferP, RootBufferOneBlockShortIsRefusedAtTheFrontend) {
   svc::Fabric fabric{cluster::make_testbed(), options(GetParam().move_data)};
   int remaining = 0;
   (void)issue(fabric, gpus.size() - 1, remaining);
-  const std::uint64_t solves = fabric.network().solves_total();
-  const std::string what = violation_of([&fabric] { fabric.loop().run(); });
-  EXPECT_NE(what.find("is not a valid tenant allocation"), std::string::npos)
-      << what;
-  EXPECT_EQ(fabric.network().solves_total(), solves) << "a flow started";
-  EXPECT_EQ(fabric.network().active_flow_count(), 0u);
-  EXPECT_TRUE(fabric.trace_all().empty()) << "a proxy issued the collective";
+  expect_refused_at_frontend(fabric);
 }
 
 TEST_P(RootBufferP, ExactRootBufferMovesEveryBlock) {
@@ -248,6 +255,56 @@ INSTANTIATE_TEST_SUITE_P(
                       RootedCase{CollectiveKind::kScatter, true},
                       RootedCase{CollectiveKind::kScatter, false}),
     [](const ::testing::TestParamInfo<RootedCase>& info) {
+      return case_name(info.param);
+    });
+
+struct ForeignGpuCase {
+  bool p2p;
+  bool move_data;
+};
+
+std::string case_name(const ForeignGpuCase& c) {
+  return std::string(c.p2p ? "Send" : "AllReduce") +
+         (c.move_data ? "Data" : "TimingOnly");
+}
+
+void PrintTo(const ForeignGpuCase& c, std::ostream* os) { *os << case_name(c); }
+
+class ForeignGpuBufferP : public ::testing::TestWithParam<ForeignGpuCase> {};
+
+TEST_P(ForeignGpuBufferP, BufferOnAnotherGpuOfTheHostIsRefusedAtTheFrontend) {
+  // GPUs 0 and 1 share a host, so one frontend holds app 1's allocations on
+  // both. Rank 0 runs on GPU 0 but names a buffer app 1 allocated on GPU 1:
+  // the proxy could not read it, so the frontend refuses it.
+  const ForeignGpuCase c = GetParam();
+  svc::Fabric fabric{cluster::make_testbed(), options(c.move_data)};
+  const AppId app{1};
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
+  const CommId comm = test::create_comm(fabric, app, gpus);
+  auto ranks = test::make_ranks(fabric, app, gpus);
+  const std::size_t count = 64;
+  const gpu::DevicePtr foreign =
+      fabric.connect(app, GpuId{1}).alloc(count * sizeof(float));
+  const gpu::DevicePtr own = ranks[1].shim->alloc(count * sizeof(float));
+  if (c.p2p) {
+    ranks[0].shim->send(comm, 1, foreign, count, DataType::kFloat32,
+                        *ranks[0].stream);
+    ranks[1].shim->recv(comm, 0, own, count, DataType::kFloat32,
+                        *ranks[1].stream);
+  } else {
+    ranks[0].shim->all_reduce(comm, foreign, foreign, count, DataType::kFloat32,
+                              coll::ReduceOp::kSum, *ranks[0].stream);
+    ranks[1].shim->all_reduce(comm, own, own, count, DataType::kFloat32,
+                              coll::ReduceOp::kSum, *ranks[1].stream);
+  }
+  expect_refused_at_frontend(fabric);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ForeignGpuBufferP,
+    ::testing::Values(ForeignGpuCase{false, true}, ForeignGpuCase{false, false},
+                      ForeignGpuCase{true, true}, ForeignGpuCase{true, false}),
+    [](const ::testing::TestParamInfo<ForeignGpuCase>& info) {
       return case_name(info.param);
     });
 

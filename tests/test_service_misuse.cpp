@@ -231,6 +231,24 @@ TEST_F(MisuseFixture, DestroyWithOutstandingCollectivesThrows) {
   EXPECT_THROW(fabric.loop().run(), ContractViolation);
 }
 
+TEST_F(MisuseFixture, SecondDestroyFromOneRankIsRejectedAtTheCall) {
+  // The installed rank lives until the first destroy runs, so a second
+  // destroy from the same rank is refused at the call by the rank's own
+  // mark, with nothing enqueued; the communicator then leaves cleanly.
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
+  const gpu::Gpu& dev = fabric.gpus().gpu(GpuId{0});
+  const std::size_t streams = dev.stream_count();
+  const CommId comm = create_comm(fabric, app, gpus);
+  svc::Shim& shim0 = fabric.connect(app, GpuId{0});
+  shim0.comm_destroy(comm);
+  EXPECT_THROW(shim0.comm_destroy(comm), ContractViolation);
+  EXPECT_NO_THROW(fabric.loop().run());
+  fabric.connect(app, GpuId{2}).comm_destroy(comm);
+  EXPECT_NO_THROW(fabric.loop().run());
+  EXPECT_TRUE(fabric.list_communicators().empty());
+  EXPECT_EQ(dev.stream_count(), streams);
+}
+
 TEST_F(MisuseFixture, StaleReconfigurationRoundIsRejected) {
   const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
   const CommId comm = create_comm(fabric, app, gpus);

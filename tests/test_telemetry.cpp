@@ -681,6 +681,19 @@ TEST(TelemetryService, SnapshotEndpointParsesAndCoversSubsystems) {
   EXPECT_TRUE(links.items[0].has("state"));
   ASSERT_EQ(v.at("comms").kind, JsonValue::kArray);
   ASSERT_EQ(v.at("comms").items.size(), 1u);
+  // Each rank carries its own plan-cache counts, as plan_cache_stats reads.
+  const JsonValue& rank_entries = v.at("comms").items[0].at("ranks");
+  ASSERT_EQ(rank_entries.items.size(), gpus.size());
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    const JsonValue& rank = rank_entries.items[r];
+    const svc::CollPlanCache::Stats st =
+        fabric.proxy_for(gpus[r]).plan_cache_stats(comm);
+    EXPECT_EQ(rank.at("gpu").number, static_cast<double>(gpus[r].get()));
+    EXPECT_EQ(rank.at("plan_hits").number, static_cast<double>(st.hits));
+    EXPECT_EQ(rank.at("plan_misses").number, static_cast<double>(st.misses));
+    EXPECT_EQ(rank.at("plan_invalidations").number,
+              static_cast<double>(st.invalidations));
+  }
 }
 
 // --- trace bookkeeping regression ---------------------------------------------
