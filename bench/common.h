@@ -123,25 +123,20 @@ inline std::vector<Time> run_collective_loop(svc::Fabric& fabric, AppId app,
     gpu::DevicePtr send;
     gpu::DevicePtr recv;
   };
+  // Each rank's buffers as the service validates them; a buffer the rank
+  // never touches (a non-root's Broadcast send, say) is left unallocated.
+  svc::CollectiveArgs args;
+  args.kind = kind;
+  args.count = count;
   std::vector<Rank> ranks;
-  for (GpuId g : gpus) {
-    svc::Shim& shim = fabric.connect(app, g);
-    Rank r;
-    r.shim = &shim;
-    r.stream = &shim.create_app_stream();
-    const bool send_blocked = kind == coll::CollectiveKind::kReduceScatter ||
-                              kind == coll::CollectiveKind::kAllToAll ||
-                              kind == coll::CollectiveKind::kScatter;
-    const bool recv_blocked = kind == coll::CollectiveKind::kAllGather ||
-                              kind == coll::CollectiveKind::kAllToAll ||
-                              kind == coll::CollectiveKind::kGather;
-    const Bytes send_bytes =
-        static_cast<Bytes>(count) * (send_blocked ? n : 1) * sizeof(float);
-    const Bytes recv_bytes =
-        static_cast<Bytes>(count) * (recv_blocked ? n : 1) * sizeof(float);
-    r.send = shim.alloc(send_bytes);
-    r.recv = shim.alloc(recv_bytes);
-    ranks.push_back(r);
+  for (int rank = 0; rank < n; ++rank) {
+    svc::Shim& shim = fabric.connect(app, gpus[static_cast<std::size_t>(rank)]);
+    const svc::RankBuffers sizes = svc::rank_buffers(args, n, rank);
+    const auto alloc = [&shim](Bytes bytes) {
+      return bytes > 0 ? shim.alloc(bytes) : gpu::DevicePtr{};
+    };
+    ranks.push_back(Rank{&shim, &shim.create_app_stream(), alloc(sizes.send),
+                         alloc(sizes.recv)});
   }
 
   std::vector<Time> iter_end;

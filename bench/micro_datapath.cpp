@@ -1,20 +1,19 @@
 // Microbenchmark: service datapath host-side fast path.
 //
-// Three sections, one JSON line each to BENCH_datapath.json:
+// Three sections, one JSON line per record to BENCH_datapath.json:
 //
 //  * plan   — ns to obtain a collective execution plan, cold (build_coll_plan
-//             from scratch every launch, the pre-cache behaviour and the
-//             enable_plan_cache=false path) vs warm (CollPlanCache hit). The
-//             check.sh gate requires warm to be >= 3x faster.
+//             from scratch, what a launch pays on a cache miss) vs warm
+//             (CollPlanCache hit). The check.sh gate requires warm to be
+//             >= 3x faster.
 //  * reduce — GB/s of coll::reduce_bytes (op-specialized restrict-pointer
 //             loops, -O3) vs coll::reduce_bytes_reference (the pinned scalar
 //             oracle), timed in interleaved rounds; `speedup` is the median
 //             of the per-round ratios. The gate requires >= 2x on kFloat32
 //             sum.
 //  * e2e    — host wall ns per collective launch through the full fabric
-//             (shim -> frontend -> proxy) with the plan cache on vs off,
-//             plus the cache hit rate. Informational: simulated virtual
-//             time is identical in both modes by construction.
+//             (shim -> frontend -> proxy), plus the plan-cache hit rate.
+//             Informational.
 //
 // Everything here measures host CPU cost only; the simulated latencies the
 // figure benches report are unaffected by any of it.
@@ -89,12 +88,12 @@ void bench_plans(std::FILE* json) {
 
     telemetry::Counter hits, misses, invalidations;
     svc::CollPlanCache cache{{hits, misses, invalidations}};
-    (void)cache.acquire(true, setup, strategy, cl, s.kind, s.count, dtype,
+    (void)cache.acquire(setup, strategy, cl, s.kind, s.count, dtype,
                         s.root);  // prime
     t0 = Clock::now();
     for (int i = 0; i < kWarmIters; ++i) {
-      auto plan = cache.acquire(true, setup, strategy, cl, s.kind, s.count,
-                                dtype, s.root);
+      auto plan = cache.acquire(setup, strategy, cl, s.kind, s.count, dtype,
+                                s.root);
       MCCS_CHECK(plan != nullptr, "plan acquire failed");
     }
     const double warm_ns = seconds_since(t0) * 1e9 / kWarmIters;
@@ -228,50 +227,42 @@ void bench_reduce(std::FILE* json) {
   }
 }
 
-// --- section 3: end-to-end host cost per collective, cache on vs off ---------
+// --- section 3: end-to-end host cost per collective --------------------------
 
 void bench_e2e(std::FILE* json) {
-  std::printf("%-10s %18s %10s\n", "plan cache", "host ns/collective",
-              "hit rate");
-  for (const bool cache_on : {false, true}) {
-    svc::Fabric::Options options;
-    options.seed = 1;
-    options.config.move_data = false;
-    options.config.enable_plan_cache = cache_on;
-    options.gpu_config.materialize_memory = false;
-    svc::Fabric fabric(cluster::make_testbed(), options);
+  svc::Fabric::Options options;
+  options.seed = 1;
+  options.config.move_data = false;
+  options.gpu_config.materialize_memory = false;
+  svc::Fabric fabric(cluster::make_testbed(), options);
 
-    const AppId app{1};
-    const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
-    const CommId comm = bench::bench_create_comm(fabric, app, gpus);
+  const AppId app{1};
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+  const CommId comm = bench::bench_create_comm(fabric, app, gpus);
 
-    constexpr int kWarmup = 2;
-    constexpr int kIters = 400;
-    const auto t0 = Clock::now();
-    (void)bench::run_collective_loop(fabric, app, gpus, comm,
-                                     coll::CollectiveKind::kAllReduce, 1_MB,
-                                     kWarmup, kIters);
-    // Per launched collective: every iteration launches one per rank.
-    const double ns = seconds_since(t0) * 1e9 /
-                      (static_cast<double>(kWarmup + kIters) * gpus.size());
+  constexpr int kWarmup = 2;
+  constexpr int kIters = 400;
+  const auto t0 = Clock::now();
+  (void)bench::run_collective_loop(fabric, app, gpus, comm,
+                                   coll::CollectiveKind::kAllReduce, 1_MB,
+                                   kWarmup, kIters);
+  // Per launched collective: every iteration launches one per rank.
+  const double ns = seconds_since(t0) * 1e9 /
+                    (static_cast<double>(kWarmup + kIters) * gpus.size());
 
-    std::uint64_t hits = 0, misses = 0;
-    for (GpuId g : gpus) {
-      const auto st = fabric.proxy_for(g).plan_cache_stats(comm);
-      hits += st.hits;
-      misses += st.misses;
-    }
-    const double hit_rate =
-        hits + misses == 0 ? 0.0
-                           : static_cast<double>(hits) / (hits + misses);
-    std::printf("%-10s %18.0f %9.1f%%\n", cache_on ? "on" : "off", ns,
-                hit_rate * 100.0);
-    std::fprintf(json,
-                 "{\"bench\":\"micro_datapath\",\"section\":\"e2e\","
-                 "\"plan_cache\":%s,\"host_ns_per_collective\":%.1f,"
-                 "\"hit_rate\":%.4f}\n",
-                 cache_on ? "true" : "false", ns, hit_rate);
+  std::uint64_t hits = 0, misses = 0;
+  for (GpuId g : gpus) {
+    const auto st = fabric.proxy_for(g).plan_cache_stats(comm);
+    hits += st.hits;
+    misses += st.misses;
   }
+  const double hit_rate = static_cast<double>(hits) / (hits + misses);
+  std::printf("%18s %10s\n", "host ns/collective", "hit rate");
+  std::printf("%18.0f %9.1f%%\n", ns, hit_rate * 100.0);
+  std::fprintf(json,
+               "{\"bench\":\"micro_datapath\",\"section\":\"e2e\","
+               "\"host_ns_per_collective\":%.1f,\"hit_rate\":%.4f}\n",
+               ns, hit_rate);
 }
 
 }  // namespace

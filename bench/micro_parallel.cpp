@@ -6,16 +6,14 @@
 //   dispatch        — pool fork-join overhead: an empty-body parallel_for
 //                     per thread count, ns per dispatch. threads=1 is the
 //                     inline path (no pool).
-//   sharded_reduce  — 64 MiB float32 sum reduce (the proxy engine's hot
-//                     kernel) sharded across the pool; bytes/sec per count.
 //   seed_sweep      — independent randomized churn seeds fanned out with
 //                     parallel_for (the property-test / chaos-sweep shape);
 //                     median wall time of kSweepReps repetitions.
 //
 // Every line carries "cores" (hardware_concurrency): on a machine with >= 4
-// cores scripts/check.sh requires >= 2x at 4 threads on both sharded_reduce
-// and seed_sweep; on smaller machines the lines are recorded but the speedup
-// gate is skipped (a 1-core container cannot speed anything up).
+// cores scripts/check.sh requires >= 2x at 4 threads on seed_sweep; on
+// smaller machines the lines are recorded but the speedup gate is skipped
+// (a 1-core container cannot speed anything up).
 //
 // Determinism note: the simulated results of every section are independent
 // of the thread count (that is the pool's contract, enforced by
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "collectives/types.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "netsim/network.h"
@@ -66,27 +63,6 @@ double dispatch_ns(int threads) {
   }
   const double t1 = now_s();
   return (t1 - t0) / kIters * 1e9;
-}
-
-// --- sharded reduce throughput ----------------------------------------------
-
-double reduce_gbps(int threads) {
-  par::set_threads(threads);
-  const std::size_t count = (std::size_t{64} << 20) / sizeof(float);
-  std::vector<float> acc(count, 1.0f), in(count, 2.0f);
-  const std::span<std::byte> a(reinterpret_cast<std::byte*>(acc.data()),
-                               count * sizeof(float));
-  const std::span<const std::byte> b(
-      reinterpret_cast<const std::byte*>(in.data()), count * sizeof(float));
-  // Warm-up (page faults, pool spawn).
-  coll::reduce_bytes(a, b, coll::DataType::kFloat32, coll::ReduceOp::kSum);
-  constexpr int kIters = 12;
-  const double t0 = now_s();
-  for (int i = 0; i < kIters; ++i) {
-    coll::reduce_bytes(a, b, coll::DataType::kFloat32, coll::ReduceOp::kSum);
-  }
-  const double t1 = now_s();
-  return static_cast<double>(count * sizeof(float)) * kIters / (t1 - t0) / 1e9;
 }
 
 // --- parallel seed sweep ----------------------------------------------------
@@ -159,24 +135,9 @@ int main() {
   }
   std::printf("\n");
 
-  // Sharded reduce throughput.
-  std::printf("%-18s %8s %9s %9s\n", "section", "threads", "result",
-              "speedup");
-  double base_gbps = 0.0;
-  for (const int t : sweep) {
-    const double gbps = reduce_gbps(t);
-    if (t == 1) base_gbps = gbps;
-    const double speedup = gbps / base_gbps;
-    std::printf("%-18s %8d %7.1fGB/s %7.2fx\n", "sharded_reduce", t, gbps,
-                speedup);
-    std::fprintf(json,
-                 "{\"bench\":\"micro_parallel\",\"section\":\"sharded_reduce\","
-                 "\"threads\":%d,\"cores\":%d,\"buffer_mib\":64,"
-                 "\"gbytes_per_sec\":%.3f,\"speedup_vs_1thread\":%.3f}\n",
-                 t, cores, gbps, speedup);
-  }
-
   // Seed-sweep scaling (property-test / chaos shape).
+  std::printf("%-18s %8s %9s %9s\n", "section", "threads", "wall_s",
+              "speedup");
   const auto testbed = cluster::make_testbed();
   double sweep_base = 0.0;
   for (const int t : sweep) {

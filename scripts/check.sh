@@ -27,15 +27,22 @@
 # zero-orphan quiesce and assignment-identity invariants per seed), which runs
 # at MCCS_THREADS=1 and 8 — the seed-parallel sweep must be thread-count
 # independent.
+#
+# Every step (build, ctest, the benchmark smoke, each sweep, each golden pass,
+# each bench binary) is run under bash's `time` keyword, which prints its
+# wall, user and sys seconds to stderr after the step. The times are
+# reported, never gated.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+TIMEFORMAT='-- step time: %3Rs wall, %3Us user, %3Ss sys'
 
 chaos_sweep() {
   local tests_bin="$1"
   local seeds="${CHAOS_SEEDS:-100}"
   echo "== chaos sweep (${seeds} seeds) =="
-  MCCS_CHAOS_SEEDS="${seeds}" "$tests_bin" \
+  time MCCS_CHAOS_SEEDS="${seeds}" "$tests_bin" \
     --gtest_filter='*ChaosFuzz*' --gtest_brief=1
 }
 
@@ -44,7 +51,7 @@ chaos_churn_sweep() {
   local seeds="${CHAOS_CHURN_SEEDS:-100}"
   for threads in 1 8; do
     echo "== chaos-under-churn sweep (${seeds} seeds, MCCS_THREADS=${threads}) =="
-    MCCS_THREADS="${threads}" MCCS_CHAOS_CHURN_SEEDS="${seeds}" "$tests_bin" \
+    time MCCS_THREADS="${threads}" MCCS_CHAOS_CHURN_SEEDS="${seeds}" "$tests_bin" \
       --gtest_filter='*ChaosChurn*:*LinkChangeLog*:*ControllerRestart*:*IncrementalAssignAudit*' \
       --gtest_brief=1
   done
@@ -53,9 +60,9 @@ chaos_churn_sweep() {
 if [[ "${SANITIZE:-}" == "thread" ]]; then
   echo "== sanitizer build: thread =="
   cmake -B build-tsan -S . -DMCCS_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target mccs_tests
+  time cmake --build build-tsan -j "$(nproc)" --target mccs_tests
   echo "== parallel-subsystem tests (TSan, MCCS_THREADS=8) =="
-  MCCS_THREADS=8 MCCS_NETSIM_PROPERTY_SEEDS=40 MCCS_CHAOS_SEEDS=6 \
+  time MCCS_THREADS=8 MCCS_NETSIM_PROPERTY_SEEDS=40 MCCS_CHAOS_SEEDS=6 \
     MCCS_NETSIM_8K_SEEDS=1 MCCS_CHAOS_CHURN_SEEDS=8 \
     MCCS_NETSIM_BATCH_SEEDS=40 \
     build-tsan/tests/mccs_tests \
@@ -68,14 +75,14 @@ fi
 if [[ -n "${SANITIZE:-}" ]]; then
   echo "== sanitizer build: ${SANITIZE} =="
   cmake -B build-san -S . -DMCCS_SANITIZE="${SANITIZE}" >/dev/null
-  cmake --build build-san -j "$(nproc)" --target mccs_tests
-  (cd build-san && ctest --output-on-failure -j "$(nproc)")
+  time cmake --build build-san -j "$(nproc)" --target mccs_tests
+  time (cd build-san && ctest --output-on-failure -j "$(nproc)")
   chaos_sweep build-san/tests/mccs_tests
   # The chaos composition (faults + kills + backpressure + audit fallback +
   # restart recovery) stresses exactly the teardown/rebuild lifetimes the
   # sanitizers exist for; a trimmed sweep is seconds-scale even instrumented.
   echo "== chaos-under-churn (sanitized) =="
-  MCCS_CHAOS_CHURN_SEEDS=20 build-san/tests/mccs_tests \
+  time MCCS_CHAOS_CHURN_SEEDS=20 build-san/tests/mccs_tests \
     --gtest_filter='*ChaosChurn*:*LinkChangeLog*:*ControllerRestart*' \
     --gtest_brief=1
   echo "ALL CHECKS PASSED (sanitized: ${SANITIZE})"
@@ -83,15 +90,15 @@ if [[ -n "${SANITIZE:-}" ]]; then
 fi
 
 cmake -B build -S . >/dev/null
-cmake --build build -j "$(nproc)"
-(cd build && ctest --output-on-failure -j "$(nproc)")
+time cmake --build build -j "$(nproc)"
+time (cd build && ctest --output-on-failure -j "$(nproc)")
 
 # Every benchmark workload at ~1/50 size with all its correctness checks:
 # exact collective sums, exactly-once completion, and the audit that no
 # installed route crosses a failed link (ctl_churn_1k drives the production
 # controller under it). A failed check exits non-zero.
 echo "== benchmark smoke (correctness checks) =="
-python3 benchmark/run.py --smoke
+time python3 benchmark/run.py --smoke
 
 chaos_sweep build/tests/mccs_tests
 chaos_churn_sweep build/tests/mccs_tests
@@ -105,8 +112,8 @@ chaos_churn_sweep build/tests/mccs_tests
 # forced wide (MCCS_THREADS=8): the pool's determinism contract says the
 # thread count may never change a simulated result, so BOTH runs must match
 # the same goldens byte for byte.
-for threads in 1 8; do
-  export MCCS_THREADS="$threads"
+golden_pass() {
+  local threads="$1"
   echo "== telemetry-disabled golden outputs (MCCS_THREADS=${threads}) =="
   for fig in fig06_single_app fig07_reconfig fig08_multi_app fig09_qos_jct \
              fig10_dynamic_policy; do
@@ -128,6 +135,10 @@ for threads in 1 8; do
          "(MCCS_THREADS=${threads})" >&2; exit 1;
   }
   echo "micro_overhead virtual latencies match golden (MCCS_THREADS=${threads})"
+}
+for threads in 1 8; do
+  export MCCS_THREADS="$threads"
+  time golden_pass "$threads"
 done
 unset MCCS_THREADS
 
@@ -139,7 +150,7 @@ rm -f build/bench/BENCH_*.json
 for bench in micro_flowsim micro_datapath micro_recovery micro_telemetry \
              micro_parallel cluster_day ext_collectives; do
   echo "== ${bench} =="
-  (cd build/bench && "./${bench}")
+  time (cd build/bench && "./${bench}")
 done
 python3 scripts/bench_gates.py build/bench
 

@@ -10,26 +10,11 @@
 // All ops are elementwise — no reassociation is involved — so the vector
 // forms are bit-identical to the scalar reference (reduce_bytes_reference in
 // types.h), which the exhaustive oracle test asserts.
-//
-// Above kParallelMinBytes the buffer is additionally sharded across the task
-// pool in fixed kShardBytes chunks. Elementwise ops touch each element
-// exactly once with no cross-element dependency, so any contiguous split is
-// bitwise identical to the unsharded loop — the thread count can never change
-// a result (tests/test_parallel.cpp cross-checks threads=1 vs threads=8).
 
 #include "collectives/types.h"
-#include "common/parallel.h"
 
 namespace mccs::coll {
 namespace {
-
-/// Shard only buffers big enough that a dispatch (~1 µs) is noise against
-/// the memory traffic; below this the single-thread vector loop wins.
-constexpr std::size_t kParallelMinBytes = std::size_t{1} << 20;
-/// Fixed shard size: boundaries depend only on the buffer size, never on the
-/// thread count (the pool's determinism contract, though elementwise ops
-/// would be split-invariant anyway).
-constexpr std::size_t kShardBytes = std::size_t{256} << 10;
 
 struct SumOp {
   template <class T>
@@ -67,17 +52,6 @@ void reduce_typed(std::byte* acc, const std::byte* in, std::size_t bytes,
   }
 }
 
-void reduce_dispatch(std::byte* a, const std::byte* b, std::size_t bytes,
-                     DataType dtype, ReduceOp op) {
-  switch (dtype) {
-    case DataType::kFloat32: reduce_typed<float>(a, b, bytes, op); break;
-    case DataType::kFloat64: reduce_typed<double>(a, b, bytes, op); break;
-    case DataType::kInt32: reduce_typed<std::int32_t>(a, b, bytes, op); break;
-    case DataType::kInt64: reduce_typed<std::int64_t>(a, b, bytes, op); break;
-    case DataType::kUint8: reduce_typed<std::uint8_t>(a, b, bytes, op); break;
-  }
-}
-
 }  // namespace
 
 void reduce_bytes(std::span<std::byte> acc, std::span<const std::byte> in,
@@ -87,19 +61,13 @@ void reduce_bytes(std::span<std::byte> acc, std::span<const std::byte> in,
   std::byte* a = acc.data();
   const std::byte* b = in.data();
   const std::size_t bytes = acc.size();
-  if (bytes >= kParallelMinBytes && par::thread_count() > 1) {
-    // Shard across the pool: elements per shard, rounded to whole elements
-    // so every (begin, end) range is dtype-aligned within the buffer.
-    const std::size_t elem = dtype_size(dtype);
-    const std::size_t n = bytes / elem;
-    const std::size_t grain = kShardBytes / elem;
-    par::parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
-      reduce_dispatch(a + begin * elem, b + begin * elem, (end - begin) * elem,
-                      dtype, op);
-    });
-    return;
+  switch (dtype) {
+    case DataType::kFloat32: reduce_typed<float>(a, b, bytes, op); break;
+    case DataType::kFloat64: reduce_typed<double>(a, b, bytes, op); break;
+    case DataType::kInt32: reduce_typed<std::int32_t>(a, b, bytes, op); break;
+    case DataType::kInt64: reduce_typed<std::int64_t>(a, b, bytes, op); break;
+    case DataType::kUint8: reduce_typed<std::uint8_t>(a, b, bytes, op); break;
   }
-  reduce_dispatch(a, b, bytes, dtype, op);
 }
 
 }  // namespace mccs::coll

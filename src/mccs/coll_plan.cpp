@@ -135,7 +135,7 @@ std::shared_ptr<const CollPlan> build_coll_plan(
 }
 
 std::shared_ptr<const CollPlan> CollPlanCache::acquire(
-    bool enabled, const CommSetup& setup,
+    const CommSetup& setup,
     const std::shared_ptr<const CommStrategy>& strategy,
     const cluster::Cluster& cluster, coll::CollectiveKind kind,
     std::size_t count, coll::DataType dtype, int root) {
@@ -148,18 +148,16 @@ std::shared_ptr<const CollPlan> CollPlanCache::acquire(
     strategy_ = strategy;
   }
   const PlanKey key{kind, count, dtype, root};
-  if (enabled) {
-    auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      ++stats_.hits;
-      gpu_.hits.increment();
-      return it->second;
-    }
+  auto it = plans_.find(key);
+  if (it != plans_.end()) {
+    ++stats_.hits;
+    gpu_.hits.increment();
+    return it->second;
   }
   ++stats_.misses;
   gpu_.misses.increment();
   auto plan = build_coll_plan(setup, *strategy, cluster, kind, count, dtype, root);
-  if (enabled) plans_.emplace(key, plan);
+  plans_.emplace(key, plan);
   return plan;
 }
 

@@ -152,7 +152,7 @@ class CollPlanCache {
   /// with the cache; the GPU-wide totals below outlive it.
   struct Stats {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;          ///< plan built (cache disabled or absent)
+    std::uint64_t misses = 0;          ///< plans built and retained
     std::uint64_t invalidations = 0;   ///< strategy changes that dropped entries
   };
 
@@ -167,11 +167,11 @@ class CollPlanCache {
 
   explicit CollPlanCache(const GpuCounters& gpu) : gpu_(gpu) {}
 
-  /// Return the plan for the given shape, building (and, if `enabled`,
-  /// retaining) it on a miss. A strategy other than the cache's drops every
-  /// entry first — see the invalidation contract above.
+  /// Return the plan for the given shape, building and retaining it on a
+  /// miss. A strategy other than the cache's drops every entry first — see
+  /// the invalidation contract above.
   std::shared_ptr<const CollPlan> acquire(
-      bool enabled, const CommSetup& setup,
+      const CommSetup& setup,
       const std::shared_ptr<const CommStrategy>& strategy,
       const cluster::Cluster& cluster, coll::CollectiveKind kind,
       std::size_t count, coll::DataType dtype, int root);

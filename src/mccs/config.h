@@ -51,13 +51,6 @@ struct ServiceConfig {
   /// real data.
   bool move_data = true;
 
-  /// Cache compiled collective plans per (comm, kind, count, dtype, root)
-  /// across launches (host-side fast path; see mccs/coll_plan.h). Plans are
-  /// dropped whenever the rank's strategy changes. Affects host CPU time only,
-  /// never simulated timing; `false` rebuilds every plan from scratch (the
-  /// cold path bench/micro_datapath measures against).
-  bool enable_plan_cache = true;
-
   // --- fault tolerance (see DESIGN.md "Failure model and recovery protocol") -
   /// Stall detection: each posted chunk gets a no-progress deadline of
   /// `chunk_deadline_slack` x its analytic lower bound (start latency plus
@@ -76,16 +69,6 @@ struct ServiceConfig {
   /// backoff, capped at 16x) so a reconfiguration can still drain the
   /// stalled collective over surviving paths.
   int transport_max_retries = 3;
-
-  // --- telemetry (see DESIGN.md "Telemetry subsystem") -----------------------
-  /// Record the virtual-time span/event timeline (frontend/proxy/transport/
-  /// netsim flow lifetimes, policy and recovery instants, the link-
-  /// utilization sampler) for Chrome-trace export. Off by default: every
-  /// recording site sits behind one cheap branch, and with it off the
-  /// simulation is byte-identical to a build without the machinery. The
-  /// metrics registry (replacing the old ad-hoc counters) is always live
-  /// regardless — counters are not gated.
-  bool enable_telemetry = false;
 
   /// ABLATION ONLY: apply reconfiguration commands immediately on receipt,
   /// skipping the Fig.-4 sequence-number barrier. Demonstrates the

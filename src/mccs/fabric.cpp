@@ -1,7 +1,6 @@
 #include "mccs/fabric.h"
 
 #include <algorithm>
-#include <ostream>
 #include <string>
 
 #include "telemetry/json.h"
@@ -37,7 +36,6 @@ Fabric::Fabric(cluster::Cluster cluster, Options options)
   context_.cluster = &cluster_;
   context_.config = options.config;
   context_.seed = options.seed;
-  telemetry_.set_enabled(options.config.enable_telemetry);
   context_.telemetry = &telemetry_;
   network_->set_telemetry(&telemetry_);
   context_.proxy_for = [this](GpuId gpu) -> ProxyEngine& { return proxy_for(gpu); };
@@ -250,63 +248,6 @@ void Fabric::set_stall_handler(std::function<void(const StallReport&)> handler) 
   context_.on_transport_stall = std::move(handler);
 }
 
-void Fabric::debug_dump(std::ostream& os) {
-  os << "=== fabric dump @ t=" << loop_.now() << "s ===\n";
-  os << "event loop: " << loop_.size() << " live events\n";
-
-  os << "links (non-up only):\n";
-  const net::Topology& topo = network_->topology();
-  std::size_t degraded = 0;
-  for (std::size_t l = 0; l < topo.link_count(); ++l) {
-    const LinkId id{static_cast<std::uint32_t>(l)};
-    if (network_->link_state(id) == net::LinkState::kUp) continue;
-    ++degraded;
-    os << "  link " << l
-       << (network_->link_state(id) == net::LinkState::kDown ? " DOWN"
-                                                             : " DEGRADED")
-       << " (capacity x" << network_->link_capacity_fraction(id) << ")\n";
-  }
-  if (degraded == 0) os << "  (all up)\n";
-
-  os << "active flows:\n";
-  for (FlowId f : network_->active_flows()) {
-    const net::FlowSpec& spec = network_->flow_spec(f);
-    os << "  flow " << f.get() << " app=" << spec.app.get()
-       << " remaining=" << network_->flow_remaining(f)
-       << "B rate=" << network_->flow_rate(f) << "B/s\n";
-  }
-  os << "allocation errors: " << network_->allocation_error_count() << "\n";
-
-  os << "communicators:\n";
-  for (const CommInfo& info : list_communicators()) {
-    os << "  comm " << info.id.get() << " app=" << info.app.get() << ":";
-    for (GpuId gpu : info.gpus) {
-      ProxyEngine& p = proxy_for(gpu);
-      os << " [gpu" << gpu.get() << " launched=" << p.last_launched(info.id)
-         << " completed=" << p.last_completed(info.id)
-         << " active=" << p.active_count(info.id)
-         << " held=" << p.held_count(info.id)
-         << (p.reconfig_in_progress(info.id) ? " reconfig" : "") << "]";
-    }
-    os << "\n";
-  }
-
-  os << "transport stats:\n";
-  for (auto& svc : services_) {
-    const auto& host = cluster_.host(svc->host());
-    for (std::size_t nic = 0; nic < host.nic_nodes.size(); ++nic) {
-      const TransportEngine::Stats st =
-          svc->transport(static_cast<int>(nic)).stats();
-      if (st.deadline_checks == 0 && st.retries == 0 && st.escalations == 0) {
-        continue;
-      }
-      os << "  host" << svc->host().get() << "/nic" << nic
-         << " checks=" << st.deadline_checks << " retries=" << st.retries
-         << " escalations=" << st.escalations << "\n";
-    }
-  }
-}
-
 void Fabric::set_traffic_schedule(AppId app, const TrafficSchedule& schedule) {
   for (auto& svc : services_) {
     const auto& host = cluster_.host(svc->host());
@@ -353,6 +294,7 @@ std::string Fabric::telemetry_snapshot() {
   out.reserve(4096);
   out += "{\"time\":";
   telemetry::append_double(out, loop_.now());
+  out += ",\"pending_events\":" + std::to_string(loop_.size());
   out += ",\"metrics\":";
   out += telemetry_.metrics().to_json();
 

@@ -11,7 +11,6 @@
 //   * retrieve per-application collective traces.
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -139,14 +138,14 @@ class Fabric {
   // --- telemetry ---------------------------------------------------------------
   /// Fabric-wide telemetry. The metrics registry is always live (engines
   /// record through it unconditionally); the span/event timeline records only
-  /// when enabled — ServiceConfig::enable_telemetry seeds the switch, and
-  /// telemetry().set_enabled() flips it at runtime.
+  /// while telemetry().set_enabled(true) holds — off from construction.
   [[nodiscard]] telemetry::Telemetry& telemetry() { return telemetry_; }
 
-  /// Machine-readable JSON snapshot of the fabric: virtual time, the metrics
-  /// registry, per-link state / allocated throughput / cumulative bytes, live
-  /// flows, and per-communicator progress and plan-cache counts per rank.
-  /// The programmatic counterpart of the human-oriented debug_dump.
+  /// Machine-readable JSON snapshot of the fabric: virtual time, the event
+  /// loop's live-event count, the metrics registry, per-link state /
+  /// allocated throughput / cumulative bytes, live flows in ascending id
+  /// order, and per-communicator progress and plan-cache counts per rank.
+  /// test::await prints it when an await times out.
   [[nodiscard]] std::string telemetry_snapshot();
 
   /// One link's slice of the telemetry snapshot, as structured data: the
@@ -181,11 +180,6 @@ class Fabric {
   /// Install the escalation sink for transport stall reports (see
   /// ServiceContext::on_transport_stall). Pass nullptr to detach.
   void set_stall_handler(std::function<void(const StallReport&)> handler);
-
-  /// Human-readable snapshot of sim time, pending events, live flows, link
-  /// states, and per-communicator progress — printed by test harnesses when
-  /// an await times out.
-  void debug_dump(std::ostream& os);
 
   // --- internal wiring ------------------------------------------------------------
   [[nodiscard]] ProxyEngine& proxy_for(GpuId gpu);

@@ -58,7 +58,7 @@ void FrontendEngine::handle_collective(CommId comm, GpuId gpu,
   MCCS_CHECK(buffers.send == 0 || validate(gpu, args.send, buffers.send),
              "collective send buffer is not a valid tenant allocation");
 
-  if (ctx_->telemetry != nullptr && ctx_->telemetry->enabled()) {
+  if (ctx_->telemetry->enabled()) {
     // Validation + the engine hop to the proxy, as a frontend-layer span.
     telemetry::Timeline& tl = ctx_->telemetry->timeline();
     if (track_ < 0) {

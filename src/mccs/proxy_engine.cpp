@@ -94,6 +94,9 @@ void ProxyEngine::install_communicator(
 }
 
 void ProxyEngine::destroy_communicator(CommId comm) {
+  // The tenant's destroy and the provider's can both reach this rank; the
+  // one that lands second finds it gone.
+  if (destroyed_.count(comm.get()) > 0) return;
   auto it = comms_.find(comm.get());
   MCCS_EXPECTS(it != comms_.end());
   const CommRank& st = it->second;
@@ -290,9 +293,8 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
 
   // Attach the (cached) collective plan and reset pooled per-channel cursor
   // state — on a warm cache this allocates nothing.
-  a.plan = st.plan_cache.acquire(ctx_->config.enable_plan_cache, st.setup,
-                                 st.strategy, *ctx_->cluster, args.kind,
-                                 args.count, args.dtype, args.root);
+  a.plan = st.plan_cache.acquire(st.setup, st.strategy, *ctx_->cluster,
+                                 args.kind, args.count, args.dtype, args.root);
   const int num_channels = static_cast<int>(a.plan->channels.size());
   if (!st.exec_pool.empty()) {
     a.channels = std::move(st.exec_pool.back());

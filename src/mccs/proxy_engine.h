@@ -91,7 +91,9 @@ class ProxyEngine {
                             std::shared_ptr<const CommStrategy> strategy);
   /// Orderly teardown of an idle communicator. Reconfiguration messages
   /// still in flight for it (a barrier round it took part in) are dropped on
-  /// arrival; any other late message is a contract violation.
+  /// arrival; any other late message is a contract violation. A rank already
+  /// destroyed here is skipped: a tenant's comm_destroy and the provider's
+  /// destroy_communicator may both tear it down.
   void destroy_communicator(CommId comm);
 
   /// Forced teardown (tenant kill): drop the rank's state for `comm`
@@ -167,7 +169,7 @@ class ProxyEngine {
   [[nodiscard]] std::size_t active_count(CommId comm) const;
 
   /// Number of issued-but-held launches (waiting on a reconfiguration
-  /// barrier). Diagnostics (test::await dumps).
+  /// barrier). Diagnostics (telemetry_snapshot).
   [[nodiscard]] std::size_t held_count(CommId comm) const;
 
   /// Plan-cache counters of one communicator (see coll_plan.h).

@@ -35,8 +35,8 @@ std::string management_snapshot_json(Fabric& fabric);
 /// telemetry timeline event (frontend/transport/netsim/policy spans, policy
 /// and recovery instants, link counters) plus every completed collective
 /// TraceRecord as a "proxy" span on a per-(comm, rank) track. Loads in
-/// Perfetto / chrome://tracing. Timeline events require the fabric to have
-/// run with ServiceConfig::enable_telemetry; the TraceRecord spans are
+/// Perfetto / chrome://tracing. Timeline events are recorded only while
+/// fabric.telemetry().set_enabled(true) holds; the TraceRecord spans are
 /// always present.
 std::string chrome_trace_json(Fabric& fabric);
 

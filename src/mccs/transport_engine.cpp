@@ -17,23 +17,16 @@ Time retry_backoff(int attempts) { return micros(100) * std::min(attempts, 16); 
 
 TransportEngine::TransportEngine(ServiceContext& ctx, HostId host, int nic_index)
     : ctx_(&ctx), host_(host), nic_index_(nic_index) {
-  if (ctx_->telemetry != nullptr) {
-    telemetry::MetricsRegistry& reg = ctx_->telemetry->metrics();
-    const telemetry::Labels labels{{"host", std::to_string(host_.get())},
-                                   {"nic", std::to_string(nic_index_)}};
-    deadline_checks_ = &reg.counter("transport_deadline_checks", labels);
-    retries_ = &reg.counter("transport_retries", labels);
-    escalations_ = &reg.counter("transport_escalations", labels);
-    send_latency_us_ = &reg.histogram(
-        "transport_send_latency_us",
-        {50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0, 20000.0, 100000.0}, labels);
-  } else {
-    // Bare-engine construction (unit tests without a Fabric): fall back to
-    // privately owned counters so stats() keeps working.
-    deadline_checks_ = &own_deadline_checks_;
-    retries_ = &own_retries_;
-    escalations_ = &own_escalations_;
-  }
+  MCCS_EXPECTS(ctx_->telemetry != nullptr);
+  telemetry::MetricsRegistry& reg = ctx_->telemetry->metrics();
+  const telemetry::Labels labels{{"host", std::to_string(host_.get())},
+                                 {"nic", std::to_string(nic_index_)}};
+  deadline_checks_ = &reg.counter("transport_deadline_checks", labels);
+  retries_ = &reg.counter("transport_retries", labels);
+  escalations_ = &reg.counter("transport_escalations", labels);
+  send_latency_us_ = &reg.histogram(
+      "transport_send_latency_us",
+      {50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0, 20000.0, 100000.0}, labels);
 }
 
 bool TrafficSchedule::open_at(Time t) const {
@@ -133,7 +126,7 @@ void TransportEngine::finish_send(std::uint64_t sid) {
     auto& v = git->second.active_sends;
     v.erase(std::remove(v.begin(), v.end(), sid), v.end());
   }
-  if (ctx_->telemetry != nullptr && ctx_->telemetry->enabled()) {
+  if (ctx_->telemetry->enabled()) {
     const Time now = ctx_->loop->now();
     if (track_ < 0) {
       track_ = ctx_->telemetry->timeline().track(
@@ -149,9 +142,7 @@ void TransportEngine::finish_send(std::uint64_t sid) {
          {"dst_gpu", static_cast<std::uint64_t>(s.transfer.dst_gpu.get())},
          {"bytes", s.transfer.bytes},
          {"attempts", static_cast<std::int64_t>(s.attempts)}});
-    if (send_latency_us_ != nullptr) {
-      send_latency_us_->observe((now - s.posted) * 1e6);
-    }
+    send_latency_us_->observe((now - s.posted) * 1e6);
   }
   s.transfer.deliver();  // RDMA write lands at the receiver...
   s.transfer.on_sent();  // ...then the sender sees its completion event
@@ -203,7 +194,7 @@ void TransportEngine::on_deadline(std::uint64_t sid) {
   // A full deadline window with zero progress: retry on a re-hashed path.
   ++s.attempts;
   retries_->increment();
-  if (ctx_->telemetry != nullptr && ctx_->telemetry->enabled()) {
+  if (ctx_->telemetry->enabled()) {
     if (track_ < 0) {
       track_ = ctx_->telemetry->timeline().track(
           "host " + std::to_string(host_.get()),
@@ -242,7 +233,7 @@ void TransportEngine::on_deadline(std::uint64_t sid) {
   }
   if (escalate) {
     escalations_->increment();
-    if (ctx_->telemetry != nullptr && ctx_->telemetry->enabled()) {
+    if (ctx_->telemetry->enabled()) {
       ctx_->telemetry->timeline().instant(
           track_, "transport", "stall_report", ctx_->loop->now(),
           {{"app", static_cast<std::uint64_t>(report.app.get())},

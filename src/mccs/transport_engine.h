@@ -52,16 +52,8 @@ struct ChunkTransfer {
 
 class TransportEngine {
  public:
-  /// Detection / retry counters (fault-tolerance observability). All zero on
-  /// the healthy path with detection disabled. Snapshot assembled from the
-  /// fabric's MetricsRegistry — the registry's labeled counters (host/nic)
-  /// are the backing store, this struct is the accessor-compatible view.
-  struct Stats {
-    std::uint64_t deadline_checks = 0;  ///< deadline timers that fired
-    std::uint64_t retries = 0;          ///< re-posts after a no-progress window
-    std::uint64_t escalations = 0;      ///< stall reports sent to the handler
-  };
-
+  /// Requires the fabric's telemetry (ServiceContext::telemetry): the
+  /// engine's counters live in its MetricsRegistry.
   TransportEngine(ServiceContext& ctx, HostId host, int nic_index);
 
   TransportEngine(const TransportEngine&) = delete;
@@ -84,10 +76,6 @@ class TransportEngine {
   /// run. Returns the number of sends dropped.
   std::size_t abort_app(AppId app);
 
-  [[nodiscard]] Stats stats() const {
-    return Stats{deadline_checks_->value(), retries_->value(),
-                 escalations_->value()};
-  }
   [[nodiscard]] int nic_index() const { return nic_index_; }
 
  private:
@@ -124,13 +112,14 @@ class TransportEngine {
   std::unordered_map<std::uint32_t, AppGate> gates_;      ///< by AppId
   std::unordered_map<std::uint64_t, Inflight> inflight_;  ///< by send id
   std::uint64_t next_send_id_ = 0;
-  // Registry-backed counters, interned once at construction (labels:
-  // host/nic). Fallback-owned when no telemetry is wired (bare-engine tests).
-  telemetry::Counter* deadline_checks_ = nullptr;
-  telemetry::Counter* retries_ = nullptr;
-  telemetry::Counter* escalations_ = nullptr;
-  telemetry::Histogram* send_latency_us_ = nullptr;  ///< enabled mode only
-  telemetry::Counter own_deadline_checks_, own_retries_, own_escalations_;
+  // Registry instruments, interned once at construction (labels: host/nic).
+  // All three counters stay zero on the healthy path with detection
+  // disabled; the fabric-wide totals are counter_total("transport_retries")
+  // and its siblings.
+  telemetry::Counter* deadline_checks_ = nullptr;  ///< deadline timers fired
+  telemetry::Counter* retries_ = nullptr;  ///< re-posts after a stalled window
+  telemetry::Counter* escalations_ = nullptr;  ///< stall reports handed up
+  telemetry::Histogram* send_latency_us_ = nullptr;  ///< recorded when enabled
   int track_ = -1;  ///< lazily interned timeline track (enabled mode only)
 };
 

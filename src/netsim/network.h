@@ -273,7 +273,7 @@ class Network {
   [[nodiscard]] PathView flow_path(FlowId id) const;
   [[nodiscard]] const FlowSpec& flow_spec(FlowId id) const;
   [[nodiscard]] std::size_t active_flow_count() const { return live_count_; }
-  /// All live flow ids, ascending (diagnostics / debug dumps). Served by
+  /// All live flow ids, ascending (diagnostics, telemetry_snapshot). Served by
   /// walking the slab's live list, which is insertion-ordered — and insertion
   /// order is id order because ids are monotone. No sort, no hashing.
   [[nodiscard]] std::vector<FlowId> active_flows() const;

@@ -256,7 +256,6 @@ void Controller::enable_fault_recovery() {
 }
 
 void Controller::on_stall(const svc::StallReport& report) {
-  ++stall_reports_;
   // Cross-check the stalled path against the monitoring plane's link
   // sampler (the same per-link view telemetry_snapshot exports): act only on
   // links the sampler shows administratively down AND carrying nothing — a

@@ -177,7 +177,6 @@ class Controller {
   [[nodiscard]] const std::vector<RecoveryRecord>& recovery_log() const {
     return recovery_log_;
   }
-  [[nodiscard]] std::uint64_t stall_reports() const { return stall_reports_; }
 
  private:
   svc::CommStrategy provide(const svc::CommInfo& info);
@@ -224,7 +223,6 @@ class Controller {
   std::unordered_set<std::uint32_t> reserved_routes_;
   std::unordered_set<std::uint32_t> failed_links_;
   std::vector<RecoveryRecord> recovery_log_;
-  std::uint64_t stall_reports_ = 0;
 
   std::unique_ptr<IncrementalAssigner> assigner_;  ///< lazily built
   /// Registered link-change consumer (lazily, at the first decision). Acking

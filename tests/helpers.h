@@ -83,9 +83,10 @@ inline std::vector<RankCtx> make_ranks(svc::Fabric& fabric, AppId app,
 ///
 /// Guarded by a wall-clock deadline: a bug that keeps the loop busy forever
 /// (a retry storm, a livelocked timer) would otherwise hang the whole test
-/// binary. On timeout the fabric's full diagnostic state (flows, link
-/// states, per-communicator progress, transport retry counters) is dumped
-/// to stderr and the await fails instead of hanging.
+/// binary. On timeout the fabric's telemetry snapshot (pending events,
+/// metrics including the transport retry counters, link states, flows,
+/// per-communicator progress) is printed to stderr and the await fails
+/// instead of hanging.
 inline bool await_until(svc::Fabric& fabric, const std::function<bool()>& done,
                         std::chrono::seconds wall_budget = std::chrono::seconds(30)) {
   const auto deadline = std::chrono::steady_clock::now() + wall_budget;
@@ -104,7 +105,7 @@ inline bool await_until(svc::Fabric& fabric, const std::function<bool()>& done,
   if (timed_out && !done()) {
     std::cerr << "test::await: wall-clock deadline (" << wall_budget.count()
               << "s) exceeded\n";
-    fabric.debug_dump(std::cerr);
+    std::cerr << fabric.telemetry_snapshot() << "\n";
     return false;
   }
   return done();

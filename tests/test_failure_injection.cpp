@@ -198,30 +198,11 @@ LinkId first_fabric_uplink(const cluster::Cluster& cl) {
 }
 
 std::uint64_t total_retries(svc::Fabric& fabric) {
-  std::uint64_t n = 0;
-  for (std::size_t h = 0; h < fabric.cluster().host_count(); ++h) {
-    const HostId host{static_cast<std::uint32_t>(h)};
-    const auto& nics = fabric.cluster().host(host).nic_nodes;
-    for (std::size_t nic = 0; nic < nics.size(); ++nic) {
-      n += fabric.service(host).transport(static_cast<int>(nic)).stats().retries;
-    }
-  }
-  return n;
+  return fabric.telemetry().metrics().counter_total("transport_retries");
 }
 
 std::uint64_t total_escalations(svc::Fabric& fabric) {
-  std::uint64_t n = 0;
-  for (std::size_t h = 0; h < fabric.cluster().host_count(); ++h) {
-    const HostId host{static_cast<std::uint32_t>(h)};
-    const auto& nics = fabric.cluster().host(host).nic_nodes;
-    for (std::size_t nic = 0; nic < nics.size(); ++nic) {
-      n += fabric.service(host)
-               .transport(static_cast<int>(nic))
-               .stats()
-               .escalations;
-    }
-  }
-  return n;
+  return fabric.telemetry().metrics().counter_total("transport_escalations");
 }
 
 TEST(FaultRecovery, MidCollectiveLinkDownRecoversViaEcmpRehash) {

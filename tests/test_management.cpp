@@ -188,6 +188,44 @@ TEST(CommLifecycle, FabricDestroyRemovesEverywhere) {
   }
 }
 
+TEST(CommLifecycle, TenantAndProviderDestroyRacingTearDownEachRankOnce) {
+  // A tenant's comm_destroy on GPU 0 and the provider's destroy_communicator
+  // both reach GPU 0's rank. Whichever teardown lands second skips the rank
+  // the first removed, so the loop runs on for every tenant. Called at one
+  // instant, in either order, the tenant's lands first; called 10 us after
+  // the provider's, it lands second.
+  struct Race {
+    const char* name;
+    bool tenant_first;
+    Time tenant_delay;
+  };
+  for (const Race race : {Race{"tenant, provider", true, 0.0},
+                          Race{"provider, tenant", false, 0.0},
+                          Race{"provider, tenant 10 us later", false,
+                               micros(10)}}) {
+    SCOPED_TRACE(race.name);
+    svc::Fabric fabric{cluster::make_testbed()};
+    const AppId app{1};
+    const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
+    std::vector<std::size_t> streams;
+    for (GpuId g : gpus) streams.push_back(fabric.gpus().gpu(g).stream_count());
+    const CommId comm = test::create_comm(fabric, app, gpus);
+    svc::Shim& tenant = fabric.connect(app, gpus[0]);
+    if (race.tenant_first) tenant.comm_destroy(comm);
+    fabric.destroy_communicator(comm);
+    if (!race.tenant_first) {
+      fabric.loop().run_until(fabric.loop().now() + race.tenant_delay);
+      tenant.comm_destroy(comm);
+    }
+    EXPECT_EQ(violation_of([&fabric] { fabric.loop().run(); }), "");
+    EXPECT_TRUE(fabric.list_communicators().empty());
+    for (std::size_t r = 0; r < gpus.size(); ++r) {
+      EXPECT_FALSE(fabric.proxy_for(gpus[r]).has_communicator(comm));
+      EXPECT_EQ(fabric.gpus().gpu(gpus[r]).stream_count(), streams[r]);
+    }
+  }
+}
+
 TEST(CommLifecycle, DestroyThenCreateReusesCleanState) {
   svc::Fabric fabric{cluster::make_testbed()};
   const std::vector<GpuId> gpus{GpuId{0}, GpuId{4}};

@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -107,7 +106,7 @@ TEST(NetworkSlab, CancelledCompletionNeverFiresAcrossRecycle) {
 
 // --- live-list ordering -------------------------------------------------------
 
-TEST(NetworkSlab, ActiveFlowsAscendingAndDebugDumpOrdered) {
+TEST(NetworkSlab, ActiveFlowsAscendingAndSnapshotOrdered) {
   svc::Fabric fabric(cluster::make_testbed());
   Network& net = fabric.network();
   const auto& cl = fabric.cluster();
@@ -141,20 +140,21 @@ TEST(NetworkSlab, ActiveFlowsAscendingAndDebugDumpOrdered) {
     }
   }
 
-  // The fabric debug dump walks the same list; its flow lines must come out
-  // in ascending id order too.
-  std::ostringstream dump;
-  fabric.debug_dump(dump);
-  std::istringstream lines(dump.str());
-  std::string line;
-  std::vector<std::uint32_t> dumped;
-  while (std::getline(lines, line)) {
-    std::uint32_t id = 0;
-    if (std::sscanf(line.c_str(), "  flow %u ", &id) == 1) dumped.push_back(id);
+  // The fabric's telemetry snapshot walks the same list; its "flows"
+  // entries must come out in ascending id order too.
+  const std::string snapshot = fabric.telemetry_snapshot();
+  const std::size_t begin = snapshot.find("\"flows\":[");
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t end = snapshot.find(']', begin);
+  std::vector<std::uint32_t> listed;
+  for (std::size_t at = snapshot.find("{\"id\":", begin); at < end;
+       at = snapshot.find("{\"id\":", at + 1)) {
+    listed.push_back(
+        static_cast<std::uint32_t>(std::stoul(snapshot.substr(at + 6))));
   }
-  ASSERT_EQ(dumped.size(), expect.size());
-  for (std::size_t i = 0; i < dumped.size(); ++i) {
-    EXPECT_EQ(dumped[i], expect[i].get());
+  ASSERT_EQ(listed.size(), expect.size());
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    EXPECT_EQ(listed[i], expect[i].get());
   }
 }
 

@@ -1,8 +1,7 @@
 // Tests of the collective plan cache (mccs/coll_plan.h): hit/miss
 // accounting per rank and in the per-GPU registry series, invalidation when
-// the strategy changes, structural equality of cached vs freshly built plans
-// over randomized shapes, and behavioural equivalence (results and virtual
-// time) with the cache disabled.
+// the strategy changes, and structural equality of cached vs freshly built
+// plans over randomized shapes.
 
 #include <gtest/gtest.h>
 
@@ -148,46 +147,6 @@ TEST_F(PlanCacheFixture, ReconfigurationInvalidatesCachedPlans) {
     EXPECT_FALSE(*after == *before[r])
         << "rank " << r << ": reversed ring must change the plan";
   }
-}
-
-TEST_F(PlanCacheFixture, DisabledCacheStillProducesCorrectResults) {
-  svc::Fabric::Options options;
-  options.config.enable_plan_cache = false;
-  Fabric cold(cluster::make_testbed(), options);
-  const CommId c = create_comm(cold, app, gpus);
-  auto rks = make_ranks(cold, app, gpus);
-  std::vector<gpu::DevicePtr> b(gpus.size());
-  for (std::size_t r = 0; r < gpus.size(); ++r) {
-    b[r] = rks[r].shim->alloc(count * sizeof(float));
-    auto s = cold.gpus().typed<float>(b[r], count);
-    for (auto& x : s) x = 1.0f;
-  }
-  constexpr int kRounds = 3;
-  for (int i = 0; i < kRounds; ++i) {
-    int remaining = static_cast<int>(gpus.size());
-    for (std::size_t r = 0; r < gpus.size(); ++r) {
-      rks[r].shim->all_reduce(c, b[r], b[r], count, DataType::kFloat32,
-                              ReduceOp::kSum, *rks[r].stream,
-                              [&remaining](Time) { --remaining; });
-    }
-    ASSERT_TRUE(await(cold, remaining));
-  }
-  for (std::size_t r = 0; r < gpus.size(); ++r) {
-    auto out = cold.gpus().typed<float>(b[r], count);
-    ASSERT_FLOAT_EQ(out[0], 64.0f);  // ((1*4)*4)*4
-  }
-  for (GpuId g : gpus) {
-    const auto st = cold.proxy_for(g).plan_cache_stats(c);
-    EXPECT_EQ(st.hits, 0u);
-    EXPECT_EQ(st.misses, static_cast<std::uint64_t>(kRounds));
-    EXPECT_EQ(cold.proxy_for(g).plan_cache_size(c), 0u);
-  }
-
-  // The cache affects host CPU time only: the warm fixture fabric and the
-  // cold fabric must agree on simulated time for the same workload.
-  fill_ones();
-  for (int i = 0; i < kRounds; ++i) run_round();
-  EXPECT_DOUBLE_EQ(fabric.loop().now(), cold.loop().now());
 }
 
 TEST_F(PlanCacheFixture, AlgorithmSwapUnderLoadThroughTheBarrier) {
@@ -344,7 +303,7 @@ TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
   std::uint64_t misses = 0;
   for (const CommStrategy& s : {ring, tree, tree_fine}) {
     const auto strategy = std::make_shared<const CommStrategy>(s);
-    const auto plan = cache.acquire(true, setup, strategy, cl, kind, 1024,
+    const auto plan = cache.acquire(setup, strategy, cl, kind, 1024,
                                     DataType::kFloat32, 0);
     EXPECT_EQ(cache.stats().misses, ++misses);
     const auto fresh =
@@ -355,7 +314,7 @@ TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
       EXPECT_EQ(cache.peek(previous_strategy, kind, 1024, DataType::kFloat32, 0),
                 nullptr);
     }
-    EXPECT_EQ(cache.acquire(true, setup, strategy, cl, kind, 1024,
+    EXPECT_EQ(cache.acquire(setup, strategy, cl, kind, 1024,
                             DataType::kFloat32, 0),
               plan);
     EXPECT_EQ(cache.peek(strategy, kind, 1024, DataType::kFloat32, 0), plan);
@@ -427,9 +386,9 @@ TEST(PlanCacheProperty, CachedPlanEqualsFreshBuildOverRandomShapes) {
     svc::CollPlanCache cache{{hits, misses, invalidations}};
     const auto shared = std::make_shared<const CommStrategy>(strategy);
     const auto first =
-        cache.acquire(true, setup, shared, cl, kind, count, dtype, root);
+        cache.acquire(setup, shared, cl, kind, count, dtype, root);
     const auto cached =
-        cache.acquire(true, setup, shared, cl, kind, count, dtype, root);
+        cache.acquire(setup, shared, cl, kind, count, dtype, root);
     const auto fresh =
         svc::build_coll_plan(setup, strategy, cl, kind, count, dtype, root);
 

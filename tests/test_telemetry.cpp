@@ -538,12 +538,11 @@ TEST(TelemetryTimeline, ReserveIsIdempotentAndKeepsRecordsIntact) {
 /// micro_recovery's scenario: stall detection on, zero retry budget, a
 /// controller with fault recovery attached, and a fabric uplink killed
 /// mid-collective.
-svc::Fabric::Options recovery_options(bool telemetry) {
+svc::Fabric::Options recovery_options() {
   svc::Fabric::Options opt;
   opt.config.chunk_deadline_slack = 4.0;
   opt.config.chunk_deadline_floor = micros(100);
   opt.config.transport_max_retries = 0;
-  opt.config.enable_telemetry = telemetry;
   return opt;
 }
 
@@ -596,7 +595,8 @@ std::vector<Time> run_recovery_scenario(Fabric& fabric) {
 }
 
 TEST(TelemetryService, RecoveryTraceHasSpansFromAllLayersAndRecoveryEvents) {
-  Fabric fabric{cluster::make_testbed(), recovery_options(true)};
+  Fabric fabric{cluster::make_testbed(), recovery_options()};
+  fabric.telemetry().set_enabled(true);
   run_recovery_scenario(fabric);
 
   const std::string trace = svc::chrome_trace_json(fabric);
@@ -629,7 +629,7 @@ TEST(TelemetryService, RecoveryTraceHasSpansFromAllLayersAndRecoveryEvents) {
 TEST(TelemetryService, DisabledModeIsBitwiseIdenticalAndRecordsNothing) {
   std::vector<Time> with, without;
   {
-    Fabric fabric{cluster::make_testbed(), recovery_options(false)};
+    Fabric fabric{cluster::make_testbed(), recovery_options()};
     without = run_recovery_scenario(fabric);
     EXPECT_EQ(fabric.telemetry().timeline().event_count(), 0u);
     // The registry stays live in disabled mode: the replaced ad-hoc
@@ -638,7 +638,8 @@ TEST(TelemetryService, DisabledModeIsBitwiseIdenticalAndRecordsNothing) {
               0u);
   }
   {
-    Fabric fabric{cluster::make_testbed(), recovery_options(true)};
+    Fabric fabric{cluster::make_testbed(), recovery_options()};
+    fabric.telemetry().set_enabled(true);
     with = run_recovery_scenario(fabric);
     EXPECT_GT(fabric.telemetry().timeline().event_count(), 0u);
   }
@@ -649,9 +650,8 @@ TEST(TelemetryService, DisabledModeIsBitwiseIdenticalAndRecordsNothing) {
 }
 
 TEST(TelemetryService, SnapshotEndpointParsesAndCoversSubsystems) {
-  svc::Fabric::Options opt;
-  opt.config.enable_telemetry = true;
-  Fabric fabric{cluster::make_testbed(), opt};
+  Fabric fabric{cluster::make_testbed()};
+  fabric.telemetry().set_enabled(true);
   const AppId app{1};
   const std::vector<GpuId> gpus{GpuId{0}, GpuId{1}};
   const CommId comm = create_comm(fabric, app, gpus);
@@ -672,6 +672,8 @@ TEST(TelemetryService, SnapshotEndpointParsesAndCoversSubsystems) {
   const JsonValue v = parse_json(fabric.telemetry_snapshot());
   ASSERT_EQ(v.kind, JsonValue::kObject);
   EXPECT_TRUE(v.has("time"));
+  EXPECT_EQ(v.at("pending_events").number,
+            static_cast<double>(fabric.loop().size()));
   EXPECT_TRUE(v.has("metrics"));
   EXPECT_TRUE(v.has("comms"));
   const JsonValue& links = v.at("links");
