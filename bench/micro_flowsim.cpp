@@ -216,6 +216,7 @@ struct RunResult {
   std::uint64_t batches = 0;     ///< non-empty batch closes
   net::Network::SolveStats stats;  ///< solve-epoch breakdown at loop drain
   double wall_s = 0.0;
+  double prewarm_s = 0.0;  ///< wall time of the route prewarm (cold pairs)
   Time sim_s = 0.0;
 
   [[nodiscard]] double solves_per_event() const {
@@ -337,7 +338,9 @@ RunResult run_workload(const cluster::Cluster& cl, const Workload& w,
     }
     net.reserve_flows(peak, lifetime);
   }
+  RunResult res;
   if (opts.prewarm_routes) {
+    const auto p0 = std::chrono::steady_clock::now();
     const net::Routing& routing = net.routing();
     for (const auto& [src, dst] : w.background) routing.paths(src, dst);
     for (const SlotPlan& slot : w.slots) {
@@ -348,13 +351,15 @@ RunResult run_workload(const cluster::Cluster& cl, const Workload& w,
         }
       }
     }
+    res.prewarm_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - p0)
+                        .count();
   }
   for (const auto& [src, dst] : w.background) {
     net.start_flow({.src = src, .dst = dst, .background_demand = gbps(40),
                     .on_complete = {}});
   }
 
-  RunResult res;
   CompletionDigest digest;
   std::vector<SlotRunner> runners(w.slots.size());
   for (std::size_t s = 0; s < w.slots.size(); ++s) {
@@ -477,8 +482,9 @@ int main() {
 
     const RunResult bat = run_workload(cl, w, perf);
     const double rate = static_cast<double>(bat.events) / bat.wall_s;
-    std::printf("%-6d %-10s %10llu %9.3f %14.0f\n", gpus, "perf",
-                static_cast<unsigned long long>(bat.events), bat.wall_s, rate);
+    std::printf("%-6d %-10s %10llu %9.3f %14.0f   (route prewarm %.3f s)\n",
+                gpus, "perf", static_cast<unsigned long long>(bat.events),
+                bat.wall_s, rate, bat.prewarm_s);
     // Solve-epoch breakdown: counts per solve, phase times per timed solve.
     const net::Network::SolveStats& st = bat.stats;
     const auto per_solve = [&st](std::uint64_t n) {
@@ -508,7 +514,8 @@ int main() {
                  "\"rounds_per_solve\":%.3f,\"completions_per_solve\":%.3f,"
                  "\"timed_solves\":%llu,\"discover_us\":%.4f,"
                  "\"solve_us\":%.4f,\"schedule_us\":%.4f,"
-                 "\"refresh_us\":%.4f,\"epoch_us\":%.4f}\n",
+                 "\"refresh_us\":%.4f,\"epoch_us\":%.4f,"
+                 "\"route_prewarm_s\":%.6f}\n",
                  gpus, static_cast<unsigned long long>(bat.events), bat.sim_s,
                  bat.wall_s, rate, bat.solves_per_event(),
                  bat.mean_batch_width(),
@@ -518,7 +525,7 @@ int main() {
                  per_solve(st.completions),
                  static_cast<unsigned long long>(st.timed), us(st.discover_s),
                  us(st.solve_s), us(st.schedule_s), us(st.refresh_s),
-                 us(epoch_s));
+                 us(epoch_s), bat.prewarm_s);
 
     const Workload tw = trim_workload(w, 16, 2);
     const RunResult ref = run_workload(

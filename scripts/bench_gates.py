@@ -77,7 +77,8 @@ TABLE = [
                      "digest solves_per_event mean_batch_width "
                      "flows_per_solve links_per_solve labels_per_solve "
                      "rounds_per_solve completions_per_solve timed_solves "
-                     "discover_us solve_us schedule_us refresh_us epoch_us"),
+                     "discover_us solve_us schedule_us refresh_us epoch_us "
+                     "route_prewarm_s"),
         "identity": keys("bench kind gpus identical_to_reference "
                          "verify_events hot_bytes param_bytes cold_bytes "
                          "bytes_per_flow_state"),

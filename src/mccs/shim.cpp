@@ -66,6 +66,7 @@ void Shim::collective(CommId comm, CollectiveArgs args, gpu::Stream& app_stream,
                       CompletionCallback on_complete) {
   MCCS_EXPECTS(app_stream.device() == gpu_);
   if (own_comm(comm) == nullptr) return;
+  MCCS_CHECK(args.count > 0, "zero-count collective");
   gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
 
   // Dependency capture (§4.1): the collective must wait for compute already
@@ -214,6 +215,7 @@ void Shim::p2p(CommId comm, int peer, bool is_send, gpu::DevicePtr buffer,
   MCCS_CHECK(peer >= 0 && peer < info->nranks &&
                  info->gpus[static_cast<std::size_t>(peer)] != gpu_,
              "P2P peer is not another rank of the communicator");
+  MCCS_CHECK(count > 0, "zero-count send or recv");
   gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
   P2pRequest req;
   req.peer = peer;

@@ -57,8 +57,8 @@ class Shim {
   // A collective or P2P call on a communicator the provider killed is
   // dropped: its callback never fires, like the work in flight at the kill,
   // and the app stream is left untouched. A communicator that is unknown,
-  // another application's, or has no rank on this GPU throws
-  // ContractViolation at the call, with nothing enqueued.
+  // another application's, or has no rank on this GPU, or a count of zero,
+  // throws ContractViolation at the call, with nothing enqueued.
 
   /// Generic entry point; the named wrappers below are the public API.
   void collective(CommId comm, CollectiveArgs args, gpu::Stream& app_stream,

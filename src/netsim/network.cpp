@@ -148,24 +148,6 @@ Network::StorageFootprint Network::flow_state_footprint() {
   return f;
 }
 
-PathView Network::intern_path(const Path& p) {
-  auto it = path_intern_.find(&p);
-  if (it != path_intern_.end()) return it->second;
-  const std::size_t n = p.size();
-  MCCS_EXPECTS(n > 0);
-  if (path_arena_.empty() || arena_used_ + n > kArenaBlockLinks) {
-    path_arena_.push_back(
-        std::make_unique<LinkId[]>(std::max(n, kArenaBlockLinks)));
-    arena_used_ = 0;
-  }
-  LinkId* dst = path_arena_.back().get() + arena_used_;
-  std::copy(p.begin(), p.end(), dst);
-  arena_used_ += n;
-  const PathView view{dst, n};
-  path_intern_.emplace(&p, view);
-  return view;
-}
-
 std::uint32_t Network::acquire_slot() {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -222,9 +204,9 @@ FlowId Network::start_flow(FlowSpec spec) {
   MCCS_EXPECTS(spec.weight > 0.0);
 
   const std::uint32_t id = next_flow_id_++;
-  const Path& route = spec.route.valid()
-                          ? routing_.by_route_id(spec.src, spec.dst, spec.route)
-                          : routing_.by_ecmp(spec.src, spec.dst, spec.ecmp_key);
+  const PathView route =
+      spec.route.valid() ? routing_.by_route_id(spec.src, spec.dst, spec.route)
+                         : routing_.by_ecmp(spec.src, spec.dst, spec.ecmp_key);
 
   const std::uint32_t slot = acquire_slot();
   MCCS_ASSERT(id_to_slot_.size() == id);
@@ -236,7 +218,7 @@ FlowId Network::start_flow(FlowSpec spec) {
   hot_mark_[slot] = 0;
 
   FlowParam& p = param_[slot];
-  p.path = intern_path(route);
+  p.path = route;
   p.rate_cap = spec.rate_cap;
   p.weight = spec.weight;
   p.background_demand = spec.background_demand;
@@ -434,7 +416,7 @@ void Network::cancel_flow(FlowId id) {
   const bool was_allocated = allocatable(slot);
   if (was_allocated) remove_from_index(slot);
   emit_flow_span(slot, /*completed=*/false);
-  // The interned path outlives the slot, so the view stays valid as a seed.
+  // The routed path outlives the slot, so the view stays valid as a seed.
   const PathView path = param_[slot].path;
   release_slot(slot);
   // A latent or paused flow had rate 0 and constrained nobody.
@@ -686,7 +668,7 @@ void Network::collect_component(PathView seed) {
 void Network::reallocate(PathView seed) {
   if (batch_depth_ > 0) {
     // Deferred: fold the seed into the batch's dirty-link union (the seed
-    // views point at interned arena storage or at set_link_state's stack
+    // views point at the routing's path arena or at set_link_state's stack
     // slot, so the links are copied out here, synchronously) and solve once
     // at batch close. Zero virtual time elapses before that solve, so the
     // skipped intermediate rate states would have transferred zero bytes and
@@ -956,7 +938,7 @@ void Network::complete_flow(std::uint32_t id) {
   remove_from_index(slot);
   emit_flow_span(slot, /*completed=*/true);
   FlowSpec spec = std::move(cold_[slot].spec);
-  const PathView path = param_[slot].path;  // interned: survives the slot
+  const PathView path = param_[slot].path;  // routed: survives the slot
   release_slot(slot);
   reallocate(path);
   if (spec.on_complete) spec.on_complete(FlowId{id}, loop_->now());

@@ -33,9 +33,9 @@
 // (FlowSpec with its callbacks, telemetry fields, event handles) read only
 // at flow boundaries. Flow ids are a monotone sequence that is never reused,
 // so a stale id can never alias a recycled slot; `id_to_slot_` maps ids to
-// live slots (or nothing). Paths are interned into a chunked link-id arena
-// with stable addresses and referenced by PathView — flows on the same
-// cached route share one copy. Per-link membership removal is O(path) via
+// live slots (or nothing). A flow's path is a PathView into the Routing's
+// path arena — flows on the same cached route share its one copy, and the
+// view outlives the flow's slot. Per-link membership removal is O(path) via
 // per-(flow,link) backpointers instead of a scan. At steady state (warm
 // slab, warm scratch) a start/complete cycle performs no heap allocation in
 // `reallocate` (guarded by tests/test_netsim_slab.cpp).
@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -267,8 +266,8 @@ class Network {
   }
   [[nodiscard]] Bandwidth flow_rate(FlowId id) const;
   [[nodiscard]] Bytes flow_remaining(FlowId id) const;
-  /// View of the flow's path in the shared link-id arena. Stable for the
-  /// lifetime of the Network (paths are interned, never freed); copy with
+  /// View of the flow's path in the routing's path arena. Stable for the
+  /// lifetime of the Network (cached paths are never freed); copy with
   /// `.to_path()` for consumers that outlive it.
   [[nodiscard]] PathView flow_path(FlowId id) const;
   [[nodiscard]] const FlowSpec& flow_spec(FlowId id) const;
@@ -478,10 +477,6 @@ class Network {
     hot_last_update_[slot] = now;
   }
 
-  /// Copy `p` into the link-id arena (once per distinct routing-cache entry;
-  /// the cache's Path addresses are stable, so identity-keying is sound).
-  PathView intern_path(const Path& p);
-
   std::uint32_t acquire_slot();      ///< from the free list, else grown
   void release_slot(std::uint32_t slot);  ///< unlink, clear cold, recycle
 
@@ -576,12 +571,6 @@ class Network {
   /// sequentially, so this is a flat array, not a hash.
   std::vector<std::uint32_t> id_to_slot_;
   std::uint32_t next_flow_id_ = 0;
-
-  // --- path arena ------------------------------------------------------------
-  static constexpr std::size_t kArenaBlockLinks = 4096;
-  std::vector<std::unique_ptr<LinkId[]>> path_arena_;
-  std::size_t arena_used_ = 0;  ///< links used in the newest block
-  std::unordered_map<const Path*, PathView> path_intern_;
 
   std::vector<LinkIndex> links_;
   std::vector<LinkState> link_states_;

@@ -6,7 +6,6 @@
 // and the 768-GPU simulation fabric.
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -44,7 +43,6 @@ class Topology {
     out_links_.reserve(nodes);
     in_links_.reserve(nodes);
     links_.reserve(links);
-    link_index_.reserve(links);
   }
 
   NodeId add_host(std::string name, RackId rack = RackId{}, PodId pod = PodId{}) {
@@ -65,7 +63,6 @@ class Topology {
     links_.push_back(Link{id, src, dst, capacity, propagation_delay});
     out_links_[src.get()].push_back(id);
     in_links_[dst.get()].push_back(id);
-    link_index_[key(src, dst)] = id;
     return id;
   }
 
@@ -93,10 +90,14 @@ class Topology {
     return in_links_[id.get()];
   }
 
-  /// Link from src to dst, if one exists.
+  /// Link from src to dst, if one exists (the last one added, should a
+  /// builder ever add parallel links). Scans src's out-links.
   [[nodiscard]] LinkId find_link(NodeId src, NodeId dst) const {
-    auto it = link_index_.find(key(src, dst));
-    return it == link_index_.end() ? LinkId{} : it->second;
+    const std::vector<LinkId>& outs = out_links(src);
+    for (auto it = outs.rbegin(); it != outs.rend(); ++it) {
+      if (links_[it->get()].dst == dst) return *it;
+    }
+    return LinkId{};
   }
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -119,15 +120,10 @@ class Topology {
     return id;
   }
 
-  static std::uint64_t key(NodeId src, NodeId dst) {
-    return (static_cast<std::uint64_t>(src.get()) << 32) | dst.get();
-  }
-
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_links_;
   std::vector<std::vector<LinkId>> in_links_;
-  std::unordered_map<std::uint64_t, LinkId> link_index_;
 };
 
 }  // namespace mccs::net

@@ -80,7 +80,7 @@ std::uint32_t best_route(const PendingFlow& f, const net::Routing& routing,
                          bool restrict_to_unreserved,
                          const std::unordered_set<std::uint32_t>& failed,
                          double* score_out) {
-  const auto& paths = routing.paths(f.src, f.dst);
+  const net::PathSet paths = routing.paths(f.src, f.dst);
   constexpr double kInadmissible = std::numeric_limits<double>::infinity();
 
   // A candidate's fit score; inadmissible routes score +inf. The first pass

@@ -101,8 +101,8 @@ TEST(Routing, EcmpIsDeterministicPerKey) {
   const NodeId dst = cl.host(HostId{1}).nic_nodes[0];
   EXPECT_EQ(routing.by_ecmp(src, dst, 42), routing.by_ecmp(src, dst, 42));
   // Different keys spread over multiple paths.
-  std::set<const Path*> seen;
-  for (std::uint64_t k = 0; k < 64; ++k) seen.insert(&routing.by_ecmp(src, dst, k));
+  std::set<const LinkId*> seen;
+  for (std::uint64_t k = 0; k < 64; ++k) seen.insert(routing.by_ecmp(src, dst, k).begin());
   EXPECT_GT(seen.size(), 1u);
 }
 

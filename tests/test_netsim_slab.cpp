@@ -34,9 +34,6 @@ class NetworkTestPeer {
   static std::size_t free_count(const Network& n) {
     return n.free_slots_.size();
   }
-  static std::size_t arena_blocks(const Network& n) {
-    return n.path_arena_.size();
-  }
 };
 
 namespace {

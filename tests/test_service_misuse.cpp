@@ -45,13 +45,42 @@ TEST_F(MisuseFixture, CommunicatorSpanningTwoAppsThrows) {
 }
 
 TEST_F(MisuseFixture, ZeroCountCollectiveIsRejected) {
+  // A zero-count collective throws at the call with nothing enqueued, so the
+  // loop runs clean and the communicator's next AllReduce sums exactly.
   const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
   const CommId comm = create_comm(fabric, app, gpus);
   auto ranks = make_ranks(fabric, app, gpus);
-  gpu::DevicePtr buf = ranks[0].shim->alloc(64);
-  ranks[0].shim->all_reduce(comm, buf, buf, 0, coll::DataType::kFloat32,
-                            coll::ReduceOp::kSum, *ranks[0].stream);
-  EXPECT_THROW(fabric.loop().run(), ContractViolation);
+  const std::size_t count = 16;
+  std::vector<gpu::DevicePtr> buf(gpus.size());
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    buf[r] = ranks[r].shim->alloc(count * sizeof(float));
+    for (float& x : fabric.gpus().typed<float>(buf[r], count)) {
+      x = static_cast<float>(r + 1);
+    }
+  }
+  bool zero_done = false;
+  EXPECT_THROW(
+      ranks[0].shim->all_reduce(comm, buf[0], buf[0], 0,
+                                coll::DataType::kFloat32, coll::ReduceOp::kSum,
+                                *ranks[0].stream,
+                                [&zero_done](Time) { zero_done = true; }),
+      ContractViolation);
+  EXPECT_NO_THROW(fabric.loop().run());
+  EXPECT_FALSE(zero_done);
+
+  int remaining = static_cast<int>(gpus.size());
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    ranks[r].shim->all_reduce(comm, buf[r], buf[r], count,
+                              coll::DataType::kFloat32, coll::ReduceOp::kSum,
+                              *ranks[r].stream,
+                              [&remaining](Time) { --remaining; });
+  }
+  ASSERT_TRUE(test::await(fabric, remaining));
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    for (const float x : fabric.gpus().typed<float>(buf[r], count)) {
+      ASSERT_EQ(x, 3.0f) << "rank " << r;
+    }
+  }
 }
 
 TEST_F(MisuseFixture, OutOfBoundsBufferRangeIsRejected) {
@@ -147,13 +176,15 @@ TEST_F(MisuseFixture, ForeignCommunicatorIsRejectedAtTheCall) {
 
 TEST_F(MisuseFixture, P2pIsCheckedAtTheCall) {
   // A send or recv naming a communicator that never existed, another
-  // application's, or a peer that is not another rank throws at the call;
-  // one on a killed communicator is dropped. None of them reaches the loop.
+  // application's, or a peer that is not another rank, or moving zero
+  // elements, throws at the call; one on a killed communicator is dropped.
+  // None of them reaches the loop.
   const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
   const CommId comm = create_comm(fabric, app, gpus);
   auto ranks = make_ranks(fabric, app, gpus);
   const std::size_t count = 16;
   gpu::DevicePtr buf = ranks[0].shim->alloc(count * sizeof(float));
+  gpu::DevicePtr dst = ranks[1].shim->alloc(count * sizeof(float));
   const auto send = [&](svc::Shim& shim, CommId c, int peer) {
     shim.send(c, peer, buf, count, coll::DataType::kFloat32,
               shim.create_app_stream());
@@ -173,10 +204,15 @@ TEST_F(MisuseFixture, P2pIsCheckedAtTheCall) {
   svc::Shim& other_app = fabric.connect(AppId{2}, GpuId{0});
   EXPECT_THROW(send(other_app, comm, 1), ContractViolation);
   EXPECT_THROW(recv(other_app, comm, 1), ContractViolation);
+  EXPECT_THROW(ranks[0].shim->send(comm, 1, buf, 0, coll::DataType::kFloat32,
+                                   ranks[0].shim->create_app_stream()),
+               ContractViolation);
+  EXPECT_THROW(ranks[1].shim->recv(comm, 0, dst, 0, coll::DataType::kFloat32,
+                                   ranks[1].shim->create_app_stream()),
+               ContractViolation);
   EXPECT_NO_THROW(fabric.loop().run());
 
   // The communicator still works.
-  gpu::DevicePtr dst = ranks[1].shim->alloc(count * sizeof(float));
   test::fill_pattern<float>(fabric, buf, count, 0);
   int remaining = 2;
   ranks[0].shim->send(comm, 1, buf, count, coll::DataType::kFloat32,
