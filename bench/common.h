@@ -120,8 +120,7 @@ inline std::vector<Time> run_collective_loop(svc::Fabric& fabric, AppId app,
   struct Rank {
     svc::Shim* shim;
     gpu::Stream* stream;
-    gpu::DevicePtr send;
-    gpu::DevicePtr recv;
+    svc::CollectiveArgs args;  ///< f32, sum, root 0, this rank's buffers
   };
   // Each rank's buffers as the service validates them; a buffer the rank
   // never touches (a non-root's Broadcast send, say) is left unallocated.
@@ -135,8 +134,10 @@ inline std::vector<Time> run_collective_loop(svc::Fabric& fabric, AppId app,
     const auto alloc = [&shim](Bytes bytes) {
       return bytes > 0 ? shim.alloc(bytes) : gpu::DevicePtr{};
     };
-    ranks.push_back(Rank{&shim, &shim.create_app_stream(), alloc(sizes.send),
-                         alloc(sizes.recv)});
+    Rank r{&shim, &shim.create_app_stream(), args};
+    r.args.send = alloc(sizes.send);
+    r.args.recv = alloc(sizes.recv);
+    ranks.push_back(r);
   }
 
   std::vector<Time> iter_end;
@@ -144,42 +145,8 @@ inline std::vector<Time> run_collective_loop(svc::Fabric& fabric, AppId app,
   const int total = warmup + iters;
   for (int it = 0; it < total; ++it) {
     for (Rank& r : ranks) {
-      auto cb = [&completions](Time) { ++completions; };
-      switch (kind) {
-        case coll::CollectiveKind::kAllReduce:
-          r.shim->all_reduce(comm, r.send, r.recv, count, coll::DataType::kFloat32,
-                             coll::ReduceOp::kSum, *r.stream, cb);
-          break;
-        case coll::CollectiveKind::kAllGather:
-          r.shim->all_gather(comm, r.send, r.recv, count, coll::DataType::kFloat32,
-                             *r.stream, cb);
-          break;
-        case coll::CollectiveKind::kReduceScatter:
-          r.shim->reduce_scatter(comm, r.send, r.recv, count,
-                                 coll::DataType::kFloat32, coll::ReduceOp::kSum,
-                                 *r.stream, cb);
-          break;
-        case coll::CollectiveKind::kBroadcast:
-          r.shim->broadcast(comm, r.send, r.recv, count, coll::DataType::kFloat32,
-                            0, *r.stream, cb);
-          break;
-        case coll::CollectiveKind::kReduce:
-          r.shim->reduce(comm, r.send, r.recv, count, coll::DataType::kFloat32,
-                         coll::ReduceOp::kSum, 0, *r.stream, cb);
-          break;
-        case coll::CollectiveKind::kAllToAll:
-          r.shim->all_to_all(comm, r.send, r.recv, count,
-                             coll::DataType::kFloat32, *r.stream, cb);
-          break;
-        case coll::CollectiveKind::kGather:
-          r.shim->gather(comm, r.send, r.recv, count, coll::DataType::kFloat32,
-                         0, *r.stream, cb);
-          break;
-        case coll::CollectiveKind::kScatter:
-          r.shim->scatter(comm, r.send, r.recv, count, coll::DataType::kFloat32,
-                          0, *r.stream, cb);
-          break;
-      }
+      r.shim->collective(comm, r.args, *r.stream,
+                         [&completions](Time) { ++completions; });
     }
     const int want = (it + 1) * n;
     const bool ok =

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run the test suite, the end-to-end
 # benchmark's smoke mode (its correctness checks), the chaos sweeps and the
-# golden diffs, then run the bench binaries and check the schema and gates of
-# their BENCH_*.json output with scripts/bench_gates.py (so perf-tracking
-# tooling downstream never silently breaks).
+# golden diffs (fig06-10, micro_overhead and the five examples), then run
+# the bench binaries and check the schema and gates of their BENCH_*.json
+# output with scripts/bench_gates.py (so perf-tracking tooling downstream
+# never silently breaks).
 #
 # SANITIZE=address,undefined ./scripts/check.sh
 #   builds the suite under the given sanitizers in a separate build tree
@@ -104,9 +105,10 @@ chaos_sweep build/tests/mccs_tests
 chaos_churn_sweep build/tests/mccs_tests
 
 # With telemetry disabled (the default), every simulated result must stay
-# byte-identical to the checked-in goldens: the telemetry subsystem observes
-# the simulation and must never perturb it. Wall-clock output (micro_overhead)
-# is compared on its virtual counters only.
+# byte-identical to the checked-in goldens (fig06-10 and the five examples):
+# the telemetry subsystem observes the simulation and must never perturb it.
+# Wall-clock output (micro_overhead) is compared on its virtual counters
+# only.
 #
 # The loop runs once with the task pool off (MCCS_THREADS=1) and once with it
 # forced wide (MCCS_THREADS=8): the pool's determinism contract says the
@@ -125,6 +127,18 @@ golden_pass() {
            "(MCCS_THREADS=${threads})" >&2; exit 1;
     }
     echo "${fig} matches golden (MCCS_THREADS=${threads})"
+  done
+  # The five examples' narratives are simulated results too.
+  for ex in quickstart training_job dynamic_reconfig multi_tenant_qos \
+            moe_expert_parallel; do
+    golden="bench/goldens/${ex}.txt"
+    [[ -s "$golden" ]] || { echo "FAIL: $golden missing" >&2; exit 1; }
+    (cd build/examples && "./${ex}") > "build/examples/${ex}.out"
+    diff -u "$golden" "build/examples/${ex}.out" || {
+      echo "FAIL: example ${ex} output drifted from ${golden}" \
+           "(MCCS_THREADS=${threads})" >&2; exit 1;
+    }
+    echo "${ex} matches golden (MCCS_THREADS=${threads})"
   done
   (cd build/bench && ./micro_overhead) 2>/dev/null \
     | grep -o 'BM_[A-Za-z_]*\|VirtualLatencyUs=[0-9.e+-]*\|OverheadUs=[0-9.e+-]*' \

@@ -20,10 +20,7 @@
 // differences measured are exactly the ones the paper attributes (ring
 // quality, flow placement, service datapath latency).
 
-#include "cluster/cluster.h"
 #include "mccs/config.h"
-#include "mccs/fabric.h"
-#include "mccs/strategy.h"
 
 namespace mccs::baseline {
 
@@ -43,14 +40,6 @@ inline svc::ServiceConfig nccl_library_config() {
   c.control_hop_latency = micros(20);
   c.bootstrap_latency = millis(2);
   return c;
-}
-
-/// Strategy provider for plain NCCL: user rank order, ECMP.
-inline std::function<svc::CommStrategy(const svc::CommInfo&)>
-nccl_strategy_provider(const cluster::Cluster& cluster) {
-  return [&cluster](const svc::CommInfo& info) {
-    return svc::nccl_default_strategy(info.gpus, cluster);
-  };
 }
 
 }  // namespace mccs::baseline

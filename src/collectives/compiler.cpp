@@ -12,11 +12,11 @@ namespace {
 int mod(int x, int n) { return ((x % n) + n) % n; }
 
 // --- tree scaffolding --------------------------------------------------------
-// Same rotated complete binary tree as schedule.cpp, generalized with a
-// `mirror` flag: the normal mapping is tid = (rank - root) mod n, the mirrored
-// one tid = (root - rank) mod n. A double binary tree pairs a normal and a
-// mirrored tree (or two normal trees with different roots) so interior nodes
-// of one are leaves of the other.
+// A complete binary tree over ranks, rotated so `root` is tid 0 (node i's
+// parent is (i-1)/2 in tid space), with a `mirror` flag: the normal mapping
+// is tid = (rank - root) mod n, the mirrored one tid = (root - rank) mod n. A
+// double binary tree pairs a normal and a mirrored tree (or two normal trees
+// with different roots) so interior nodes of one are leaves of the other.
 
 struct TreeShape {
   int parent = -1;      ///< tid of parent (-1 at root)
@@ -44,36 +44,111 @@ int tid_of_rank(int rank, int root, int n, bool mirror) {
   return mirror ? mod(root - rank, n) : mod(rank - root, n);
 }
 
-// --- phase emitters ----------------------------------------------------------
-// Each appends one phase's CommSteps, numbering from `index` and tagging
-// from `tag_base` so phases stay disjoint in tag space.
+// --- emitters ----------------------------------------------------------------
+// Each appends CommSteps, numbering from `index`. Phases that compose into
+// one schedule tag from `tag_base`, so the phases stay disjoint in tag space;
+// the emitters that always make a whole schedule tag from 0.
 
-/// Ring phase from precomputed RingSteps. `buffer_kind` selects the
-/// positional-chunk -> buffer-chunk mapping of the PARENT collective (an
-/// AllReduce's AllGather phase addresses AllReduce chunks, not AllGather
-/// blocks).
-void append_ring_phase(ChannelSchedule& sched, int& index,
-                       CollectiveKind buffer_kind, const RingOrder& order,
-                       int rank, const std::vector<RingStep>& steps,
-                       int tag_base) {
+/// Buffer block that ring position-chunk `c` of a `kind` collective lands
+/// in. AllReduce chunks are an arbitrary partition (identity). AllGather's
+/// block r is rank r's contribution, which starts at position_of(r).
+/// ReduceScatter's mapping is rotated one back: a pass started at position p
+/// finishes position-chunk p + 1 there last, which maps to rank_at(p), the
+/// rank's own block — the block the plan's finalization copies out.
+std::size_t ring_block(CollectiveKind kind, const RingOrder& order, int c) {
+  switch (kind) {
+    case CollectiveKind::kAllGather:
+      return static_cast<std::size_t>(order.rank_at(c));
+    case CollectiveKind::kReduceScatter:
+      return static_cast<std::size_t>(order.rank_at(c - 1));
+    default:
+      return static_cast<std::size_t>(mod(c, static_cast<int>(order.size())));
+  }
+}
+
+/// Ring pass (NCCL's ring kernel loop): for s = 0..n-2, send position-chunk
+/// (start - s) to the ring successor and receive (start - s - 1) from the
+/// predecessor under tag tag_base + s, reducing or copying. `kind` is the
+/// parent collective's: an AllReduce's gather pass addresses AllReduce
+/// chunks, not AllGather blocks.
+void append_ring_pass(ChannelSchedule& sched, int& index, CollectiveKind kind,
+                      const RingOrder& order, int rank, int start, bool reduce,
+                      int tag_base) {
+  const int n = static_cast<int>(order.size());
   const int pos = order.position_of(rank);
   const int succ = order.rank_at(pos + 1);
   const int pred = order.rank_at(pos - 1);
-  for (const RingStep& rs : steps) {
+  for (int s = 0; s < n - 1; ++s) {
     CommStep st;
     st.index = index++;
-    if (rs.has_send()) {
-      st.send_to = succ;
-      st.send_chunk = chunk_to_buffer_index(buffer_kind, order, rs.send_chunk);
-      st.send_tag = tag_base + rs.send_tag;
+    st.send_to = succ;
+    st.send_chunk = ring_block(kind, order, start - s);
+    st.send_tag = tag_base + s;
+    st.recv_from = pred;
+    st.recv_chunk = ring_block(kind, order, start - s - 1);
+    st.recv_tag = tag_base + s;
+    st.reduce = reduce;
+    sched.steps.push_back(st);
+  }
+}
+
+/// Pipelined chain Broadcast along the ring from `root`, one chunk per
+/// position. The root streams chunk k at step k; an interior rank receives
+/// chunk k while forwarding k - 1; the tail (the root's predecessor) only
+/// receives. Tags are chunk indices.
+void append_ring_broadcast(ChannelSchedule& sched, int& index,
+                           const RingOrder& order, int rank, int root) {
+  const int n = static_cast<int>(order.size());
+  const int pos = order.position_of(rank);
+  const int rel = mod(pos - order.position_of(root), n);
+  const bool recvs = rel > 0;
+  const bool sends = rel < n - 1;
+  const int lag = recvs ? 1 : 0;  // a forwarder sends last step's chunk
+  const int steps = (recvs && sends) ? n + 1 : n;
+  for (int k = 0; k < steps; ++k) {
+    CommStep st;
+    st.index = index++;
+    if (recvs && k < n) {
+      st.recv_from = order.rank_at(pos - 1);
+      st.recv_chunk = static_cast<std::size_t>(k);
+      st.recv_tag = k;
     }
-    if (rs.has_recv()) {
-      st.recv_from = pred;
-      st.recv_chunk = chunk_to_buffer_index(buffer_kind, order, rs.recv_chunk);
-      st.recv_tag = tag_base + rs.recv_tag;
-      st.reduce = rs.reduce;
+    if (sends && k >= lag) {
+      st.send_to = order.rank_at(pos + 1);
+      st.send_chunk = static_cast<std::size_t>(k - lag);
+      st.send_tag = k - lag;
     }
     sched.steps.push_back(st);
+  }
+}
+
+/// Pipelined chain Reduce along the ring into `root`, one chunk per
+/// position: data flows over ring-successor edges from the root's successor
+/// (chain index 0) to the root (n - 1), each hop reducing. Per chunk a rank
+/// receives (all but the chain's head), then sends (all but the root).
+void append_chain_reduce(ChannelSchedule& sched, int& index,
+                         const RingOrder& order, int rank, int root) {
+  const int n = static_cast<int>(order.size());
+  const int pos = order.position_of(rank);
+  const int ci = mod(pos - order.position_of(root) - 1, n);
+  for (int k = 0; k < n; ++k) {
+    if (ci > 0) {
+      CommStep st;
+      st.index = index++;
+      st.recv_from = order.rank_at(pos - 1);
+      st.recv_chunk = static_cast<std::size_t>(k);
+      st.recv_tag = k;
+      st.reduce = true;
+      sched.steps.push_back(st);
+    }
+    if (ci < n - 1) {
+      CommStep st;
+      st.index = index++;
+      st.send_to = order.rank_at(pos + 1);
+      st.send_chunk = static_cast<std::size_t>(k);
+      st.send_tag = k;
+      sched.steps.push_back(st);
+    }
   }
 }
 
@@ -183,6 +258,77 @@ void append_mesh_allgather(ChannelSchedule& sched, int& index,
   }
 }
 
+/// Pairwise AllToAll in rank space: at exchange step s, rank r sends its
+/// send-buffer block (r + s) mod n to that rank and receives rank
+/// (r - s) mod n's block r into block (r - s). Source and destination blocks
+/// differ — the executor reads the sender's block `send_chunk` and writes the
+/// receiver's block `recv_chunk`. Inbound tags are sender ranks.
+void append_alltoall(ChannelSchedule& sched, int& index, int nranks,
+                     int rank) {
+  for (int s = 1; s < nranks; ++s) {
+    const int to = (rank + s) % nranks;
+    const int from = (rank - s + nranks) % nranks;
+    CommStep st;
+    st.index = index++;
+    st.send_to = to;
+    st.send_chunk = static_cast<std::size_t>(to);  // my block destined for `to`
+    st.send_tag = rank;
+    st.recv_from = from;
+    st.recv_chunk = static_cast<std::size_t>(from);  // lands in block `from`
+    st.recv_tag = from;
+    st.reduce = false;
+    sched.steps.push_back(st);
+  }
+}
+
+/// Star Gather: every non-root sends its single-block buffer straight to the
+/// root, which stores it at the sender's block index. Tags are sender ranks.
+void append_gather(ChannelSchedule& sched, int& index, int nranks, int rank,
+                   int root) {
+  if (rank != root) {
+    CommStep st;
+    st.index = index++;
+    st.send_to = root;
+    st.send_chunk = 0;  // the sender's buffer is a single block
+    st.send_tag = rank;
+    sched.steps.push_back(st);
+    return;
+  }
+  for (int q = 0; q < nranks; ++q) {
+    if (q == root) continue;
+    CommStep st;
+    st.index = index++;
+    st.recv_from = q;
+    st.recv_chunk = static_cast<std::size_t>(q);  // block q of root's recv
+    st.recv_tag = q;
+    sched.steps.push_back(st);
+  }
+}
+
+/// Star Scatter: the root sends block q of its buffer to rank q, which
+/// receives it into its single block. Tags are receiver ranks.
+void append_scatter(ChannelSchedule& sched, int& index, int nranks, int rank,
+                    int root) {
+  if (rank != root) {
+    CommStep st;
+    st.index = index++;
+    st.recv_from = root;
+    st.recv_chunk = 0;  // the receiver's buffer is a single block
+    st.recv_tag = rank;
+    sched.steps.push_back(st);
+    return;
+  }
+  for (int q = 0; q < nranks; ++q) {
+    if (q == root) continue;
+    CommStep st;
+    st.index = index++;
+    st.send_to = q;
+    st.send_chunk = static_cast<std::size_t>(q);  // block q of root's send
+    st.send_tag = q;
+    sched.steps.push_back(st);
+  }
+}
+
 /// Star broadcast phase: the root streams every chunk directly to each peer.
 void append_star_broadcast(ChannelSchedule& sched, int& index, int nranks,
                            int rank, int root, std::size_t num_chunks,
@@ -239,6 +385,20 @@ void append_star_reduce(ChannelSchedule& sched, int& index, int nranks,
   }
 }
 
+/// Both directions of every edge of the root-`root` tree the AllReduce
+/// lowering runs: tids ascending, parent->child (the broadcast half) then
+/// child->parent (the reduce half).
+void append_tree_edges(std::vector<std::pair<int, int>>& edges, int nranks,
+                       int root) {
+  for (int tid = 1; tid < nranks; ++tid) {
+    const int child = rank_of_tid(tid, root, nranks, false);
+    const int parent =
+        rank_of_tid(tree_shape(nranks, tid).parent, root, nranks, false);
+    edges.emplace_back(parent, child);
+    edges.emplace_back(child, parent);
+  }
+}
+
 /// Apply the fallback contract: the algorithm whose lowering actually runs.
 Algorithm effective_algorithm(CollectiveKind kind, Algorithm algo) {
   switch (kind) {
@@ -282,53 +442,52 @@ ChannelSchedule compile_collective(const CompileInput& in) {
   MCCS_EXPECTS(static_cast<int>(in.order->size()) == in.nranks);
   const int n = in.nranks;
   const std::size_t nsz = static_cast<std::size_t>(n);
+  const RingOrder& order = *in.order;
+  ChannelSchedule out;
+  out.num_chunks = nsz;  // trees override with their pipeline granularity
+  int index = 0;
 
-  // Fixed-shape kinds first: no algorithm choice, dedicated builders.
+  // Fixed-shape kinds first: no algorithm choice.
   switch (in.kind) {
     case CollectiveKind::kAllToAll:
-      return build_alltoall_schedule(n, in.rank);
+      append_alltoall(out, index, n, in.rank);
+      return out;
     case CollectiveKind::kGather:
-      return build_gather_schedule(n, in.rank, in.root);
+      append_gather(out, index, n, in.rank, in.root);
+      return out;
     case CollectiveKind::kScatter:
-      return build_scatter_schedule(n, in.rank, in.root);
+      append_scatter(out, index, n, in.rank, in.root);
+      return out;
     default:
       break;
   }
 
   const Algorithm algo = effective_algorithm(in.kind, in.algorithm);
-  ChannelSchedule out;
 
   if (algo == Algorithm::kRing) {
-    const int pos = in.order->position_of(in.rank);
+    const int pos = order.position_of(in.rank);
     switch (in.kind) {
-      case CollectiveKind::kAllReduce: {
+      case CollectiveKind::kAllReduce:
         // Reduce-scatter then all-gather over the same ring. The all-gather
-        // enters at position + 1 (where the reduce-scatter leaves each
-        // position's finished chunk) with tags rebased past the
-        // reduce-scatter's n-1; the concatenation reproduces
-        // ring_allreduce_steps step for step, so plans compiled here are
-        // bit-identical to the historical fused builder.
-        out.num_chunks = nsz;
-        int index = 0;
-        append_ring_phase(out, index, in.kind, *in.order, in.rank,
-                          ring_reducescatter_steps(n, pos), 0);
-        append_ring_phase(out, index, in.kind, *in.order, in.rank,
-                          ring_allgather_steps(n, mod(pos + 1, n)), n - 1);
+        // enters at position + 1, where the reduce-scatter leaves each
+        // position's finished chunk, with tags rebased past the
+        // reduce-scatter's n-1.
+        append_ring_pass(out, index, in.kind, order, in.rank, pos, true, 0);
+        append_ring_pass(out, index, in.kind, order, in.rank, pos + 1, false,
+                         n - 1);
         return out;
-      }
-      case CollectiveKind::kReduce:
-        return build_chain_reduce_schedule(*in.order, in.rank, in.root);
       case CollectiveKind::kReduceScatter:
-        // The plan's finalization copies this rank's reduced stripe out of
-        // buffer block `rank`; the ring must finish that block here.
-        MCCS_CHECK(chunk_to_buffer_index(in.kind, *in.order,
-                                         reducescatter_owned_chunk(n, pos)) ==
-                       static_cast<std::size_t>(in.rank),
-                   "reduce-scatter chunk ownership mismatch");
-        return build_ring_schedule(in.kind, *in.order, in.rank, in.root);
+        append_ring_pass(out, index, in.kind, order, in.rank, pos, true, 0);
+        return out;
       case CollectiveKind::kAllGather:
+        append_ring_pass(out, index, in.kind, order, in.rank, pos, false, 0);
+        return out;
       case CollectiveKind::kBroadcast:
-        return build_ring_schedule(in.kind, *in.order, in.rank, in.root);
+        append_ring_broadcast(out, index, order, in.rank, in.root);
+        return out;
+      case CollectiveKind::kReduce:
+        append_chain_reduce(out, index, order, in.rank, in.root);
+        return out;
       default:
         MCCS_CHECK(false, "unhandled ring lowering");
     }
@@ -337,11 +496,9 @@ ChannelSchedule compile_collective(const CompileInput& in) {
   if (algo == Algorithm::kTree) {
     const std::size_t kk = std::max<std::size_t>(1, in.tree_chunks);
     out.num_chunks = kk;
-    int index = 0;
     switch (in.kind) {
       case CollectiveKind::kAllReduce:
         // Reduce to rank 0, then Broadcast back down the same tree.
-        // Identical emission to build_tree_allreduce_schedule.
         append_tree_reduce(out, index, n, in.rank, 0, false, 0, kk, 0);
         append_tree_broadcast(out, index, n, in.rank, 0, false, 0, kk,
                               2 * static_cast<int>(kk));
@@ -362,7 +519,6 @@ ChannelSchedule compile_collective(const CompileInput& in) {
     const std::size_t kk = dbt_chunks(in.tree_chunks);
     const std::size_t half = kk / 2;
     out.num_chunks = kk;
-    int index = 0;
     if (in.kind == CollectiveKind::kAllReduce) {
       // Two trees with different roots split the chunk range: tree A (root 0)
       // owns [0, half), tree B (root n/2) owns [half, kk), so no single rank
@@ -391,20 +547,18 @@ ChannelSchedule compile_collective(const CompileInput& in) {
   }
 
   MCCS_CHECK(algo == Algorithm::kPairwise, "unknown algorithm");
-  out.num_chunks = nsz;
-  int index = 0;
   switch (in.kind) {
     case CollectiveKind::kAllReduce:
       // Mesh reduce-scatter then mesh all-gather, one direct flow per rank
       // pair per phase — no forwarding, 2 steps of latency.
-      append_mesh_reducescatter(out, index, *in.order, in.rank, 0);
-      append_mesh_allgather(out, index, *in.order, in.rank, n);
+      append_mesh_reducescatter(out, index, order, in.rank, 0);
+      append_mesh_allgather(out, index, order, in.rank, n);
       return out;
     case CollectiveKind::kAllGather:
-      append_mesh_allgather(out, index, *in.order, in.rank, 0);
+      append_mesh_allgather(out, index, order, in.rank, 0);
       return out;
     case CollectiveKind::kReduceScatter:
-      append_mesh_reducescatter(out, index, *in.order, in.rank, 0);
+      append_mesh_reducescatter(out, index, order, in.rank, 0);
       return out;
     case CollectiveKind::kBroadcast:
       append_star_broadcast(out, index, n, in.rank, in.root, nsz, 0);
@@ -457,16 +611,14 @@ std::vector<std::pair<int, int>> algorithm_edges(Algorithm algorithm,
       append_ring_edges();
       return edges;
     case Algorithm::kTree:
-      edges = tree_edges(n, 0, CollectiveKind::kAllReduce);
+      append_tree_edges(edges, n, 0);
       append_ring_edges();
       break;
-    case Algorithm::kDoubleBinaryTree: {
-      edges = tree_edges(n, 0, CollectiveKind::kAllReduce);
-      const auto tree_b = tree_edges(n, n / 2, CollectiveKind::kAllReduce);
-      edges.insert(edges.end(), tree_b.begin(), tree_b.end());
+    case Algorithm::kDoubleBinaryTree:
+      append_tree_edges(edges, n, 0);
+      append_tree_edges(edges, n, n / 2);
       append_ring_edges();
       break;
-    }
     case Algorithm::kPairwise:
       for (int i = 0; i < n; ++i) {
         for (int j = 0; j < n; ++j) {

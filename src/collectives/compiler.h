@@ -1,11 +1,12 @@
 #pragma once
 // Collective plan compiler: lowers any (CollectiveKind, Algorithm) pair into
-// the per-rank ChannelSchedule the proxy engine executes. The service
-// compiles each collective shape once and replays the plan (mccs/coll_plan.h),
-// the compile-once/execute-many structure of GC3 and HiCCL
-// (arXiv:2201.11840 / 2408.05962). Unlike those compilers there is no IR for
-// later passes to rewrite: compile_collective is one lowering function that
-// emits CommSteps directly.
+// the per-rank ChannelSchedule the proxy engine executes, and is the only
+// code that writes a CommStep. The service compiles each collective shape
+// once and replays the plan (mccs/coll_plan.h), the compile-once/execute-
+// many structure of GC3 and HiCCL (arXiv:2201.11840 / 2408.05962). Unlike
+// those compilers there is no IR for later passes to rewrite:
+// compile_collective is one lowering function whose emitters write
+// CommSteps directly, one emitter per algorithm phase.
 //
 // Composite collectives lower as concatenated phases over a shared chunked
 // buffer: AllReduce as ReduceScatter + AllGather (ring, pairwise) or Reduce +
@@ -17,13 +18,15 @@
 // mesh phases exchange in ring-position space, so with a locality order the
 // early rounds are the same-host neighbours.
 //
-// Under kRing the emission is bit-identical to the hand-written builders in
-// schedule.cpp (build_ring_schedule / build_chain_reduce_schedule / star /
-// mesh builders) — the paper-figure goldens depend on that, and
-// test_compiler.cpp checks it step for step. kTree reuses the rotated
-// complete-binary-tree builders; kDoubleBinaryTree splits the chunk range
-// across two differently-rooted trees; kPairwise exchanges directly over the
-// mesh.
+// Emitters: kRing runs NCCL's ring pass (ReduceScatter, AllGather, and
+// AllReduce as the two back to back), a pipelined chain for Broadcast and
+// Reduce; kTree the rotated complete binary tree; kDoubleBinaryTree splits
+// the chunk range across two differently-rooted trees; kPairwise exchanges
+// directly over the mesh (a star for rooted kinds); AllToAll, Gather and
+// Scatter have one fixed shape each. test_compiler.cpp executes every
+// lowering over contribution ledgers and pins its output, and every
+// algorithm_edges list, to a frozen digest: plan caches, flow assignment's
+// flow order and the paper-figure goldens depend on every bit.
 //
 // Algorithm choice itself (choose_algorithm) is a separate selection pass
 // over the analytic alpha-beta cost model: the controller runs it per
@@ -76,9 +79,10 @@ std::vector<Algorithm> selectable_algorithms(CollectiveKind kind);
 /// The (src rank, dst rank) superset a compiled schedule of `algorithm` can
 /// send on over `order`, across all kinds — the edge list flow assignment
 /// places demand for. For kRing this enumerates ring successors in position
-/// order (identical to the historical assigner loop); kTree matches
-/// tree_edges(n, 0, kAllReduce). test_compiler.cpp property-checks that
-/// every compiled schedule's send edges are covered.
+/// order (identical to the historical assigner loop); the tree algorithms
+/// add both directions of their AllReduce trees' edges first.
+/// test_compiler.cpp property-checks that every compiled schedule's send
+/// edges are covered.
 std::vector<std::pair<int, int>> algorithm_edges(Algorithm algorithm,
                                                  const RingOrder& order);
 

@@ -1,13 +1,10 @@
 #pragma once
-// Ring collective algorithm schedules (the algorithms MCCS ports from NCCL's
-// ring kernels, §5). A schedule describes, for the participant at ring
-// position p out of n, which buffer chunk it sends to its successor and which
-// it receives from its predecessor at every step, plus whether the received
-// chunk is reduced into the local buffer or copied.
-//
-// The schedules operate on *positions* in a ring ordering, not ranks: the
-// ring ordering (rank permutation) is exactly the knob MCCS's locality-aware
-// ring-configuration policy turns, so it is kept separate (RingOrder).
+// Ring orderings and ring bandwidth math. A RingOrder is the rank
+// permutation a ring runs over: exactly the knob MCCS's locality-aware
+// ring-configuration policy turns, so it is kept apart from the schedules
+// the plan compiler (compiler.h) lowers over it. Also here: the chunk
+// partition every schedule's buffer uses, and nccl-tests' bandwidth
+// factors.
 
 #include <cstddef>
 #include <vector>
@@ -50,14 +47,6 @@ class RingOrder {
     MCCS_EXPECTS(rank >= 0 && static_cast<std::size_t>(rank) < order_.size());
     return position_of_[static_cast<std::size_t>(rank)];
   }
-  /// Rank this rank sends to (its ring successor).
-  [[nodiscard]] int next_rank(int rank) const {
-    return rank_at(position_of(rank) + 1);
-  }
-  /// Rank this rank receives from (its ring predecessor).
-  [[nodiscard]] int prev_rank(int rank) const {
-    return rank_at(position_of(rank) - 1);
-  }
   [[nodiscard]] const std::vector<int>& order() const { return order_; }
 
   [[nodiscard]] RingOrder reversed() const {
@@ -82,26 +71,6 @@ class RingOrder {
 /// Sentinel: this step has no send (or no recv) half.
 inline constexpr std::size_t kNoChunk = static_cast<std::size_t>(-1);
 
-/// One ring step for one participant.
-///
-/// Transfers are matched between neighbours by *tag*, not step index: the
-/// sender labels the transfer `send_tag` and the receiver waits for its
-/// current step's `recv_tag`. For the symmetric schedules (AllReduce,
-/// AllGather, ReduceScatter) tags equal the step index on both sides; for
-/// the pipelined Broadcast chain the sender's step k forwards chunk k-1,
-/// which the receiver awaits at its own step k-1, so tags are chunk indices.
-struct RingStep {
-  int index = 0;           ///< step number, 0-based
-  std::size_t send_chunk = kNoChunk;  ///< chunk index sent to the successor
-  std::size_t recv_chunk = kNoChunk;  ///< chunk index received from the predecessor
-  bool reduce = false;     ///< reduce received data into local chunk (vs copy)
-  int send_tag = -1;       ///< transfer tag attached to the send
-  int recv_tag = -1;       ///< transfer tag this step's recv waits for
-
-  [[nodiscard]] bool has_send() const { return send_chunk != kNoChunk; }
-  [[nodiscard]] bool has_recv() const { return recv_chunk != kNoChunk; }
-};
-
 /// Chunk boundaries: chunk i of `count` elements split n ways.
 struct ChunkRange {
   std::size_t begin_elem = 0;
@@ -115,38 +84,6 @@ inline ChunkRange chunk_range(std::size_t total_elems, std::size_t n_chunks,
   const std::size_t e = total_elems * (chunk + 1) / n_chunks;
   return ChunkRange{b, e - b};
 }
-
-// --- per-position step schedules -------------------------------------------
-// All schedules below operate on a logical buffer of n chunks.
-
-/// Ring AllReduce: 2(n-1) steps — a reduce-scatter pass followed by an
-/// all-gather pass. Works in-place on a buffer holding all n chunks.
-std::vector<RingStep> ring_allreduce_steps(int n, int position);
-
-/// Ring AllGather: n-1 steps over the output buffer of n chunks, where chunk
-/// r initially holds rank r's contribution only at position_of(r).
-std::vector<RingStep> ring_allgather_steps(int n, int position);
-
-/// Ring ReduceScatter: the first n-1 steps of ring AllReduce; afterwards the
-/// chunk at index `position + 1 (mod n)`... (see .cpp) holds the full
-/// reduction for that position's output.
-std::vector<RingStep> ring_reducescatter_steps(int n, int position);
-
-/// Chunk index that holds this position's fully-reduced output after the
-/// reduce-scatter pass.
-std::size_t reducescatter_owned_chunk(int n, int position);
-
-/// Ring (pipelined chain) Broadcast with the root at ring position 0 and n
-/// chunks: the root streams chunks down the chain; interior positions
-/// receive chunk k while forwarding chunk k-1; the tail only receives.
-std::vector<RingStep> ring_broadcast_steps(int n, int position);
-
-/// Map a positional chunk index to the index of the chunk in the user's
-/// buffer. AllReduce/Broadcast chunks are arbitrary partitions (identity);
-/// AllGather output chunk r holds rank r's contribution; ReduceScatter's
-/// assignment is rotated so each rank ends up owning its own output chunk.
-std::size_t chunk_to_buffer_index(CollectiveKind kind, const RingOrder& order,
-                                  std::size_t positional_chunk);
 
 // --- aggregate (flow-level) edge volumes ------------------------------------
 // Total bytes a ring collective pushes over *each* ring edge; used by the

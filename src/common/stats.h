@@ -110,11 +110,4 @@ inline std::vector<CdfPoint> empirical_cdf_sorted(std::span<const double> xs) {
   return out;
 }
 
-/// One-shot empirical CDF: copies and sorts. Prefer sort_samples +
-/// empirical_cdf_sorted on hot paths.
-inline std::vector<CdfPoint> empirical_cdf(std::vector<double> xs) {
-  sort_samples(xs);
-  return empirical_cdf_sorted(xs);
-}
-
 }  // namespace mccs

@@ -70,7 +70,7 @@ void ProxyEngine::mark_destroy_requested(CommId comm) {
   st.destroy_requested = true;
 }
 
-ProxyEngine::CommRank* ProxyEngine::find_reconfiguring_comm(CommId comm) {
+ProxyEngine::CommRank* ProxyEngine::find_comm_for_peer_message(CommId comm) {
   if (destroyed_.count(comm.get()) > 0) return nullptr;
   return find_comm(comm);
 }
@@ -430,10 +430,10 @@ void ProxyEngine::check_advance(CommRank& st, ActiveColl& a, ChannelExec& ch) {
 void ProxyEngine::deliver_chunk(CommId comm, std::uint64_t seq, int channel,
                                 int transfer_tag, std::size_t src_chunk,
                                 gpu::DevicePtr src_workbuf, GpuId src_gpu) {
-  // All ranks of a killed tenant's communicator are aborted together, so a
-  // chunk arriving for a missing comm is a self-delivery of that teardown:
-  // drop it before touching any (possibly released) source buffer.
-  CommRank* stp = find_comm(comm);
+  // A chunk for a rank that is gone — every rank of a killed tenant, or this
+  // rank after its tenant destroyed it while a peer still sent — is dropped
+  // before touching any (possibly released) source buffer.
+  CommRank* stp = find_comm_for_peer_message(comm);
   if (stp == nullptr) return;
   CommRank& st = *stp;
   Delivery d{channel, transfer_tag, src_chunk, src_workbuf, src_gpu};
@@ -591,8 +591,9 @@ void ProxyEngine::p2p_launch(CommRank& st, int peer, std::uint64_t op_index,
 void ProxyEngine::on_p2p_send_request(CommId comm, int src_rank,
                                       std::uint64_t op_index, Bytes bytes,
                                       gpu::DevicePtr src_buffer, GpuId src_gpu) {
-  CommRank* stp = find_comm(comm);
-  if (stp == nullptr) return;  // rendezvous raced with a tenant kill
+  // The rendezvous raced with a tenant kill, or with this rank's destroy.
+  CommRank* stp = find_comm_for_peer_message(comm);
+  if (stp == nullptr) return;
   CommRank& st = *stp;
   P2pPeerState& ps = st.p2p[src_rank];
   ps.announced[op_index] = P2pPeerState::PendingSend{bytes, src_buffer, src_gpu};
@@ -729,7 +730,7 @@ void ProxyEngine::request_reconfigure(
   // Tolerate a comm torn down before the controller's command landed (kill
   // or destroy racing a reconfiguration); stale rounds for a LIVE comm are
   // still a contract violation below.
-  CommRank* stp = find_reconfiguring_comm(comm);
+  CommRank* stp = find_comm_for_peer_message(comm);
   if (stp == nullptr) return;
   CommRank& st = *stp;
   MCCS_EXPECTS(new_strategy != nullptr);
@@ -775,7 +776,7 @@ void ProxyEngine::try_activate(CommRank& st) {
 
 void ProxyEngine::on_control_value(CommId comm, std::uint64_t round,
                                    int origin_rank, std::int64_t value) {
-  CommRank* stp = find_reconfiguring_comm(comm);
+  CommRank* stp = find_comm_for_peer_message(comm);
   if (stp == nullptr) return;  // barrier value outlived its communicator
   CommRank& st = *stp;
   if (round <= st.last_applied_round) return;  // late echo of a done round
@@ -854,7 +855,7 @@ void ProxyEngine::begin_update(CommRank& st, std::uint64_t round) {
 }
 
 void ProxyEngine::finish_update(CommId comm, std::uint64_t round) {
-  CommRank* stp = find_reconfiguring_comm(comm);
+  CommRank* stp = find_comm_for_peer_message(comm);
   if (stp == nullptr) return;  // torn down during the connection update
   CommRank& st = *stp;
   auto it = st.rounds.find(round);

@@ -89,9 +89,11 @@ class ProxyEngine {
   /// shares; the caller (Fabric) has validated it against `setup.nranks`.
   void install_communicator(const CommSetup& setup,
                             std::shared_ptr<const CommStrategy> strategy);
-  /// Orderly teardown of an idle communicator. Reconfiguration messages
-  /// still in flight for it (a barrier round it took part in) are dropped on
-  /// arrival; any other late message is a contract violation. A rank already
+  /// Orderly teardown of an idle communicator rank. Messages from its peer
+  /// ranks still in flight for it — chunk deliveries and P2P send
+  /// announcements of a peer's operation, barrier rounds it took part in —
+  /// are dropped on arrival; the peer's operation then never completes, a
+  /// stall confined to the tenant's own communicator. A rank already
   /// destroyed here is skipped: a tenant's comm_destroy and the provider's
   /// destroy_communicator may both tear it down.
   void destroy_communicator(CommId comm);
@@ -301,12 +303,13 @@ class ProxyEngine {
   /// tenant kill (late control messages, in-flight deliveries): null when
   /// the communicator was torn down by abort_communicator. A comm that was
   /// never installed here — or went away through the orderly destroy path —
-  /// is still a contract violation (but see find_reconfiguring_comm).
+  /// is still a contract violation (but see find_comm_for_peer_message).
   CommRank* find_comm(CommId comm);
-  /// find_comm for the reconfiguration protocol's entry points, whose
-  /// messages may also outlive an orderly destroy: null for a comm removed by
+  /// find_comm for messages from peer ranks, which may also outlive this
+  /// rank's orderly destroy: chunk deliveries, P2P send announcements and
+  /// the reconfiguration protocol's messages. Null for a comm removed by
   /// destroy_communicator as well.
-  CommRank* find_reconfiguring_comm(CommId comm);
+  CommRank* find_comm_for_peer_message(CommId comm);
 
   void launch(CommRank& st, std::uint64_t seq, std::size_t trace_index,
               WorkRequest request);
@@ -346,7 +349,7 @@ class ProxyEngine {
   /// exactly these (a killed tenant's in-flight messages are not errors).
   std::unordered_set<std::uint32_t> aborted_;
   /// Tombstones of comms removed by destroy_communicator; only late
-  /// reconfiguration messages are excused for these.
+  /// messages from peer ranks are excused for these.
   std::unordered_set<std::uint32_t> destroyed_;
   std::vector<TraceRecord> trace_;
   /// This GPU's plan-cache series, interned once at construction (label:

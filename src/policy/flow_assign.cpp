@@ -392,12 +392,6 @@ void IncrementalAssigner::mark_link_dirty(LinkId link) {
   dirty_links_.push_back(link.get());
 }
 
-bool IncrementalAssigner::item_high_priority(CommId comm) const {
-  auto it = items_.find(comm.get());
-  MCCS_EXPECTS(it != items_.end());
-  return it->second.high_priority;
-}
-
 std::vector<CommId> IncrementalAssigner::item_ids() const {
   std::vector<CommId> out;
   out.reserve(items_.size());

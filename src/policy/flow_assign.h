@@ -234,7 +234,6 @@ class IncrementalAssigner {
     return items_.count(comm.get()) > 0;
   }
   [[nodiscard]] std::size_t item_count() const { return items_.size(); }
-  [[nodiscard]] bool item_high_priority(CommId comm) const;
   /// Live communicator ids, ascending (for diffing against a registry).
   [[nodiscard]] std::vector<CommId> item_ids() const;
 

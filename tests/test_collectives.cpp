@@ -2,16 +2,27 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <numeric>
 #include <set>
 #include <vector>
 
+#include "collectives/compiler.h"
+#include "collectives/schedule.h"
 #include "collectives/types.h"
 
 namespace mccs::coll {
 namespace {
+
+/// Rank `rank`'s compiled ring schedule of `kind` over `order`.
+ChannelSchedule compiled_ring(CollectiveKind kind, const RingOrder& order,
+                              int rank) {
+  CompileInput in;
+  in.kind = kind;
+  in.algorithm = Algorithm::kRing;
+  in.nranks = static_cast<int>(order.size());
+  in.rank = rank;
+  in.order = &order;
+  return compile_collective(in);
+}
 
 // --- RingOrder ----------------------------------------------------------------
 
@@ -28,17 +39,32 @@ TEST(RingOrder, PositionOfInvertsRankAt) {
 }
 
 TEST(RingOrder, NextAndPrevFollowTheRing) {
+  // The ring pass sends to a rank's successor in ring order and receives
+  // from its predecessor, wrapping past the last position.
   RingOrder o({2, 0, 3, 1});
-  EXPECT_EQ(o.next_rank(2), 0);
-  EXPECT_EQ(o.next_rank(1), 2);  // wrap
-  EXPECT_EQ(o.prev_rank(2), 1);
+  const auto peers = [&o](int rank, bool sends) {
+    std::set<int> out;
+    for (const CommStep& s :
+         compiled_ring(CollectiveKind::kAllGather, o, rank).steps) {
+      if (sends && s.has_send()) out.insert(s.send_to);
+      if (!sends && s.has_recv()) out.insert(s.recv_from);
+    }
+    return out;
+  };
+  EXPECT_EQ(peers(2, true), std::set<int>{0});
+  EXPECT_EQ(peers(1, true), std::set<int>{2});  // wrap
+  EXPECT_EQ(peers(2, false), std::set<int>{1});
 }
 
 TEST(RingOrder, ReversedReversesTraversal) {
   RingOrder o({2, 0, 3, 1});
   auto r = o.reversed();
-  EXPECT_EQ(r.next_rank(0), 2);
-  EXPECT_EQ(o.prev_rank(0), 2);
+  EXPECT_EQ(r.order(), (std::vector<int>{1, 3, 0, 2}));
+  // Each rank's successor in the reversed ring is its predecessor here.
+  for (int rank = 0; rank < 4; ++rank) {
+    EXPECT_EQ(r.rank_at(r.position_of(rank) + 1),
+              o.rank_at(o.position_of(rank) - 1));
+  }
 }
 
 TEST(RingOrder, RejectsNonPermutations) {
@@ -62,213 +88,27 @@ TEST(ChunkRange, PartitionsExactlyWithoutOverlap) {
   }
 }
 
-// --- schedule simulation ------------------------------------------------------------
-// Execute a schedule abstractly on per-rank chunk "ledgers" to prove data
-// correctness properties independent of the service implementation.
-
-using Ledger = std::vector<std::map<int, int>>;  // per chunk: {input rank: count}
-
-Ledger run_ring(int n, CollectiveKind kind,
-                const std::vector<int>& order_vec, int root = 0) {
-  RingOrder order(order_vec);
-  // state[rank][chunk] = multiset of contributions (input rank -> count).
-  std::vector<Ledger> state(static_cast<std::size_t>(n),
-                            Ledger(static_cast<std::size_t>(n)));
-  for (int r = 0; r < n; ++r) {
-    const int p = order.position_of(r);
-    switch (kind) {
-      case CollectiveKind::kAllReduce:
-      case CollectiveKind::kReduceScatter:
-        for (int c = 0; c < n; ++c) state[r][static_cast<std::size_t>(c)][r] = 1;
-        break;
-      case CollectiveKind::kAllGather: {
-        const std::size_t own =
-            chunk_to_buffer_index(kind, order, static_cast<std::size_t>(p));
-        state[r][own][r] = 1;
-        break;
-      }
-      case CollectiveKind::kBroadcast:
-        if (r == root) {
-          for (int c = 0; c < n; ++c) state[r][static_cast<std::size_t>(c)][root] = 1;
-        }
-        break;
-      default:
-        break;
-    }
-  }
-
-  std::vector<std::vector<RingStep>> steps(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    const int p = order.position_of(r);
-    switch (kind) {
-      case CollectiveKind::kAllReduce: steps[r] = ring_allreduce_steps(n, p); break;
-      case CollectiveKind::kAllGather: steps[r] = ring_allgather_steps(n, p); break;
-      case CollectiveKind::kReduceScatter:
-        steps[r] = ring_reducescatter_steps(n, p);
-        break;
-      case CollectiveKind::kBroadcast: {
-        const int rel = ((p - order.position_of(root)) % n + n) % n;
-        steps[r] = ring_broadcast_steps(n, rel);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  // Message-driven execution mirroring the service executor: each rank walks
-  // its steps in order; a send is applied at the receiver immediately and
-  // tagged; a step completes once its send is out and its recv tag arrived.
-  std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-  std::vector<bool> sent(static_cast<std::size_t>(n), false);
-  std::vector<std::set<int>> arrived(static_cast<std::size_t>(n));
-  bool progress = true;
-  auto all_done = [&] {
-    for (int r = 0; r < n; ++r)
-      if (cur[static_cast<std::size_t>(r)] < steps[r].size()) return false;
-    return true;
-  };
-  while (!all_done()) {
-    EXPECT_TRUE(progress) << "schedule deadlocked";
-    if (!progress) break;
-    progress = false;
-    for (int r = 0; r < n; ++r) {
-      auto& c = cur[static_cast<std::size_t>(r)];
-      if (c >= steps[r].size()) continue;
-      const RingStep& st = steps[r][c];
-      if (st.has_send() && !sent[static_cast<std::size_t>(r)]) {
-        const std::size_t buf = chunk_to_buffer_index(kind, order, st.send_chunk);
-        const int dst = order.next_rank(r);
-        auto& dst_chunk = state[dst][buf];
-        if (st.reduce) {
-          for (auto& [who, cnt] : state[r][buf]) dst_chunk[who] += cnt;
-        } else {
-          dst_chunk = state[r][buf];
-        }
-        arrived[static_cast<std::size_t>(dst)].insert(st.send_tag);
-        sent[static_cast<std::size_t>(r)] = true;
-        progress = true;
-      }
-      const bool send_ok = !st.has_send() || sent[static_cast<std::size_t>(r)];
-      const bool recv_ok =
-          !st.has_recv() || arrived[static_cast<std::size_t>(r)].count(st.recv_tag) > 0;
-      if (send_ok && recv_ok) {
-        ++c;
-        sent[static_cast<std::size_t>(r)] = false;
-        progress = true;
-      }
-    }
-  }
-
-  // Flatten: per rank, map keyed chunk*n + contributor -> count.
-  Ledger out(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      for (auto& [who, cnt] : state[r][static_cast<std::size_t>(c)]) {
-        out[r][c * n + who] = cnt;
-      }
-    }
-  }
-  return out;
-}
-
-class RingScheduleP : public ::testing::TestWithParam<int> {};
-
-TEST_P(RingScheduleP, AllReduceEveryRankSumsEveryInputExactlyOnce) {
-  const int n = GetParam();
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  auto state = run_ring(n, CollectiveKind::kAllReduce, order);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      for (int who = 0; who < n; ++who) {
-        EXPECT_EQ(state[r].at(c * n + who), 1)
-            << "rank " << r << " chunk " << c << " contributor " << who;
-      }
-    }
-  }
-}
-
-TEST_P(RingScheduleP, AllReduceCorrectUnderArbitraryRingOrder) {
-  const int n = GetParam();
-  // A rotated+reversed permutation exercises non-identity orders.
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::rotate(order.begin(), order.begin() + 1, order.end());
-  std::reverse(order.begin() + 1, order.end());
-  auto state = run_ring(n, CollectiveKind::kAllReduce, order);
-  for (int r = 0; r < n; ++r)
-    for (int c = 0; c < n; ++c)
-      for (int who = 0; who < n; ++who)
-        EXPECT_EQ(state[r].at(c * n + who), 1);
-}
-
-TEST_P(RingScheduleP, AllGatherEveryRankHoldsEveryContribution) {
-  const int n = GetParam();
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::rotate(order.begin(), order.begin() + n / 2, order.end());
-  auto state = run_ring(n, CollectiveKind::kAllGather, order);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      // Buffer chunk c must hold exactly rank c's contribution.
-      EXPECT_EQ(state[r].count(c * n + c), 1u) << "rank " << r << " chunk " << c;
-      EXPECT_EQ(state[r].at(c * n + c), 1);
-      for (int who = 0; who < n; ++who) {
-        if (who != c) {
-          EXPECT_EQ(state[r].count(c * n + who), 0u);
-        }
-      }
-    }
-  }
-}
-
-TEST_P(RingScheduleP, ReduceScatterOwnedChunkHasAllContributions) {
-  const int n = GetParam();
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  auto state = run_ring(n, CollectiveKind::kReduceScatter, order);
-  RingOrder ro(order);
-  for (int r = 0; r < n; ++r) {
-    const int p = ro.position_of(r);
-    const std::size_t owned_pos = reducescatter_owned_chunk(n, p);
-    const std::size_t buf = chunk_to_buffer_index(CollectiveKind::kReduceScatter, ro, owned_pos);
-    EXPECT_EQ(buf, static_cast<std::size_t>(r)) << "owned chunk must be own rank";
-    for (int who = 0; who < n; ++who) {
-      EXPECT_EQ(state[r].at(static_cast<int>(buf) * n + who), 1)
-          << "rank " << r << " contributor " << who;
-    }
-  }
-}
-
-TEST_P(RingScheduleP, BroadcastDeliversRootDataEverywhere) {
-  const int n = GetParam();
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  const int root = n / 2;
-  auto state = run_ring(n, CollectiveKind::kBroadcast, order, root);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      EXPECT_EQ(state[r].at(c * n + root), 1) << "rank " << r << " chunk " << c;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, RingScheduleP, ::testing::Values(2, 3, 4, 5, 8, 16));
-
-// --- step counts ----------------------------------------------------------------
+// --- ring step counts ----------------------------------------------------------------
 
 TEST(RingSchedules, AllReduceHasTwoNMinusTwoSteps) {
-  EXPECT_EQ(ring_allreduce_steps(8, 3).size(), 14u);
+  const RingOrder o = RingOrder::identity(8);
+  EXPECT_EQ(compiled_ring(CollectiveKind::kAllReduce, o, 3).steps.size(), 14u);
 }
 TEST(RingSchedules, AllGatherHasNMinusOneSteps) {
-  EXPECT_EQ(ring_allgather_steps(8, 3).size(), 7u);
+  const RingOrder o = RingOrder::identity(8);
+  EXPECT_EQ(compiled_ring(CollectiveKind::kAllGather, o, 3).steps.size(), 7u);
 }
 TEST(RingSchedules, ReduceScatterStepsReduce) {
-  for (const auto& s : ring_reducescatter_steps(4, 1)) EXPECT_TRUE(s.reduce);
+  const RingOrder o = RingOrder::identity(4);
+  const ChannelSchedule cs = compiled_ring(CollectiveKind::kReduceScatter, o, 1);
+  EXPECT_EQ(cs.steps.size(), 3u);
+  for (const CommStep& s : cs.steps) EXPECT_TRUE(s.reduce);
 }
 TEST(RingSchedules, AllGatherStepsCopy) {
-  for (const auto& s : ring_allgather_steps(4, 1)) EXPECT_FALSE(s.reduce);
+  const RingOrder o = RingOrder::identity(4);
+  const ChannelSchedule cs = compiled_ring(CollectiveKind::kAllGather, o, 1);
+  EXPECT_EQ(cs.steps.size(), 3u);
+  for (const CommStep& s : cs.steps) EXPECT_FALSE(s.reduce);
 }
 
 // --- bandwidth math ----------------------------------------------------------------

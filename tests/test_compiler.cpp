@@ -2,25 +2,30 @@
 //
 // Coverage, per the compiler's contract:
 //  * correctness sweep — every CollectiveKind x every selectable algorithm x
-//    nranks 2..17, executed abstractly over contribution ledgers and checked
-//    against the collective's set-theoretic oracle;
-//  * lowering bit-identity — under kRing the compiled schedule equals the
-//    hand-written builders step for step (the paper-figure goldens depend on
-//    it), and under kTree it equals the rotated-binary-tree builders;
-//  * tree_edges audit — the advertised flow edges of every tree schedule
-//    match the edges the per-rank schedules actually send on, for
-//    nranks in [2, 64] and multiple roots (the phantom-reduce-edge bugfix);
+//    nranks 2..17 x two ring orders x roots {0, n/2, n-1} x tree chunks
+//    {1, 3, 8}, executed abstractly over contribution ledgers (the one
+//    schedule executor in the suite) and checked against the collective's
+//    set-theoretic oracle, plus ring AllReduce under a rotated order;
+//  * frozen lowering digest — an FNV-1a fold of every compiled schedule and
+//    every algorithm_edges list over the same grid, so no output moves by a
+//    bit unnoticed (plan caches, FFA's flow order and the paper-figure
+//    goldens depend on it);
+//  * tree edge audit — the advertised flow edges of the tree AllReduces
+//    are exactly the edges the compiled schedules send on plus the ring
+//    floor, for nranks in [2, 64];
 //  * edge coverage — every send a compiled schedule performs is inside
 //    algorithm_edges(), so flow assignment places demand for all of it;
 //  * the algorithm-choice pass (analytic cost model);
-//  * end-to-end numerical correctness through the MCCS service for the two
-//    algorithms no legacy builder covers (double binary tree, pairwise),
-//    including a 17-rank communicator and the single-rank short-circuit.
+//  * end-to-end numerical correctness through the MCCS service for double
+//    binary tree and pairwise, including a 17-rank communicator and the
+//    single-rank short-circuit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
@@ -44,10 +49,11 @@ using coll::RingOrder;
 
 // --- abstract ledger execution ---------------------------------------------------
 
-/// Same message-driven executor as the ring/tree schedule tests, generalised
-/// to schedules whose matched send/recv pairs may name different buffer
-/// chunks (AllToAll moves block `dst` of the sender into block `src` of the
-/// receiver).
+/// Message-driven executor mirroring the proxy's: each rank walks its steps
+/// in order; a send is applied at the receiver at once and tagged; a step
+/// completes once its send is out and its recv tag arrived. Matched
+/// send/recv pairs may name different buffer chunks (AllToAll moves block
+/// `dst` of the sender into block `src` of the receiver).
 using Ledger = std::vector<std::map<int, int>>;  // per chunk: contributor->count
 
 std::vector<Ledger> run_schedules(const std::vector<ChannelSchedule>& scheds,
@@ -277,78 +283,121 @@ RingOrder scrambled_order(int n) {
   return RingOrder(std::move(v));
 }
 
-// --- correctness sweep: every kind x every selectable algorithm ------------------
+/// The roots the sweep and the digest run a kind at.
+std::set<int> roots_for(CollectiveKind kind, int n) {
+  return is_rooted(kind) ? std::set<int>{0, n / 2, n - 1} : std::set<int>{0};
+}
 
-class CompiledSweepP : public ::testing::TestWithParam<CollectiveKind> {};
+/// Tree pipeline granularities the sweep and the digest run.
+constexpr std::size_t kTreeChunks[] = {1, 3, 8};
 
-TEST_P(CompiledSweepP, EveryAlgorithmMatchesOracleForRanks2To17) {
-  const CollectiveKind kind = GetParam();
-  for (int n = 2; n <= 17; ++n) {
-    const std::vector<RingOrder> orders = {RingOrder::identity(n),
-                                           scrambled_order(n)};
-    const std::vector<int> roots =
-        is_rooted(kind) ? std::vector<int>{0, n - 1} : std::vector<int>{0};
-    for (const Algorithm algo : coll::selectable_algorithms(kind)) {
-      for (const RingOrder& order : orders) {
-        for (const int root : roots) {
-          SCOPED_TRACE(::testing::Message()
-                       << coll::to_string(kind) << " algo "
-                       << coll::algorithm_name(algo) << " n " << n << " root "
-                       << root << " pos0 " << order.rank_at(0));
-          const auto compiled = compile_all(kind, algo, order, root, 3);
-          // One plan shape per communicator: every rank agrees on chunks.
-          const std::size_t chunks = compiled[0].num_chunks;
-          // Flow assignment advertises the algorithm's steady-state edge
-          // superset (the root-0 AllReduce trees). Rooted tree collectives
-          // at other roots — and the DBT mirror broadcast — use rotated
-          // trees whose edges deliberately ride ECMP, so coverage is only
-          // asserted where the contract promises it.
-          const bool tree_like = algo == Algorithm::kTree ||
-                                 algo == Algorithm::kDoubleBinaryTree;
-          const bool coverage_checked =
-              !is_fixed_shape(kind) &&
-              !(is_rooted(kind) && tree_like &&
-                (root != 0 || algo == Algorithm::kDoubleBinaryTree));
-          const auto edges = coll::algorithm_edges(algo, order);
-          const std::set<std::pair<int, int>> edge_set(edges.begin(),
-                                                       edges.end());
-          for (int r = 0; r < n; ++r) {
-            const ChannelSchedule& cs = compiled[static_cast<std::size_t>(r)];
-            ASSERT_EQ(cs.num_chunks, chunks) << "rank " << r;
-            // One recv slot per tag (the invariant build_coll_plan enforces).
-            std::set<int> tags;
-            for (const CommStep& st : cs.steps) {
-              if (st.has_recv()) {
-                ASSERT_TRUE(tags.insert(st.recv_tag).second)
-                    << "rank " << r << " duplicate recv tag " << st.recv_tag;
-              }
-              // Flow assignment must place demand for every send edge.
-              if (st.has_send() && coverage_checked) {
-                ASSERT_TRUE(edge_set.count({r, st.send_to}))
-                    << "rank " << r << " sends on unadvertised edge " << r
-                    << "->" << st.send_to;
-              }
-            }
+const CollectiveKind kAllKinds[] = {
+    CollectiveKind::kAllReduce,     CollectiveKind::kAllGather,
+    CollectiveKind::kReduceScatter, CollectiveKind::kBroadcast,
+    CollectiveKind::kReduce,        CollectiveKind::kAllToAll,
+    CollectiveKind::kGather,        CollectiveKind::kScatter};
+
+/// Calls `fn(algo, order, root, tree_chunks)` for every case of `kind` the
+/// sweep and the digest cover: each selectable algorithm x nranks 2..17 x
+/// {identity, scrambled} x roots_for x kTreeChunks. Stops at the first
+/// fatal test failure.
+template <class Fn>
+void for_each_case(CollectiveKind kind, Fn&& fn) {
+  for (const Algorithm algo : coll::selectable_algorithms(kind)) {
+    for (int n = 2; n <= 17; ++n) {
+      for (const RingOrder& order : {RingOrder::identity(n), scrambled_order(n)}) {
+        for (const int root : roots_for(kind, n)) {
+          for (const std::size_t kk : kTreeChunks) {
+            fn(algo, order, root, kk);
+            if (::testing::Test::HasFatalFailure()) return;
           }
-          const auto state = run_schedules(
-              compiled, initial_state(kind, n, root, chunks),
-              kind == CollectiveKind::kAllToAll);
-          verify_state(kind, n, root, chunks, state);
         }
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kinds, CompiledSweepP,
-    ::testing::Values(CollectiveKind::kAllReduce, CollectiveKind::kAllGather,
-                      CollectiveKind::kReduceScatter,
-                      CollectiveKind::kBroadcast, CollectiveKind::kReduce,
-                      CollectiveKind::kAllToAll, CollectiveKind::kGather,
-                      CollectiveKind::kScatter));
+// --- correctness sweep: every kind x every selectable algorithm ------------------
 
-// --- lowering bit-identity -------------------------------------------------------
+/// One sweep case: compile every rank, check the plan-level invariants and
+/// edge coverage, then execute over ledgers against the oracle.
+void check_case(CollectiveKind kind, Algorithm algo, const RingOrder& order,
+                int root, std::size_t tree_chunks) {
+  const int n = static_cast<int>(order.size());
+  SCOPED_TRACE(::testing::Message()
+               << coll::to_string(kind) << " algo " << coll::algorithm_name(algo)
+               << " n " << n << " root " << root << " pos0 " << order.rank_at(0)
+               << " tree chunks " << tree_chunks);
+  const auto compiled = compile_all(kind, algo, order, root, tree_chunks);
+  // One plan shape per communicator: every rank agrees on chunks.
+  const std::size_t chunks = compiled[0].num_chunks;
+  // Flow assignment advertises the algorithm's steady-state edge superset
+  // (the root-0 AllReduce trees). Rooted tree collectives at other roots —
+  // and the DBT mirror broadcast — use rotated trees whose edges
+  // deliberately ride ECMP, so coverage is only asserted where the contract
+  // promises it.
+  const bool tree_like =
+      algo == Algorithm::kTree || algo == Algorithm::kDoubleBinaryTree;
+  const bool coverage_checked =
+      !is_fixed_shape(kind) &&
+      !(is_rooted(kind) && tree_like &&
+        (root != 0 || algo == Algorithm::kDoubleBinaryTree));
+  const auto edges = coll::algorithm_edges(algo, order);
+  const std::set<std::pair<int, int>> edge_set(edges.begin(), edges.end());
+  for (int r = 0; r < n; ++r) {
+    const ChannelSchedule& cs = compiled[static_cast<std::size_t>(r)];
+    ASSERT_EQ(cs.num_chunks, chunks) << "rank " << r;
+    // One recv slot per tag (the invariant build_coll_plan enforces).
+    std::set<int> tags;
+    for (const CommStep& st : cs.steps) {
+      if (st.has_recv()) {
+        ASSERT_TRUE(tags.insert(st.recv_tag).second)
+            << "rank " << r << " duplicate recv tag " << st.recv_tag;
+      }
+      // Flow assignment must place demand for every send edge.
+      if (st.has_send() && coverage_checked) {
+        ASSERT_TRUE(edge_set.count({r, st.send_to}))
+            << "rank " << r << " sends on unadvertised edge " << r << "->"
+            << st.send_to;
+      }
+    }
+  }
+  const auto state = run_schedules(compiled,
+                                   initial_state(kind, n, root, chunks),
+                                   kind == CollectiveKind::kAllToAll);
+  verify_state(kind, n, root, chunks, state);
+}
+
+class CompiledSweepP : public ::testing::TestWithParam<CollectiveKind> {};
+
+TEST_P(CompiledSweepP, EveryAlgorithmMatchesOracleForRanks2To17) {
+  const CollectiveKind kind = GetParam();
+  for_each_case(kind, [kind](Algorithm algo, const RingOrder& order, int root,
+                             std::size_t tree_chunks) {
+    check_case(kind, algo, order, root, tree_chunks);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, CompiledSweepP, ::testing::ValuesIn(kAllKinds));
+
+/// Ring AllReduce with position 0 held by a rank other than 0: the
+/// scrambled order rotated one position, which the sweep does not run.
+class RingScheduleP : public ::testing::TestWithParam<int> {};
+
+TEST_P(RingScheduleP, AllReduceCorrectUnderArbitraryRingOrder) {
+  const int n = GetParam();
+  std::vector<int> v(static_cast<std::size_t>(n));
+  std::iota(v.begin(), v.end(), 0);
+  std::rotate(v.begin(), v.begin() + 1, v.end());
+  std::reverse(v.begin() + 1, v.end());
+  check_case(CollectiveKind::kAllReduce, Algorithm::kRing,
+             RingOrder(std::move(v)), 0, 8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, RingScheduleP,
+                         ::testing::Values(2, 3, 4, 5, 8, 16));
+
+// --- lowering: frozen digest, ring-order independence of trees -------------------
 
 void expect_same_schedule(const ChannelSchedule& got,
                           const ChannelSchedule& want) {
@@ -368,72 +417,61 @@ void expect_same_schedule(const ChannelSchedule& got,
   }
 }
 
-ChannelSchedule legacy_ring(CollectiveKind kind, const RingOrder& order,
-                            int rank, int root) {
-  const int n = static_cast<int>(order.size());
-  switch (kind) {
-    case CollectiveKind::kReduce:
-      return coll::build_chain_reduce_schedule(order, rank, root);
-    case CollectiveKind::kAllToAll:
-      return coll::build_alltoall_schedule(n, rank);
-    case CollectiveKind::kGather:
-      return coll::build_gather_schedule(n, rank, root);
-    case CollectiveKind::kScatter:
-      return coll::build_scatter_schedule(n, rank, root);
-    default:
-      return coll::build_ring_schedule(kind, order, rank, root);
+/// 64-bit FNV-1a over a stream of integers, each folded as its eight
+/// little-endian bytes.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void fold(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
   }
-}
+};
 
-TEST(CompilerLowering, RingIsBitIdenticalToHandwrittenBuilders) {
-  const CollectiveKind kinds[] = {
-      CollectiveKind::kAllReduce,     CollectiveKind::kAllGather,
-      CollectiveKind::kReduceScatter, CollectiveKind::kBroadcast,
-      CollectiveKind::kReduce,        CollectiveKind::kAllToAll,
-      CollectiveKind::kGather,        CollectiveKind::kScatter};
-  for (const int n : {2, 3, 5, 8, 13, 16}) {
-    for (const RingOrder& order : {RingOrder::identity(n), scrambled_order(n)}) {
-      for (const CollectiveKind kind : kinds) {
-        for (const int root : is_rooted(kind) ? std::vector<int>{0, n - 1}
-                                              : std::vector<int>{0}) {
-          for (int rank = 0; rank < n; ++rank) {
-            SCOPED_TRACE(::testing::Message()
-                         << coll::to_string(kind) << " n " << n << " rank "
-                         << rank << " root " << root);
-            const auto compiled =
-                compile_all(kind, Algorithm::kRing, order, root, 8);
-            expect_same_schedule(compiled[static_cast<std::size_t>(rank)],
-                                 legacy_ring(kind, order, rank, root));
-          }
+std::uint64_t u64(int v) { return static_cast<std::uint64_t>(v); }
+
+TEST(CompilerLowering, ScheduleDigestIsUnchanged) {
+  // Every field of every step, plus num_chunks, of every compiled schedule
+  // over the sweep's grid, then every algorithm_edges list. The value was
+  // recorded from the lowering before its emitters were last rewritten; a
+  // change that moves any output must change it here, on purpose.
+  Fnv1a d;
+  for (const CollectiveKind kind : kAllKinds) {
+    for_each_case(kind, [&d, kind](Algorithm algo, const RingOrder& order,
+                                   int root, std::size_t tree_chunks) {
+      for (const ChannelSchedule& cs :
+           compile_all(kind, algo, order, root, tree_chunks)) {
+        d.fold(cs.num_chunks);
+        d.fold(cs.steps.size());
+        for (const CommStep& st : cs.steps) {
+          d.fold(u64(st.index));
+          d.fold(u64(st.send_to));
+          d.fold(st.send_chunk);
+          d.fold(u64(st.send_tag));
+          d.fold(u64(st.recv_from));
+          d.fold(st.recv_chunk);
+          d.fold(u64(st.recv_tag));
+          d.fold(st.reduce ? 1u : 0u);
+        }
+      }
+    });
+  }
+  for (const Algorithm algo : {Algorithm::kRing, Algorithm::kTree,
+                               Algorithm::kDoubleBinaryTree,
+                               Algorithm::kPairwise}) {
+    for (int n = 2; n <= 17; ++n) {
+      for (const RingOrder& order : {RingOrder::identity(n), scrambled_order(n)}) {
+        const auto edges = coll::algorithm_edges(algo, order);
+        d.fold(edges.size());
+        for (const auto& [src, dst] : edges) {
+          d.fold(u64(src));
+          d.fold(u64(dst));
         }
       }
     }
   }
-}
-
-TEST(CompilerLowering, TreeIsBitIdenticalToTreeBuilders) {
-  for (const int n : {2, 3, 5, 8, 16, 17}) {
-    for (const std::size_t kk : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-      const RingOrder id = RingOrder::identity(n);
-      for (int rank = 0; rank < n; ++rank) {
-        SCOPED_TRACE(::testing::Message() << "n " << n << " kk " << kk
-                                          << " rank " << rank);
-        const auto ar = compile_all(CollectiveKind::kAllReduce,
-                                    Algorithm::kTree, id, 0, kk);
-        expect_same_schedule(ar[static_cast<std::size_t>(rank)],
-                             coll::build_tree_allreduce_schedule(n, rank, kk));
-        const int root = (n - 1) / 2;
-        const auto bc = compile_all(CollectiveKind::kBroadcast,
-                                    Algorithm::kTree, id, root, kk);
-        expect_same_schedule(bc[static_cast<std::size_t>(rank)],
-                             coll::build_tree_broadcast_schedule(n, rank, root, kk));
-        const auto rd = compile_all(CollectiveKind::kReduce, Algorithm::kTree,
-                                    id, root, kk);
-        expect_same_schedule(rd[static_cast<std::size_t>(rank)],
-                             coll::build_tree_reduce_schedule(n, rank, root, kk));
-      }
-    }
-  }
+  EXPECT_EQ(d.h, 0x871dc51676b4a32dull) << std::hex << std::showbase << d.h;
 }
 
 TEST(CompilerLowering, TreeScheduleIgnoresRingOrder) {
@@ -450,42 +488,31 @@ TEST(CompilerLowering, TreeScheduleIgnoresRingOrder) {
   }
 }
 
-// --- tree_edges audit (the phantom-reduce-edge bugfix) ---------------------------
+// --- tree edge audit ---------------------------------------------------------------
 
 TEST(TreeEdgesAudit, AdvertisedEdgesMatchSchedulesForRanks2To64) {
-  for (int n = 2; n <= 64; ++n) {
-    std::vector<std::pair<CollectiveKind, int>> cases = {
-        {CollectiveKind::kAllReduce, 0}};
-    for (const int root : std::set<int>{0, 1 % n, n / 2}) {
-      cases.emplace_back(CollectiveKind::kBroadcast, root);
-      cases.emplace_back(CollectiveKind::kReduce, root);
-    }
-    for (const auto& [kind, root] : cases) {
-      SCOPED_TRACE(::testing::Message() << coll::to_string(kind) << " n " << n
-                                        << " root " << root);
-      std::set<std::pair<int, int>> sched_edges;
+  // Flow assignment places demand exactly where the tree AllReduces send,
+  // plus the ring floor the fallback kinds run on: no phantom edge, and no
+  // send edge left to ECMP.
+  for (const Algorithm algo : {Algorithm::kTree, Algorithm::kDoubleBinaryTree}) {
+    for (int n = 2; n <= 64; ++n) {
+      SCOPED_TRACE(::testing::Message() << coll::algorithm_name(algo) << " n "
+                                        << n);
+      const RingOrder id = RingOrder::identity(n);
+      std::set<std::pair<int, int>> expected;
+      for (int p = 0; p < n; ++p) expected.insert({p, (p + 1) % n});
+      const auto compiled =
+          compile_all(CollectiveKind::kAllReduce, algo, id, 0, 2);
       for (int rank = 0; rank < n; ++rank) {
-        ChannelSchedule sched;
-        switch (kind) {
-          case CollectiveKind::kAllReduce:
-            sched = coll::build_tree_allreduce_schedule(n, rank, 2);
-            break;
-          case CollectiveKind::kBroadcast:
-            sched = coll::build_tree_broadcast_schedule(n, rank, root, 2);
-            break;
-          default:
-            sched = coll::build_tree_reduce_schedule(n, rank, root, 2);
-            break;
-        }
-        for (const CommStep& st : sched.steps) {
-          if (st.has_send()) sched_edges.insert({rank, st.send_to});
+        for (const CommStep& st : compiled[static_cast<std::size_t>(rank)].steps) {
+          if (st.has_send()) expected.insert({rank, st.send_to});
         }
       }
-      const auto advertised = coll::tree_edges(n, root, kind);
+      const auto advertised = coll::algorithm_edges(algo, id);
       const std::set<std::pair<int, int>> adv_set(advertised.begin(),
                                                   advertised.end());
       ASSERT_EQ(adv_set.size(), advertised.size()) << "duplicate edges";
-      ASSERT_EQ(adv_set, sched_edges);
+      ASSERT_EQ(adv_set, expected);
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -283,6 +284,65 @@ TEST_F(MisuseFixture, SecondDestroyFromOneRankIsRejectedAtTheCall) {
   EXPECT_NO_THROW(fabric.loop().run());
   EXPECT_TRUE(fabric.list_communicators().empty());
   EXPECT_EQ(dev.stream_count(), streams);
+}
+
+/// App 1's rank 0 (GPU 0) destroys its rank while rank 1 (GPU 2) still sends
+/// to it through `peer_sends`, and app 2 runs a 1 MiB AllReduce on GPUs
+/// {1, 3} alongside. Rank 0 had nothing outstanding, so its destroy is
+/// legal; the peer's late messages are dropped on arrival. The peer's own
+/// operation then never completes, and that stall stays inside app 1's
+/// communicator: the loop runs to its end and app 2's sums are exact.
+struct DestroyRacingAPeer : MisuseFixture {
+  static constexpr std::size_t kCount = std::size_t{1} << 18;  // 1 MiB of f32
+
+  void run(const std::function<void(svc::Shim&, CommId)>& peer_sends) {
+    const CommId comm = create_comm(fabric, app, {GpuId{0}, GpuId{2}});
+    const AppId other_app{2};
+    const std::vector<GpuId> other{GpuId{1}, GpuId{3}};
+    const CommId other_comm = create_comm(fabric, other_app, other);
+    auto ranks = make_ranks(fabric, other_app, other);
+    std::vector<gpu::DevicePtr> buf(other.size());
+    std::vector<float> expected(kCount, 0.0f);
+    for (std::size_t r = 0; r < other.size(); ++r) {
+      buf[r] = ranks[r].shim->alloc(kCount * sizeof(float));
+      test::fill_pattern<float>(fabric, buf[r], kCount, static_cast<int>(r));
+      auto s = fabric.gpus().typed<float>(buf[r], kCount);
+      for (std::size_t i = 0; i < kCount; ++i) expected[i] += s[i];
+    }
+    int remaining = static_cast<int>(other.size());
+    for (std::size_t r = 0; r < other.size(); ++r) {
+      ranks[r].shim->all_reduce(other_comm, buf[r], buf[r], kCount,
+                                coll::DataType::kFloat32, coll::ReduceOp::kSum,
+                                *ranks[r].stream,
+                                [&remaining](Time) { --remaining; });
+    }
+    peer_sends(fabric.connect(app, GpuId{2}), comm);
+    fabric.connect(app, GpuId{0}).comm_destroy(comm);
+    EXPECT_NO_THROW(fabric.loop().run());
+    ASSERT_EQ(remaining, 0);
+    for (std::size_t r = 0; r < other.size(); ++r) {
+      auto out = fabric.gpus().typed<float>(buf[r], kCount);
+      for (std::size_t i = 0; i < kCount; ++i) {
+        ASSERT_EQ(out[i], expected[i]) << "rank " << r << " elem " << i;
+      }
+    }
+  }
+};
+
+TEST_F(DestroyRacingAPeer, PeersCollectiveChunksAreDropped) {
+  run([](svc::Shim& peer, CommId comm) {
+    const gpu::DevicePtr buf = peer.alloc(kCount * sizeof(float));
+    peer.all_reduce(comm, buf, buf, kCount, coll::DataType::kFloat32,
+                    coll::ReduceOp::kSum, peer.create_app_stream());
+  });
+}
+
+TEST_F(DestroyRacingAPeer, PeersP2pSendAnnouncementIsDropped) {
+  run([](svc::Shim& peer, CommId comm) {
+    const gpu::DevicePtr buf = peer.alloc(kCount * sizeof(float));
+    peer.send(comm, 0, buf, kCount, coll::DataType::kFloat32,
+              peer.create_app_stream());
+  });
 }
 
 TEST_F(MisuseFixture, StaleReconfigurationRoundIsRejected) {
