@@ -93,76 +93,111 @@ inline CommId bench_create_comm(svc::Fabric& fabric, AppId app,
   return comm;
 }
 
-/// Back-to-back collective loop on one communicator (nccl-tests style).
-/// Returns per-iteration completion times after `warmup` iterations.
+/// Back-to-back collectives on one communicator (nccl-tests style). Each
+/// rank's buffers and app stream are set up once, at construction, and
+/// released with the loop, so run() spends its time on collectives only.
+class CollectiveLoop {
+ public:
+  CollectiveLoop(svc::Fabric& fabric, AppId app, const std::vector<GpuId>& gpus,
+                 CommId comm, coll::CollectiveKind kind, Bytes output_bytes)
+      : fabric_(&fabric), comm_(comm) {
+    const int n = static_cast<int>(gpus.size());
+    // "Data size" = output buffer size (§6.2).
+    const std::size_t out_elems = output_bytes / sizeof(float);
+    // `count` is chosen so `output_bytes` equals the TOTAL data size of the
+    // operation (what the paper's x-axis plots): blocked collectives divide
+    // it across the n per-rank blocks.
+    const std::size_t count =
+        (kind == coll::CollectiveKind::kAllGather ||
+         kind == coll::CollectiveKind::kAllToAll ||
+         kind == coll::CollectiveKind::kReduceScatter ||
+         kind == coll::CollectiveKind::kGather ||
+         kind == coll::CollectiveKind::kScatter)
+            ? out_elems / static_cast<std::size_t>(n)
+            : out_elems;
+    MCCS_EXPECTS(count > 0);
+
+    // Each rank's buffers as the service validates them; a buffer the rank
+    // never touches (a non-root's Broadcast send, say) is left unallocated.
+    svc::CollectiveArgs args;
+    args.kind = kind;
+    args.count = count;
+    for (int rank = 0; rank < n; ++rank) {
+      svc::Shim& shim =
+          fabric.connect(app, gpus[static_cast<std::size_t>(rank)]);
+      const svc::RankBuffers sizes = svc::rank_buffers(args, n, rank);
+      const auto alloc = [&shim](Bytes bytes) {
+        return bytes > 0 ? shim.alloc(bytes) : gpu::DevicePtr{};
+      };
+      Rank r{&shim, &shim.create_app_stream(), args};
+      r.args.send = alloc(sizes.send);
+      r.args.recv = alloc(sizes.recv);
+      ranks_.push_back(r);
+    }
+  }
+
+  ~CollectiveLoop() {
+    for (const Rank& r : ranks_) {
+      for (const gpu::DevicePtr p : {r.args.send, r.args.recv}) {
+        if (p.valid()) r.shim->free(p);
+      }
+      fabric_->gpus().gpu(r.shim->gpu()).destroy_stream(r.stream->id());
+    }
+  }
+
+  CollectiveLoop(const CollectiveLoop&) = delete;
+  CollectiveLoop& operator=(const CollectiveLoop&) = delete;
+
+  /// Per-iteration completion times after `warmup` iterations.
+  std::vector<Time> run(int warmup, int iters) {
+    const int n = static_cast<int>(ranks_.size());
+    std::vector<Time> iter_end;
+    int completions = 0;
+    const int total = warmup + iters;
+    for (int it = 0; it < total; ++it) {
+      for (Rank& r : ranks_) {
+        r.shim->collective(comm_, r.args, *r.stream,
+                           [&completions](Time) { ++completions; });
+      }
+      const int want = (it + 1) * n;
+      const bool ok = fabric_->loop().run_while_pending(
+          [&] { return completions >= want; });
+      MCCS_CHECK(ok, "collective loop stalled");
+      if (it >= warmup) iter_end.push_back(fabric_->loop().now());
+    }
+
+    std::vector<Time> durations;
+    Time prev = iter_end.empty() ? 0.0 : iter_end.front();
+    for (std::size_t i = 1; i < iter_end.size(); ++i) {
+      durations.push_back(iter_end[i] - prev);
+      prev = iter_end[i];
+    }
+    MCCS_CHECK(!durations.empty(), "need at least 2 measured iterations");
+    return durations;
+  }
+
+ private:
+  struct Rank {
+    svc::Shim* shim;
+    gpu::Stream* stream;
+    svc::CollectiveArgs args;  ///< f32, sum, root 0, this rank's buffers
+  };
+
+  svc::Fabric* fabric_;
+  CommId comm_;
+  std::vector<Rank> ranks_;
+};
+
+/// One CollectiveLoop run: per-iteration completion times after `warmup`
+/// iterations.
 inline std::vector<Time> run_collective_loop(svc::Fabric& fabric, AppId app,
                                              const std::vector<GpuId>& gpus,
                                              CommId comm,
                                              coll::CollectiveKind kind,
                                              Bytes output_bytes, int warmup,
                                              int iters) {
-  const int n = static_cast<int>(gpus.size());
-  // "Data size" = output buffer size (§6.2).
-  const std::size_t out_elems = output_bytes / sizeof(float);
-  // `count` is chosen so `output_bytes` equals the TOTAL data size of the
-  // operation (what the paper's x-axis plots): blocked collectives divide it
-  // across the n per-rank blocks.
-  const std::size_t count =
-      (kind == coll::CollectiveKind::kAllGather ||
-       kind == coll::CollectiveKind::kAllToAll ||
-       kind == coll::CollectiveKind::kReduceScatter ||
-       kind == coll::CollectiveKind::kGather ||
-       kind == coll::CollectiveKind::kScatter)
-          ? out_elems / static_cast<std::size_t>(n)
-          : out_elems;
-  MCCS_EXPECTS(count > 0);
-
-  struct Rank {
-    svc::Shim* shim;
-    gpu::Stream* stream;
-    svc::CollectiveArgs args;  ///< f32, sum, root 0, this rank's buffers
-  };
-  // Each rank's buffers as the service validates them; a buffer the rank
-  // never touches (a non-root's Broadcast send, say) is left unallocated.
-  svc::CollectiveArgs args;
-  args.kind = kind;
-  args.count = count;
-  std::vector<Rank> ranks;
-  for (int rank = 0; rank < n; ++rank) {
-    svc::Shim& shim = fabric.connect(app, gpus[static_cast<std::size_t>(rank)]);
-    const svc::RankBuffers sizes = svc::rank_buffers(args, n, rank);
-    const auto alloc = [&shim](Bytes bytes) {
-      return bytes > 0 ? shim.alloc(bytes) : gpu::DevicePtr{};
-    };
-    Rank r{&shim, &shim.create_app_stream(), args};
-    r.args.send = alloc(sizes.send);
-    r.args.recv = alloc(sizes.recv);
-    ranks.push_back(r);
-  }
-
-  std::vector<Time> iter_end;
-  int completions = 0;
-  const int total = warmup + iters;
-  for (int it = 0; it < total; ++it) {
-    for (Rank& r : ranks) {
-      r.shim->collective(comm, r.args, *r.stream,
-                         [&completions](Time) { ++completions; });
-    }
-    const int want = (it + 1) * n;
-    const bool ok =
-        fabric.loop().run_while_pending([&] { return completions >= want; });
-    MCCS_CHECK(ok, "collective loop stalled");
-    if (it >= warmup) iter_end.push_back(fabric.loop().now());
-  }
-
-  std::vector<Time> durations;
-  Time prev = iter_end.empty() ? 0.0 : iter_end.front();
-  for (std::size_t i = 1; i < iter_end.size(); ++i) {
-    durations.push_back(iter_end[i] - prev);
-    prev = iter_end[i];
-  }
-  MCCS_CHECK(!durations.empty(), "need at least 2 measured iterations");
-  return durations;
+  return CollectiveLoop(fabric, app, gpus, comm, kind, output_bytes)
+      .run(warmup, iters);
 }
 
 /// Algorithm bandwidth samples (GB/s) for one scheme across ECMP seeds.

@@ -80,7 +80,7 @@ void bench_plans(std::FILE* json) {
 
     auto t0 = Clock::now();
     for (int i = 0; i < kColdIters; ++i) {
-      auto plan = svc::build_coll_plan(setup, *strategy, cl, s.kind, s.count,
+      auto plan = svc::build_coll_plan(setup, *strategy, s.kind, s.count,
                                        dtype, s.root);
       MCCS_CHECK(plan != nullptr, "plan build failed");
     }
@@ -88,11 +88,11 @@ void bench_plans(std::FILE* json) {
 
     telemetry::Counter hits, misses, invalidations;
     svc::CollPlanCache cache{{hits, misses, invalidations}};
-    (void)cache.acquire(setup, strategy, cl, s.kind, s.count, dtype,
+    (void)cache.acquire(setup, strategy, s.kind, s.count, dtype,
                         s.root);  // prime
     t0 = Clock::now();
     for (int i = 0; i < kWarmIters; ++i) {
-      auto plan = cache.acquire(setup, strategy, cl, s.kind, s.count, dtype,
+      auto plan = cache.acquire(setup, strategy, s.kind, s.count, dtype,
                                 s.root);
       MCCS_CHECK(plan != nullptr, "plan acquire failed");
     }

@@ -91,7 +91,9 @@ void run_sweep_seed(const cluster::Cluster& cl, std::uint64_t seed) {
   loop.run();
 }
 
-constexpr std::size_t kSweepSeeds = 24;
+// One serial repetition takes over 100 ms on a 4-core host, so thread
+// start-up and scheduling noise stay small against the fan-out it measures.
+constexpr std::size_t kSweepSeeds = 384;
 constexpr int kSweepReps = 5;
 
 /// Median wall time of kSweepReps sweeps over kSweepSeeds seeds.

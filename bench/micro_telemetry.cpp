@@ -56,11 +56,11 @@ RepResult run_rep(bool enabled) {
   const std::vector<GpuId> gpus{GpuId{0}, GpuId{4}};
   const CommId comm = bench::bench_create_comm(*h.fabric, app, gpus);
 
-  auto loop_once = [&] {
-    return bench::run_collective_loop(*h.fabric, app, gpus, comm,
-                                      coll::CollectiveKind::kAllReduce, 4_KB,
-                                      kWarmupIters, kIters);
-  };
+  // Buffers and streams are set up here, once, so the timed loops run
+  // collectives only.
+  bench::CollectiveLoop collectives(*h.fabric, app, gpus, comm,
+                                    coll::CollectiveKind::kAllReduce, 4_KB);
+  auto loop_once = [&] { return collectives.run(kWarmupIters, kIters); };
   loop_once();  // connection setup + plan cache, outside the timer
 
   // Each ~40 us loop is timed individually and the per-rep minimum kept:

@@ -55,11 +55,16 @@ class Cluster {
     return -1;
   }
 
+  /// Index, within its host, of the NIC this GPU's traffic leaves through.
+  [[nodiscard]] int nic_index_of_gpu(GpuId gpu) const {
+    const HostInfo& h = host(host_of_gpu(gpu));
+    return local_index(gpu) % static_cast<int>(h.nic_nodes.size());
+  }
+
   /// The topology endpoint this GPU's traffic leaves through.
   [[nodiscard]] NodeId nic_node_of_gpu(GpuId gpu) const {
-    const HostInfo& h = host(host_of_gpu(gpu));
-    const auto li = static_cast<std::size_t>(local_index(gpu));
-    return h.nic_nodes[li % h.nic_nodes.size()];
+    return host(host_of_gpu(gpu))
+        .nic_nodes[static_cast<std::size_t>(nic_index_of_gpu(gpu))];
   }
 
   [[nodiscard]] RackId rack_of_gpu(GpuId gpu) const {

@@ -1,10 +1,9 @@
 #pragma once
 // Deterministic fork-join task pool for the work that is wide enough to pay
-// for a dispatch: sharded reductions of >= 1 MiB buffers and sweeps over
-// whole independent simulations (fig11's run x solution grid, property and
-// chaos seed sweeps). Nothing inside one simulation dispatches to it: a
-// netsim event costs about as much host time as one fork-join handshake
-// (DESIGN.md §10).
+// for a dispatch: sweeps over whole independent simulations (fig11's run x
+// solution grid, property and chaos seed sweeps). Nothing inside one
+// simulation dispatches to it: a netsim event costs about as much host time
+// as one fork-join handshake (DESIGN.md §10).
 //
 //  1. *Determinism.* Every parallel_for splits [0, n) into fixed grain-sized
 //     chunks whose boundaries depend only on (n, grain) — never on the thread

@@ -4,13 +4,11 @@
 
 namespace mccs::gpu {
 
-void Stream::enqueue_compute(Time duration, std::string name,
-                             std::function<void()> on_complete) {
+void Stream::enqueue_compute(Time duration, std::function<void()> on_complete) {
   MCCS_EXPECTS(duration >= 0.0);
   Op op;
   op.kind = OpKind::kCompute;
   op.duration = duration;
-  op.name = std::move(name);
   op.callback = std::move(on_complete);
   ops_.push_back(std::move(op));
   pump();
@@ -22,7 +20,6 @@ void Stream::enqueue_memcpy(Bytes bytes, Bandwidth bandwidth,
   Op op;
   op.kind = OpKind::kMemcpy;
   op.duration = static_cast<double>(bytes) / bandwidth;
-  op.name = "memcpy";
   op.callback = std::move(on_complete);
   ops_.push_back(std::move(op));
   pump();
@@ -32,7 +29,6 @@ void Stream::enqueue_callback(std::function<void()> fn) {
   MCCS_EXPECTS(fn != nullptr);
   Op op;
   op.kind = OpKind::kCallback;
-  op.name = "callback";
   op.callback = std::move(fn);
   ops_.push_back(std::move(op));
   pump();
@@ -43,7 +39,6 @@ void Stream::record_event(std::shared_ptr<GpuEvent> event) {
   event->arm();
   Op op;
   op.kind = OpKind::kRecord;
-  op.name = "record";
   op.event = std::move(event);
   ops_.push_back(std::move(op));
   pump();
@@ -53,18 +48,15 @@ void Stream::wait_event(std::shared_ptr<GpuEvent> event) {
   MCCS_EXPECTS(event != nullptr);
   Op op;
   op.kind = OpKind::kWait;
-  op.name = "wait";
   op.event = std::move(event);
   ops_.push_back(std::move(op));
   pump();
 }
 
-ExternalOpToken Stream::enqueue_external(std::string name,
-                                         std::function<void()> on_start) {
+ExternalOpToken Stream::enqueue_external(std::function<void()> on_start) {
   const std::uint64_t token = next_external_token_++;
   Op op;
   op.kind = OpKind::kExternal;
-  op.name = std::move(name);
   op.callback = std::move(on_start);
   op.external_token = token;
   ops_.push_back(std::move(op));

@@ -18,7 +18,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
 
 #include "common/check.h"
 #include "common/ids.h"
@@ -49,8 +48,7 @@ class Stream {
   [[nodiscard]] bool idle() const { return ops_.empty() && !running_; }
 
   /// Enqueue a compute kernel of fixed duration.
-  void enqueue_compute(Time duration, std::string name = "kernel",
-                       std::function<void()> on_complete = {});
+  void enqueue_compute(Time duration, std::function<void()> on_complete = {});
 
   /// Enqueue a host<->device copy (duration = bytes / bandwidth).
   void enqueue_memcpy(Bytes bytes, Bandwidth bandwidth,
@@ -69,8 +67,7 @@ class Stream {
   /// Enqueue an externally-completed operation (e.g., an MCCS communication
   /// kernel). `on_start` fires when the stream reaches the op; the op — and
   /// the stream — completes only when complete_external() is called.
-  ExternalOpToken enqueue_external(std::string name,
-                                   std::function<void()> on_start = {});
+  ExternalOpToken enqueue_external(std::function<void()> on_start = {});
 
   /// Complete a previously enqueued external op. Safe to call before the
   /// stream reaches the op (completion is remembered).
@@ -86,7 +83,6 @@ class Stream {
   struct Op {
     OpKind kind;
     Time duration = 0.0;
-    std::string name;
     std::function<void()> callback;          // completion / host callback
     std::shared_ptr<GpuEvent> event;         // record / wait
     std::uint64_t external_token = 0;        // external

@@ -52,13 +52,12 @@ PlanByteRange chunk_byte_range(coll::CollectiveKind kind, std::size_t count,
 
 std::shared_ptr<const CollPlan> build_coll_plan(
     const CommSetup& setup, const CommStrategy& strategy,
-    const cluster::Cluster& cluster, coll::CollectiveKind kind,
-    std::size_t count, coll::DataType dtype, int root) {
+    coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,
+    int root) {
   const int n = setup.nranks;
   const int rank = setup.rank;
   const int num_channels = strategy.num_channels();
   const std::size_t esize = coll::dtype_size(dtype);
-  const GpuId my_gpu = setup.gpus[static_cast<std::size_t>(rank)];
   MCCS_EXPECTS(n >= 2);
   MCCS_EXPECTS(num_channels >= 1);
 
@@ -69,6 +68,8 @@ std::shared_ptr<const CollPlan> build_coll_plan(
   plan->root = root;
   plan->channels.resize(static_cast<std::size_t>(num_channels));
 
+  // Byte range of every buffer chunk within the current channel's stripe.
+  std::vector<PlanByteRange> chunk_ranges;
   for (int c = 0; c < num_channels; ++c) {
     CollPlan::Channel& pc = plan->channels[static_cast<std::size_t>(c)];
     coll::CompileInput in;
@@ -82,9 +83,9 @@ std::shared_ptr<const CollPlan> build_coll_plan(
     const coll::ChannelSchedule sched = coll::compile_collective(in);
     plan->num_chunks = sched.num_chunks;
 
-    pc.chunk_ranges.reserve(sched.num_chunks);
+    chunk_ranges.clear();
     for (std::size_t chunk = 0; chunk < sched.num_chunks; ++chunk) {
-      pc.chunk_ranges.push_back(chunk_byte_range(
+      chunk_ranges.push_back(chunk_byte_range(
           kind, count, esize, sched.num_chunks, num_channels, c, chunk));
     }
 
@@ -93,11 +94,9 @@ std::shared_ptr<const CollPlan> build_coll_plan(
       CollPlan::Step ps;
       if (step.has_send()) {
         ps.send_to = step.send_to;
-        ps.send_chunk = step.send_chunk;
         ps.send_tag = step.send_tag;
-        ps.send_range = pc.chunk_ranges[step.send_chunk];
+        ps.send_range = chunk_ranges[step.send_chunk];
         ps.send_gpu = setup.gpus[static_cast<std::size_t>(step.send_to)];
-        ps.send_same_host = cluster.same_host(my_gpu, ps.send_gpu);
       }
       if (step.has_recv()) {
         MCCS_EXPECTS(step.recv_tag >= 0);
@@ -109,9 +108,8 @@ std::shared_ptr<const CollPlan> build_coll_plan(
         ps.recv_slot = pc.tag_to_slot[tag];
         CollPlan::RecvSlot slot;
         slot.tag = step.recv_tag;
-        slot.chunk = step.recv_chunk;
         slot.reduce = step.reduce;
-        slot.range = pc.chunk_ranges[step.recv_chunk];
+        slot.range = chunk_ranges[step.recv_chunk];
         pc.recv_slots.push_back(slot);
       }
       pc.steps.push_back(ps);
@@ -122,7 +120,7 @@ std::shared_ptr<const CollPlan> build_coll_plan(
       // the scratch buffer to the user's recv buffer on channel finish. Both
       // lowerings — ring and pairwise mesh — leave it in block `rank` (the
       // ring lowering checks its position arithmetic agrees).
-      pc.rs_src = pc.chunk_ranges[static_cast<std::size_t>(rank)];
+      pc.rs_src = chunk_ranges[static_cast<std::size_t>(rank)];
       const auto sub = coll::chunk_range(count,
                                          static_cast<std::size_t>(num_channels),
                                          static_cast<std::size_t>(c));
@@ -137,8 +135,8 @@ std::shared_ptr<const CollPlan> build_coll_plan(
 std::shared_ptr<const CollPlan> CollPlanCache::acquire(
     const CommSetup& setup,
     const std::shared_ptr<const CommStrategy>& strategy,
-    const cluster::Cluster& cluster, coll::CollectiveKind kind,
-    std::size_t count, coll::DataType dtype, int root) {
+    coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,
+    int root) {
   if (strategy != strategy_) {
     if (!plans_.empty()) {
       ++stats_.invalidations;
@@ -156,7 +154,7 @@ std::shared_ptr<const CollPlan> CollPlanCache::acquire(
   }
   ++stats_.misses;
   gpu_.misses.increment();
-  auto plan = build_coll_plan(setup, *strategy, cluster, kind, count, dtype, root);
+  auto plan = build_coll_plan(setup, *strategy, kind, count, dtype, root);
   plans_.emplace(key, plan);
   return plan;
 }

@@ -8,9 +8,11 @@
 // range within the logical work buffer, the tag→receive-action tables, the
 // destination GPU of every send — is invariant until the provider swaps the
 // communicator's strategy. A CollPlan captures that invariant state once;
-// ActiveColl/ChannelExec in the proxy engine then hold only cursors and
-// arrival bitmaps referencing the shared plan (the GC3/HiCCL
-// plan-once/execute-many structure, arXiv:2201.11840 / 2408.05962).
+// the proxy engine's running collective then holds only cursors and arrival
+// bitmaps referencing the shared plan (the GC3/HiCCL plan-once/execute-many
+// structure, arXiv:2201.11840 / 2408.05962). As in GC3, a transfer names
+// its own source byte range: the sender's step carries it, the message
+// carries it, and the receiver checks its length against its own slot.
 //
 // Invalidation contract: a cache holds the plans of one strategy object.
 // Each provider decision is one immutable CommStrategy shared by every rank,
@@ -32,8 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "collectives/schedule.h"
 #include "collectives/types.h"
 #include "common/ids.h"
 #include "common/units.h"
@@ -58,13 +58,11 @@ struct CollPlan {
   /// carries its destination and byte range, the recv half is a dense index
   /// into the channel's receive-slot table.
   struct Step {
-    int send_to = -1;                        ///< destination rank; -1 = none
-    std::size_t send_chunk = coll::kNoChunk; ///< buffer chunk (sender side)
+    int send_to = -1;             ///< destination rank; -1 = none
     int send_tag = -1;
-    PlanByteRange send_range;                ///< bytes read for the send
-    GpuId send_gpu{};                        ///< destination rank's GPU
-    bool send_same_host = false;             ///< shared-memory channel?
-    std::int32_t recv_slot = -1;             ///< dense recv index; -1 = none
+    PlanByteRange send_range;     ///< bytes read for the send
+    GpuId send_gpu{};             ///< destination rank's GPU
+    std::int32_t recv_slot = -1;  ///< dense recv index; -1 = none
 
     [[nodiscard]] bool has_send() const { return send_to >= 0; }
     [[nodiscard]] bool has_recv() const { return recv_slot >= 0; }
@@ -75,9 +73,8 @@ struct CollPlan {
   /// What to do with an incoming transfer, resolved from *our* schedule.
   struct RecvSlot {
     int tag = -1;
-    std::size_t chunk = coll::kNoChunk;  ///< destination buffer chunk
-    bool reduce = false;                 ///< reduce into local (vs overwrite)
-    PlanByteRange range;                 ///< destination byte range
+    bool reduce = false;  ///< reduce into local (vs overwrite)
+    PlanByteRange range;  ///< destination byte range
 
     friend bool operator==(const RecvSlot&, const RecvSlot&) = default;
   };
@@ -89,9 +86,6 @@ struct CollPlan {
     /// (bounded by step/chunk counts), so a flat vector replaces the old
     /// per-launch std::map<int, RecvInfo>.
     std::vector<std::int32_t> tag_to_slot;
-    /// Byte range of every buffer chunk within this channel's stripe, for
-    /// resolving the sender-side chunk index carried by a delivery.
-    std::vector<PlanByteRange> chunk_ranges;
     /// ReduceScatter finalization: scratch range holding this rank's fully
     /// reduced stripe, and where it lands in the user's recv buffer.
     PlanByteRange rs_src;
@@ -142,8 +136,8 @@ struct PlanKeyHash {
 /// a rebuilt plan being structurally identical to a cached one.
 std::shared_ptr<const CollPlan> build_coll_plan(
     const CommSetup& setup, const CommStrategy& strategy,
-    const cluster::Cluster& cluster, coll::CollectiveKind kind,
-    std::size_t count, coll::DataType dtype, int root);
+    coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,
+    int root);
 
 /// Per-communicator-rank plan cache for the rank's current strategy.
 class CollPlanCache {
@@ -173,8 +167,8 @@ class CollPlanCache {
   std::shared_ptr<const CollPlan> acquire(
       const CommSetup& setup,
       const std::shared_ptr<const CommStrategy>& strategy,
-      const cluster::Cluster& cluster, coll::CollectiveKind kind,
-      std::size_t count, coll::DataType dtype, int root);
+      coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,
+      int root);
 
   /// The cached plan for a shape under `strategy`, or nullptr (never
   /// builds). Test hook. Another strategy's plans are never returned.

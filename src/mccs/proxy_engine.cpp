@@ -1,6 +1,7 @@
 #include "mccs/proxy_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -23,10 +24,9 @@ std::uint64_t connection_ecmp_key(CommId comm, int channel, int src_rank,
 
 }  // namespace
 
-ProxyEngine::ProxyEngine(ServiceContext& ctx, HostId host, GpuId gpu,
-                         std::function<TransportEngine&(int)> transport_for_nic)
-    : ctx_(&ctx), host_(host), gpu_(gpu),
-      transport_for_nic_(std::move(transport_for_nic)),
+ProxyEngine::ProxyEngine(ServiceContext& ctx, GpuId gpu,
+                         TransportEngine& transport)
+    : ctx_(&ctx), gpu_(gpu), transport_(&transport),
       plan_counters_([&ctx, gpu]() -> CollPlanCache::GpuCounters {
         MCCS_EXPECTS(ctx.telemetry != nullptr);
         telemetry::MetricsRegistry& reg = ctx.telemetry->metrics();
@@ -83,8 +83,7 @@ void ProxyEngine::install_communicator(
   MCCS_EXPECTS(setup.gpus[static_cast<std::size_t>(setup.rank)] == gpu_);
   MCCS_EXPECTS(strategy != nullptr);
 
-  // Built in place: moving a finished CommRank in would allocate again for
-  // its deque.
+  // Built in place: the plan cache's GPU counters are references.
   auto [it, inserted] = comms_.try_emplace(setup.id.get(), plan_counters_);
   MCCS_CHECK(inserted, "communicator already installed");
   CommRank& st = it->second;
@@ -100,7 +99,7 @@ void ProxyEngine::destroy_communicator(CommId comm) {
   auto it = comms_.find(comm.get());
   MCCS_EXPECTS(it != comms_.end());
   const CommRank& st = it->second;
-  MCCS_CHECK(st.active.empty() && st.held.empty(),
+  MCCS_CHECK(st.front() == st.next_seq,
              "destroying a communicator with outstanding collectives");
   for (const auto& [peer, p2p] : st.p2p) {
     MCCS_CHECK(p2p.sends.empty() && p2p.recvs.empty(),
@@ -114,14 +113,18 @@ std::size_t ProxyEngine::abort_communicator(CommId comm) {
   auto it = comms_.find(comm.get());
   if (it == comms_.end()) return 0;
   CommRank& st = it->second;
-  const std::size_t dropped = st.active.size() + st.held.size();
-  // Work buffers of active collectives would leak with the tenant gone.
-  // Completing each one's external op lets the communicator stream drain, so
-  // release_comm can free it; the completion callbacks die with the CommRank
-  // and never fire. Held collectives never reached the stream.
-  for (auto& [seq, a] : st.active) {
-    if (a.scratch.valid()) ctx_->gpus->gpu(gpu_).release(a.scratch.mem);
-    st.comm_stream->complete_external(a.token);
+  const std::size_t dropped = st.next_seq - st.front();
+  // The running collective's scratch would leak with the tenant gone.
+  // Completing each launched collective's external op lets the communicator
+  // stream drain, so release_comm can free it; the completion callbacks die
+  // with the CommRank and never fire. Held collectives never reached the
+  // stream.
+  if (st.running.scratch.valid()) {
+    ctx_->gpus->gpu(gpu_).release(st.running.scratch.mem);
+  }
+  for (auto seq = st.front();
+       static_cast<std::int64_t>(seq) <= st.last_launched_seq; ++seq) {
+    st.comm_stream->complete_external(window_entry(st, seq).token);
   }
   release_comm(it);
   aborted_.insert(comm.get());
@@ -156,11 +159,14 @@ bool ProxyEngine::reconfig_in_progress(CommId comm) const {
 }
 
 std::size_t ProxyEngine::active_count(CommId comm) const {
-  return comm_state(comm).active.size();
+  const CommRank& st = comm_state(comm);
+  return static_cast<std::size_t>(st.last_launched_seq - st.last_completed_seq);
 }
 
 std::size_t ProxyEngine::held_count(CommId comm) const {
-  return comm_state(comm).held.size();
+  const CommRank& st = comm_state(comm);
+  return static_cast<std::size_t>(static_cast<std::int64_t>(st.next_seq) - 1 -
+                                  st.last_launched_seq);
 }
 
 CollPlanCache::Stats ProxyEngine::plan_cache_stats(CommId comm) const {
@@ -180,6 +186,24 @@ std::shared_ptr<const CollPlan> ProxyEngine::cached_plan(
 
 // --- issue / launch -----------------------------------------------------------
 
+ProxyEngine::WindowEntry& ProxyEngine::window_entry(CommRank& st,
+                                                    std::uint64_t seq) {
+  const auto front = st.front();
+  MCCS_ASSERT(seq >= front);
+  const std::size_t cap = st.window.size();
+  if (seq - front >= cap) {
+    // Re-slot every live sequence number (front .. front + cap - 1) into a
+    // ring that also reaches `seq`.
+    std::vector<WindowEntry> grown(
+        std::bit_ceil(std::max<std::size_t>(seq - front + 1, 2 * cap)));
+    for (std::uint64_t s = front; s < front + cap; ++s) {
+      grown[s & (grown.size() - 1)] = std::move(st.window[s & (cap - 1)]);
+    }
+    st.window = std::move(grown);
+  }
+  return st.window[seq & (st.window.size() - 1)];
+}
+
 void ProxyEngine::issue_collective(CommId comm, WorkRequest request) {
   // Tolerant lookup: the frontend hands requests over after an engine hop, so
   // a tenant kill can land while a request is in flight. Dropping it is the
@@ -198,54 +222,53 @@ void ProxyEngine::issue_collective(CommId comm, WorkRequest request) {
   rec.kind = request.args.kind;
   rec.bytes = request.args.output_bytes(st.setup.nranks);
   rec.issued = ctx_->loop->now();
+  WindowEntry& e = window_entry(st, seq);
+  // Issued densely, once each: the slot holds no request yet.
+  MCCS_ASSERT(e.req.ready_event == nullptr);
+  e.req = std::move(request);
   // The trace index is assigned here, carried through any barrier hold, and
   // used directly at launch — never searched for (the old backward scan was
   // O(trace length) per launch, quadratic over a long run).
-  const std::size_t trace_index = trace_.size();
+  e.trace_index = trace_.size();
   trace_.push_back(rec);
-
-  const RoundState* gate = active_round(st);
-  const bool allowed = gate == nullptr ||
-                       (gate->have_max && !gate->updating &&
-                        static_cast<std::int64_t>(seq) <= gate->max_seq);
-  if (!allowed) {
-    st.held.push_back(HeldLaunch{seq, trace_index, std::move(request)});
-    return;
-  }
-  launch(st, seq, trace_index, std::move(request));
+  release_held(st);
 }
 
-void ProxyEngine::launch(CommRank& st, std::uint64_t seq,
-                         std::size_t trace_index, WorkRequest request) {
+void ProxyEngine::release_held(CommRank& st) {
+  // Every gate change calls this, and between changes the set of sequence
+  // numbers a gate allows only grows, so whatever is held is exactly what
+  // the gate refuses, and launches leave in sequence order.
   const CommId comm = st.setup.id;
-  MCCS_ASSERT(trace_index < trace_.size() &&
-              trace_[trace_index].comm == comm &&
-              trace_[trace_index].seq == seq);
-  trace_[trace_index].launched = ctx_->loop->now();
+  const RoundState* gate = active_round(st);
+  for (auto seq = static_cast<std::uint64_t>(st.last_launched_seq + 1);
+       seq < st.next_seq; ++seq) {
+    const auto s = static_cast<std::int64_t>(seq);
+    if (gate != nullptr &&
+        !(gate->have_max && !gate->updating && s <= gate->max_seq)) {
+      return;
+    }
+    WindowEntry& e = window_entry(st, seq);
+    MCCS_ASSERT(e.trace_index < trace_.size() &&
+                trace_[e.trace_index].comm == comm &&
+                trace_[e.trace_index].seq == seq);
+    trace_[e.trace_index].launched = ctx_->loop->now();
+    st.last_launched_seq = s;
 
-  ActiveColl a;
-  a.seq = seq;
-  a.req = std::move(request);
-  a.trace_index = trace_index;
-  auto [it, inserted] = st.active.emplace(seq, std::move(a));
-  MCCS_CHECK(inserted, "sequence number launched twice");
-
-  st.last_launched_seq = static_cast<std::int64_t>(seq);
-
-  // Communicator-stream sequence: wait for the app's compute to finish, run
-  // the communication "kernel" (externally completed by the step machines),
-  // then record the done event the app stream is waiting on (§4.1).
-  gpu::Stream& stream = *st.comm_stream;
-  stream.wait_event(it->second.req.ready_event);
-  it->second.token = stream.enqueue_external(
-      "coll#" + std::to_string(seq),
-      [this, comm, seq] { begin_execution(comm, seq); });
-  stream.record_event(it->second.req.done_event);
+    // Communicator-stream sequence: wait for the app's compute to finish, run
+    // the communication "kernel" (externally completed by the step
+    // machines), then record the done event the app stream is waiting on
+    // (§4.1). The kernel may begin inside enqueue_external.
+    gpu::Stream& stream = *st.comm_stream;
+    stream.wait_event(e.req.ready_event);
+    e.token = stream.enqueue_external(
+        [this, comm, seq] { begin_execution(comm, seq); });
+    stream.record_event(e.req.done_event);
+  }
 }
 
 void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
-  // The comm stream fires this through an external-op callback; both the
-  // communicator and the collective may have been torn down by a tenant kill.
+  // The comm stream fires this through an external-op callback; the
+  // communicator may have been torn down by a tenant kill.
   CommRank* stp = find_comm(comm);
   if (stp == nullptr) return;
   CommRank& st = *stp;
@@ -254,25 +277,26 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
     MCCS_CHECK(gate == nullptr || !gate->updating,
                "collective executing during connection update");
   }
-  auto it = st.active.find(seq);
-  if (it == st.active.end()) return;
-  ActiveColl& a = it->second;
-  a.executing = true;
-  trace_[a.trace_index].started = ctx_->loop->now();
+  // The comm stream began this op only after the previous one completed.
+  MCCS_ASSERT(seq == st.front() && !st.running.begun);
+  WindowEntry& e = window_entry(st, seq);
+  RunningColl& run = st.running;
+  run.begun = true;
+  trace_[e.trace_index].started = ctx_->loop->now();
 
-  const CollectiveArgs& args = a.req.args;
+  const CollectiveArgs& args = e.req.args;
   const int n = st.setup.nranks;
   gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
 
   // Stage the buffers exactly as the frontend validated them.
   const RankBuffers buffers = rank_buffers(args, n, st.setup.rank);
-  if (buffers.scratch > 0) a.scratch = dev.allocate(buffers.scratch);
-  const gpu::DevicePtr by_role[] = {args.send, args.recv, a.scratch};
+  if (buffers.scratch > 0) run.scratch = dev.allocate(buffers.scratch);
+  const gpu::DevicePtr by_role[] = {args.send, args.recv, run.scratch};
   const auto buffer = [&by_role](RankBuffer b) {
     return by_role[static_cast<std::size_t>(b)];
   };
-  a.workbuf = buffer(buffers.work);
-  a.read_buf = buffer(buffers.read);
+  run.workbuf = buffer(buffers.work);
+  run.read_buf = buffer(buffers.read);
   if (ctx_->config.move_data && buffers.copy.len > 0) {
     const Bytes len = buffers.copy.len;
     auto src = dev.bytes(args.send.at_offset(buffers.copy.from), len);
@@ -282,68 +306,84 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
 
   if (n == 1) {
     // Single-participant communicator: the local copy is the collective.
-    ctx_->loop->schedule_after(ctx_->config.comm_kernel_launch,
-                               [this, comm, seq] {
-                                 CommRank* s = find_comm(comm);
-                                 if (s == nullptr) return;
-                                 complete_collective(*s, seq);
-                               });
+    ctx_->loop->schedule_after(ctx_->config.comm_kernel_launch, [this, comm] {
+      CommRank* s = find_comm(comm);
+      if (s == nullptr) return;
+      complete_collective(*s);
+    });
     return;
   }
 
-  // Attach the (cached) collective plan and reset pooled per-channel cursor
+  // Attach the (cached) collective plan and reset the per-channel cursor
   // state — on a warm cache this allocates nothing.
-  a.plan = st.plan_cache.acquire(st.setup, st.strategy, *ctx_->cluster,
-                                 args.kind, args.count, args.dtype, args.root);
-  const int num_channels = static_cast<int>(a.plan->channels.size());
-  if (!st.exec_pool.empty()) {
-    a.channels = std::move(st.exec_pool.back());
-    st.exec_pool.pop_back();
-  }
-  a.channels.resize(static_cast<std::size_t>(num_channels));
+  run.plan = st.plan_cache.acquire(st.setup, st.strategy, args.kind,
+                                   args.count, args.dtype, args.root);
+  const int num_channels = static_cast<int>(run.plan->channels.size());
+  run.channels.resize(static_cast<std::size_t>(num_channels));
   for (int c = 0; c < num_channels; ++c) {
-    ChannelExec& ch = a.channels[static_cast<std::size_t>(c)];
+    ChannelExec& ch = run.channels[static_cast<std::size_t>(c)];
     ch.channel = c;
     ch.cur = 0;
     ch.send_done = false;
     ch.started = false;
     ch.finished = false;
     ch.arrived.assign(
-        a.plan->channels[static_cast<std::size_t>(c)].recv_slots.size(), 0);
+        run.plan->channels[static_cast<std::size_t>(c)].recv_slots.size(), 0);
   }
-  a.channels_remaining = num_channels;
+  run.channels_remaining = num_channels;
 
-  // Replay chunks that arrived from faster peers before we were ready.
-  auto pend = st.pending_deliveries.find(seq);
-  if (pend != st.pending_deliveries.end()) {
-    std::vector<Delivery> deliveries = std::move(pend->second);
-    st.pending_deliveries.erase(pend);
-    for (const Delivery& d : deliveries) apply_delivery(st, a, d);
+  // Replay, in arrival order, the chunks faster peers sent before we began.
+  // No channel has started, so this only lands bytes and marks arrivals.
+  for (const EarlyChunk& c : e.early) {
+    const std::span<const std::byte> bytes =
+        e.early_bytes.empty()
+            ? std::span<const std::byte>{}
+            : std::span<const std::byte>(e.early_bytes).subspan(c.at, c.len);
+    apply_delivery(st, c.channel, c.transfer_tag, c.len, bytes);
   }
+  e.early.clear();
+  e.early_bytes.clear();
 
   // Kick the step machines after the kernel-launch overhead. All channels'
   // first chunk flows post at this one instant, so they share a solve batch
   // (and, being latent, one activation cohort): one re-solve for the whole
   // launch, not one per chunk.
-  ctx_->loop->schedule_after(ctx_->config.comm_kernel_launch, [this, comm, seq] {
+  ctx_->loop->schedule_after(ctx_->config.comm_kernel_launch, [this, comm] {
     CommRank* s = find_comm(comm);
     if (s == nullptr) return;
-    auto ait = s->active.find(seq);
-    if (ait == s->active.end()) return;
     net::Network::SolveBatch batch(*ctx_->network);
-    for (ChannelExec& ch : ait->second.channels) {
+    for (ChannelExec& ch : s->running.channels) {
       ch.started = true;
-      start_step(*s, ait->second, ch);
+      start_step(*s, ch);
     }
   });
 }
 
-void ProxyEngine::start_step(CommRank& st, ActiveColl& a, ChannelExec& ch) {
+template <class Deliver, class OnSent>
+void ProxyEngine::post_transfer(ChunkTransfer t, Deliver deliver,
+                                OnSent on_sent) {
+  if (ctx_->cluster->same_host(gpu_, t.dst_gpu)) {
+    const gpu::DeviceConfig& dc = ctx_->gpus->gpu(gpu_).config();
+    const Time dt = ctx_->config.intra_host_hop_latency +
+                    static_cast<double>(t.bytes) / dc.intra_host_bandwidth;
+    ctx_->loop->schedule_after(dt, [deliver = std::move(deliver),
+                                    on_sent = std::move(on_sent)] {
+      deliver();
+      on_sent();
+    });
+    return;
+  }
+  t.deliver = std::move(deliver);
+  t.on_sent = std::move(on_sent);
+  transport_->post_send(std::move(t));
+}
+
+void ProxyEngine::start_step(CommRank& st, ChannelExec& ch) {
   if (ch.finished) return;
   const CollPlan::Channel& pc =
-      a.plan->channels[static_cast<std::size_t>(ch.channel)];
+      st.running.plan->channels[static_cast<std::size_t>(ch.channel)];
   if (ch.cur >= pc.steps.size()) {
-    finish_channel(st, a, ch);
+    finish_channel(st, ch);
     return;
   }
   const CollPlan::Step& step = pc.steps[ch.cur];
@@ -351,12 +391,26 @@ void ProxyEngine::start_step(CommRank& st, ActiveColl& a, ChannelExec& ch) {
   if (step.has_send()) {
     ProxyEngine* recv_proxy = &ctx_->proxy_for(step.send_gpu);
     const CommId comm = st.setup.id;
-    const std::uint64_t seq = a.seq;
+    const auto seq = st.front();
     const int channel = ch.channel;
+    ChunkTransfer t;
+    t.app = st.setup.app;
+    t.src_gpu = gpu_;
+    t.dst_gpu = step.send_gpu;
+    t.bytes = step.send_range.len;
+    // Route and ECMP key are resolved live (not from the plan): the
+    // unsafe-reconfig ablation swaps strategy/epoch mid-flight and must
+    // keep observing the swap, exactly as before the plan cache.
+    const auto& routes = st.strategy->routes;
+    auto rit = routes.find(
+        CommStrategy::route_key(ch.channel, st.setup.rank, step.send_to));
+    if (rit != routes.end()) t.route = rit->second;
+    t.ecmp_key = connection_ecmp_key(st.setup.id, ch.channel, st.setup.rank,
+                                     step.send_to, st.epoch, ctx_->seed);
     auto deliver = [recv_proxy, comm, seq, channel, tag = step.send_tag,
-                    src_chunk = step.send_chunk, read_buf = a.read_buf,
+                    range = step.send_range, read_buf = st.running.read_buf,
                     src_gpu = gpu_] {
-      recv_proxy->deliver_chunk(comm, seq, channel, tag, src_chunk, read_buf,
+      recv_proxy->deliver_chunk(comm, seq, channel, tag, range, read_buf,
                                 src_gpu);
     };
     auto on_sent = [this, comm, seq, channel] {
@@ -364,57 +418,22 @@ void ProxyEngine::start_step(CommRank& st, ActiveColl& a, ChannelExec& ch) {
       // CommRank is gone (intra-host hops bypass the transport's abort sweep).
       CommRank* s = find_comm(comm);
       if (s == nullptr) return;
-      auto it = s->active.find(seq);
-      if (it == s->active.end()) return;
-      ChannelExec& c = it->second.channels[static_cast<std::size_t>(channel)];
+      // A channel waits for its send, so the collective is still running.
+      MCCS_ASSERT(s->running.begun && seq == s->front());
+      ChannelExec& c = s->running.channels[static_cast<std::size_t>(channel)];
       c.send_done = true;
-      check_advance(*s, it->second, c);
+      check_advance(*s, c);
     };
-
-    if (step.send_same_host) {
-      // Intra-host shared-memory channel, managed by the proxy directly.
-      const gpu::DeviceConfig& dc = ctx_->gpus->gpu(gpu_).config();
-      const Time dt =
-          ctx_->config.intra_host_hop_latency +
-          static_cast<double>(step.send_range.len) / dc.intra_host_bandwidth;
-      ctx_->loop->schedule_after(dt, [deliver = std::move(deliver),
-                                      on_sent = std::move(on_sent)] {
-        deliver();
-        on_sent();
-      });
-    } else {
-      ChunkTransfer t;
-      t.app = st.setup.app;
-      t.src_gpu = gpu_;
-      t.dst_gpu = step.send_gpu;
-      t.bytes = step.send_range.len;
-      // Route and ECMP key are resolved live (not from the plan): the
-      // unsafe-reconfig ablation swaps strategy/epoch mid-flight and must
-      // keep observing the swap, exactly as before the plan cache.
-      const auto& routes = st.strategy->routes;
-      auto rit = routes.find(
-          CommStrategy::route_key(ch.channel, st.setup.rank, step.send_to));
-      if (rit != routes.end()) t.route = rit->second;
-      t.ecmp_key =
-          connection_ecmp_key(st.setup.id, ch.channel, st.setup.rank,
-                              step.send_to, st.epoch, ctx_->seed);
-      t.deliver = std::move(deliver);
-      t.on_sent = std::move(on_sent);
-
-      const int local = ctx_->cluster->local_index(gpu_);
-      const int nics = static_cast<int>(
-          ctx_->cluster->host(host_).nic_nodes.size());
-      transport_for_nic_(local % nics).post_send(std::move(t));
-    }
+    post_transfer(std::move(t), std::move(deliver), std::move(on_sent));
   } else {
     ch.send_done = true;
   }
-  check_advance(st, a, ch);
+  check_advance(st, ch);
 }
 
-void ProxyEngine::check_advance(CommRank& st, ActiveColl& a, ChannelExec& ch) {
+void ProxyEngine::check_advance(CommRank& st, ChannelExec& ch) {
   const CollPlan::Channel& pc =
-      a.plan->channels[static_cast<std::size_t>(ch.channel)];
+      st.running.plan->channels[static_cast<std::size_t>(ch.channel)];
   if (!ch.started || ch.finished || ch.cur >= pc.steps.size()) return;
   const CollPlan::Step& step = pc.steps[ch.cur];
   const bool send_ok = !step.has_send() || ch.send_done;
@@ -423,108 +442,115 @@ void ProxyEngine::check_advance(CommRank& st, ActiveColl& a, ChannelExec& ch) {
   if (send_ok && recv_ok) {
     ++ch.cur;
     ch.send_done = false;
-    start_step(st, a, ch);
+    start_step(st, ch);
   }
 }
 
 void ProxyEngine::deliver_chunk(CommId comm, std::uint64_t seq, int channel,
-                                int transfer_tag, std::size_t src_chunk,
-                                gpu::DevicePtr src_workbuf, GpuId src_gpu) {
+                                int transfer_tag, PlanByteRange src_range,
+                                gpu::DevicePtr src_buf, GpuId src_gpu) {
   // A chunk for a rank that is gone — every rank of a killed tenant, or this
   // rank after its tenant destroyed it while a peer still sent — is dropped
   // before touching any (possibly released) source buffer.
   CommRank* stp = find_comm_for_peer_message(comm);
   if (stp == nullptr) return;
   CommRank& st = *stp;
-  Delivery d{channel, transfer_tag, src_chunk, src_workbuf, src_gpu};
-  auto it = st.active.find(seq);
-  if (it == st.active.end() || !it->second.executing) {
-    // The peer ran ahead of us (we have not launched / begun this
-    // collective yet). Safe to defer: ring dependencies guarantee the
-    // sender cannot overwrite the sent chunk until we participate.
-    st.pending_deliveries[seq].push_back(d);
+  // A collective completes only after every chunk it expects, so a chunk for
+  // a completed one was never expected: only the unsafe reconfiguration
+  // ablation, mixing two schedules, sends one. Nothing would read it.
+  if (seq < st.front()) return;
+  std::span<const std::byte> bytes;
+  if (ctx_->config.move_data && src_range.len > 0) {
+    bytes = ctx_->gpus->gpu(src_gpu).bytes(src_buf.at_offset(src_range.offset),
+                                           src_range.len);
+  }
+  if (seq == st.front() && st.running.begun) {
+    apply_delivery(st, channel, transfer_tag, src_range.len, bytes);
     return;
   }
-  apply_delivery(st, it->second, d);
+  // Not begun here yet. Keep the bytes, not the sender's buffer: on rooted
+  // and star kinds the sender can complete first and rewrite or free it.
+  WindowEntry& e = window_entry(st, seq);
+  e.early.push_back(
+      EarlyChunk{channel, transfer_tag, src_range.len, e.early_bytes.size()});
+  e.early_bytes.insert(e.early_bytes.end(), bytes.begin(), bytes.end());
 }
 
-void ProxyEngine::apply_delivery(CommRank& st, ActiveColl& a, const Delivery& d) {
-  const CollectiveArgs& args = a.req.args;
-  ChannelExec& ch = a.channels[static_cast<std::size_t>(d.channel)];
+void ProxyEngine::apply_delivery(CommRank& st, int channel, int transfer_tag,
+                                 Bytes len, std::span<const std::byte> bytes) {
+  RunningColl& run = st.running;
+  const CollectiveArgs& args = window_entry(st, st.front()).req.args;
+  ChannelExec& ch = run.channels[static_cast<std::size_t>(channel)];
   const CollPlan::Channel& pc =
-      a.plan->channels[static_cast<std::size_t>(d.channel)];
+      run.plan->channels[static_cast<std::size_t>(channel)];
   const std::int32_t slot_idx =
-      (d.transfer_tag >= 0 &&
-       static_cast<std::size_t>(d.transfer_tag) < pc.tag_to_slot.size())
-          ? pc.tag_to_slot[static_cast<std::size_t>(d.transfer_tag)]
+      (transfer_tag >= 0 &&
+       static_cast<std::size_t>(transfer_tag) < pc.tag_to_slot.size())
+          ? pc.tag_to_slot[static_cast<std::size_t>(transfer_tag)]
           : -1;
   MCCS_CHECK(slot_idx >= 0,
              "transfer tag not expected by the receiver's schedule");
   const CollPlan::RecvSlot& slot =
       pc.recv_slots[static_cast<std::size_t>(slot_idx)];
-  // Source and destination chunk indices differ for AllToAll (sender reads
-  // its block for *us*, we store it at the sender's block index).
-  MCCS_EXPECTS(d.src_chunk < pc.chunk_ranges.size());
-  const PlanByteRange& src_range = pc.chunk_ranges[d.src_chunk];
-  MCCS_CHECK(src_range.len == slot.range.len, "transfer length mismatch");
-  if (ctx_->config.move_data && slot.range.len > 0) {
-    auto src = ctx_->gpus->gpu(d.src_gpu).bytes(
-        d.src_workbuf.at_offset(src_range.offset), src_range.len);
+  MCCS_CHECK(len == slot.range.len, "transfer length mismatch");
+  if (!bytes.empty()) {
     auto dst = ctx_->gpus->gpu(gpu_).bytes(
-        a.workbuf.at_offset(slot.range.offset), slot.range.len);
+        run.workbuf.at_offset(slot.range.offset), slot.range.len);
     if (slot.reduce) {
-      coll::reduce_bytes(dst, src, args.dtype, args.op);
+      coll::reduce_bytes(dst, bytes, args.dtype, args.op);
     } else {
-      std::memcpy(dst.data(), src.data(), src.size());
+      std::memcpy(dst.data(), bytes.data(), bytes.size());
     }
   }
   ch.arrived[static_cast<std::size_t>(slot_idx)] = 1;
-  check_advance(st, a, ch);
+  check_advance(st, ch);
 }
 
-void ProxyEngine::finish_channel(CommRank& st, ActiveColl& a, ChannelExec& ch) {
+void ProxyEngine::finish_channel(CommRank& st, ChannelExec& ch) {
   MCCS_CHECK(!ch.finished, "channel finished twice");
   ch.finished = true;
   // ReduceScatter: this rank's fully reduced stripe moves from the work
   // buffer to the user's recv buffer; the plan holds both ranges, and they
   // are empty for every other kind.
+  RunningColl& run = st.running;
   const CollPlan::Channel& pc =
-      a.plan->channels[static_cast<std::size_t>(ch.channel)];
+      run.plan->channels[static_cast<std::size_t>(ch.channel)];
   if (ctx_->config.move_data && pc.rs_src.len > 0) {
     gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
-    auto src = dev.bytes(a.workbuf.at_offset(pc.rs_src.offset), pc.rs_src.len);
-    auto dst = dev.bytes(a.req.args.recv.at_offset(pc.rs_dst.offset),
-                         pc.rs_dst.len);
+    const gpu::DevicePtr recv = window_entry(st, st.front()).req.args.recv;
+    auto src = dev.bytes(run.workbuf.at_offset(pc.rs_src.offset), pc.rs_src.len);
+    auto dst = dev.bytes(recv.at_offset(pc.rs_dst.offset), pc.rs_dst.len);
     std::memcpy(dst.data(), src.data(), src.size());
   }
 
-  if (--a.channels_remaining == 0) complete_collective(st, a.seq);
+  if (--run.channels_remaining == 0) complete_collective(st);
 }
 
-void ProxyEngine::complete_collective(CommRank& st, std::uint64_t seq) {
-  auto it = st.active.find(seq);
-  MCCS_EXPECTS(it != st.active.end());
-  ActiveColl& a = it->second;
+void ProxyEngine::complete_collective(CommRank& st) {
+  WindowEntry& e = window_entry(st, st.front());
+  RunningColl& run = st.running;
+  MCCS_ASSERT(run.begun);
 
-  trace_[a.trace_index].completed = ctx_->loop->now();
-  st.last_completed_seq = static_cast<std::int64_t>(seq);
+  trace_[e.trace_index].completed = ctx_->loop->now();
+  ++st.last_completed_seq;  // the front completes, so the window pops it
+  run.begun = false;
 
-  if (a.scratch.valid()) ctx_->gpus->gpu(gpu_).release(a.scratch.mem);
+  if (run.scratch.valid()) ctx_->gpus->gpu(gpu_).release(run.scratch.mem);
+  run.scratch = gpu::DevicePtr{};
 
-  st.comm_stream->complete_external(a.token);
+  st.comm_stream->complete_external(e.token);
 
-  if (a.req.on_complete) {
+  if (e.req.on_complete) {
     const Time completed = ctx_->loop->now();
     ctx_->loop->schedule_after(ctx_->config.service_to_shim_latency,
-                               [cb = std::move(a.req.on_complete), completed] {
+                               [cb = std::move(e.req.on_complete), completed] {
                                  cb(completed);
                                });
   }
 
-  MCCS_CHECK(st.pending_deliveries.count(seq) == 0,
-             "collective completed with unapplied deliveries");
-  if (!a.channels.empty()) st.exec_pool.push_back(std::move(a.channels));
-  st.active.erase(it);
+  // The slot passes to the sequence number one window size on; its
+  // early-chunk vectors keep their capacity for it.
+  e.req = WorkRequest{};
 
   maybe_begin_update(st);
 }
@@ -647,6 +673,13 @@ void ProxyEngine::on_p2p_recv_posted(CommId comm, int dst_rank,
   const CommId comm_id = st.setup.id;
   const int my_rank = st.setup.rank;
 
+  ChunkTransfer t;
+  t.app = st.setup.app;
+  t.src_gpu = gpu_;
+  t.dst_gpu = dst_gpu;
+  t.bytes = bytes;
+  t.ecmp_key = connection_ecmp_key(comm_id, 0x7FFF, my_rank, dst_rank,
+                                   st.epoch, ctx_->seed);
   auto finish = [this, remote, comm_id, my_rank, dst_rank, op_index, bytes,
                  src = op.req.buffer, dst = dst_buffer, src_gpu = gpu_,
                  dst_gpu] {
@@ -661,27 +694,7 @@ void ProxyEngine::on_p2p_recv_posted(CommId comm, int dst_rank,
     p2p_complete(comm_id, dst_rank, op_index, /*is_send=*/true);
     remote->p2p_complete(comm_id, my_rank, op_index, /*is_send=*/false);
   };
-
-  if (ctx_->cluster->same_host(gpu_, dst_gpu)) {
-    const gpu::DeviceConfig& dc = ctx_->gpus->gpu(gpu_).config();
-    const Time dt = ctx_->config.intra_host_hop_latency +
-                    static_cast<double>(bytes) / dc.intra_host_bandwidth;
-    ctx_->loop->schedule_after(dt, finish);
-  } else {
-    ChunkTransfer t;
-    t.app = st.setup.app;
-    t.src_gpu = gpu_;
-    t.dst_gpu = dst_gpu;
-    t.bytes = bytes;
-    t.ecmp_key = connection_ecmp_key(comm_id, 0x7FFF, my_rank, dst_rank,
-                                     st.epoch, ctx_->seed);
-    t.deliver = finish;
-    t.on_sent = [] {};
-    const int local = ctx_->cluster->local_index(gpu_);
-    const int nics =
-        static_cast<int>(ctx_->cluster->host(host_).nic_nodes.size());
-    transport_for_nic_(local % nics).post_send(std::move(t));
-  }
+  post_transfer(std::move(t), std::move(finish), [] {});
 }
 
 void ProxyEngine::p2p_complete(CommId comm, int peer, std::uint64_t op_index,
@@ -814,19 +827,9 @@ void ProxyEngine::check_barrier(CommRank& st, std::uint64_t round) {
   if (rs.values_received < st.setup.nranks) return;
   rs.have_max = true;
   rs.max_seq = *std::max_element(rs.values.begin(), rs.values.end());
-  drain_and_maybe_update(st, round);
-}
-
-void ProxyEngine::drain_and_maybe_update(CommRank& st, std::uint64_t round) {
-  RoundState& rs = st.rounds.at(round);
   // Launch every held collective that must still run under the old
   // configuration (sequence number <= barrier maximum).
-  while (!st.held.empty() &&
-         static_cast<std::int64_t>(st.held.front().seq) <= rs.max_seq) {
-    HeldLaunch h = std::move(st.held.front());
-    st.held.pop_front();
-    launch(st, h.seq, h.trace_index, std::move(h.request));
-  }
+  release_held(st);
   maybe_begin_update(st);
 }
 
@@ -842,7 +845,7 @@ void ProxyEngine::maybe_begin_update(CommRank& st) {
 }
 
 void ProxyEngine::begin_update(CommRank& st, std::uint64_t round) {
-  MCCS_CHECK(st.active.empty(),
+  MCCS_CHECK(st.last_launched_seq == st.last_completed_seq,
              "connection update starting with active collectives");
   RoundState& rs = st.rounds.at(round);
   rs.updating = true;
@@ -871,16 +874,7 @@ void ProxyEngine::finish_update(CommId comm, std::uint64_t round) {
   try_activate(st);
 
   // Release held collectives that the (possibly new) gate allows.
-  const RoundState* gate = active_round(st);
-  while (!st.held.empty()) {
-    const std::int64_t seq = static_cast<std::int64_t>(st.held.front().seq);
-    const bool allowed =
-        gate == nullptr || (gate->have_max && !gate->updating && seq <= gate->max_seq);
-    if (!allowed) break;
-    HeldLaunch h = std::move(st.held.front());
-    st.held.pop_front();
-    launch(st, h.seq, h.trace_index, std::move(h.request));
-  }
+  release_held(st);
   maybe_begin_update(st);
 }
 

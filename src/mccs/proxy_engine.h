@@ -15,18 +15,15 @@
 //    drains every collective up to the maximum, then tears down and
 //    re-establishes peer connections under the new strategy.
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "collectives/ring.h"
-#include "collectives/schedule.h"
 #include "collectives/types.h"
 #include "common/ids.h"
 #include "gpusim/runtime.h"
@@ -74,15 +71,14 @@ struct P2pRequest {
 
 class ProxyEngine {
  public:
-  /// `transport_for_nic(i)` returns this host's transport engine for NIC i.
-  ProxyEngine(ServiceContext& ctx, HostId host, GpuId gpu,
-              std::function<TransportEngine&(int)> transport_for_nic);
+  /// `transport` is the engine of the NIC this GPU's traffic leaves
+  /// through (Cluster::nic_index_of_gpu).
+  ProxyEngine(ServiceContext& ctx, GpuId gpu, TransportEngine& transport);
 
   ProxyEngine(const ProxyEngine&) = delete;
   ProxyEngine& operator=(const ProxyEngine&) = delete;
 
   [[nodiscard]] GpuId gpu() const { return gpu_; }
-  [[nodiscard]] HostId host() const { return host_; }
 
   // --- communicator lifecycle -------------------------------------------------
   /// `strategy` is the one immutable object every rank of the communicator
@@ -99,10 +95,10 @@ class ProxyEngine {
   void destroy_communicator(CommId comm);
 
   /// Forced teardown (tenant kill): drop the rank's state for `comm`
-  /// unconditionally — active collectives, held launches, pending
-  /// deliveries, P2P rendezvous, barrier rounds. Completion callbacks of the
-  /// dropped work never fire; the communicator stream is freed once the
-  /// launched collectives' stream ops drain; late control/data messages
+  /// unconditionally — launched and held collectives, early chunks, P2P
+  /// rendezvous, barrier rounds. Completion callbacks of the dropped work
+  /// never fire; the communicator stream is freed once the launched
+  /// collectives' stream ops drain; late control/data messages
   /// addressed to the dead communicator are ignored on arrival. Returns the
   /// number of launched-or-held collectives dropped. No-op (returns 0) if
   /// the communicator is not installed here.
@@ -140,12 +136,17 @@ class ProxyEngine {
                           gpu::DevicePtr dst_buffer);
 
   /// Data arrival from a peer rank (invoked by the sender's transport /
-  /// proxy when a chunk lands in this rank's memory space). The receiver
-  /// resolves what to do with the transfer (chunk, reduce-vs-copy) from its
-  /// own schedule by tag.
+  /// proxy when a chunk lands in this rank's memory space): `src_range` of
+  /// the sender's `src_buf`. The receiver resolves what to do with it (its
+  /// byte range, reduce-vs-copy) from its own schedule by tag, and checks
+  /// that the lengths agree. A chunk for the running collective is applied
+  /// at once; one for a collective this rank has not begun is kept in its
+  /// window entry with a copy of its bytes, since the sender may complete
+  /// and reuse or free its buffer first (a Broadcast root, a Reduce
+  /// non-root's scratch). One for a completed collective is dropped.
   void deliver_chunk(CommId comm, std::uint64_t seq, int channel,
-                     int transfer_tag, std::size_t src_chunk,
-                     gpu::DevicePtr src_workbuf, GpuId src_gpu);
+                     int transfer_tag, PlanByteRange src_range,
+                     gpu::DevicePtr src_buf, GpuId src_gpu);
 
   // --- control path (provider / peers) ----------------------------------------
   /// Provider reconfiguration command (arrives via the control plane, at
@@ -188,8 +189,7 @@ class ProxyEngine {
   static constexpr std::int64_t kNone = -1;
 
   /// Mutable per-channel cursor + arrival state; everything structural lives
-  /// in the shared CollPlan. Flat and reusable — instances are pooled per
-  /// communicator so a warm launch allocates nothing here.
+  /// in the shared CollPlan.
   struct ChannelExec {
     int channel = 0;
     std::size_t cur = 0;
@@ -199,27 +199,36 @@ class ProxyEngine {
     std::vector<std::uint8_t> arrived;  ///< by plan recv-slot index
   };
 
-  struct Delivery {
-    int channel;
-    int transfer_tag;
-    std::size_t src_chunk;  ///< chunk index in the sender's read-side buffer
-    gpu::DevicePtr src_workbuf;
-    GpuId src_gpu;
+  /// A chunk that arrived before its collective began here.
+  struct EarlyChunk {
+    int channel = 0;
+    int transfer_tag = 0;
+    Bytes len = 0;
+    std::size_t at = 0;  ///< offset of its copied bytes in early_bytes
   };
 
-  struct ActiveColl {
-    std::uint64_t seq = 0;
-    WorkRequest req;
+  /// One sequence number of the window: an issued collective (held or
+  /// launched) and the chunks that came for it before it began — possibly
+  /// only those chunks, for a sequence number not issued yet.
+  struct WindowEntry {
+    WorkRequest req;  ///< set once issued (seq < next_seq)
+    std::size_t trace_index = 0;
+    gpu::ExternalOpToken token;  ///< its comm-stream op, once launched
+    std::vector<EarlyChunk> early;  ///< in arrival order
+    std::vector<std::byte> early_bytes;  ///< their bytes (move_data only)
+  };
+
+  /// The front collective once it began, reused from launch to launch so a
+  /// warm launch allocates nothing here.
+  struct RunningColl {
+    bool begun = false;
+    std::shared_ptr<const CollPlan> plan;  ///< launch-invariant structure
+    std::vector<ChannelExec> channels;
+    int channels_remaining = 0;
     // The buffers rank_buffers names for this rank.
     gpu::DevicePtr workbuf;   ///< write side (results land here)
     gpu::DevicePtr read_buf;  ///< read side for outgoing transfers
     gpu::DevicePtr scratch;   ///< ReduceScatter / Reduce working copy
-    bool executing = false;
-    std::shared_ptr<const CollPlan> plan;  ///< launch-invariant structure
-    std::vector<ChannelExec> channels;
-    int channels_remaining = 0;
-    gpu::ExternalOpToken token;
-    std::size_t trace_index = 0;
   };
 
   /// Barrier state of one reconfiguration round (Fig. 4).
@@ -256,15 +265,6 @@ class ProxyEngine {
     std::map<std::uint64_t, PendingSend> announced;
   };
 
-  /// A collective issued while a reconfiguration barrier holds launches.
-  /// Carries the trace index assigned at issue time so the eventual launch
-  /// is O(1) — it never searches the trace log.
-  struct HeldLaunch {
-    std::uint64_t seq = 0;
-    std::size_t trace_index = 0;
-    WorkRequest request;
-  };
-
   struct CommRank {
     explicit CommRank(const CollPlanCache::GpuCounters& plan_counters)
         : plan_cache(plan_counters) {}
@@ -274,19 +274,24 @@ class ProxyEngine {
     /// and control messages that carry the same decision.
     std::shared_ptr<const CommStrategy> strategy;
     gpu::Stream* comm_stream = nullptr;
+    // The comm stream runs one collective at a time, so sequence numbers are
+    // issued, launched, begun and completed in order: the issued ones are
+    // (last_completed, next_seq), the launched ones (last_completed,
+    // last_launched], and only the front can be running.
     std::uint64_t next_seq = 0;
     std::int64_t last_launched_seq = kNone;
     std::int64_t last_completed_seq = kNone;
+    /// The oldest sequence number not completed: the window's front.
+    [[nodiscard]] std::uint64_t front() const {
+      return static_cast<std::uint64_t>(last_completed_seq + 1);
+    }
+    /// Sequence number s >= front() lives in slot s & (window.size() - 1);
+    /// the size is a power of two, grown when a sequence number would wrap
+    /// onto the front. Completing the front resets its slot for reuse.
+    std::vector<WindowEntry> window;
+    RunningColl running;  ///< the front, once it began
     std::uint64_t epoch = 0;  ///< connection generation (re-rolls ECMP)
-    // Launch-path lookups are by exact sequence number and never iterated,
-    // so hashed containers replace the ordered maps here.
-    std::unordered_map<std::uint64_t, ActiveColl> active;
-    std::deque<HeldLaunch> held;
-    std::unordered_map<std::uint64_t, std::vector<Delivery>> pending_deliveries;
     CollPlanCache plan_cache;  ///< plans of `strategy` (see coll_plan.h)
-    /// Retired channel-exec vectors, reused to make warm launches
-    /// allocation-free.
-    std::vector<std::vector<ChannelExec>> exec_pool;
     std::map<std::uint64_t, RoundState> rounds;  ///< un-applied reconfig rounds
     std::uint64_t last_applied_round = 0;
     std::map<int, P2pPeerState> p2p;  ///< by peer rank
@@ -311,14 +316,27 @@ class ProxyEngine {
   /// destroy_communicator as well.
   CommRank* find_comm_for_peer_message(CommId comm);
 
-  void launch(CommRank& st, std::uint64_t seq, std::size_t trace_index,
-              WorkRequest request);
+  /// The window entry of `seq`, which must not be completed yet; grows the
+  /// window when `seq` lies beyond it.
+  WindowEntry& window_entry(CommRank& st, std::uint64_t seq);
+  /// Launch held collectives in order from last_launched + 1 while the
+  /// reconfiguration gate allows them.
+  void release_held(CommRank& st);
   void begin_execution(CommId comm, std::uint64_t seq);
-  void start_step(CommRank& st, ActiveColl& a, ChannelExec& ch);
-  void check_advance(CommRank& st, ActiveColl& a, ChannelExec& ch);
-  void finish_channel(CommRank& st, ActiveColl& a, ChannelExec& ch);
-  void complete_collective(CommRank& st, std::uint64_t seq);
-  void apply_delivery(CommRank& st, ActiveColl& a, const Delivery& d);
+  void start_step(CommRank& st, ChannelExec& ch);
+  void check_advance(CommRank& st, ChannelExec& ch);
+  void finish_channel(CommRank& st, ChannelExec& ch);
+  void complete_collective(CommRank& st);
+  /// Apply one chunk to the running collective; `bytes` is empty when data
+  /// does not move.
+  void apply_delivery(CommRank& st, int channel, int transfer_tag, Bytes len,
+                      std::span<const std::byte> bytes);
+  /// Move `t.bytes` from this GPU to `t.dst_gpu`: a same-host peer over the
+  /// intra-host channel the proxy drives itself, any other through this
+  /// GPU's NIC. `deliver` runs at the receiver, then `on_sent`, in one loop
+  /// event.
+  template <class Deliver, class OnSent>
+  void post_transfer(ChunkTransfer t, Deliver deliver, OnSent on_sent);
 
   // P2P helpers.
   void p2p_launch(CommRank& st, int peer, std::uint64_t op_index, bool is_send);
@@ -335,15 +353,13 @@ class ProxyEngine {
   void send_control_to_successor(CommRank& st, std::uint64_t round, int origin,
                                  std::int64_t value);
   void check_barrier(CommRank& st, std::uint64_t round);
-  void drain_and_maybe_update(CommRank& st, std::uint64_t round);
   void maybe_begin_update(CommRank& st);
   void begin_update(CommRank& st, std::uint64_t round);
   void finish_update(CommId comm, std::uint64_t round);
 
   ServiceContext* ctx_;
-  HostId host_;
   GpuId gpu_;
-  std::function<TransportEngine&(int)> transport_for_nic_;
+  TransportEngine* transport_;
   std::unordered_map<std::uint32_t, CommRank> comms_;
   /// Tombstones of comms removed by abort_communicator; find_comm tolerates
   /// exactly these (a killed tenant's in-flight messages are not errors).

@@ -7,16 +7,16 @@ namespace mccs::svc {
 Service::Service(ServiceContext& ctx, Fabric& fabric, HostId host)
     : ctx_(&ctx), fabric_(&fabric), host_(host) {
   const cluster::HostInfo& info = ctx_->cluster->host(host);
-  for (GpuId gpu : info.gpus) {
-    proxies_.emplace(gpu.get(),
-                     std::make_unique<ProxyEngine>(
-                         ctx, host, gpu,
-                         [this](int nic) -> TransportEngine& { return transport(nic); }));
-  }
   transports_.reserve(info.nic_nodes.size());
   for (std::size_t nic = 0; nic < info.nic_nodes.size(); ++nic) {
     transports_.push_back(
         std::make_unique<TransportEngine>(ctx, host, static_cast<int>(nic)));
+  }
+  for (GpuId gpu : info.gpus) {
+    proxies_.emplace(gpu.get(),
+                     std::make_unique<ProxyEngine>(
+                         ctx, gpu,
+                         transport(ctx_->cluster->nic_index_of_gpu(gpu))));
   }
 }
 

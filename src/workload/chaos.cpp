@@ -221,16 +221,14 @@ ChaosChurnResult run_chaos_churn(const ChaosChurnSpec& spec, std::uint64_t seed,
         assigner.mark_link_dirty(ev.link);
         assigner.set_failed_links(down_links);
       }
-      if (spec.storm_backpressure) {
-        if (!down_links.empty()) {
-          admission.set_backpressure(true);
-        } else if (admission.backpressure()) {
-          // Storm cleared: admit the deferred backlog in FIFO order.
-          admission.set_backpressure(false);
-          for (cluster::AdmissionQueue::Admission& adm :
-               admission.drain_deferred(rng)) {
-            activate(adm.job, std::move(adm.gpus), step.at, started);
-          }
+      if (!down_links.empty()) {
+        admission.set_backpressure(true);
+      } else if (admission.backpressure()) {
+        // Storm cleared: admit the deferred backlog in FIFO order.
+        admission.set_backpressure(false);
+        for (cluster::AdmissionQueue::Admission& adm :
+             admission.drain_deferred(rng)) {
+          activate(adm.job, std::move(adm.gpus), step.at, started);
         }
       }
     } else {

@@ -71,9 +71,8 @@ struct ChaosChurnSpec {
   /// injection point the harness retries at each following event until one
   /// does (ChaosChurnResult::poisoned reports whether it ever engaged).
   bool poison = false;
-  /// Defer admission while any link is hard-down; drain when the storm
-  /// clears. Bounded by max_admission_retries.
-  bool storm_backpressure = true;
+  /// Admission defers while any link is hard-down and drains when the storm
+  /// clears; a head job failing placement more often than this is rejected.
   int max_admission_retries = -1;  ///< <0: unlimited
   std::unordered_set<std::uint32_t> reserved_routes;
   /// Digest the assignment against the full re-solve after every event

@@ -94,7 +94,7 @@ void TrainingJob::enqueue_iteration(int rank) {
   }
   if (model_.parallelism == Parallelism::kDataParallel) {
     // Forward pass: one compute burst, no communication.
-    rk.compute->enqueue_compute(model_.forward_compute, "fwd");
+    rk.compute->enqueue_compute(model_.forward_compute);
 
     // Backward pass: per-bucket slices; each bucket's AllReduce is ordered
     // after its slice via an event and issued on the dedicated comm stream
@@ -102,7 +102,7 @@ void TrainingJob::enqueue_iteration(int rank) {
     const std::size_t buckets = model_.grad_buckets.size();
     const Time slice = model_.backward_compute / static_cast<double>(buckets);
     for (std::size_t b = 0; b < buckets; ++b) {
-      rk.compute->enqueue_compute(slice, "bwd");
+      rk.compute->enqueue_compute(slice);
       auto ready = dev.create_event();
       rk.compute->record_event(ready);
       rk.comm->wait_event(ready);
@@ -116,7 +116,7 @@ void TrainingJob::enqueue_iteration(int rank) {
     auto all_reduced = dev.create_event();
     rk.comm->record_event(all_reduced);
     rk.compute->wait_event(all_reduced);
-    rk.compute->enqueue_compute(model_.optimizer_compute, "opt",
+    rk.compute->enqueue_compute(model_.optimizer_compute,
                                 [this, rank] { on_iteration_done(rank); });
   } else {
     // Tensor parallel: per-layer compute and activation AllReduces strictly
@@ -127,14 +127,14 @@ void TrainingJob::enqueue_iteration(int rank) {
     for (int pass = 0; pass < 2; ++pass) {
       const Time slice = pass == 0 ? fwd_slice : bwd_slice;
       for (int l = 0; l < model_.layers; ++l) {
-        rk.compute->enqueue_compute(slice, pass == 0 ? "fwd" : "bwd");
+        rk.compute->enqueue_compute(slice);
         for (int c = 0; c < model_.tp_collectives_per_layer; ++c) {
           rk.shim->all_reduce(comm_, rk.buffers[0], rk.buffers[0], count,
                               DataType::kFloat32, ReduceOp::kSum, *rk.compute);
         }
       }
     }
-    rk.compute->enqueue_compute(model_.optimizer_compute, "opt",
+    rk.compute->enqueue_compute(model_.optimizer_compute,
                                 [this, rank] { on_iteration_done(rank); });
   }
 }
@@ -163,7 +163,7 @@ void TrainingJob::enqueue_pipeline_iteration(int rank) {
       if (from >= 0 && from < stages) {
         rk.shim->recv(comm_, from, in, count, DataType::kFloat32, *rk.compute);
       }
-      rk.compute->enqueue_compute(fwd ? f_slice : b_slice, fwd ? "fwd" : "bwd");
+      rk.compute->enqueue_compute(fwd ? f_slice : b_slice);
       if (to >= 0 && to < stages) {
         auto ready = dev.create_event();
         rk.compute->record_event(ready);
@@ -178,7 +178,7 @@ void TrainingJob::enqueue_pipeline_iteration(int rank) {
   auto sends_done = dev.create_event();
   rk.comm->record_event(sends_done);
   rk.compute->wait_event(sends_done);
-  rk.compute->enqueue_compute(model_.optimizer_compute, "opt",
+  rk.compute->enqueue_compute(model_.optimizer_compute,
                               [this, rank] { on_iteration_done(rank); });
 }
 
@@ -196,13 +196,13 @@ void TrainingJob::enqueue_expert_iteration(int rank) {
   for (int pass = 0; pass < 2; ++pass) {
     const Time slice = pass == 0 ? f_slice : b_slice;
     for (int l = 0; l < model_.layers; ++l) {
-      rk.compute->enqueue_compute(slice, "router");
+      rk.compute->enqueue_compute(slice);
       rk.shim->all_to_all(comm_, out, in, count, DataType::kFloat32, *rk.compute);
-      rk.compute->enqueue_compute(slice, "expert");
+      rk.compute->enqueue_compute(slice);
       rk.shim->all_to_all(comm_, in, out, count, DataType::kFloat32, *rk.compute);
     }
   }
-  rk.compute->enqueue_compute(model_.optimizer_compute, "opt",
+  rk.compute->enqueue_compute(model_.optimizer_compute,
                               [this, rank] { on_iteration_done(rank); });
 }
 

@@ -65,8 +65,8 @@ TEST_F(GpuFixture, ComputeKernelsRunInOrderWithDurations) {
   Gpu& dev = runtime.gpu(GpuId{0});
   Stream& s = dev.create_stream();
   std::vector<double> completion_times;
-  s.enqueue_compute(1.0, "k1", [&] { completion_times.push_back(loop.now()); });
-  s.enqueue_compute(0.5, "k2", [&] { completion_times.push_back(loop.now()); });
+  s.enqueue_compute(1.0, [&] { completion_times.push_back(loop.now()); });
+  s.enqueue_compute(0.5, [&] { completion_times.push_back(loop.now()); });
   loop.run();
   ASSERT_EQ(completion_times.size(), 2u);
   EXPECT_DOUBLE_EQ(completion_times[0], 1.0);
@@ -78,8 +78,8 @@ TEST_F(GpuFixture, IndependentStreamsRunConcurrently) {
   Stream& s1 = dev.create_stream();
   Stream& s2 = dev.create_stream();
   double t1 = -1, t2 = -1;
-  s1.enqueue_compute(1.0, "a", [&] { t1 = loop.now(); });
-  s2.enqueue_compute(1.0, "b", [&] { t2 = loop.now(); });
+  s1.enqueue_compute(1.0, [&] { t1 = loop.now(); });
+  s2.enqueue_compute(1.0, [&] { t2 = loop.now(); });
   loop.run();
   EXPECT_DOUBLE_EQ(t1, 1.0);
   EXPECT_DOUBLE_EQ(t2, 1.0);  // not serialized
@@ -91,10 +91,10 @@ TEST_F(GpuFixture, EventSynchronizesAcrossStreams) {
   Stream& consumer = dev.create_stream();
   auto ev = dev.create_event();
   double consumer_done = -1;
-  producer.enqueue_compute(2.0, "produce");
+  producer.enqueue_compute(2.0);
   producer.record_event(ev);
   consumer.wait_event(ev);
-  consumer.enqueue_compute(0.5, "consume", [&] { consumer_done = loop.now(); });
+  consumer.enqueue_compute(0.5, [&] { consumer_done = loop.now(); });
   loop.run();
   EXPECT_DOUBLE_EQ(consumer_done, 2.5);
 }
@@ -108,7 +108,7 @@ TEST_F(GpuFixture, EventSharableAcrossDevicesViaHandle) {
   Stream& s0 = dev0.create_stream();
   Stream& s1 = dev1.create_stream();
   double done = -1;
-  s0.enqueue_compute(1.0, "w");
+  s0.enqueue_compute(1.0);
   s0.record_event(ev);
   s1.wait_event(opened);
   s1.enqueue_callback([&] { done = loop.now(); });
@@ -145,7 +145,7 @@ TEST_F(GpuFixture, ExternalOpBlocksStreamUntilCompleted) {
   Gpu& dev = runtime.gpu(GpuId{0});
   Stream& s = dev.create_stream();
   double started = -1, after = -1;
-  const auto token = s.enqueue_external("comm", [&] { started = loop.now(); });
+  const auto token = s.enqueue_external([&] { started = loop.now(); });
   s.enqueue_callback([&] { after = loop.now(); });
   loop.run();
   EXPECT_DOUBLE_EQ(started, 0.0);
@@ -159,8 +159,8 @@ TEST_F(GpuFixture, ExternalOpCompletedBeforeReachedDoesNotBlock) {
   Gpu& dev = runtime.gpu(GpuId{0});
   Stream& s = dev.create_stream();
   double after = -1;
-  s.enqueue_compute(1.0, "pre");
-  const auto token = s.enqueue_external("comm");
+  s.enqueue_compute(1.0);
+  const auto token = s.enqueue_external();
   s.enqueue_callback([&] { after = loop.now(); });
   s.complete_external(token);  // completes while "pre" is still running
   loop.run();
@@ -172,8 +172,8 @@ TEST_F(GpuFixture, ExternalOpCompletedSynchronouslyInOnStart) {
   Stream& s = dev.create_stream();
   double after = -1;
   auto token = std::make_shared<ExternalOpToken>();
-  s.enqueue_compute(0.5, "pre");  // ensures *token is assigned before on_start
-  *token = s.enqueue_external("instant", [&s, token] { s.complete_external(*token); });
+  s.enqueue_compute(0.5);  // ensures *token is assigned before on_start
+  *token = s.enqueue_external([&s, token] { s.complete_external(*token); });
   s.enqueue_callback([&] { after = loop.now(); });
   loop.run();
   EXPECT_DOUBLE_EQ(after, 0.5);
@@ -182,8 +182,8 @@ TEST_F(GpuFixture, ExternalOpCompletedSynchronouslyInOnStart) {
 TEST_F(GpuFixture, ComputeBusyTimeAccumulates) {
   Gpu& dev = runtime.gpu(GpuId{0});
   Stream& s = dev.create_stream();
-  s.enqueue_compute(1.0, "a");
-  s.enqueue_compute(2.0, "b");
+  s.enqueue_compute(1.0);
+  s.enqueue_compute(2.0);
   loop.run();
   EXPECT_DOUBLE_EQ(s.compute_busy_time(), 3.0);
 }
@@ -199,7 +199,7 @@ TEST_F(GpuFixture, DestroyStreamReleasesIdleStreamAtOnceBusyOneAfterDrain) {
   // A trailing op still queued: the stream outlives the call and goes once
   // the op has completed.
   double done = -1;
-  busy.enqueue_compute(2.0, "tail", [&] { done = loop.now(); });
+  busy.enqueue_compute(2.0, [&] { done = loop.now(); });
   dev.destroy_stream(busy.id());
   EXPECT_EQ(dev.stream_count(), 1u);
   loop.run();
@@ -241,7 +241,7 @@ TEST_P(StreamFuzz, RandomOpMixesAlwaysDrainInOrder) {
     auto record_order = [&order, s, tag] { order[static_cast<std::size_t>(s)].push_back(tag); };
     switch (rng() % 5) {
       case 0:
-        stream.enqueue_compute(1e-6 * static_cast<double>(rng() % 50), "k",
+        stream.enqueue_compute(1e-6 * static_cast<double>(rng() % 50),
                                record_order);
         break;
       case 1:
@@ -262,7 +262,7 @@ TEST_P(StreamFuzz, RandomOpMixesAlwaysDrainInOrder) {
         break;
       }
       case 4: {
-        auto token = stream.enqueue_external("x");
+        auto token = stream.enqueue_external();
         stream.enqueue_callback(record_order);
         externals.emplace_back(&stream, token);
         break;

@@ -263,6 +263,180 @@ TEST_F(ServiceFixture, BroadcastFromNonZeroRoot) {
   }
 }
 
+// --- chunks that arrive before their collective begins ---------------------
+// On rooted and star kinds a sender can complete before its peer issues the
+// same collective. The peer keeps the chunks that came early, and it must
+// keep their bytes: once the sender completed, its buffers are its tenant's
+// again, to rewrite or free.
+
+// Reduce to root 0 on `gpus`, which the root issues only after its peer
+// completed (the peer's chunks came from a scratch copy the service
+// releases at completion), while a second tenant's AllReduce runs on two
+// GPUs the first does not use.
+void run_late_reduce_root(Fabric& fabric, const std::vector<GpuId>& gpus) {
+  const AppId app{1};
+  const AppId other{2};
+  const std::vector<GpuId> other_gpus{GpuId{4}, GpuId{6}};
+  const CommId comm = create_comm(fabric, app, gpus);
+  const CommId other_comm = create_comm(fabric, other, other_gpus);
+  auto ranks = make_ranks(fabric, app, gpus);
+  auto other_ranks = make_ranks(fabric, other, other_gpus);
+  const std::size_t count = 1024;
+  std::vector<gpu::DevicePtr> send(2), other_buf(2);
+  std::vector<float> sum(count), other_sum(count);
+  for (int r = 0; r < 2; ++r) {
+    send[r] = ranks[r].shim->alloc(count * sizeof(float));
+    other_buf[r] = other_ranks[r].shim->alloc(count * sizeof(float));
+    test::fill_pattern<float>(fabric, send[r], count, r);
+    test::fill_pattern<float>(fabric, other_buf[r], count, r, 2);
+    auto a = fabric.gpus().typed<float>(send[r], count);
+    auto b = fabric.gpus().typed<float>(other_buf[r], count);
+    for (std::size_t i = 0; i < count; ++i) {
+      sum[i] += a[i];
+      other_sum[i] += b[i];
+    }
+  }
+  const gpu::DevicePtr recv = ranks[0].shim->alloc(count * sizeof(float));
+
+  int peer_done = 1;
+  ranks[1].shim->reduce(comm, send[1], gpu::DevicePtr{}, count,
+                        DataType::kFloat32, ReduceOp::kSum, /*root=*/0,
+                        *ranks[1].stream, [&peer_done](Time) { --peer_done; });
+  ASSERT_TRUE(await(fabric, peer_done));
+
+  int remaining = 3;
+  ranks[0].shim->reduce(comm, send[0], recv, count, DataType::kFloat32,
+                        ReduceOp::kSum, /*root=*/0, *ranks[0].stream,
+                        [&remaining](Time) { --remaining; });
+  for (int r = 0; r < 2; ++r) {
+    other_ranks[r].shim->all_reduce(other_comm, other_buf[r], other_buf[r],
+                                    count, DataType::kFloat32, ReduceOp::kSum,
+                                    *other_ranks[r].stream,
+                                    [&remaining](Time) { --remaining; });
+  }
+  ASSERT_TRUE(await(fabric, remaining));
+  auto out = fabric.gpus().typed<float>(recv, count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(out[i], sum[i]) << "elem " << i;
+  }
+  for (int r = 0; r < 2; ++r) {
+    auto o = fabric.gpus().typed<float>(other_buf[r], count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(o[i], other_sum[i]) << "other tenant rank " << r << " elem " << i;
+    }
+  }
+}
+
+TEST_F(ServiceFixture, LateReduceRootInterHost) {
+  run_late_reduce_root(fabric, {GpuId{0}, GpuId{2}});
+}
+
+TEST_F(ServiceFixture, LateReduceRootSameHost) {
+  run_late_reduce_root(fabric, {GpuId{0}, GpuId{1}});
+}
+
+TEST_F(ServiceFixture, BroadcastPeerIssuingLateGetsTheBytesTheRootSent) {
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
+  const CommId comm = create_comm(fabric, app, gpus);
+  auto ranks = make_ranks(fabric, app, gpus);
+  const std::size_t count = 256;
+  const gpu::DevicePtr root_send = ranks[0].shim->alloc(count * sizeof(float));
+  const gpu::DevicePtr root_recv = ranks[0].shim->alloc(count * sizeof(float));
+  const gpu::DevicePtr peer_recv = ranks[1].shim->alloc(count * sizeof(float));
+  for (auto& x : fabric.gpus().typed<float>(root_send, count)) x = 1.0f;
+
+  int root_done = 1;
+  ranks[0].shim->broadcast(comm, root_send, root_recv, count,
+                           DataType::kFloat32, /*root=*/0, *ranks[0].stream,
+                           [&root_done](Time) { --root_done; });
+  ASSERT_TRUE(await(fabric, root_done));
+  // The root's collective is over: its buffers are its own to rewrite.
+  for (auto& x : fabric.gpus().typed<float>(root_send, count)) x = 99.0f;
+  for (auto& x : fabric.gpus().typed<float>(root_recv, count)) x = 99.0f;
+
+  int peer_done = 1;
+  ranks[1].shim->broadcast(comm, gpu::DevicePtr{}, peer_recv, count,
+                           DataType::kFloat32, /*root=*/0, *ranks[1].stream,
+                           [&peer_done](Time) { --peer_done; });
+  ASSERT_TRUE(await(fabric, peer_done));
+  auto out = fabric.gpus().typed<float>(peer_recv, count);
+  for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(out[i], 1.0f) << i;
+}
+
+TEST_F(ServiceFixture, GatherRootIssuingLateGetsAFreedPeerBuffer) {
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
+  const CommId comm = create_comm(fabric, app, gpus);
+  auto ranks = make_ranks(fabric, app, gpus);
+  const std::size_t count = 256;
+  std::vector<gpu::DevicePtr> send(2);
+  std::vector<std::vector<float>> sent(2);
+  for (int r = 0; r < 2; ++r) {
+    send[r] = ranks[r].shim->alloc(count * sizeof(float));
+    test::fill_pattern<float>(fabric, send[r], count, r);
+    auto s = fabric.gpus().typed<float>(send[r], count);
+    sent[r].assign(s.begin(), s.end());
+  }
+  const gpu::DevicePtr recv = ranks[0].shim->alloc(2 * count * sizeof(float));
+
+  int peer_done = 1;
+  ranks[1].shim->gather(comm, send[1], gpu::DevicePtr{}, count,
+                        DataType::kFloat32, /*root=*/0, *ranks[1].stream,
+                        [&peer_done](Time) { --peer_done; });
+  ASSERT_TRUE(await(fabric, peer_done));
+  ranks[1].shim->free(send[1]);
+
+  int root_done = 1;
+  ranks[0].shim->gather(comm, send[0], recv, count, DataType::kFloat32,
+                        /*root=*/0, *ranks[0].stream,
+                        [&root_done](Time) { --root_done; });
+  ASSERT_TRUE(await(fabric, root_done));
+  auto out = fabric.gpus().typed<float>(recv, 2 * count);
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(out[r * count + i], sent[r][i]) << "block " << r << " elem " << i;
+    }
+  }
+}
+
+TEST_F(ServiceFixture, PeerIssuingAfterTwentyRootBroadcastsGetsEachOnesData) {
+  // The peer issues nothing until the root completed all twenty, so every
+  // chunk waits in a window entry of a sequence number the peer has not
+  // issued yet.
+  constexpr int kCollectives = 20;
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
+  const CommId comm = create_comm(fabric, app, gpus);
+  auto ranks = make_ranks(fabric, app, gpus);
+  const std::size_t count = 128;
+  const gpu::DevicePtr root_buf = ranks[0].shim->alloc(count * sizeof(float));
+  for (int k = 0; k < kCollectives; ++k) {
+    for (auto& x : fabric.gpus().typed<float>(root_buf, count)) {
+      x = static_cast<float>(k + 1);
+    }
+    int root_done = 1;
+    ranks[0].shim->broadcast(comm, root_buf, root_buf, count,
+                             DataType::kFloat32, /*root=*/0, *ranks[0].stream,
+                             [&root_done](Time) { --root_done; });
+    ASSERT_TRUE(await(fabric, root_done)) << "root collective " << k;
+  }
+
+  std::vector<gpu::DevicePtr> peer_buf(kCollectives);
+  int remaining = kCollectives;
+  for (int k = 0; k < kCollectives; ++k) {
+    peer_buf[k] = ranks[1].shim->alloc(count * sizeof(float));
+    ranks[1].shim->broadcast(comm, gpu::DevicePtr{}, peer_buf[k], count,
+                             DataType::kFloat32, /*root=*/0, *ranks[1].stream,
+                             [&remaining](Time) { --remaining; });
+  }
+  ASSERT_TRUE(await(fabric, remaining));
+  for (int k = 0; k < kCollectives; ++k) {
+    auto out = fabric.gpus().typed<float>(peer_buf[k], count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(out[i], static_cast<float>(k + 1))
+          << "collective " << k << " elem " << i;
+    }
+  }
+}
+
 TEST_F(ServiceFixture, BackToBackCollectivesSerializeOnCommStream) {
   const std::vector<GpuId> gpus{GpuId{0}, GpuId{4}};
   const CommId comm = create_comm(fabric, app, gpus);
@@ -301,7 +475,7 @@ TEST_F(ServiceFixture, CollectiveWaitsForComputeOnAppStream) {
   // Rank 0's "compute kernel" takes 50 ms and writes the inputs only when it
   // finishes; if the collective did not respect the app-stream dependency it
   // would reduce zeros.
-  ranks[0].stream->enqueue_compute(0.05, "produce", [&] {
+  ranks[0].stream->enqueue_compute(0.05, [&] {
     auto s = fabric.gpus().typed<float>(buf[0], count);
     for (auto& x : s) x = 3.0f;
   });

@@ -303,18 +303,18 @@ TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
   std::uint64_t misses = 0;
   for (const CommStrategy& s : {ring, tree, tree_fine}) {
     const auto strategy = std::make_shared<const CommStrategy>(s);
-    const auto plan = cache.acquire(setup, strategy, cl, kind, 1024,
+    const auto plan = cache.acquire(setup, strategy, kind, 1024,
                                     DataType::kFloat32, 0);
     EXPECT_EQ(cache.stats().misses, ++misses);
     const auto fresh =
-        svc::build_coll_plan(setup, s, cl, kind, 1024, DataType::kFloat32, 0);
+        svc::build_coll_plan(setup, s, kind, 1024, DataType::kFloat32, 0);
     EXPECT_TRUE(*plan == *fresh);
     if (previous != nullptr) {
       EXPECT_FALSE(*plan == *previous);
       EXPECT_EQ(cache.peek(previous_strategy, kind, 1024, DataType::kFloat32, 0),
                 nullptr);
     }
-    EXPECT_EQ(cache.acquire(setup, strategy, cl, kind, 1024,
+    EXPECT_EQ(cache.acquire(setup, strategy, kind, 1024,
                             DataType::kFloat32, 0),
               plan);
     EXPECT_EQ(cache.peek(strategy, kind, 1024, DataType::kFloat32, 0), plan);
@@ -386,11 +386,11 @@ TEST(PlanCacheProperty, CachedPlanEqualsFreshBuildOverRandomShapes) {
     svc::CollPlanCache cache{{hits, misses, invalidations}};
     const auto shared = std::make_shared<const CommStrategy>(strategy);
     const auto first =
-        cache.acquire(setup, shared, cl, kind, count, dtype, root);
+        cache.acquire(setup, shared, kind, count, dtype, root);
     const auto cached =
-        cache.acquire(setup, shared, cl, kind, count, dtype, root);
+        cache.acquire(setup, shared, kind, count, dtype, root);
     const auto fresh =
-        svc::build_coll_plan(setup, strategy, cl, kind, count, dtype, root);
+        svc::build_coll_plan(setup, strategy, kind, count, dtype, root);
 
     ASSERT_EQ(first, cached) << "second acquire must be a hit, trial " << trial;
     ASSERT_NE(cached, fresh);

@@ -97,7 +97,7 @@ TEST(RankBuffersProperty, EveryPlanRangeLiesInsideItsBuffer) {
                 strategy.channel_orders =
                     svc::make_channel_orders(base, gpus, cl, channels);
                 const auto plan = svc::build_coll_plan(
-                    setup, strategy, cl, kind, count, args.dtype, root);
+                    setup, strategy, kind, count, args.dtype, root);
                 ++plans;
                 for (const auto& ch : plan->channels) {
                   for (const auto& step : ch.steps) {
