@@ -54,14 +54,14 @@ struct PlanShape {
 void bench_plans(std::FILE* json) {
   const cluster::Cluster cl = cluster::make_testbed();
   // One rank per host (the cross-rack testbed communicator the tests use).
-  svc::CommSetup setup;
-  setup.id = CommId{0};
-  setup.app = AppId{1};
-  setup.rank = 0;
-  setup.nranks = 4;
-  setup.gpus = {GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+  svc::CommInfo info;
+  info.id = CommId{0};
+  info.app = AppId{1};
+  info.nranks = 4;
+  info.gpus = {GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+  const svc::CommSetup setup{std::make_shared<const svc::CommInfo>(info), 0};
   const auto strategy = std::make_shared<const svc::CommStrategy>(
-      svc::nccl_default_strategy(setup.gpus, cl));
+      svc::nccl_default_strategy(info.gpus, cl));
 
   const std::vector<PlanShape> shapes = {
       {coll::CollectiveKind::kAllReduce, 262144, 0},

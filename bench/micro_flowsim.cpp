@@ -12,7 +12,11 @@
 // comparison is events-per-wall-second on equal work.
 //
 // Emits one JSON line per (scale, mode) to BENCH_flowsim.json — the perf
-// trajectory future PRs extend; scripts/check.sh gates on its schema.
+// trajectory future PRs extend; scripts/check.sh gates on its schema. Each
+// (scale, mode) runs until its repetitions total kMinTimedS of wall time, and
+// at least kMinReps times; a row's wall time and rate are the median
+// repetition's, since a 64-GPU run times under a millisecond and one
+// scheduler stall would otherwise move it by an order of magnitude.
 //
 // A second section exercises the arena-backed slab at fabric scale
 // (768 / 8k / 32k endpoints on the widened Clos builders) and writes
@@ -38,6 +42,7 @@
 
 #include "cluster/cluster.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "netsim/network.h"
 #include "sim/event_loop.h"
 
@@ -403,6 +408,9 @@ struct Scale {
   cluster::Cluster cluster;
 };
 
+constexpr double kMinTimedS = 0.2;
+constexpr std::size_t kMinReps = 3;
+
 }  // namespace
 
 int main() {
@@ -438,21 +446,31 @@ int main() {
     const Workload w = make_workload(sc.cluster, 0xF10F51Dull + sc.gpus);
     double ref_rate = 0.0;
     for (const bool incremental : {false, true}) {
-      const RunResult r =
-          run_workload(sc.cluster, w, RunOptions{.incremental = incremental});
-      const double rate = static_cast<double>(r.events) / r.wall_s;
+      const RunOptions opts{.incremental = incremental};
+      const RunResult r = run_workload(sc.cluster, w, opts);
+      std::vector<double> walls{r.wall_s};
+      double timed = r.wall_s;
+      while (walls.size() < kMinReps || timed < kMinTimedS) {
+        const RunResult again = run_workload(sc.cluster, w, opts);
+        MCCS_CHECK(again.events == r.events && again.sim_s == r.sim_s,
+                   "a repetition simulated different work");
+        walls.push_back(again.wall_s);
+        timed += again.wall_s;
+      }
+      const double wall_s = percentile(walls, 50.0);
+      const double rate = static_cast<double>(r.events) / wall_s;
       const char* mode = incremental ? "incremental" : "reference";
       const double speedup = incremental ? rate / ref_rate : 1.0;
       if (!incremental) ref_rate = rate;
-      std::printf("%-6d %-12s %10llu %9.3f %14.0f %8.2fx\n", sc.gpus, mode,
-                  static_cast<unsigned long long>(r.events), r.wall_s, rate,
-                  speedup);
+      std::printf("%-6d %-12s %10llu %9.6f %14.0f %8.2fx  (median of %zu)\n",
+                  sc.gpus, mode, static_cast<unsigned long long>(r.events),
+                  wall_s, rate, speedup, walls.size());
       std::fprintf(json,
                    "{\"bench\":\"micro_flowsim\",\"gpus\":%d,\"mode\":\"%s\","
                    "\"events\":%llu,\"sim_s\":%.6f,\"wall_s\":%.6f,"
                    "\"events_per_sec\":%.1f,\"speedup_vs_reference\":%.3f}\n",
                    sc.gpus, mode, static_cast<unsigned long long>(r.events),
-                   r.sim_s, r.wall_s, rate, speedup);
+                   r.sim_s, wall_s, rate, speedup);
     }
   }
   std::fclose(json);

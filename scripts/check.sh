@@ -110,23 +110,22 @@ chaos_churn_sweep build/tests/mccs_tests
 # Wall-clock output (micro_overhead) is compared on its virtual counters
 # only.
 #
-# The loop runs once with the task pool off (MCCS_THREADS=1) and once with it
-# forced wide (MCCS_THREADS=8): the pool's determinism contract says the
-# thread count may never change a simulated result, so BOTH runs must match
-# the same goldens byte for byte.
+# The pass runs once: nothing it runs reaches the task pool (no code under
+# src/ outside src/common calls par::, and neither do these binaries), so the
+# thread count cannot move its output. Thread-count independence is checked
+# where the pool runs: the ParallelPool and ParallelDeterminism tests in ctest
+# and the chaos-under-churn sweep at MCCS_THREADS=1 and 8.
 golden_pass() {
-  local threads="$1"
-  echo "== telemetry-disabled golden outputs (MCCS_THREADS=${threads}) =="
+  echo "== telemetry-disabled golden outputs =="
   for fig in fig06_single_app fig07_reconfig fig08_multi_app fig09_qos_jct \
              fig10_dynamic_policy; do
     golden="bench/goldens/${fig}.txt"
     [[ -s "$golden" ]] || { echo "FAIL: $golden missing" >&2; exit 1; }
     (cd build/bench && "./${fig}") > "build/bench/${fig}.out"
     diff -u "$golden" "build/bench/${fig}.out" || {
-      echo "FAIL: ${fig} output drifted from ${golden}" \
-           "(MCCS_THREADS=${threads})" >&2; exit 1;
+      echo "FAIL: ${fig} output drifted from ${golden}" >&2; exit 1;
     }
-    echo "${fig} matches golden (MCCS_THREADS=${threads})"
+    echo "${fig} matches golden"
   done
   # The five examples' narratives are simulated results too.
   for ex in quickstart training_job dynamic_reconfig multi_tenant_qos \
@@ -135,26 +134,20 @@ golden_pass() {
     [[ -s "$golden" ]] || { echo "FAIL: $golden missing" >&2; exit 1; }
     (cd build/examples && "./${ex}") > "build/examples/${ex}.out"
     diff -u "$golden" "build/examples/${ex}.out" || {
-      echo "FAIL: example ${ex} output drifted from ${golden}" \
-           "(MCCS_THREADS=${threads})" >&2; exit 1;
+      echo "FAIL: example ${ex} output drifted from ${golden}" >&2; exit 1;
     }
-    echo "${ex} matches golden (MCCS_THREADS=${threads})"
+    echo "${ex} matches golden"
   done
   (cd build/bench && ./micro_overhead) 2>/dev/null \
     | grep -o 'BM_[A-Za-z_]*\|VirtualLatencyUs=[0-9.e+-]*\|OverheadUs=[0-9.e+-]*' \
     | paste -d' ' - - > build/bench/micro_overhead_virtual.out
   diff -u bench/goldens/micro_overhead_virtual.txt \
           build/bench/micro_overhead_virtual.out || {
-    echo "FAIL: micro_overhead virtual latencies drifted" \
-         "(MCCS_THREADS=${threads})" >&2; exit 1;
+    echo "FAIL: micro_overhead virtual latencies drifted" >&2; exit 1;
   }
-  echo "micro_overhead virtual latencies match golden (MCCS_THREADS=${threads})"
+  echo "micro_overhead virtual latencies match golden"
 }
-for threads in 1 8; do
-  export MCCS_THREADS="$threads"
-  time golden_pass "$threads"
-done
-unset MCCS_THREADS
+time golden_pass
 
 # Every bench writes its BENCH_*.json into build/bench; scripts/bench_gates.py
 # checks their schema and gates. Files from an earlier run are deleted first,

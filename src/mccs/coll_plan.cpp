@@ -54,7 +54,8 @@ std::shared_ptr<const CollPlan> build_coll_plan(
     const CommSetup& setup, const CommStrategy& strategy,
     coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,
     int root) {
-  const int n = setup.nranks;
+  const CommInfo& info = *setup.info;
+  const int n = info.nranks;
   const int rank = setup.rank;
   const int num_channels = strategy.num_channels();
   const std::size_t esize = coll::dtype_size(dtype);
@@ -96,7 +97,7 @@ std::shared_ptr<const CollPlan> build_coll_plan(
         ps.send_to = step.send_to;
         ps.send_tag = step.send_tag;
         ps.send_range = chunk_ranges[step.send_chunk];
-        ps.send_gpu = setup.gpus[static_cast<std::size_t>(step.send_to)];
+        ps.send_gpu = info.gpus[static_cast<std::size_t>(step.send_to)];
       }
       if (step.has_recv()) {
         MCCS_EXPECTS(step.recv_tag >= 0);

@@ -131,9 +131,10 @@ struct PlanKeyHash {
   }
 };
 
-/// Compile one collective shape into a plan for `setup.rank` under
-/// `strategy`. Pure function of its arguments — the property tests rely on
-/// a rebuilt plan being structurally identical to a cached one.
+/// Compile one collective shape into a plan for `setup.rank` of the
+/// communicator record `setup.info` under `strategy`. Pure function of its
+/// arguments — the property tests rely on a rebuilt plan being structurally
+/// identical to a cached one.
 std::shared_ptr<const CollPlan> build_coll_plan(
     const CommSetup& setup, const CommStrategy& strategy,
     coll::CollectiveKind kind, std::size_t count, coll::DataType dtype,

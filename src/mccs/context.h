@@ -1,8 +1,8 @@
 #pragma once
 // Shared wiring for all MCCS service components on a fabric: the event loop,
 // the simulated network and GPUs, the cluster inventory, the timing config,
-// and fabric-level lookups (peer proxies, control-plane messaging). Owned by
-// the Fabric; every engine holds a reference.
+// and the Fabric itself, the deployment's one registry of engines and
+// communicators. Owned by the Fabric; every engine holds a reference.
 
 #include <cstdint>
 #include <functional>
@@ -17,7 +17,7 @@
 
 namespace mccs::svc {
 
-class ProxyEngine;
+class Fabric;
 
 /// A transport engine's escalation after exhausting its silent retry ladder
 /// on one chunk: the provider-side signal that a path is persistently dead
@@ -42,16 +42,13 @@ struct ServiceContext {
   std::uint64_t seed = 1;  ///< fabric seed; perturbs ECMP hashing per trial
 
   /// Fabric-wide telemetry (always non-null under a Fabric; wired before any
-  /// service is created). Counters are always live; timeline recording sites
+  /// engine is built). Counters are always live; timeline recording sites
   /// check telemetry->enabled() first.
   telemetry::Telemetry* telemetry = nullptr;
 
-  /// Proxy engine serving a GPU anywhere in the cluster.
-  std::function<ProxyEngine&(GpuId)> proxy_for;
-
-  /// Deliver a control-plane message after `extra` delay on top of the
-  /// configured control-hop latency.
-  std::function<void(std::function<void()> fn, Time extra)> send_control;
+  /// The deployment's registry: every engine by address, and whether a
+  /// communicator is gone or was killed.
+  Fabric* fabric = nullptr;
 
   /// Escalation sink for transport stalls (set via Fabric::set_stall_handler,
   /// typically by a policy::Controller with fault recovery enabled). Null =>

@@ -19,6 +19,11 @@ void check_strategy(const CommStrategy& strategy, int nranks) {
   }
 }
 
+/// Key of an (application, host or GPU) pair in the engine maps.
+std::uint64_t app_key(AppId app, std::uint32_t where) {
+  return (static_cast<std::uint64_t>(app.get()) << 32) | where;
+}
+
 }  // namespace
 
 Fabric::Fabric(cluster::Cluster cluster)
@@ -37,33 +42,45 @@ Fabric::Fabric(cluster::Cluster cluster, Options options)
   context_.config = options.config;
   context_.seed = options.seed;
   context_.telemetry = &telemetry_;
+  context_.fabric = this;
   network_->set_telemetry(&telemetry_);
-  context_.proxy_for = [this](GpuId gpu) -> ProxyEngine& { return proxy_for(gpu); };
-  context_.send_control = [this](std::function<void()> fn, Time extra) {
-    loop_.schedule_after(context_.config.control_hop_latency + extra,
-                         std::move(fn));
-  };
 
-  services_.reserve(cluster_.host_count());
+  // Host by host, its transports and then its GPUs' proxies, each handed the
+  // transport of the NIC its traffic leaves through.
+  proxies_.resize(cluster_.gpu_count());
   for (std::size_t h = 0; h < cluster_.host_count(); ++h) {
-    services_.push_back(std::make_unique<Service>(
-        context_, *this, HostId{static_cast<std::uint32_t>(h)}));
+    const HostId host{static_cast<std::uint32_t>(h)};
+    const cluster::HostInfo& info = cluster_.host(host);
+    const std::size_t first_nic = transports_.size();
+    for (std::size_t nic = 0; nic < info.nic_nodes.size(); ++nic) {
+      transports_.push_back(std::make_unique<TransportEngine>(
+          context_, host, static_cast<int>(nic)));
+    }
+    for (GpuId gpu : info.gpus) {
+      const auto nic = static_cast<std::size_t>(cluster_.nic_index_of_gpu(gpu));
+      proxies_[gpu.get()] = std::make_unique<ProxyEngine>(
+          context_, gpu, *transports_[first_nic + nic]);
+    }
   }
 }
 
 Fabric::~Fabric() = default;
 
-Service& Fabric::service(HostId host) {
-  MCCS_EXPECTS(host.get() < services_.size());
-  return *services_[host.get()];
-}
-
 Shim& Fabric::connect(AppId app, GpuId gpu) {
-  return service(cluster_.host_of_gpu(gpu)).connect(app, gpu);
+  const HostId host = cluster_.host_of_gpu(gpu);
+  std::unique_ptr<Shim>& shim = shims_[app_key(app, gpu.get())];
+  if (shim == nullptr) {
+    shim = std::make_unique<Shim>(context_, app, gpu, frontend(app, host),
+                                  proxy_for(gpu));
+  }
+  return *shim;
 }
 
-ProxyEngine& Fabric::proxy_for(GpuId gpu) {
-  return service(cluster_.host_of_gpu(gpu)).proxy(gpu);
+FrontendEngine& Fabric::frontend(AppId app, HostId host) {
+  MCCS_EXPECTS(host.get() < cluster_.host_count());
+  std::unique_ptr<FrontendEngine>& fe = frontends_[app_key(app, host.get())];
+  if (fe == nullptr) fe = std::make_unique<FrontendEngine>(context_, host, app);
+  return *fe;
 }
 
 UniqueId Fabric::new_unique_id() { return UniqueId{next_unique_id_++}; }
@@ -89,24 +106,26 @@ void Fabric::bootstrap_join(UniqueId uid, int nranks, int rank, AppId app,
   bs.joined.push_back(BootstrapEntry{rank, app, gpu, std::move(on_ready)});
 
   if (static_cast<int>(bs.joined.size()) == bs.nranks) {
-    BootstrapState state = std::move(bs);
-    bootstraps_.erase(uid.value);
     // Rendezvous complete: after the bootstrap latency (the rank-0 control
-    // ring exchange of §4.2), install the communicator everywhere.
+    // ring exchange of §4.2), install the communicator everywhere, unless a
+    // kill drops the rendezvous first.
     loop_.schedule_after(context_.config.bootstrap_latency,
-                         [this, uid, state = std::move(state)]() mutable {
-                           finish_bootstrap(uid, std::move(state));
-                         });
+                         [this, uid] { finish_bootstrap(uid); });
   }
 }
 
-void Fabric::finish_bootstrap(UniqueId /*uid*/, BootstrapState state) {
+void Fabric::finish_bootstrap(UniqueId uid) {
+  auto it = bootstraps_.find(uid.value);
+  if (it == bootstraps_.end()) return;  // its application was killed
+  BootstrapState state = std::move(it->second);
+  bootstraps_.erase(it);
   std::sort(state.joined.begin(), state.joined.end(),
             [](const BootstrapEntry& a, const BootstrapEntry& b) {
               return a.rank < b.rank;
             });
 
-  CommInfo info;
+  auto record = std::make_shared<CommInfo>();
+  CommInfo& info = *record;
   info.id = CommId{next_comm_id_++};
   info.app = state.joined.front().app;
   info.nranks = state.nranks;
@@ -121,16 +140,10 @@ void Fabric::finish_bootstrap(UniqueId /*uid*/, BootstrapState state) {
                          : nccl_default_strategy(info.gpus, cluster_));
   check_strategy(*strategy, info.nranks);
 
-  CommSetup setup;
-  setup.id = info.id;
-  setup.app = info.app;
-  setup.nranks = state.nranks;
-  setup.gpus = info.gpus;
   for (const BootstrapEntry& e : state.joined) {
-    setup.rank = e.rank;
-    proxy_for(e.gpu).install_communicator(setup, strategy);
+    proxy_for(e.gpu).install_communicator(CommSetup{record, e.rank}, strategy);
   }
-  comms_.emplace(info.id.get(), info);
+  comms_.emplace(info.id.get(), CommEntry{record});
 
   // Notify the shims (completion queue hop).
   for (BootstrapEntry& e : state.joined) {
@@ -144,7 +157,7 @@ void Fabric::finish_bootstrap(UniqueId /*uid*/, BootstrapState state) {
 std::vector<CommInfo> Fabric::list_communicators() const {
   std::vector<CommInfo> out;
   out.reserve(comms_.size());
-  for (const auto& [id, info] : comms_) out.push_back(info);
+  for (const auto& [id, entry] : comms_) out.push_back(*entry.info);
   std::sort(out.begin(), out.end(),
             [](const CommInfo& a, const CommInfo& b) { return a.id < b.id; });
   return out;
@@ -153,14 +166,13 @@ std::vector<CommInfo> Fabric::list_communicators() const {
 const CommInfo& Fabric::comm_info(CommId comm) const {
   auto it = comms_.find(comm.get());
   MCCS_EXPECTS(it != comms_.end());
-  return it->second;
+  return *it->second.info;
 }
 
 const CommInfo* Fabric::find_comm_info(CommId comm) const {
   auto it = comms_.find(comm.get());
-  if (it != comms_.end()) return &it->second;
-  MCCS_CHECK(killed_comms_.count(comm.get()) > 0,
-             "reference to an unknown communicator");
+  if (it != comms_.end()) return it->second.info.get();
+  MCCS_CHECK(comm_killed(comm), "reference to an unknown communicator");
   return nullptr;
 }
 
@@ -171,35 +183,35 @@ const CommStrategy& Fabric::strategy_of(CommId comm) {
 
 void Fabric::reconfigure(CommId comm, CommStrategy strategy,
                          std::vector<Time> delays) {
-  const CommInfo& info = comm_info(comm);
+  auto it = comms_.find(comm.get());
+  MCCS_EXPECTS(it != comms_.end());
+  const CommInfo& info = *it->second.info;
   MCCS_EXPECTS(delays.empty() ||
                delays.size() == static_cast<std::size_t>(info.nranks));
   check_strategy(strategy, info.nranks);
-  const std::uint64_t round = ++reconfig_rounds_[comm.get()];
+  const std::uint64_t round = ++it->second.reconfig_rounds;
   const auto shared = std::make_shared<const CommStrategy>(std::move(strategy));
   for (int r = 0; r < info.nranks; ++r) {
     ProxyEngine* proxy = &proxy_for(info.gpus[static_cast<std::size_t>(r)]);
     const Time extra = delays.empty() ? 0.0 : delays[static_cast<std::size_t>(r)];
-    context_.send_control([proxy, comm, round, shared] {
-                            proxy->request_reconfigure(comm, round, shared);
-                          },
-                          extra);
+    loop_.schedule_after(context_.config.control_hop_latency + extra,
+                         [proxy, comm, round, shared] {
+                           proxy->request_reconfigure(comm, round, shared);
+                         });
   }
 }
 
 void Fabric::destroy_communicator(CommId comm) {
   for (GpuId gpu : comm_info(comm).gpus) {
     ProxyEngine* proxy = &proxy_for(gpu);
-    context_.send_control([proxy, comm] { proxy->destroy_communicator(comm); },
-                          0.0);
+    loop_.schedule_after(context_.config.control_hop_latency,
+                         [proxy, comm] { proxy->destroy_communicator(comm); });
   }
   comms_.erase(comm.get());
-  reconfig_rounds_.erase(comm.get());
 }
 
 void Fabric::destroy_rank(CommId comm, GpuId gpu) {
-  if (killed_comms_.count(comm.get()) > 0) return;
-  if (comms_.erase(comm.get()) > 0) reconfig_rounds_.erase(comm.get());
+  comms_.erase(comm.get());
   proxy_for(gpu).destroy_communicator(comm);
 }
 
@@ -218,29 +230,32 @@ KillReport Fabric::kill_app(AppId app) {
   // has no control-plane grace: the state vanishes now, and peers discover it
   // by their in-flight messages being dropped on arrival.
   std::vector<CommId> doomed;
-  for (const auto& [id, info] : comms_) {
-    if (info.app == app) doomed.push_back(info.id);
+  for (const auto& [id, entry] : comms_) {
+    if (entry.info->app == app) doomed.push_back(entry.info->id);
   }
   std::sort(doomed.begin(), doomed.end());
   for (CommId comm : doomed) {
-    const CommInfo info = comms_.at(comm.get());
-    for (GpuId gpu : info.gpus) {
+    auto it = comms_.find(comm.get());
+    for (GpuId gpu : it->second.info->gpus) {
       report.collectives += proxy_for(gpu).abort_communicator(comm);
     }
-    comms_.erase(comm.get());
-    reconfig_rounds_.erase(comm.get());
+    comms_.erase(it);
     killed_comms_.insert(comm.get());
     ++report.comms;
   }
 
+  // Its rendezvous, complete or not, never install: a complete one's
+  // pending finish_bootstrap finds nothing, and a join that lands later
+  // starts a rendezvous of its own.
+  std::erase_if(bootstraps_, [app](const auto& entry) {
+    const std::vector<BootstrapEntry>& joined = entry.second.joined;
+    return std::any_of(joined.begin(), joined.end(),
+                       [app](const BootstrapEntry& e) { return e.app == app; });
+  });
+
   // Cancel the app's in-flight network sends and drop its QoS gates on every
   // transport engine in the cluster.
-  for (auto& svc : services_) {
-    const auto& host = cluster_.host(svc->host());
-    for (std::size_t nic = 0; nic < host.nic_nodes.size(); ++nic) {
-      report.sends += svc->transport(static_cast<int>(nic)).abort_app(app);
-    }
-  }
+  for (auto& transport : transports_) report.sends += transport->abort_app(app);
   return report;
 }
 
@@ -249,27 +264,18 @@ void Fabric::set_stall_handler(std::function<void(const StallReport&)> handler) 
 }
 
 void Fabric::set_traffic_schedule(AppId app, const TrafficSchedule& schedule) {
-  for (auto& svc : services_) {
-    const auto& host = cluster_.host(svc->host());
-    for (std::size_t nic = 0; nic < host.nic_nodes.size(); ++nic) {
-      svc->transport(static_cast<int>(nic)).set_schedule(app, schedule);
-    }
-  }
+  for (auto& transport : transports_) transport->set_schedule(app, schedule);
 }
 
 void Fabric::clear_traffic_schedule(AppId app) {
-  for (auto& svc : services_) {
-    const auto& host = cluster_.host(svc->host());
-    for (std::size_t nic = 0; nic < host.nic_nodes.size(); ++nic) {
-      svc->transport(static_cast<int>(nic)).clear_schedule(app);
-    }
-  }
+  for (auto& transport : transports_) transport->clear_schedule(app);
 }
 
 std::vector<TraceRecord> Fabric::trace_all() const {
   std::vector<TraceRecord> out;
-  for (const auto& svc : services_) {
-    for (const TraceRecord& r : svc->collect_trace()) out.push_back(r);
+  for (const auto& proxy : proxies_) {
+    const std::vector<TraceRecord>& t = proxy->trace();
+    out.insert(out.end(), t.begin(), t.end());
   }
   std::sort(out.begin(), out.end(), [](const TraceRecord& a, const TraceRecord& b) {
     if (a.comm != b.comm) return a.comm < b.comm;
@@ -343,6 +349,21 @@ std::string Fabric::telemetry_snapshot() {
     out += "{\"id\":" + std::to_string(info.id.get());
     out += ",\"app\":" + std::to_string(info.app.get());
     out += ",\"nranks\":" + std::to_string(info.nranks);
+    const CommStrategy& strategy = proxy_for(info.gpus.front()).strategy(info.id);
+    out += ",\"algorithm\":\"";
+    out += coll::algorithm_name(strategy.algorithm);
+    out += "\",\"channel_orders\":[";
+    for (std::size_t c = 0; c < strategy.channel_orders.size(); ++c) {
+      if (c > 0) out += ',';
+      out += '[';
+      const std::vector<int>& order = strategy.channel_orders[c].order();
+      for (std::size_t p = 0; p < order.size(); ++p) {
+        if (p > 0) out += ',';
+        out += std::to_string(order[p]);
+      }
+      out += ']';
+    }
+    out += "],\"explicit_routes\":" + std::to_string(strategy.routes.size());
     out += ",\"ranks\":[";
     for (std::size_t r = 0; r < info.gpus.size(); ++r) {
       const GpuId gpu = info.gpus[r];

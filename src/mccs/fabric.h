@@ -1,6 +1,6 @@
 #pragma once
 // Fabric: one complete MCCS deployment — the simulated substrate (event
-// loop, network, GPUs) plus a per-host Service, the communicator bootstrap
+// loop, network, GPUs), the service's engines, the communicator bootstrap
 // rendezvous, and the provider-facing management API of §4.3 that external
 // controllers (src/policy) drive:
 //
@@ -9,10 +9,19 @@
 //     rank's proxy with independent control-plane delays — the Fig. 4 race);
 //   * install per-tenant traffic schedules on the transport engines;
 //   * retrieve per-application collective traces.
+//
+// The Fabric is the deployment's one registry, so each fact is stored once.
+// It owns every engine in tables addressed the way callers name them: a
+// proxy per GPU, a transport per (host, NIC), a frontend per (application,
+// host) and a shim per (application, GPU). The per-host daemon of §3 stays a
+// concept: engines keep their host, and each proxy sends through the
+// transport of its GPU's NIC (Cluster::nic_index_of_gpu). Each communicator
+// has one immutable CommInfo, shared by the registry and every rank's proxy,
+// and the registry answers whether a communicator with no rank on a GPU is
+// gone or was killed (DESIGN.md §8).
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -23,7 +32,9 @@
 #include "common/units.h"
 #include "gpusim/runtime.h"
 #include "mccs/context.h"
-#include "mccs/service.h"
+#include "mccs/frontend_engine.h"
+#include "mccs/proxy_engine.h"
+#include "mccs/shim.h"
 #include "mccs/strategy.h"
 #include "mccs/trace.h"
 #include "mccs/transport_engine.h"
@@ -31,14 +42,6 @@
 #include "sim/event_loop.h"
 
 namespace mccs::svc {
-
-/// Communicator metadata exposed to controllers.
-struct CommInfo {
-  CommId id;
-  AppId app;
-  int nranks = 0;
-  std::vector<GpuId> gpus;  ///< by rank
-};
 
 /// What a tenant kill tore down (observability for tests and chaos runs).
 struct KillReport {
@@ -70,9 +73,8 @@ class Fabric {
   [[nodiscard]] const cluster::Cluster& cluster() const { return cluster_; }
   [[nodiscard]] const ServiceConfig& config() const { return context_.config; }
 
-  [[nodiscard]] Service& service(HostId host);
-  /// Convenience: attach an application process to the service of the host
-  /// owning `gpu`.
+  /// Attach an application process on `gpu`: its shim, built on first
+  /// connect with the application's frontend on the GPU's host.
   Shim& connect(AppId app, GpuId gpu);
 
   // --- communicator bootstrap -----------------------------------------------------
@@ -92,8 +94,7 @@ class Fabric {
   /// Called by shims: one rank's comm_destroy. The first rank to leave
   /// removes the communicator from the registry, as destroy_communicator
   /// does, so policies stop planning for it; each call then tears down its
-  /// own rank's proxy state. A call for a communicator the provider killed
-  /// meanwhile is dropped.
+  /// own rank's proxy state, which a kill meanwhile has already done.
   void destroy_rank(CommId comm, GpuId gpu);
 
   // --- management API (§4.3) --------------------------------------------------------
@@ -144,7 +145,9 @@ class Fabric {
   /// Machine-readable JSON snapshot of the fabric: virtual time, the event
   /// loop's live-event count, the metrics registry, per-link state /
   /// allocated throughput / cumulative bytes, live flows in ascending id
-  /// order, and per-communicator progress and plan-cache counts per rank.
+  /// order, and every communicator (the provider's one communicator view):
+  /// placement, installed strategy (algorithm, channel orders, explicit
+  /// route count), and progress and plan-cache counts per rank.
   /// test::await prints it when an await times out.
   [[nodiscard]] std::string telemetry_snapshot();
 
@@ -171,19 +174,39 @@ class Fabric {
 
   /// Failure injection: forcibly tear down everything an application owns —
   /// its communicators (on every rank's proxy, immediately, no control-plane
-  /// grace), its in-flight transport sends, and its QoS schedules. Unlike
-  /// destroy_communicator, outstanding work is ABORTED: completion callbacks
-  /// of dropped collectives never fire, and peers' in-flight messages to the
-  /// dead communicator are dropped on arrival. Idempotent.
+  /// grace), its rendezvous that reached the Fabric, its in-flight transport
+  /// sends, and its QoS schedules. Unlike destroy_communicator, outstanding
+  /// work is ABORTED: completion callbacks of dropped collectives never
+  /// fire, and peers' in-flight messages to the dead communicator are
+  /// dropped on arrival. A rendezvous installs nothing and fires no
+  /// on_ready, and a join that lands after the kill starts a new one.
+  /// Idempotent.
   KillReport kill_app(AppId app);
 
   /// Install the escalation sink for transport stall reports (see
   /// ServiceContext::on_transport_stall). Pass nullptr to detach.
   void set_stall_handler(std::function<void(const StallReport&)> handler);
 
-  // --- internal wiring ------------------------------------------------------------
-  [[nodiscard]] ProxyEngine& proxy_for(GpuId gpu);
-  [[nodiscard]] ServiceContext& context() { return context_; }
+  // --- engines --------------------------------------------------------------------
+  /// The proxy engine of `gpu`: an index into the table of every GPU's.
+  [[nodiscard]] ProxyEngine& proxy_for(GpuId gpu) {
+    MCCS_EXPECTS(gpu.get() < proxies_.size());
+    return *proxies_[gpu.get()];
+  }
+  /// The frontend of `app` on `host`, built on first use.
+  [[nodiscard]] FrontendEngine& frontend(AppId app, HostId host);
+
+  // --- communicator liveness (the proxies' rules, DESIGN.md §8) -------------
+  /// `comm` was installed and has left the registry: destroyed by its
+  /// tenant or the provider, or killed. Ids are dense and never reused, so
+  /// this needs no record per communicator.
+  [[nodiscard]] bool comm_gone(CommId comm) const {
+    return comm.get() < next_comm_id_ && comms_.count(comm.get()) == 0;
+  }
+  /// The provider killed `comm` (kill_app).
+  [[nodiscard]] bool comm_killed(CommId comm) const {
+    return killed_comms_.count(comm.get()) > 0;
+  }
 
  private:
   struct BootstrapEntry {
@@ -192,28 +215,39 @@ class Fabric {
     GpuId gpu;
     std::function<void(CommId)> on_ready;
   };
+  /// A rendezvous from its first join until its install: complete once all
+  /// `nranks` joined, then installed bootstrap_latency later.
   struct BootstrapState {
     int nranks = 0;
     std::vector<BootstrapEntry> joined;
   };
+  /// A registry entry: the communicator's one record, and the
+  /// reconfiguration rounds sent for it so far.
+  struct CommEntry {
+    std::shared_ptr<const CommInfo> info;
+    std::uint64_t reconfig_rounds = 0;
+  };
 
-  void finish_bootstrap(UniqueId uid, BootstrapState state);
+  void finish_bootstrap(UniqueId uid);
 
   cluster::Cluster cluster_;
   sim::EventLoop loop_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<gpu::GpuRuntime> gpus_;
   ServiceContext context_;
-  // Declared before services_ so engines (which hold pointers to it through
-  // the context) are destroyed first.
+  // Declared before the engine tables so engines (which hold pointers to it
+  // through the context) are destroyed first.
   telemetry::Telemetry telemetry_;
-  std::vector<std::unique_ptr<Service>> services_;  ///< by HostId
+  std::vector<std::unique_ptr<TransportEngine>> transports_;  ///< by (host, NIC)
+  std::vector<std::unique_ptr<ProxyEngine>> proxies_;  ///< by GpuId
+  std::unordered_map<std::uint64_t, std::unique_ptr<FrontendEngine>>
+      frontends_;  ///< by (app, host)
+  std::unordered_map<std::uint64_t, std::unique_ptr<Shim>> shims_;  ///< by (app, GPU)
   std::function<CommStrategy(const CommInfo&)> strategy_provider_;
 
-  std::unordered_map<std::uint64_t, BootstrapState> bootstraps_;
-  std::unordered_map<std::uint32_t, CommInfo> comms_;
-  std::unordered_map<std::uint32_t, std::uint64_t> reconfig_rounds_;  ///< per comm
-  std::unordered_set<std::uint32_t> killed_comms_;  ///< tombstones from kill_app
+  std::unordered_map<std::uint64_t, BootstrapState> bootstraps_;  ///< by uid
+  std::unordered_map<std::uint32_t, CommEntry> comms_;
+  std::unordered_set<std::uint32_t> killed_comms_;  ///< one per kill_app'd comm
   std::uint64_t next_unique_id_ = 1;
   std::uint32_t next_comm_id_ = 0;
 };

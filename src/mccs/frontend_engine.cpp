@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "mccs/fabric.h"
+
 namespace mccs::svc {
 namespace {
 
@@ -47,12 +49,13 @@ void FrontendEngine::handle_collective(CommId comm, GpuId gpu,
   const CollectiveArgs& args = request.args;
   // The shim is the tenant's own library, so nothing it sends is trusted:
   // the rank and size come from the proxy, and the rank must be this app's.
-  ProxyEngine& proxy = ctx_->proxy_for(gpu);
+  ProxyEngine& proxy = ctx_->fabric->proxy_for(gpu);
   const CommSetup* setup = proxy.installed_rank(comm);
   if (setup == nullptr) return;
-  MCCS_CHECK(setup->app == app_,
+  MCCS_CHECK(setup->info->app == app_,
              "collective on another application's communicator");
-  const RankBuffers buffers = rank_buffers(args, setup->nranks, setup->rank);
+  const RankBuffers buffers =
+      rank_buffers(args, setup->info->nranks, setup->rank);
   MCCS_CHECK(buffers.recv == 0 || validate(gpu, args.recv, buffers.recv),
              "collective recv buffer is not a valid tenant allocation");
   MCCS_CHECK(buffers.send == 0 || validate(gpu, args.send, buffers.send),
@@ -84,7 +87,7 @@ void FrontendEngine::handle_p2p(CommId comm, GpuId gpu, P2pRequest request) {
   const Bytes len = request.count * coll::dtype_size(request.dtype);
   MCCS_CHECK(validate(gpu, request.buffer, len),
              "P2P buffer is not a valid tenant allocation");
-  ProxyEngine& proxy = ctx_->proxy_for(gpu);
+  ProxyEngine& proxy = ctx_->fabric->proxy_for(gpu);
   ctx_->loop->schedule_after(
       ctx_->config.engine_hop_latency,
       [&proxy, comm, request = std::move(request)]() mutable {

@@ -63,9 +63,9 @@ class FrontendEngine {
   /// Validate and forward a point-to-point operation.
   void handle_p2p(CommId comm, GpuId gpu, P2pRequest request);
 
-  /// The shared-memory command ring for the shim bound to `gpu` (created on
-  /// first use). The frontend is the consumer: commands drain one IPC
-  /// latency after the ring goes non-empty.
+  /// The shared-memory command ring for the shim bound to `gpu`, created
+  /// when the Fabric builds that shim. The frontend is the consumer:
+  /// commands drain one IPC latency after the ring goes non-empty.
   CommandQueue<ShimCommand>& command_queue(GpuId gpu);
 
  private:

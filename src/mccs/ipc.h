@@ -24,16 +24,17 @@
 namespace mccs::svc {
 
 /// Bounded SPSC ring buffer. Indices only ever grow; the ring wraps by
-/// masking, so capacity must be a power of two.
+/// masking, so capacity must be a power of two. The ring is allocated by
+/// the first push: a shim that never issues a command holds none.
 template <class T>
 class SpscQueue {
  public:
-  explicit SpscQueue(std::size_t capacity) : buffer_(capacity) {
+  explicit SpscQueue(std::size_t capacity) : capacity_(capacity) {
     MCCS_EXPECTS(capacity >= 2);
     MCCS_EXPECTS((capacity & (capacity - 1)) == 0);
   }
 
-  [[nodiscard]] std::size_t capacity() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t size() const { return head_ - tail_; }
   [[nodiscard]] bool empty() const { return head_ == tail_; }
   [[nodiscard]] bool full() const { return size() == capacity(); }
@@ -41,6 +42,7 @@ class SpscQueue {
   /// Producer side; returns false when the ring is full (backpressure).
   [[nodiscard]] bool try_push(T value) {
     if (full()) return false;
+    if (buffer_.empty()) buffer_.resize(capacity_);
     buffer_[head_ & (capacity() - 1)] = std::move(value);
     ++head_;
     return true;
@@ -55,6 +57,7 @@ class SpscQueue {
   }
 
  private:
+  std::size_t capacity_;
   std::vector<T> buffer_;
   std::uint64_t head_ = 0;
   std::uint64_t tail_ = 0;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "mccs/fabric.h"
 #include "netsim/routing.h"
 
 namespace mccs::svc {
@@ -48,10 +49,12 @@ const ProxyEngine::CommRank& ProxyEngine::comm_state(CommId comm) const {
   return it->second;
 }
 
-ProxyEngine::CommRank* ProxyEngine::find_comm(CommId comm) {
+ProxyEngine::CommRank* ProxyEngine::find_comm(CommId comm, Late late) {
   auto it = comms_.find(comm.get());
   if (it != comms_.end()) return &it->second;
-  MCCS_CHECK(aborted_.count(comm.get()) > 0,
+  const Fabric& fabric = *ctx_->fabric;
+  MCCS_CHECK(late == Late::kIfGone ? fabric.comm_gone(comm)
+                                   : fabric.comm_killed(comm),
              "message for an unknown communicator");
   return nullptr;
 }
@@ -59,7 +62,7 @@ ProxyEngine::CommRank* ProxyEngine::find_comm(CommId comm) {
 const CommSetup* ProxyEngine::installed_rank(CommId comm) const {
   auto it = comms_.find(comm.get());
   if (it != comms_.end()) return &it->second.setup;
-  MCCS_CHECK(aborted_.count(comm.get()) > 0,
+  MCCS_CHECK(ctx_->fabric->comm_killed(comm),
              "communicator has no rank on this GPU");
   return nullptr;
 }
@@ -70,34 +73,33 @@ void ProxyEngine::mark_destroy_requested(CommId comm) {
   st.destroy_requested = true;
 }
 
-ProxyEngine::CommRank* ProxyEngine::find_comm_for_peer_message(CommId comm) {
-  if (destroyed_.count(comm.get()) > 0) return nullptr;
-  return find_comm(comm);
-}
-
 void ProxyEngine::install_communicator(
-    const CommSetup& setup, std::shared_ptr<const CommStrategy> strategy) {
-  MCCS_EXPECTS(setup.nranks >= 1);
-  MCCS_EXPECTS(setup.gpus.size() == static_cast<std::size_t>(setup.nranks));
-  MCCS_EXPECTS(setup.rank >= 0 && setup.rank < setup.nranks);
-  MCCS_EXPECTS(setup.gpus[static_cast<std::size_t>(setup.rank)] == gpu_);
+    CommSetup setup, std::shared_ptr<const CommStrategy> strategy) {
+  MCCS_EXPECTS(setup.info != nullptr);
+  const CommInfo& info = *setup.info;
+  MCCS_EXPECTS(info.nranks >= 1);
+  MCCS_EXPECTS(info.gpus.size() == static_cast<std::size_t>(info.nranks));
+  MCCS_EXPECTS(setup.rank >= 0 && setup.rank < info.nranks);
+  MCCS_EXPECTS(info.gpus[static_cast<std::size_t>(setup.rank)] == gpu_);
   MCCS_EXPECTS(strategy != nullptr);
 
   // Built in place: the plan cache's GPU counters are references.
-  auto [it, inserted] = comms_.try_emplace(setup.id.get(), plan_counters_);
+  auto [it, inserted] = comms_.try_emplace(info.id.get(), plan_counters_);
   MCCS_CHECK(inserted, "communicator already installed");
   CommRank& st = it->second;
-  st.setup = setup;
+  st.setup = std::move(setup);
   st.strategy = std::move(strategy);
   st.comm_stream = &ctx_->gpus->gpu(gpu_).create_stream();
 }
 
 void ProxyEngine::destroy_communicator(CommId comm) {
-  // The tenant's destroy and the provider's can both reach this rank; the
-  // one that lands second finds it gone.
-  if (destroyed_.count(comm.get()) > 0) return;
   auto it = comms_.find(comm.get());
-  MCCS_EXPECTS(it != comms_.end());
+  if (it == comms_.end()) {
+    // The tenant's destroy and the provider's can both reach this rank, and
+    // a kill can come first; whichever lands later finds it gone.
+    MCCS_EXPECTS(ctx_->fabric->comm_gone(comm));
+    return;
+  }
   const CommRank& st = it->second;
   MCCS_CHECK(st.front() == st.next_seq,
              "destroying a communicator with outstanding collectives");
@@ -106,7 +108,6 @@ void ProxyEngine::destroy_communicator(CommId comm) {
                "destroying a communicator with outstanding P2P operations");
   }
   release_comm(it);
-  destroyed_.insert(comm.get());
 }
 
 std::size_t ProxyEngine::abort_communicator(CommId comm) {
@@ -127,7 +128,6 @@ std::size_t ProxyEngine::abort_communicator(CommId comm) {
     st.comm_stream->complete_external(window_entry(st, seq).token);
   }
   release_comm(it);
-  aborted_.insert(comm.get());
   return dropped;
 }
 
@@ -208,19 +208,19 @@ void ProxyEngine::issue_collective(CommId comm, WorkRequest request) {
   // Tolerant lookup: the frontend hands requests over after an engine hop, so
   // a tenant kill can land while a request is in flight. Dropping it is the
   // correct semantics — the tenant is gone.
-  CommRank* stp = find_comm(comm);
+  CommRank* stp = find_comm(comm, Late::kIfKilled);
   if (stp == nullptr) return;
   CommRank& st = *stp;
   MCCS_EXPECTS(request.args.count > 0);
   const std::uint64_t seq = st.next_seq++;
 
   TraceRecord rec;
-  rec.app = st.setup.app;
+  rec.app = st.setup.info->app;
   rec.comm = comm;
   rec.rank = st.setup.rank;
   rec.seq = seq;
   rec.kind = request.args.kind;
-  rec.bytes = request.args.output_bytes(st.setup.nranks);
+  rec.bytes = request.args.output_bytes(st.setup.info->nranks);
   rec.issued = ctx_->loop->now();
   WindowEntry& e = window_entry(st, seq);
   // Issued densely, once each: the slot holds no request yet.
@@ -238,7 +238,7 @@ void ProxyEngine::release_held(CommRank& st) {
   // Every gate change calls this, and between changes the set of sequence
   // numbers a gate allows only grows, so whatever is held is exactly what
   // the gate refuses, and launches leave in sequence order.
-  const CommId comm = st.setup.id;
+  const CommId comm = st.setup.info->id;
   const RoundState* gate = active_round(st);
   for (auto seq = static_cast<std::uint64_t>(st.last_launched_seq + 1);
        seq < st.next_seq; ++seq) {
@@ -269,7 +269,7 @@ void ProxyEngine::release_held(CommRank& st) {
 void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
   // The comm stream fires this through an external-op callback; the
   // communicator may have been torn down by a tenant kill.
-  CommRank* stp = find_comm(comm);
+  CommRank* stp = find_comm(comm, Late::kIfKilled);
   if (stp == nullptr) return;
   CommRank& st = *stp;
   {
@@ -285,7 +285,7 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
   trace_[e.trace_index].started = ctx_->loop->now();
 
   const CollectiveArgs& args = e.req.args;
-  const int n = st.setup.nranks;
+  const int n = st.setup.info->nranks;
   gpu::Gpu& dev = ctx_->gpus->gpu(gpu_);
 
   // Stage the buffers exactly as the frontend validated them.
@@ -307,7 +307,7 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
   if (n == 1) {
     // Single-participant communicator: the local copy is the collective.
     ctx_->loop->schedule_after(ctx_->config.comm_kernel_launch, [this, comm] {
-      CommRank* s = find_comm(comm);
+      CommRank* s = find_comm(comm, Late::kIfKilled);
       if (s == nullptr) return;
       complete_collective(*s);
     });
@@ -349,7 +349,7 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
   // (and, being latent, one activation cohort): one re-solve for the whole
   // launch, not one per chunk.
   ctx_->loop->schedule_after(ctx_->config.comm_kernel_launch, [this, comm] {
-    CommRank* s = find_comm(comm);
+    CommRank* s = find_comm(comm, Late::kIfKilled);
     if (s == nullptr) return;
     net::Network::SolveBatch batch(*ctx_->network);
     for (ChannelExec& ch : s->running.channels) {
@@ -389,12 +389,13 @@ void ProxyEngine::start_step(CommRank& st, ChannelExec& ch) {
   const CollPlan::Step& step = pc.steps[ch.cur];
 
   if (step.has_send()) {
-    ProxyEngine* recv_proxy = &ctx_->proxy_for(step.send_gpu);
-    const CommId comm = st.setup.id;
+    ProxyEngine* recv_proxy = &ctx_->fabric->proxy_for(step.send_gpu);
+    const CommInfo& info = *st.setup.info;
+    const CommId comm = info.id;
     const auto seq = st.front();
     const int channel = ch.channel;
     ChunkTransfer t;
-    t.app = st.setup.app;
+    t.app = info.app;
     t.src_gpu = gpu_;
     t.dst_gpu = step.send_gpu;
     t.bytes = step.send_range.len;
@@ -405,7 +406,7 @@ void ProxyEngine::start_step(CommRank& st, ChannelExec& ch) {
     auto rit = routes.find(
         CommStrategy::route_key(ch.channel, st.setup.rank, step.send_to));
     if (rit != routes.end()) t.route = rit->second;
-    t.ecmp_key = connection_ecmp_key(st.setup.id, ch.channel, st.setup.rank,
+    t.ecmp_key = connection_ecmp_key(comm, ch.channel, st.setup.rank,
                                      step.send_to, st.epoch, ctx_->seed);
     auto deliver = [recv_proxy, comm, seq, channel, tag = step.send_tag,
                     range = step.send_range, read_buf = st.running.read_buf,
@@ -416,7 +417,7 @@ void ProxyEngine::start_step(CommRank& st, ChannelExec& ch) {
     auto on_sent = [this, comm, seq, channel] {
       // In-flight completions of a killed tenant's sends land here after the
       // CommRank is gone (intra-host hops bypass the transport's abort sweep).
-      CommRank* s = find_comm(comm);
+      CommRank* s = find_comm(comm, Late::kIfKilled);
       if (s == nullptr) return;
       // A channel waits for its send, so the collective is still running.
       MCCS_ASSERT(s->running.begun && seq == s->front());
@@ -452,7 +453,7 @@ void ProxyEngine::deliver_chunk(CommId comm, std::uint64_t seq, int channel,
   // A chunk for a rank that is gone — every rank of a killed tenant, or this
   // rank after its tenant destroyed it while a peer still sent — is dropped
   // before touching any (possibly released) source buffer.
-  CommRank* stp = find_comm_for_peer_message(comm);
+  CommRank* stp = find_comm(comm, Late::kIfGone);
   if (stp == nullptr) return;
   CommRank& st = *stp;
   // A collective completes only after every chunk it expects, so a chunk for
@@ -558,10 +559,10 @@ void ProxyEngine::complete_collective(CommRank& st) {
 // --- point-to-point (§5) --------------------------------------------------------
 
 void ProxyEngine::issue_p2p(CommId comm, P2pRequest request) {
-  CommRank* stp = find_comm(comm);
+  CommRank* stp = find_comm(comm, Late::kIfKilled);
   if (stp == nullptr) return;  // tenant killed while the request was in flight
   CommRank& st = *stp;
-  MCCS_EXPECTS(request.peer >= 0 && request.peer < st.setup.nranks);
+  MCCS_EXPECTS(request.peer >= 0 && request.peer < st.setup.info->nranks);
   MCCS_EXPECTS(request.peer != st.setup.rank);
   MCCS_EXPECTS(request.count > 0);
 
@@ -584,7 +585,7 @@ void ProxyEngine::issue_p2p(CommId comm, P2pRequest request) {
   const int peer_rank = it->second.req.peer;
   it->second.req.ready_event->on_signal(
       [this, comm, peer_rank, index, is_send] {
-        CommRank* s = find_comm(comm);
+        CommRank* s = find_comm(comm, Late::kIfKilled);
         if (s == nullptr) return;  // tenant killed before its compute finished
         p2p_launch(*s, peer_rank, index, is_send);
       });
@@ -597,17 +598,18 @@ void ProxyEngine::p2p_launch(CommRank& st, int peer, std::uint64_t op_index,
     P2pOp& op = ps.sends.at(op_index);
     op.launched = true;
     // Announce to the receiving proxy (rendezvous step 1).
+    const CommInfo& info = *st.setup.info;
     ProxyEngine* remote =
-        &ctx_->proxy_for(st.setup.gpus[static_cast<std::size_t>(peer)]);
-    const CommId comm = st.setup.id;
+        &ctx_->fabric->proxy_for(info.gpus[static_cast<std::size_t>(peer)]);
+    const CommId comm = info.id;
     const int my_rank = st.setup.rank;
     const Bytes bytes = op.req.count * coll::dtype_size(op.req.dtype);
-    ctx_->send_control([remote, comm, my_rank, op_index, bytes,
-                        buf = op.req.buffer, gpu = gpu_] {
-                         remote->on_p2p_send_request(comm, my_rank, op_index,
-                                                     bytes, buf, gpu);
-                       },
-                       0.0);
+    ctx_->loop->schedule_after(
+        ctx_->config.control_hop_latency,
+        [remote, comm, my_rank, op_index, bytes, buf = op.req.buffer,
+         gpu = gpu_] {
+          remote->on_p2p_send_request(comm, my_rank, op_index, bytes, buf, gpu);
+        });
   } else {
     ps.recvs.at(op_index).launched = true;
     p2p_try_start_transfer(st, peer, op_index);
@@ -618,7 +620,7 @@ void ProxyEngine::on_p2p_send_request(CommId comm, int src_rank,
                                       std::uint64_t op_index, Bytes bytes,
                                       gpu::DevicePtr src_buffer, GpuId src_gpu) {
   // The rendezvous raced with a tenant kill, or with this rank's destroy.
-  CommRank* stp = find_comm_for_peer_message(comm);
+  CommRank* stp = find_comm(comm, Late::kIfGone);
   if (stp == nullptr) return;
   CommRank& st = *stp;
   P2pPeerState& ps = st.p2p[src_rank];
@@ -643,22 +645,23 @@ void ProxyEngine::p2p_try_start_transfer(CommRank& st, int src_rank,
              "P2P send/recv sizes disagree");
 
   // Tell the sender where to put the data (rendezvous step 2).
+  const CommInfo& info = *st.setup.info;
   ProxyEngine* remote =
-      &ctx_->proxy_for(st.setup.gpus[static_cast<std::size_t>(src_rank)]);
-  const CommId comm = st.setup.id;
+      &ctx_->fabric->proxy_for(info.gpus[static_cast<std::size_t>(src_rank)]);
+  const CommId comm = info.id;
   const int my_rank = st.setup.rank;
-  ctx_->send_control([remote, comm, my_rank, op_index,
-                      dst = recv->second.req.buffer] {
-                       remote->on_p2p_recv_posted(comm, my_rank, op_index, dst);
-                     },
-                     0.0);
+  ctx_->loop->schedule_after(
+      ctx_->config.control_hop_latency,
+      [remote, comm, my_rank, op_index, dst = recv->second.req.buffer] {
+        remote->on_p2p_recv_posted(comm, my_rank, op_index, dst);
+      });
   ps.announced.erase(ann);
 }
 
 void ProxyEngine::on_p2p_recv_posted(CommId comm, int dst_rank,
                                      std::uint64_t op_index,
                                      gpu::DevicePtr dst_buffer) {
-  CommRank* stp = find_comm(comm);
+  CommRank* stp = find_comm(comm, Late::kIfKilled);
   if (stp == nullptr) return;  // rendezvous raced with a tenant kill
   CommRank& st = *stp;
   auto pit = st.p2p.find(dst_rank);
@@ -668,13 +671,14 @@ void ProxyEngine::on_p2p_recv_posted(CommId comm, int dst_rank,
   if (oit == ps.sends.end()) return;
   P2pOp& op = oit->second;
   const Bytes bytes = op.req.count * coll::dtype_size(op.req.dtype);
-  const GpuId dst_gpu = st.setup.gpus[static_cast<std::size_t>(dst_rank)];
-  ProxyEngine* remote = &ctx_->proxy_for(dst_gpu);
-  const CommId comm_id = st.setup.id;
+  const CommInfo& info = *st.setup.info;
+  const GpuId dst_gpu = info.gpus[static_cast<std::size_t>(dst_rank)];
+  ProxyEngine* remote = &ctx_->fabric->proxy_for(dst_gpu);
+  const CommId comm_id = info.id;
   const int my_rank = st.setup.rank;
 
   ChunkTransfer t;
-  t.app = st.setup.app;
+  t.app = info.app;
   t.src_gpu = gpu_;
   t.dst_gpu = dst_gpu;
   t.bytes = bytes;
@@ -685,7 +689,7 @@ void ProxyEngine::on_p2p_recv_posted(CommId comm, int dst_rank,
                  dst_gpu] {
     // A kill aborts every rank of the comm, so one check suffices; skipping
     // the copy keeps us off buffers the teardown may have released.
-    if (find_comm(comm_id) == nullptr) return;
+    if (find_comm(comm_id, Late::kIfKilled) == nullptr) return;
     if (ctx_->config.move_data) {
       auto s = ctx_->gpus->gpu(src_gpu).bytes(src, bytes);
       auto d = ctx_->gpus->gpu(dst_gpu).bytes(dst, bytes);
@@ -699,7 +703,7 @@ void ProxyEngine::on_p2p_recv_posted(CommId comm, int dst_rank,
 
 void ProxyEngine::p2p_complete(CommId comm, int peer, std::uint64_t op_index,
                                bool is_send) {
-  CommRank* stp = find_comm(comm);
+  CommRank* stp = find_comm(comm, Late::kIfKilled);
   if (stp == nullptr) return;  // transfer completed into a killed tenant
   auto pit = stp->p2p.find(peer);
   if (pit == stp->p2p.end()) return;
@@ -724,7 +728,7 @@ ProxyEngine::RoundState& ProxyEngine::get_round(CommRank& st, std::uint64_t roun
   auto it = st.rounds.find(round);
   if (it == st.rounds.end()) {
     RoundState rs;
-    rs.values.assign(static_cast<std::size_t>(st.setup.nranks),
+    rs.values.assign(static_cast<std::size_t>(st.setup.info->nranks),
                      std::numeric_limits<std::int64_t>::min());
     it = st.rounds.emplace(round, std::move(rs)).first;
   }
@@ -743,7 +747,7 @@ void ProxyEngine::request_reconfigure(
   // Tolerate a comm torn down before the controller's command landed (kill
   // or destroy racing a reconfiguration); stale rounds for a LIVE comm are
   // still a contract violation below.
-  CommRank* stp = find_comm_for_peer_message(comm);
+  CommRank* stp = find_comm(comm, Late::kIfGone);
   if (stp == nullptr) return;
   CommRank& st = *stp;
   MCCS_EXPECTS(new_strategy != nullptr);
@@ -789,7 +793,7 @@ void ProxyEngine::try_activate(CommRank& st) {
 
 void ProxyEngine::on_control_value(CommId comm, std::uint64_t round,
                                    int origin_rank, std::int64_t value) {
-  CommRank* stp = find_comm_for_peer_message(comm);
+  CommRank* stp = find_comm(comm, Late::kIfGone);
   if (stp == nullptr) return;  // barrier value outlived its communicator
   CommRank& st = *stp;
   if (round <= st.last_applied_round) return;  // late echo of a done round
@@ -798,7 +802,7 @@ void ProxyEngine::on_control_value(CommId comm, std::uint64_t round,
   if (slot == std::numeric_limits<std::int64_t>::min()) {
     slot = value;
     ++rs.values_received;
-    const int succ = (st.setup.rank + 1) % st.setup.nranks;
+    const int succ = (st.setup.rank + 1) % st.setup.info->nranks;
     if (succ != origin_rank) {
       send_control_to_successor(st, round, origin_rank, value);
     }
@@ -808,14 +812,15 @@ void ProxyEngine::on_control_value(CommId comm, std::uint64_t round,
 
 void ProxyEngine::send_control_to_successor(CommRank& st, std::uint64_t round,
                                             int origin, std::int64_t value) {
-  const int succ = (st.setup.rank + 1) % st.setup.nranks;
+  const CommInfo& info = *st.setup.info;
+  const int succ = (st.setup.rank + 1) % info.nranks;
   ProxyEngine* peer =
-      &ctx_->proxy_for(st.setup.gpus[static_cast<std::size_t>(succ)]);
-  const CommId comm = st.setup.id;
-  ctx_->send_control([peer, comm, round, origin, value] {
-                       peer->on_control_value(comm, round, origin, value);
-                     },
-                     0.0);
+      &ctx_->fabric->proxy_for(info.gpus[static_cast<std::size_t>(succ)]);
+  const CommId comm = info.id;
+  ctx_->loop->schedule_after(
+      ctx_->config.control_hop_latency, [peer, comm, round, origin, value] {
+        peer->on_control_value(comm, round, origin, value);
+      });
 }
 
 void ProxyEngine::check_barrier(CommRank& st, std::uint64_t round) {
@@ -824,7 +829,7 @@ void ProxyEngine::check_barrier(CommRank& st, std::uint64_t round) {
   if (it == st.rounds.end()) return;
   RoundState& rs = it->second;
   if (!rs.activated || rs.have_max) return;
-  if (rs.values_received < st.setup.nranks) return;
+  if (rs.values_received < st.setup.info->nranks) return;
   rs.have_max = true;
   rs.max_seq = *std::max_element(rs.values.begin(), rs.values.end());
   // Launch every held collective that must still run under the old
@@ -852,13 +857,13 @@ void ProxyEngine::begin_update(CommRank& st, std::uint64_t round) {
   // Tear down peer-to-peer connections: bump the epoch so re-established
   // connections re-roll their ECMP placement, and pay the setup time.
   ++st.epoch;
-  const CommId comm = st.setup.id;
+  const CommId comm = st.setup.info->id;
   ctx_->loop->schedule_after(ctx_->config.connection_setup_time,
                              [this, comm, round] { finish_update(comm, round); });
 }
 
 void ProxyEngine::finish_update(CommId comm, std::uint64_t round) {
-  CommRank* stp = find_comm_for_peer_message(comm);
+  CommRank* stp = find_comm(comm, Late::kIfGone);
   if (stp == nullptr) return;  // torn down during the connection update
   CommRank& st = *stp;
   auto it = st.rounds.find(round);

@@ -14,6 +14,11 @@
 //    last-launched sequence numbers over the per-communicator control ring,
 //    drains every collective up to the maximum, then tears down and
 //    re-establishes peer connections under the new strategy.
+//
+// The Fabric builds every proxy, hands each the transport of its GPU's NIC,
+// and is the one registry a proxy asks about peers and liveness: the proxy
+// of a peer GPU, and whether a communicator with no rank here is gone or was
+// killed (DESIGN.md §8).
 
 #include <cstddef>
 #include <cstdint>
@@ -21,7 +26,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "collectives/types.h"
@@ -36,14 +40,19 @@
 
 namespace mccs::svc {
 
-/// Everything a proxy needs to serve one rank of a communicator, besides
-/// its strategy.
-struct CommSetup {
+/// One communicator's immutable record: built once when its rendezvous
+/// completes, held by the Fabric's registry and shared by every rank.
+struct CommInfo {
   CommId id;
   AppId app;
-  int rank = 0;
   int nranks = 0;
   std::vector<GpuId> gpus;  ///< by rank
+};
+
+/// One rank of a communicator: the record every rank shares, and the rank.
+struct CommSetup {
+  std::shared_ptr<const CommInfo> info;
+  int rank = 0;
 };
 
 /// A validated collective work request handed over by the frontend engine.
@@ -81,17 +90,19 @@ class ProxyEngine {
   [[nodiscard]] GpuId gpu() const { return gpu_; }
 
   // --- communicator lifecycle -------------------------------------------------
-  /// `strategy` is the one immutable object every rank of the communicator
-  /// shares; the caller (Fabric) has validated it against `setup.nranks`.
-  void install_communicator(const CommSetup& setup,
+  /// `setup.info` and `strategy` are the immutable objects every rank of the
+  /// communicator shares; the caller (Fabric) has validated the strategy
+  /// against the record.
+  void install_communicator(CommSetup setup,
                             std::shared_ptr<const CommStrategy> strategy);
   /// Orderly teardown of an idle communicator rank. Messages from its peer
   /// ranks still in flight for it — chunk deliveries and P2P send
   /// announcements of a peer's operation, barrier rounds it took part in —
   /// are dropped on arrival; the peer's operation then never completes, a
-  /// stall confined to the tenant's own communicator. A rank already
-  /// destroyed here is skipped: a tenant's comm_destroy and the provider's
-  /// destroy_communicator may both tear it down.
+  /// stall confined to the tenant's own communicator. A rank that is not
+  /// installed here while its communicator is gone is skipped: a tenant's
+  /// comm_destroy and the provider's destroy_communicator may both tear it
+  /// down, and a kill may come first.
   void destroy_communicator(CommId comm);
 
   /// Forced teardown (tenant kill): drop the rank's state for `comm`
@@ -99,7 +110,7 @@ class ProxyEngine {
   /// rendezvous, barrier rounds. Completion callbacks of the dropped work
   /// never fire; the communicator stream is freed once the launched
   /// collectives' stream ops drain; late control/data messages
-  /// addressed to the dead communicator are ignored on arrival. Returns the
+  /// addressed to the dead communicator are dropped on arrival. Returns the
   /// number of launched-or-held collectives dropped. No-op (returns 0) if
   /// the communicator is not installed here.
   std::size_t abort_communicator(CommId comm);
@@ -269,7 +280,7 @@ class ProxyEngine {
     explicit CommRank(const CollPlanCache::GpuCounters& plan_counters)
         : plan_cache(plan_counters) {}
 
-    CommSetup setup;
+    CommSetup setup;  ///< the shared record and this rank
     /// Shared with the communicator's other ranks and with the barrier rounds
     /// and control messages that carry the same decision.
     std::shared_ptr<const CommStrategy> strategy;
@@ -304,17 +315,16 @@ class ProxyEngine {
   /// communicator stream and erase the CommRank, so streams track live
   /// comms only.
   void release_comm(std::unordered_map<std::uint32_t, CommRank>::iterator it);
-  /// Tolerant lookup for entry points that can legitimately race with a
-  /// tenant kill (late control messages, in-flight deliveries): null when
-  /// the communicator was torn down by abort_communicator. A comm that was
-  /// never installed here — or went away through the orderly destroy path —
-  /// is still a contract violation (but see find_comm_for_peer_message).
-  CommRank* find_comm(CommId comm);
-  /// find_comm for messages from peer ranks, which may also outlive this
-  /// rank's orderly destroy: chunk deliveries, P2P send announcements and
-  /// the reconfiguration protocol's messages. Null for a comm removed by
-  /// destroy_communicator as well.
-  CommRank* find_comm_for_peer_message(CommId comm);
+  /// Which teardown excuses a message that finds no rank here. Tenant work,
+  /// the rank's own callbacks and the replies its outstanding work awaits
+  /// are late only after a kill. Chunk deliveries, P2P send announcements
+  /// and the reconfiguration protocol's messages are late after any
+  /// teardown: they can outlive this rank's orderly destroy.
+  enum class Late { kIfKilled, kIfGone };
+  /// This GPU's installed rank of `comm`, or null for a message the
+  /// Fabric's registry excuses as late under `late`. Any other message for
+  /// a communicator with no rank here is a contract violation.
+  CommRank* find_comm(CommId comm, Late late);
 
   /// The window entry of `seq`, which must not be completed yet; grows the
   /// window when `seq` lies beyond it.
@@ -361,12 +371,6 @@ class ProxyEngine {
   GpuId gpu_;
   TransportEngine* transport_;
   std::unordered_map<std::uint32_t, CommRank> comms_;
-  /// Tombstones of comms removed by abort_communicator; find_comm tolerates
-  /// exactly these (a killed tenant's in-flight messages are not errors).
-  std::unordered_set<std::uint32_t> aborted_;
-  /// Tombstones of comms removed by destroy_communicator; only late
-  /// messages from peer ranks are excused for these.
-  std::unordered_set<std::uint32_t> destroyed_;
   std::vector<TraceRecord> trace_;
   /// This GPU's plan-cache series, interned once at construction (label:
   /// gpu). Every rank's cache adds into them, so they outlive communicators.

@@ -3,23 +3,22 @@
 #include <algorithm>
 
 #include "mccs/fabric.h"
-#include "mccs/service.h"
 
 namespace mccs::svc {
 
-Shim::Shim(ServiceContext& ctx, Service& service, AppId app, GpuId gpu)
-    : ctx_(&ctx), service_(&service), app_(app), gpu_(gpu) {}
+Shim::Shim(ServiceContext& ctx, AppId app, GpuId gpu, FrontendEngine& frontend,
+           ProxyEngine& proxy)
+    : ctx_(&ctx), app_(app), gpu_(gpu), frontend_(&frontend),
+      queue_(&frontend.command_queue(gpu)), proxy_(&proxy) {}
 
 gpu::DevicePtr Shim::alloc(Bytes size) {
   // Control-path operation: routed through the frontend synchronously (the
   // round-trip latency is irrelevant to the experiments, which measure the
   // collective datapath).
-  return service_->frontend(app_).handle_alloc(gpu_, size);
+  return frontend_->handle_alloc(gpu_, size);
 }
 
-void Shim::free(gpu::DevicePtr ptr) {
-  service_->frontend(app_).handle_free(ptr);
-}
+void Shim::free(gpu::DevicePtr ptr) { frontend_->handle_free(ptr); }
 
 gpu::Stream& Shim::create_app_stream() {
   return ctx_->gpus->gpu(gpu_).create_stream();
@@ -27,7 +26,7 @@ gpu::Stream& Shim::create_app_stream() {
 
 void Shim::comm_init_rank(UniqueId uid, int nranks, int rank,
                           std::function<void(CommId)> on_ready) {
-  Fabric& fabric = service_->fabric();
+  Fabric& fabric = *ctx_->fabric;
   ctx_->loop->schedule_after(
       ctx_->config.shim_to_service_latency,
       [&fabric, uid, nranks, rank, app = app_, gpu = gpu_,
@@ -41,19 +40,18 @@ void Shim::comm_destroy(CommId comm) {
   // rank to leave unregisters the communicator, and the rest must still be
   // able to leave. A communicator the provider killed is dropped. The rank
   // lives until the destroy runs, so its mark refuses a second call.
-  ProxyEngine& proxy = service_->proxy(gpu_);
-  const CommSetup* setup = proxy.installed_rank(comm);
+  const CommSetup* setup = proxy_->installed_rank(comm);
   if (setup == nullptr) return;
-  MCCS_CHECK(setup->app == app_, "communicator of another application");
-  proxy.mark_destroy_requested(comm);
-  Fabric& fabric = service_->fabric();
+  MCCS_CHECK(setup->info->app == app_, "communicator of another application");
+  proxy_->mark_destroy_requested(comm);
+  Fabric& fabric = *ctx_->fabric;
   ctx_->loop->schedule_after(
       ctx_->config.shim_to_service_latency,
       [&fabric, comm, gpu = gpu_] { fabric.destroy_rank(comm, gpu); });
 }
 
 const CommInfo* Shim::own_comm(CommId comm) const {
-  const CommInfo* info = service_->fabric().find_comm_info(comm);
+  const CommInfo* info = ctx_->fabric->find_comm_info(comm);
   if (info == nullptr) return nullptr;
   MCCS_CHECK(info->app == app_, "communicator of another application");
   MCCS_CHECK(std::find(info->gpus.begin(), info->gpus.end(), gpu_) !=
@@ -84,7 +82,7 @@ void Shim::collective(CommId comm, CollectiveArgs args, gpu::Stream& app_stream,
   cmd.comm = comm;
   cmd.gpu = gpu_;
   cmd.request = std::move(req);
-  service_->frontend(app_).command_queue(gpu_).push(std::move(cmd));
+  queue_->push(std::move(cmd));
 }
 
 void Shim::all_reduce(CommId comm, gpu::DevicePtr send, gpu::DevicePtr recv,
@@ -232,7 +230,7 @@ void Shim::p2p(CommId comm, int peer, bool is_send, gpu::DevicePtr buffer,
   cmd.comm = comm;
   cmd.gpu = gpu_;
   cmd.request = std::move(req);
-  service_->frontend(app_).command_queue(gpu_).push(std::move(cmd));
+  queue_->push(std::move(cmd));
 }
 
 }  // namespace mccs::svc

@@ -11,21 +11,21 @@
 // the communication.
 
 #include <functional>
-#include <unordered_map>
 
 #include "common/ids.h"
 #include "gpusim/runtime.h"
 #include "mccs/api.h"
 #include "mccs/context.h"
+#include "mccs/frontend_engine.h"
 
 namespace mccs::svc {
 
-class Service;
-struct CommInfo;
-
 class Shim {
  public:
-  Shim(ServiceContext& ctx, Service& service, AppId app, GpuId gpu);
+  /// Built by Fabric::connect: the application's frontend on the GPU's host,
+  /// which owns the shim's command queue, and the GPU's proxy.
+  Shim(ServiceContext& ctx, AppId app, GpuId gpu, FrontendEngine& frontend,
+       ProxyEngine& proxy);
 
   Shim(const Shim&) = delete;
   Shim& operator=(const Shim&) = delete;
@@ -112,9 +112,11 @@ class Shim {
            CompletionCallback on_complete);
 
   ServiceContext* ctx_;
-  Service* service_;
   AppId app_;
   GpuId gpu_;
+  FrontendEngine* frontend_;
+  CommandQueue<ShimCommand>* queue_;
+  ProxyEngine* proxy_;
 };
 
 }  // namespace mccs::svc

@@ -50,48 +50,6 @@ std::string trace_to_json_lines(const std::vector<TraceRecord>& records) {
   return out;
 }
 
-std::string comm_info_to_json(const CommInfo& info, const CommStrategy& strategy) {
-  std::string out = "{";
-  append_kv(out, "comm", std::to_string(info.id.get()), false, true);
-  append_kv(out, "app", std::to_string(info.app.get()), false);
-  append_kv(out, "nranks", std::to_string(info.nranks), false);
-  out += ",\"gpus\":[";
-  for (std::size_t r = 0; r < info.gpus.size(); ++r) {
-    if (r > 0) out += ",";
-    out += std::to_string(info.gpus[r].get());
-  }
-  out += "]";
-  append_kv(out, "algorithm", coll::algorithm_name(strategy.algorithm), true);
-  append_kv(out, "channels", std::to_string(strategy.num_channels()), false);
-  out += ",\"channel_orders\":[";
-  for (std::size_t c = 0; c < strategy.channel_orders.size(); ++c) {
-    if (c > 0) out += ",";
-    out += "[";
-    const auto& order = strategy.channel_orders[c].order();
-    for (std::size_t p = 0; p < order.size(); ++p) {
-      if (p > 0) out += ",";
-      out += std::to_string(order[p]);
-    }
-    out += "]";
-  }
-  out += "]";
-  append_kv(out, "explicit_routes", std::to_string(strategy.routes.size()), false);
-  out += "}";
-  return out;
-}
-
-std::string management_snapshot_json(Fabric& fabric) {
-  std::string out = "[";
-  bool first = true;
-  for (const CommInfo& info : fabric.list_communicators()) {
-    if (!first) out += ",";
-    first = false;
-    out += comm_info_to_json(info, fabric.strategy_of(info.id));
-  }
-  out += "]";
-  return out;
-}
-
 std::string chrome_trace_json(Fabric& fabric) {
   // Collective records become "proxy" spans on per-(comm, rank) tracks in a
   // side timeline merged with the runtime one under a disjoint pid block.

@@ -1,9 +1,11 @@
 #pragma once
 // Provider observability tooling on top of the management API (§4.3): export
-// collective traces and communicator state as JSON lines, the format an
-// external controller, dashboard, or offline profiler would ingest; plus the
-// Chrome trace-event export that merges the fabric's telemetry timeline with
-// the collective TraceRecords into one file Perfetto loads directly.
+// collective traces as JSON lines, the format an external controller,
+// dashboard, or offline profiler would ingest; plus the Chrome trace-event
+// export that merges the fabric's telemetry timeline with the collective
+// TraceRecords into one file Perfetto loads directly. Communicator state
+// (placement, strategy, progress) is one surface: the `comms` entries of
+// Fabric::telemetry_snapshot().
 //
 // Writing JSON by hand (no third-party dependency) keeps the repository
 // self-contained; string escaping and shortest-round-trip double formatting
@@ -23,13 +25,6 @@ std::string trace_record_to_json(const TraceRecord& record);
 
 /// All records as JSON-lines text (one object per line).
 std::string trace_to_json_lines(const std::vector<TraceRecord>& records);
-
-/// A communicator's provider-visible state: placement + current strategy.
-std::string comm_info_to_json(const CommInfo& info, const CommStrategy& strategy);
-
-/// Full management snapshot of a fabric: every communicator with its
-/// strategy, as a JSON array.
-std::string management_snapshot_json(Fabric& fabric);
 
 /// The fabric's whole run as one Chrome trace-event JSON document: every
 /// telemetry timeline event (frontend/transport/netsim/policy spans, policy

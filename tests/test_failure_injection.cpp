@@ -385,6 +385,63 @@ TEST(FaultRecovery, TenantKillDuringBarrierDrainsAndOthersComplete) {
               fabric.list_communicators().front().id == comm_b);
 }
 
+TEST(FaultRecovery, KillDropsTheAppsRendezvous) {
+  // A kill also reaches a communicator not installed yet: a rendezvous that
+  // every rank joined, whose install is bootstrap_latency away, and one still
+  // waiting for a rank, which a join landing after the kill must not
+  // complete. Neither installs anything or fires on_ready, and another
+  // tenant's communicator, created afterwards, sums exactly.
+  for (const bool all_joined : {true, false}) {
+    SCOPED_TRACE(all_joined ? "both ranks joined" : "one rank joined");
+    Fabric fabric{cluster::make_testbed()};
+    const AppId app{1};
+    const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}};
+    std::vector<std::size_t> streams;
+    for (GpuId g : gpus) streams.push_back(fabric.gpus().gpu(g).stream_count());
+    const svc::UniqueId uid = fabric.new_unique_id();
+    int ready = 0;
+    const auto join = [&](int rank) {
+      fabric.connect(app, gpus[static_cast<std::size_t>(rank)])
+          .comm_init_rank(uid, 2, rank, [&ready](CommId) { ++ready; });
+    };
+    join(0);
+    if (all_joined) join(1);
+    fabric.loop().run_until(fabric.loop().now() + micros(100));
+    fabric.kill_app(app);
+    if (!all_joined) join(1);
+    fabric.loop().run();
+    EXPECT_EQ(ready, 0);
+    EXPECT_TRUE(fabric.list_communicators().empty());
+    for (std::size_t r = 0; r < gpus.size(); ++r) {
+      EXPECT_FALSE(fabric.proxy_for(gpus[r]).has_communicator(CommId{0}));
+      EXPECT_EQ(fabric.gpus().gpu(gpus[r]).stream_count(), streams[r]);
+    }
+
+    const AppId other{2};
+    const std::vector<GpuId> other_gpus{GpuId{1}, GpuId{3}};
+    const CommId comm = create_comm(fabric, other, other_gpus);
+    auto ranks = make_ranks(fabric, other, other_gpus);
+    const std::size_t count = 512;
+    std::vector<gpu::DevicePtr> buf(other_gpus.size());
+    int remaining = static_cast<int>(other_gpus.size());
+    for (std::size_t r = 0; r < other_gpus.size(); ++r) {
+      buf[r] = ranks[r].shim->alloc(count * sizeof(float));
+      for (auto& x : fabric.gpus().typed<float>(buf[r], count)) {
+        x = static_cast<float>(r + 1);
+      }
+      ranks[r].shim->all_reduce(comm, buf[r], buf[r], count, DataType::kFloat32,
+                                ReduceOp::kSum, *ranks[r].stream,
+                                [&remaining](Time) { --remaining; });
+    }
+    ASSERT_TRUE(await(fabric, remaining));
+    for (std::size_t r = 0; r < other_gpus.size(); ++r) {
+      for (const float x : fabric.gpus().typed<float>(buf[r], count)) {
+        ASSERT_EQ(x, 3.0f);
+      }
+    }
+  }
+}
+
 TEST(FaultRecovery, FaultedTenantLeavesIntraHostTenantTimingUntouched) {
   // Victim isolation, measured end to end: tenant B is intra-host (GPUs 2,3
   // on host 1 — shared-memory channel only, zero link sharing with anyone).

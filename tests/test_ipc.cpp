@@ -134,7 +134,7 @@ TEST(IpcIntegration, BackToBackIssuesShareOneDoorbell) {
           [&remaining](Time) { --remaining; });
     }
   }
-  auto& queue = fabric.service(HostId{0}).frontend(app).command_queue(GpuId{0});
+  auto& queue = fabric.frontend(app, HostId{0}).command_queue(GpuId{0});
   EXPECT_EQ(queue.depth(), 3u);
   ASSERT_TRUE(test::await(fabric, remaining));
   EXPECT_EQ(queue.depth(), 0u);

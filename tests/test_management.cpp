@@ -63,19 +63,6 @@ TEST(TraceExport, JsonLinesHasOneLinePerRecord) {
   EXPECT_EQ(static_cast<int>(std::count(lines.begin(), lines.end(), '\n')), 4);
 }
 
-TEST(TraceExport, ManagementSnapshotListsEveryCommunicator) {
-  Fabric fabric{cluster::make_testbed()};
-  create_comm(fabric, AppId{1}, {GpuId{0}, GpuId{4}});
-  create_comm(fabric, AppId{2}, {GpuId{1}, GpuId{5}});
-  const std::string snap = svc::management_snapshot_json(fabric);
-  EXPECT_EQ(snap.front(), '[');
-  EXPECT_EQ(snap.back(), ']');
-  EXPECT_NE(snap.find("\"comm\":0"), std::string::npos);
-  EXPECT_NE(snap.find("\"comm\":1"), std::string::npos);
-  EXPECT_NE(snap.find("\"algorithm\":\"ring\""), std::string::npos);
-  EXPECT_NE(snap.find("\"channel_orders\":[[0,1]"), std::string::npos);
-}
-
 // --- channel-order properties -------------------------------------------------
 
 TEST(ChannelOrders, EveryChannelIsAPermutation) {
@@ -355,6 +342,61 @@ TEST(CommLifecycle, ReconfigurationAllocationsDoNotScaleWithRoutes) {
     return allocs.count();
   };
   EXPECT_EQ(reconfigure_allocations(16), reconfigure_allocations(32));
+}
+
+TEST(CommLifecycle, WarmTeardownAllocatesNothing) {
+  // A teardown frees a communicator's state and records nothing per rank,
+  // on the tenant's path (every rank's comm_destroy) and on the provider's
+  // (destroy_communicator). One create, AllReduce and destroy cycle first
+  // grows the event loop and the tables to their steady sizes.
+  svc::Fabric fabric{cluster::make_testbed()};
+  const AppId app{1};
+  const std::vector<GpuId> gpus{GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+  auto ranks = test::make_ranks(fabric, app, gpus);
+  const std::size_t count = 256;
+  std::vector<gpu::DevicePtr> buf(gpus.size());
+  for (std::size_t r = 0; r < gpus.size(); ++r) {
+    buf[r] = ranks[r].shim->alloc(count * sizeof(float));
+  }
+  const auto create_and_all_reduce = [&] {
+    const CommId comm = test::create_comm(fabric, app, gpus);
+    int remaining = static_cast<int>(gpus.size());
+    for (std::size_t r = 0; r < gpus.size(); ++r) {
+      ranks[r].shim->all_reduce(comm, buf[r], buf[r], count,
+                                coll::DataType::kFloat32, coll::ReduceOp::kSum,
+                                *ranks[r].stream,
+                                [&remaining](Time) { --remaining; });
+    }
+    EXPECT_TRUE(test::await(fabric, remaining));
+    fabric.loop().run();
+    return comm;
+  };
+  const auto destroy_every_rank = [&](CommId comm) {
+    for (const test::RankCtx& rank : ranks) rank.shim->comm_destroy(comm);
+    fabric.loop().run();
+  };
+  destroy_every_rank(create_and_all_reduce());  // warm-up
+
+  [[maybe_unused]] std::uint64_t tenant = 0;
+  [[maybe_unused]] std::uint64_t provider = 0;
+  CommId comm = create_and_all_reduce();
+  {
+    test::AllocationCounter allocs;
+    destroy_every_rank(comm);
+    tenant = allocs.count();
+  }
+  comm = create_and_all_reduce();
+  {
+    test::AllocationCounter allocs;
+    fabric.destroy_communicator(comm);
+    fabric.loop().run();
+    provider = allocs.count();
+  }
+  EXPECT_TRUE(fabric.list_communicators().empty());
+#if !defined(MCCS_UNDER_SANITIZER)
+  EXPECT_EQ(tenant, 0u) << "the tenant's teardown allocated";
+  EXPECT_EQ(provider, 0u) << "the provider's teardown allocated";
+#endif
 }
 
 }  // namespace

@@ -281,15 +281,15 @@ TEST(PlanCacheKey, SameEpochAlgorithmSwapNeverServesTheStalePlan) {
   // only in tree pipeline chunks, it drops them and compiles, so it never
   // serves the previous strategy's plan; handed the same object, it hits.
   const cluster::Cluster cl = cluster::make_testbed();
-  svc::CommSetup setup;
-  setup.id = CommId{7};
-  setup.app = AppId{1};
-  setup.nranks = 4;
-  setup.gpus = {GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
-  setup.rank = 1;
+  svc::CommInfo info;
+  info.id = CommId{7};
+  info.app = AppId{1};
+  info.nranks = 4;
+  info.gpus = {GpuId{0}, GpuId{2}, GpuId{4}, GpuId{6}};
+  const svc::CommSetup setup{std::make_shared<const svc::CommInfo>(info), 1};
   const std::vector<int> base = {0, 1, 2, 3};
   CommStrategy ring;
-  ring.channel_orders = svc::make_channel_orders(base, setup.gpus, cl, 1);
+  ring.channel_orders = svc::make_channel_orders(base, info.gpus, cl, 1);
   CommStrategy tree = ring;
   tree.algorithm = coll::Algorithm::kTree;
   CommStrategy tree_fine = tree;
@@ -355,12 +355,13 @@ TEST(PlanCacheProperty, CachedPlanEqualsFreshBuildOverRandomShapes) {
     const auto& gpus = comm_shapes[rng.below(comm_shapes.size())];
     const int nranks = static_cast<int>(gpus.size());
 
-    svc::CommSetup setup;
-    setup.id = CommId{static_cast<std::uint32_t>(trial)};
-    setup.app = AppId{1};
-    setup.nranks = nranks;
-    setup.gpus = gpus;
-    setup.rank = static_cast<int>(rng.below(nranks));
+    svc::CommInfo info;
+    info.id = CommId{static_cast<std::uint32_t>(trial)};
+    info.app = AppId{1};
+    info.nranks = nranks;
+    info.gpus = gpus;
+    const svc::CommSetup setup{std::make_shared<const svc::CommInfo>(info),
+                               static_cast<int>(rng.below(nranks))};
 
     std::vector<int> base(nranks);
     for (int r = 0; r < nranks; ++r) base[r] = r;

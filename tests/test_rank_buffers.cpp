@@ -82,12 +82,13 @@ TEST(RankBuffersProperty, EveryPlanRangeLiesInsideItsBuffer) {
               ASSERT_EQ(b.copy.len, b.recv);
               continue;
             }
-            svc::CommSetup setup;
-            setup.id = CommId{1};
-            setup.app = AppId{1};
-            setup.nranks = n;
-            setup.rank = rank;
-            setup.gpus = gpus;
+            svc::CommInfo info;
+            info.id = CommId{1};
+            info.app = AppId{1};
+            info.nranks = n;
+            info.gpus = gpus;
+            const svc::CommSetup setup{
+                std::make_shared<const svc::CommInfo>(info), rank};
             for (const coll::Algorithm algo :
                  coll::selectable_algorithms(kind)) {
               for (const int channels : {1, 2}) {

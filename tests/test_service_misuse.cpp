@@ -405,12 +405,6 @@ TEST_F(MisuseFixture, MalformedReconfigurationIsRejectedAtTheCall) {
   EXPECT_TRUE(fabric.strategy_of(comm) == reversed);
 }
 
-TEST_F(MisuseFixture, ConnectRejectsGpuOnAnotherHost) {
-  // Service of host 0 cannot hand out a shim for host 1's GPU.
-  EXPECT_THROW(fabric.service(HostId{0}).connect(app, GpuId{2}),
-               ContractViolation);
-}
-
 TEST_F(MisuseFixture, GpuMemoryIsolationIsEnforced) {
   // Timing-only allocations refuse byte access (defence against benches
   // silently reading unmaterialized memory).

@@ -698,6 +698,31 @@ TEST(TelemetryService, SnapshotEndpointParsesAndCoversSubsystems) {
   }
 }
 
+TEST(TraceExport, ManagementSnapshotListsEveryCommunicator) {
+  // The snapshot's comms entries are the provider's one communicator view:
+  // placement, installed strategy and per-rank progress.
+  Fabric fabric{cluster::make_testbed()};
+  create_comm(fabric, AppId{1}, {GpuId{0}, GpuId{4}});
+  create_comm(fabric, AppId{2}, {GpuId{1}, GpuId{5}});
+  const JsonValue v = parse_json(fabric.telemetry_snapshot());
+  const JsonValue& comms = v.at("comms");
+  ASSERT_EQ(comms.kind, JsonValue::kArray);
+  ASSERT_EQ(comms.items.size(), 2u);
+  for (std::size_t c = 0; c < comms.items.size(); ++c) {
+    const JsonValue& comm = comms.items[c];
+    EXPECT_EQ(comm.at("id").number, static_cast<double>(c));
+    EXPECT_EQ(comm.at("algorithm").text, "ring");
+    const JsonValue& orders = comm.at("channel_orders");
+    ASSERT_EQ(orders.kind, JsonValue::kArray);
+    ASSERT_FALSE(orders.items.empty());
+    const JsonValue& first = orders.items[0];
+    ASSERT_EQ(first.items.size(), 2u);
+    EXPECT_EQ(first.items[0].number, 0.0);
+    EXPECT_EQ(first.items[1].number, 1.0);
+    EXPECT_EQ(comm.at("explicit_routes").number, 0.0);
+  }
+}
+
 // --- trace bookkeeping regression ---------------------------------------------
 
 TEST(TelemetryTraceIndex, TenThousandCollectivesStayLinear) {
