@@ -357,6 +357,7 @@ workload::ChaosChurnSpec chaos_retention_spec() {
 struct ChaosAgg {
   int seeds = 0;
   std::size_t events = 0;
+  std::size_t solves = 0;
   std::size_t violations = 0;  ///< seeds where any invariant failed
   std::size_t divergent = 0;
   double retention_sum = 0.0;
@@ -371,6 +372,7 @@ struct ChaosAgg {
   void add(const workload::ChaosChurnResult& r) {
     ++seeds;
     events += r.events;
+    solves += r.solves;
     if (!r.ok()) ++violations;
     divergent += r.divergent_events;
     retention_sum += r.goodput_retention;
@@ -384,6 +386,11 @@ struct ChaosAgg {
   }
   [[nodiscard]] double retention_mean() const {
     return seeds > 0 ? retention_sum / seeds : 1.0;
+  }
+  [[nodiscard]] double solves_per_event() const {
+    return events > 0 ? static_cast<double>(solves) /
+                            static_cast<double>(events)
+                      : 0.0;
   }
 };
 
@@ -486,13 +493,15 @@ void run_soak(std::FILE* json, const Scale& scale4k) {
   std::fprintf(
       json,
       "{\"bench\":\"chaos_soak\",\"gpus\":4096,\"quarters\":%d,"
-      "\"virtual_hours\":%.1f,\"events\":%zu,\"violations\":%zu,"
+      "\"virtual_hours\":%.1f,\"events\":%zu,\"solves_per_event\":%.4f,"
+      "\"violations\":%zu,"
       "\"divergent_events\":%zu,\"audits\":%llu,\"audit_mismatches\":%llu,"
       "\"fallbacks\":%llu,\"poisons_engaged\":%d,\"poisons_healed\":%s,"
       "\"rss_q1_mib\":%.1f,\"rss_end_mib\":%.1f,"
       "\"rss_growth_frac\":%.4f,\"registry_size\":%zu,"
       "\"registry_growth\":%lld}\n",
-      kQuarters, virtual_hours, agg.events, agg.violations, agg.divergent,
+      kQuarters, virtual_hours, agg.events, agg.solves_per_event(),
+      agg.violations, agg.divergent,
       static_cast<unsigned long long>(agg.audits),
       static_cast<unsigned long long>(agg.mismatches),
       static_cast<unsigned long long>(agg.fallbacks), poisons_engaged,

@@ -168,7 +168,7 @@ TABLE = [
         "chaos_summary": keys("bench retention_reconfig retention_rehash "
                               "loss_ratio_rehash_vs_reconfig violations"),
         "chaos_soak": keys("bench gpus quarters virtual_hours events "
-                           "violations divergent_events audits "
+                           "solves_per_event violations divergent_events audits "
                            "audit_mismatches fallbacks poisons_engaged "
                            "poisons_healed rss_q1_mib rss_end_mib "
                            "rss_growth_frac registry_size registry_growth"),

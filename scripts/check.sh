@@ -53,7 +53,7 @@ chaos_churn_sweep() {
   for threads in 1 8; do
     echo "== chaos-under-churn sweep (${seeds} seeds, MCCS_THREADS=${threads}) =="
     time MCCS_THREADS="${threads}" MCCS_CHAOS_CHURN_SEEDS="${seeds}" "$tests_bin" \
-      --gtest_filter='*ChaosChurn*:*LinkChangeLog*:*ControllerRestart*:*IncrementalAssignAudit*' \
+      --gtest_filter='*ChaosChurn*:*ControllerRestart*:*IncrementalAssignAudit*' \
       --gtest_brief=1
   done
 }
@@ -79,12 +79,13 @@ if [[ -n "${SANITIZE:-}" ]]; then
   time cmake --build build-san -j "$(nproc)" --target mccs_tests
   time (cd build-san && ctest --output-on-failure -j "$(nproc)")
   chaos_sweep build-san/tests/mccs_tests
-  # The chaos composition (faults + kills + backpressure + audit fallback +
-  # restart recovery) stresses exactly the teardown/rebuild lifetimes the
-  # sanitizers exist for; a trimmed sweep is seconds-scale even instrumented.
+  # The chaos composition (faults + kills + backpressure + audit fallback)
+  # and the controller-restart tests stress exactly the teardown/rebuild
+  # lifetimes the sanitizers exist for; a trimmed sweep is seconds-scale even
+  # instrumented.
   echo "== chaos-under-churn (sanitized) =="
   time MCCS_CHAOS_CHURN_SEEDS=20 build-san/tests/mccs_tests \
-    --gtest_filter='*ChaosChurn*:*LinkChangeLog*:*ControllerRestart*' \
+    --gtest_filter='*ChaosChurn*:*ControllerRestart*' \
     --gtest_brief=1
   echo "ALL CHECKS PASSED (sanitized: ${SANITIZE})"
   exit 0

@@ -154,12 +154,12 @@ void Fabric::finish_bootstrap(UniqueId uid) {
   }
 }
 
-std::vector<CommInfo> Fabric::list_communicators() const {
-  std::vector<CommInfo> out;
+CommRecords Fabric::list_communicators() const {
+  CommRecords out;
   out.reserve(comms_.size());
-  for (const auto& [id, entry] : comms_) out.push_back(*entry.info);
+  for (const auto& [id, entry] : comms_) out.push_back(entry.info);
   std::sort(out.begin(), out.end(),
-            [](const CommInfo& a, const CommInfo& b) { return a.id < b.id; });
+            [](const auto& a, const auto& b) { return a->id < b->id; });
   return out;
 }
 
@@ -343,7 +343,8 @@ std::string Fabric::telemetry_snapshot() {
 
   out += ",\"comms\":[";
   first = true;
-  for (const CommInfo& info : list_communicators()) {
+  for (const auto& record : list_communicators()) {
+    const CommInfo& info = *record;
     if (!first) out += ',';
     first = false;
     out += "{\"id\":" + std::to_string(info.id.get());

@@ -43,6 +43,9 @@
 
 namespace mccs::svc {
 
+/// The registry's communicator records, ascending id (list_communicators).
+using CommRecords = std::vector<std::shared_ptr<const CommInfo>>;
+
 /// What a tenant kill tore down (observability for tests and chaos runs).
 struct KillReport {
   AppId app{};
@@ -98,7 +101,10 @@ class Fabric {
   void destroy_rank(CommId comm, GpuId gpu);
 
   // --- management API (§4.3) --------------------------------------------------------
-  [[nodiscard]] std::vector<CommInfo> list_communicators() const;
+  /// Every live communicator's one record, ascending id. The records are
+  /// shared, not copied, and immutable; holding one keeps it valid after
+  /// its communicator leaves the registry.
+  [[nodiscard]] CommRecords list_communicators() const;
   [[nodiscard]] const CommInfo& comm_info(CommId comm) const;
 
   /// Tolerant lookup for datapath races: null when the communicator was torn

@@ -10,10 +10,6 @@ namespace {
 
 constexpr double kRateEpsilon = 1e-9;  // bytes/s below which a rate is "zero"
 
-// Acknowledged-by-everyone entries are trimmed from the link-change log in
-// batches of this size (amortises the front erase).
-constexpr std::size_t kLinkChangeTrimBatch = 1024;
-
 }  // namespace
 
 /// Weighted max-min fair allocation with per-flow caps (progressive filling),
@@ -481,67 +477,6 @@ std::vector<FlowId> Network::active_flows() const {
   return out;
 }
 
-int Network::register_link_change_consumer() {
-  link_change_cursors_.push_back(link_change_base_);
-  return static_cast<int>(link_change_cursors_.size() - 1);
-}
-
-Network::LinkChangeRegistration Network::register_link_change_consumer_at(
-    std::size_t cursor) {
-  MCCS_EXPECTS(cursor <= link_change_end());
-  LinkChangeRegistration reg;
-  if (cursor < link_change_base_) {
-    // The history the resume needs is gone: refuse the registration instead
-    // of starting at base and silently skipping [cursor, base).
-    reg.trimmed = true;
-    reg.gap = TrimmedHistory{cursor, link_change_base_};
-    return reg;
-  }
-  link_change_cursors_.push_back(cursor);
-  reg.consumer = static_cast<int>(link_change_cursors_.size() - 1);
-  return reg;
-}
-
-void Network::unregister_link_change_consumer(int consumer) {
-  MCCS_EXPECTS(consumer >= 0 &&
-               static_cast<std::size_t>(consumer) < link_change_cursors_.size());
-  std::size_t& cursor = link_change_cursors_[static_cast<std::size_t>(consumer)];
-  MCCS_EXPECTS(cursor != kReleasedCursor);
-  cursor = kReleasedCursor;
-  // The released cursor may have been the trim bottleneck.
-  maybe_trim_link_changes();
-}
-
-void Network::ack_link_changes(int consumer, std::size_t upto) {
-  MCCS_EXPECTS(consumer >= 0 &&
-               static_cast<std::size_t>(consumer) < link_change_cursors_.size());
-  MCCS_EXPECTS(upto <= link_change_end());
-  std::size_t& cursor = link_change_cursors_[consumer];
-  MCCS_EXPECTS(cursor != kReleasedCursor);
-  if (upto <= cursor) return;
-  cursor = upto;
-  maybe_trim_link_changes();
-}
-
-void Network::maybe_trim_link_changes() {
-  // Keep the log whole when no consumer is live: late (or restarting)
-  // consumers must still be able to observe every change. Released cursors
-  // no longer pin anything.
-  std::size_t min_ack = link_change_end();
-  bool any_live = false;
-  for (std::size_t c : link_change_cursors_) {
-    if (c == kReleasedCursor) continue;
-    any_live = true;
-    min_ack = std::min(min_ack, c);
-  }
-  if (!any_live) return;
-  const std::size_t drop = min_ack - link_change_base_;
-  if (drop < kLinkChangeTrimBatch) return;
-  link_changes_.erase(link_changes_.begin(),
-                      link_changes_.begin() + static_cast<std::ptrdiff_t>(drop));
-  link_change_base_ = min_ack;
-}
-
 void Network::set_link_state(LinkId id, LinkState state, double capacity_fraction) {
   MCCS_EXPECTS(id.get() < links_.size());
   double scale = 1.0;
@@ -560,7 +495,6 @@ void Network::set_link_state(LinkId id, LinkState state, double capacity_fractio
   if (link_states_[id.get()] == state && capacity_scale_[id.get()] == scale) return;
   link_states_[id.get()] = state;
   capacity_scale_[id.get()] = scale;
-  link_changes_.push_back(LinkChange{id, state, scale, loop_->now()});
   // The link is its own seed: every flow crossing it (and their bottleneck
   // component) re-solves; everyone else keeps their rates and events.
   const LinkId seed = id;

@@ -95,19 +95,10 @@ struct FlowSpec {
 /// stall at rate zero (no completion event) until the link recovers or the
 /// flow is cancelled — never a silent completion. A degraded link keeps a
 /// fraction of its nominal capacity; the rescale flows through the same
-/// incremental max-min path as any other flow-set change.
+/// incremental max-min path as any other flow-set change. The control plane
+/// does not read it: placement steers around a link only once the
+/// controller has confirmed it failed (policy::Controller::mark_link_failed).
 enum class LinkState { kUp, kDegraded, kDown };
-
-/// One administrative link-state transition, in the order it was applied.
-/// The bounded log lets control-plane consumers (the incremental flow
-/// assigner) learn exactly which links changed since their last look —
-/// a change-set export, so re-solve work scales with events, not links.
-struct LinkChange {
-  LinkId link{};
-  LinkState state = LinkState::kUp;
-  double capacity_fraction = 1.0;
-  Time at = 0.0;
-};
 
 /// Structured outcome of a max-min solve that could not make progress (a
 /// pathological capacity state, e.g. a weight so small the share-per-weight
@@ -188,8 +179,8 @@ class Network {
   // A solve batch coalesces every flow-set mutation issued at one virtual
   // instant into a single component discovery + max-min solve at batch
   // close. Inside a batch, start/cancel/pause/resume/set_link_state apply
-  // their structural change immediately (indexes, the link-change log,
-  // tombstones) but defer the re-solve, accumulating the union of dirty
+  // their structural change immediately (indexes, link state, tombstones)
+  // but defer the re-solve, accumulating the union of dirty
   // seed links; rates read mid-batch are the pre-batch ones. Batches nest
   // (the outermost close solves) and MUST NOT span virtual time: the
   // zero-elapsed-time identity argument — intermediate rates transfer zero
@@ -290,71 +281,6 @@ class Network {
   [[nodiscard]] double link_capacity_fraction(LinkId id) const {
     MCCS_EXPECTS(id.get() < capacity_scale_.size());
     return capacity_scale_[id.get()];
-  }
-
-  // --- link-change log -------------------------------------------------------
-  // Every effective set_link_state in application order (no-op calls are not
-  // logged), addressed by a monotone absolute index that survives trimming.
-  // Consumers register a cursor and acknowledge what they have processed;
-  // entries acknowledged by *every* consumer are trimmed in batches, so the
-  // log's memory is bounded by the slowest consumer's lag (soak-tested over
-  // ~10k flaps). With no registered consumer the log is kept whole, so a
-  // consumer that registers late (the controller enables incremental mode
-  // mid-run) still observes every change since construction.
-
-  /// Register a consumer whose cursor starts at the oldest retained entry.
-  [[nodiscard]] int register_link_change_consumer();
-
-  /// A cursor-resume request that landed below the oldest retained entry:
-  /// the history between `requested` and `earliest` was trimmed away, so a
-  /// warm resume is impossible. Returned (never silently absorbed) so the
-  /// consumer can rebuild from scratch instead of replaying with a gap.
-  struct TrimmedHistory {
-    std::size_t requested = 0;  ///< the cursor the consumer asked for
-    std::size_t earliest = 0;   ///< oldest absolute index still retained
-  };
-  struct LinkChangeRegistration {
-    int consumer = -1;  ///< valid only when !trimmed
-    bool trimmed = false;
-    TrimmedHistory gap;  ///< meaningful only when trimmed
-    [[nodiscard]] bool ok() const { return !trimmed; }
-  };
-  /// Register a consumer resuming at an absolute cursor (crash/restart
-  /// recovery: the cursor comes from the dead consumer's snapshot). Succeeds
-  /// iff every entry from `cursor` onward is still retained; otherwise the
-  /// registration is REFUSED with the trimmed-history gap — the caller must
-  /// rebuild its derived state cold rather than replay across a hole.
-  /// `cursor` may not exceed link_change_end().
-  [[nodiscard]] LinkChangeRegistration register_link_change_consumer_at(
-      std::size_t cursor);
-  /// Release a consumer's cursor (clean shutdown or lease expiry after a
-  /// crash) so it no longer pins the log against trimming. The consumer id
-  /// is dead afterwards; released slots are never reused.
-  void unregister_link_change_consumer(int consumer);
-  /// One past the newest change's absolute index.
-  [[nodiscard]] std::size_t link_change_end() const {
-    return link_change_base_ + link_changes_.size();
-  }
-  /// Entry by absolute index; must be >= the consumer's acknowledged cursor
-  /// (trimming never outruns the slowest cursor).
-  [[nodiscard]] const LinkChange& link_change(std::size_t abs_index) const {
-    MCCS_EXPECTS(abs_index >= link_change_base_ &&
-                 abs_index < link_change_end());
-    return link_changes_[abs_index - link_change_base_];
-  }
-  /// The consumer's acknowledged cursor — the absolute index to resume from.
-  [[nodiscard]] std::size_t link_change_cursor(int consumer) const {
-    MCCS_EXPECTS(consumer >= 0 && static_cast<std::size_t>(consumer) <
-                                      link_change_cursors_.size());
-    MCCS_EXPECTS(link_change_cursors_[static_cast<std::size_t>(consumer)] !=
-                 kReleasedCursor);
-    return link_change_cursors_[static_cast<std::size_t>(consumer)];
-  }
-  /// Mark entries below `upto` as processed by `consumer`; may trim.
-  void ack_link_changes(int consumer, std::size_t upto);
-  /// Entries currently held in memory (bounded-growth soak assertions).
-  [[nodiscard]] std::size_t link_changes_retained() const {
-    return link_changes_.size();
   }
 
   /// Observer for unsatisfiable allocations (see AllocationError). Invoked
@@ -536,8 +462,6 @@ class Network {
   /// same-instant completion cascade instead of one per flow.
   void drain_completion_cohort(std::uint32_t idx);
 
-  void maybe_trim_link_changes();
-
   /// Timeline span for a flow that just left the network (delivered or
   /// cancelled). No-op unless telemetry is enabled.
   void emit_flow_span(std::uint32_t slot, bool completed);
@@ -575,16 +499,6 @@ class Network {
   std::vector<LinkIndex> links_;
   std::vector<LinkState> link_states_;
   std::vector<double> capacity_scale_;  ///< effective = nominal * scale
-
-  // Bounded change-set export (see the link-change log section above).
-  /// Sentinel for a released consumer slot: skipped by the min-ack trim scan
-  /// and rejected by cursor reads/acks. Slots are never reused, so a stale
-  /// consumer id from before a release fails loudly instead of aliasing.
-  static constexpr std::size_t kReleasedCursor =
-      static_cast<std::size_t>(-1);
-  std::vector<LinkChange> link_changes_;
-  std::size_t link_change_base_ = 0;  ///< absolute index of link_changes_[0]
-  std::vector<std::size_t> link_change_cursors_;  ///< per-consumer acks
 
   std::function<void(const AllocationError&)> allocation_error_handler_;
   std::uint64_t allocation_error_count_ = 0;

@@ -16,9 +16,8 @@ int controller_track(svc::Fabric& fabric) {
 }  // namespace
 
 Controller::~Controller() {
-  if (link_change_consumer_ >= 0) {
-    fabric_->network().unregister_link_change_consumer(link_change_consumer_);
-  }
+  if (attached_) fabric_->set_strategy_provider(nullptr);
+  if (fault_recovery_) fabric_->set_stall_handler(nullptr);
 }
 
 IncrementalAssigner& Controller::warm_assigner() {
@@ -30,60 +29,19 @@ IncrementalAssigner& Controller::warm_assigner() {
 }
 
 Controller::ControllerSnapshot Controller::snapshot() const {
-  ControllerSnapshot snap;
-  net::Network& network = fabric_->network();
-  snap.link_change_cursor =
-      link_change_consumer_ >= 0
-          ? network.link_change_cursor(link_change_consumer_)
-          : network.link_change_end();
-  snap.failed_links = failed_links_;
-  if (assigner_ != nullptr) snap.assignments = assigner_->assignments();
-  return snap;
+  return ControllerSnapshot{failed_links_};
 }
 
-Controller::RestoreOutcome Controller::restore(const ControllerSnapshot& snap) {
-  MCCS_EXPECTS(link_change_consumer_ < 0);  // a fresh controller restores
+void Controller::restore(const ControllerSnapshot& snap) {
+  MCCS_EXPECTS(assigner_ == nullptr);  // a fresh controller restores
   failed_links_ = snap.failed_links;
-  net::Network& network = fabric_->network();
-  IncrementalAssigner& assigner = warm_assigner();
-
-  // Re-register WHERE the dead controller stopped reading, so every link
-  // event that fired during the outage replays into the next solve's dirty
-  // closure. The network refuses the registration when it has trimmed the
-  // log past the cursor — a silent gap here would mean silently stale
-  // routes, the exact failure the audit subsystem exists to catch late.
-  const net::Network::LinkChangeRegistration reg =
-      network.register_link_change_consumer_at(snap.link_change_cursor);
-  RestoreOutcome outcome;
-  if (reg.ok()) {
-    link_change_consumer_ = reg.consumer;
-    outcome = RestoreOutcome::kWarmReplay;
-  } else {
-    // Trimmed history: the events in [cursor, earliest) are unrecoverable,
-    // so the snapshot's warm assignment cannot be trusted. Rebuild cold —
-    // loudly — from the current fabric state.
-    fabric_->telemetry()
-        .metrics()
-        .counter("controller_cold_rebuild_total")
-        .increment();
-    link_change_consumer_ = network.register_link_change_consumer();
-    outcome = RestoreOutcome::kColdRebuild;
-  }
-
-  // Seed the assigner with the live communicator set, then either adopt the
-  // snapshot's decisions (warm) or leave everything dirty (cold). rebalance()
-  // runs the replayed/dirty solve and pushes any changed routes out.
-  sync_items(fabric_->list_communicators(), nullptr, nullptr);
-  if (outcome == RestoreOutcome::kWarmReplay) {
-    assigner.adopt_assignment(snap.assignments);
-  }
   rebalance();
-  return outcome;
 }
 
 void Controller::attach() {
   fabric_->set_strategy_provider(
       [this](const svc::CommInfo& info) { return provide(info); });
+  attached_ = true;
 }
 
 svc::CommStrategy Controller::ring_strategy(const svc::CommInfo& info) const {
@@ -95,7 +53,7 @@ svc::CommStrategy Controller::ring_strategy(const svc::CommInfo& info) const {
   return s;
 }
 
-void Controller::compute_routes(const std::vector<svc::CommInfo>& live,
+void Controller::compute_routes(const svc::CommRecords& live,
                                 const svc::CommInfo* extra,
                                 const svc::CommStrategy* extra_strategy) {
   IncrementalAssigner& assigner = warm_assigner();
@@ -104,25 +62,11 @@ void Controller::compute_routes(const std::vector<svc::CommInfo>& live,
                                    ? reserved_routes_
                                    : std::unordered_set<std::uint32_t>{});
   assigner.set_failed_links(failed_links_);
-  // Consume the netsim's change-set: links whose administrative state moved
-  // since the last solve dirty exactly the tenants routed across them. The
-  // ack releases consumed entries for trimming, bounding the log's memory.
-  net::Network& network = fabric_->network();
-  if (link_change_consumer_ < 0) {
-    link_change_consumer_ = network.register_link_change_consumer();
-  }
-  const std::size_t end = network.link_change_end();
-  for (std::size_t i = network.link_change_cursor(link_change_consumer_);
-       i < end; ++i) {
-    assigner.mark_link_dirty(network.link_change(i).link);
-  }
-  network.ack_link_changes(link_change_consumer_, end);
-
   sync_items(live, extra, extra_strategy);
   last_solve_stats_ = assigner.solve(fabric_->loop().now());
 }
 
-void Controller::sync_items(const std::vector<svc::CommInfo>& live,
+void Controller::sync_items(const svc::CommRecords& live,
                             const svc::CommInfo* extra,
                             const svc::CommStrategy* extra_strategy) {
   IncrementalAssigner& assigner = warm_assigner();
@@ -131,8 +75,8 @@ void Controller::sync_items(const std::vector<svc::CommInfo>& live,
   // finds the departures.
   auto next = live.begin();
   for (CommId id : assigner.item_ids()) {
-    while (next != live.end() && next->id < id) ++next;
-    const bool is_live = (next != live.end() && next->id == id) ||
+    while (next != live.end() && (*next)->id < id) ++next;
+    const bool is_live = (next != live.end() && (*next)->id == id) ||
                          (extra != nullptr && extra->id == id);
     if (!is_live) assigner.remove_item(id);
   }
@@ -154,7 +98,8 @@ void Controller::sync_items(const std::vector<svc::CommInfo>& live,
     assigner.update_strategy(info.id, strategy);
     assigner.set_high_priority(info.id, priority);
   };
-  for (const svc::CommInfo& info : live) {
+  for (const auto& record : live) {
+    const svc::CommInfo& info = *record;
     // The swap override wins: the fabric reports the pre-barrier strategy.
     const bool overridden = extra != nullptr && info.id == extra->id;
     sync(info, overridden ? *extra_strategy : fabric_->strategy_of(info.id));
@@ -167,10 +112,11 @@ void Controller::sync_items(const std::vector<svc::CommInfo>& live,
 int Controller::reassign(const svc::CommInfo* extra,
                          const svc::CommStrategy* extra_strategy,
                          AppId must_move) {
-  const std::vector<svc::CommInfo> live = fabric_->list_communicators();
+  const svc::CommRecords live = fabric_->list_communicators();
   compute_routes(live, extra, extra_strategy);
   int reconfigured = 0;
-  for (const svc::CommInfo& info : live) {
+  for (const auto& record : live) {
+    const svc::CommInfo& info = *record;
     const RouteMap& routes = assigner_->routes_of(info.id);
     // The swapped communicator always reconfigures (its schedule changed
     // even when its routes did not); the stalled app too, since the
@@ -253,6 +199,7 @@ bool Controller::swap_algorithm(CommId comm, coll::Algorithm algorithm,
 void Controller::enable_fault_recovery() {
   fabric_->set_stall_handler(
       [this](const svc::StallReport& report) { on_stall(report); });
+  fault_recovery_ = true;
 }
 
 void Controller::on_stall(const svc::StallReport& report) {
@@ -329,9 +276,9 @@ int Controller::reconfigure_around_failures(AppId must_move) {
   // No explicit routes to steer: reconfigure the affected app's comms so
   // the epoch bump re-rolls every connection's ECMP placement.
   int reconfigured = 0;
-  for (const svc::CommInfo& info : fabric_->list_communicators()) {
-    if (!must_move.valid() || info.app != must_move) continue;
-    fabric_->reconfigure(info.id, fabric_->strategy_of(info.id));
+  for (const auto& info : fabric_->list_communicators()) {
+    if (!must_move.valid() || info->app != must_move) continue;
+    fabric_->reconfigure(info->id, fabric_->strategy_of(info->id));
     ++reconfigured;
   }
   return reconfigured;

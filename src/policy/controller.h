@@ -9,11 +9,13 @@
 // alive across control events and re-solves only the dirty closure of each
 // one (the tenants and links the event touched). Its result is bitwise the
 // one-shot assign_flows greedy over the live communicators in ascending id
-// order (flow_assign.h), which stays the audit and test oracle.
+// order (flow_assign.h), which stays the audit and test oracle. Link state
+// reaches the placement through one input, this controller's set of
+// confirmed-failed links (stall escalations and the operator hooks); a
+// restarted controller keeps that set and re-solves from the registry.
 
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -38,11 +40,11 @@ class Controller {
   };
 
   explicit Controller(svc::Fabric& fabric) : fabric_(&fabric) {}
-  /// Releases the link-change consumer so a dead controller never pins the
-  /// network's change log. NOTE: the destructor does NOT detach the strategy
-  /// provider / stall handler (the fabric holds std::functions bound to
-  /// this); a restart must attach the successor before creating any
-  /// communicator.
+  /// Detaches the strategy provider and stall handler this controller
+  /// installed: while no controller runs, a new communicator gets the
+  /// fabric's default NCCL-model strategy and a stall escalates nowhere. The
+  /// fabric must outlive the controller, and a successor attaches after its
+  /// predecessor is gone.
   ~Controller();
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
@@ -141,35 +143,24 @@ class Controller {
 
   // --- crash / restart recovery ---------------------------------------------------
 
-  /// Everything a restarted controller needs to resume WITHOUT a full
-  /// re-solve: its placement decisions (the warm assignment), the dynamic
-  /// failure state it had discovered, and the change-log cursor marking the
-  /// last netsim event it had consumed. Static configuration (policies,
-  /// priority apps, reserved routes) is deliberately excluded — the operator
-  /// re-applies it on restart, exactly as a real deployment redeploys config.
+  /// What a restarted controller cannot read back from the fabric: the links
+  /// it had confirmed failed. Placements are not kept — the successor
+  /// re-solves them from the registry — and static configuration (policies,
+  /// priority apps, reserved routes) is excluded: the operator re-applies it
+  /// on restart, as a real deployment redeploys config.
   struct ControllerSnapshot {
-    std::size_t link_change_cursor = 0;  ///< first log index NOT yet consumed
     std::unordered_set<std::uint32_t> failed_links;
-    std::unordered_map<std::uint32_t, RouteMap> assignments;
   };
-  /// Capture the current decision state (cheap; safe at any quiesce point).
   [[nodiscard]] ControllerSnapshot snapshot() const;
 
-  enum class RestoreOutcome {
-    kWarmReplay,   ///< log replay from the cursor covered the outage
-    kColdRebuild,  ///< history trimmed past the cursor: full re-solve forced
-  };
-  /// Resume from `snap` on this (freshly constructed) controller. Registers
-  /// a change-log consumer AT the snapshot cursor so every link event that
-  /// fired during the outage replays into the dirty closure; adopts the
-  /// snapshot assignment as the warm state; then rebalances (comms whose
-  /// routes moved during the outage reconfigure).
-  /// When the network trimmed the log past the cursor, restore REFUSES to
-  /// gap silently: it counts controller_cold_rebuild_total in the fabric's
-  /// metrics, discards the warm assignment, and re-solves everything from
-  /// scratch. Either way the post-restore assignment is correct; the outcome
-  /// only tells how much work it cost.
-  RestoreOutcome restore(const ControllerSnapshot& snap);
+  /// Resume from `snap` on this freshly constructed controller: adopt its
+  /// failed links, then rebalance on a fresh assigner. That solve starts
+  /// from scratch over every live communicator, so arrivals and departures
+  /// during the outage need no replay, and every communicator whose
+  /// installed routes differ from the solved ones reconfigures. A link that
+  /// failed during the outage is confirmed like any other: by a stall
+  /// escalation or mark_link_failed.
+  void restore(const ControllerSnapshot& snap);
 
   /// The warm assigner (constructed on first use). Tests and the chaos
   /// harness reach through it for audit configuration and state poisoning.
@@ -191,20 +182,19 @@ class Controller {
   int reconfigure_around_failures(AppId must_move);
 
   /// The one route path: sync the warm assigner with `live` (the fabric's
-  /// communicators, ascending id), feed it the network's link change-set and
-  /// this controller's failed/reserved/priority state, then re-solve the
-  /// dirty closure. `extra` names either a communicator not yet registered
-  /// (arrival) or a live one whose strategy is being replaced (algorithm
-  /// swap) — in the latter case `extra_strategy` overrides the fabric's
-  /// current strategy, which still reads pre-barrier. Routes are read back
-  /// through warm_assigner().routes_of.
-  void compute_routes(const std::vector<svc::CommInfo>& live,
+  /// communicators, ascending id) and this controller's failed/reserved/
+  /// priority state, then re-solve the dirty closure. `extra` names either a
+  /// communicator not yet registered (arrival) or a live one whose strategy
+  /// is being replaced (algorithm swap) — in the latter case
+  /// `extra_strategy` overrides the fabric's current strategy, which still
+  /// reads pre-barrier. Routes are read back through
+  /// warm_assigner().routes_of.
+  void compute_routes(const svc::CommRecords& live,
                       const svc::CommInfo* extra,
                       const svc::CommStrategy* extra_strategy);
   /// compute_routes' diff of `live` (plus `extra`) against the warm items:
   /// departures, arrivals, flow-shape changes and priority flips.
-  void sync_items(const std::vector<svc::CommInfo>& live,
-                  const svc::CommInfo* extra,
+  void sync_items(const svc::CommRecords& live, const svc::CommInfo* extra,
                   const svc::CommStrategy* extra_strategy);
 
   /// One route decision: compute_routes over the current live set, then
@@ -225,10 +215,9 @@ class Controller {
   std::vector<RecoveryRecord> recovery_log_;
 
   std::unique_ptr<IncrementalAssigner> assigner_;  ///< lazily built
-  /// Registered link-change consumer (lazily, at the first decision). Acking
-  /// what we consumed lets the network trim the change log behind us.
-  int link_change_consumer_ = -1;
   IncrementalSolveStats last_solve_stats_;
+  bool attached_ = false;        ///< installed the strategy provider
+  bool fault_recovery_ = false;  ///< installed the stall handler
 };
 
 }  // namespace mccs::policy

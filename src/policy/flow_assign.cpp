@@ -387,11 +387,6 @@ bool IncrementalAssigner::update_strategy(CommId comm,
   return true;
 }
 
-void IncrementalAssigner::mark_link_dirty(LinkId link) {
-  MCCS_EXPECTS(link.get() < link_visit_.size());
-  dirty_links_.push_back(link.get());
-}
-
 std::vector<CommId> IncrementalAssigner::item_ids() const {
   std::vector<CommId> out;
   out.reserve(items_.size());
@@ -443,10 +438,10 @@ IncrementalSolveStats IncrementalAssigner::solve(Time now) {
   dirty_links_.clear();
   stats.solved_items = closure.size();
   if (closure.empty()) {
-    // Dirt that touched no live item (e.g. a change-log entry for a link no
-    // tenant crosses) still counts as a solve for audit sampling: staleness
-    // can only be healed by a solve, so every non-trivial solve is a
-    // candidate.
+    // Dirt that touched no live item (e.g. a failed-link toggle on a link no
+    // tenant's candidate paths cross) still counts as a solve for audit
+    // sampling: staleness can only be healed by a solve, so every
+    // non-trivial solve is a candidate.
     ++solve_count_;
     maybe_audit(stats);
     return stats;
@@ -550,25 +545,18 @@ std::unordered_map<std::uint32_t, RouteMap> IncrementalAssigner::full_resolve()
 }
 
 void IncrementalAssigner::adopt_assignment(
-    const std::unordered_map<std::uint32_t, RouteMap>& warm) {
+    const std::unordered_map<std::uint32_t, RouteMap>& full) {
   std::fill(link_demand_.begin(), link_demand_.end(), 0.0);
   dirty_items_.clear();
   dirty_links_.clear();
   for (auto& [id, st] : items_) {
     st.contrib.clear();
-    auto it = warm.find(id);
-    if (it == warm.end() && !st.flows.empty()) {
-      // Live item the adopted assignment knows nothing about (e.g. created
-      // against a snapshot taken before it arrived): solve it next round.
-      st.routes.clear();
-      dirty_items_.insert(id);
-      continue;
-    }
-    st.routes = it != warm.end() ? it->second : RouteMap{};
+    // assign_flows omits only the items with no inter-host flow.
+    auto it = full.find(id);
+    st.routes = it != full.end() ? it->second : RouteMap{};
     for (const PendingFlow& f : st.flows) {
-      auto rit = st.routes.find(f.route_key);
-      if (rit == st.routes.end()) continue;
-      for (LinkId l : routing_->paths(f.src, f.dst)[rit->second.get()]) {
+      const RouteId route = st.routes.at(f.route_key);
+      for (LinkId l : routing_->paths(f.src, f.dst)[route.get()]) {
         link_demand_[l.get()] += f.demand;
         st.contrib.emplace_back(l.get(), f.demand);
       }
@@ -598,21 +586,6 @@ void IncrementalAssigner::maybe_audit(IncrementalSolveStats& stats) {
   stats.fell_back = true;
 }
 
-void IncrementalAssigner::invalidate_all() {
-  std::fill(link_demand_.begin(), link_demand_.end(), 0.0);
-  dirty_links_.clear();
-  dirty_items_.clear();
-  for (auto& [id, st] : items_) {
-    st.contrib.clear();
-    st.routes.clear();
-    dirty_items_.insert(id);
-  }
-  ++fallbacks_;
-  if (audit_metrics_ != nullptr) {
-    audit_metrics_->counter("policy_fallback_total").increment();
-  }
-}
-
 bool IncrementalAssigner::debug_poison_state(std::uint64_t seed) {
   std::vector<std::uint32_t> candidates;
   for (const auto& [id, st] : items_) {
@@ -630,8 +603,8 @@ bool IncrementalAssigner::debug_poison_state(std::uint64_t seed) {
   ItemState& st = items_.at(victim_id);
   // Re-place every multi-path flow on the next-index route, keeping the
   // demand map and contrib list consistent with the (now wrong) routes: the
-  // state stays internally coherent, so nothing short of an audit or a cold
-  // rebuild will ever notice.
+  // state stays internally coherent, so nothing short of an audit or a
+  // from-scratch re-solve will ever notice.
   for (const auto& [link, demand] : st.contrib) link_demand_[link] -= demand;
   st.contrib.clear();
   for (const PendingFlow& f : st.flows) {

@@ -122,6 +122,8 @@ struct IncrementalSolveStats {
 /// graph — items joined through any link that appears on any candidate path
 /// of any of their flows — containing a changed item or link. It is the
 /// policy-layer twin of the netsim's component-scoped max-min reallocation.
+/// Dirt comes only through the calls below: item changes, the reserved
+/// routes and the failed-link set. The netsim's link state is not an input.
 ///
 /// Identity contract: after solve(), the stored assignment is bitwise
 /// identical to a from-scratch assign_flows() over the live items in
@@ -143,8 +145,9 @@ class IncrementalAssigner {
   /// Route indices reserved for high-priority items (PFA). A change dirties
   /// every item (reservation shifts every score), so flip it rarely.
   void set_reserved_routes(std::unordered_set<std::uint32_t> routes);
-  /// Confirmed-failed links (LinkId values). Diffed against the previous
-  /// set: only items whose candidate paths cross a changed link re-solve.
+  /// Confirmed-failed links (LinkId values): the only link state a score
+  /// reads. Diffed against the previous set: only items whose candidate
+  /// paths cross a link that entered or left it re-solve.
   void set_failed_links(const std::unordered_set<std::uint32_t>& failed);
   /// Placement-decision instants land on this timeline when enabled (same
   /// events assign_flows emits). Null disables.
@@ -154,8 +157,8 @@ class IncrementalAssigner {
   /// Self-healing safety net for the warm state. Warm re-solves are proven
   /// assignment-identical to the full greedy — but only while the assigner's
   /// internal demand/route state is in sync with reality. A fault landing
-  /// mid-dirty-closure, a missed change-log entry, or a memory-corrupting
-  /// bug leaves the state *stale*: internally coherent, silently wrong. The
+  /// mid-dirty-closure, a missed event, or a memory-corrupting bug leaves
+  /// the state *stale*: internally coherent, silently wrong. The
   /// audit samples solves (seeded, so a seed sweep audits different solves
   /// per seed but each run is deterministic): an audited solve re-runs the
   /// full one-shot greedy over the live items and digests both assignments.
@@ -179,21 +182,6 @@ class IncrementalAssigner {
     return audit_mismatches_;
   }
   [[nodiscard]] std::uint64_t fallbacks() const { return fallbacks_; }
-
-  /// Throw away all warm state (demand map, every item's routes) and mark
-  /// every item dirty: the next solve() is a from-scratch re-solve that
-  /// rebuilds the warm start. The recovery entry point for controller
-  /// restarts that cannot replay the change log (trimmed history) and for
-  /// any caller that knows the warm state is stale.
-  void invalidate_all();
-
-  /// Adopt `warm` as the stored assignment and rebuild the warm demand state
-  /// (link_demand_, per-item contrib) from it. Items covered by `warm` (and
-  /// items with no inter-host flows) come out clean; a live item with flows
-  /// but no entry stays dirty for the next solve. The audit fallback feeds
-  /// this the full greedy's output; controller restart feeds it a snapshot.
-  void adopt_assignment(
-      const std::unordered_map<std::uint32_t, RouteMap>& warm);
 
   /// Test hook: make the stored assignment stale while keeping the internal
   /// demand state self-consistent with it — exactly the failure mode the
@@ -226,9 +214,6 @@ class IncrementalAssigner {
   /// pipeline chunks) are ignored without a copy. Returns whether the flow
   /// shape changed.
   bool update_strategy(CommId comm, const svc::CommStrategy& strategy);
-  /// Mark a link changed (the netsim change-set feed: state transitions,
-  /// capacity rescales). Items whose candidate paths cross it re-solve.
-  void mark_link_dirty(LinkId link);
 
   [[nodiscard]] bool has_item(CommId comm) const {
     return items_.count(comm.get()) > 0;
@@ -271,6 +256,12 @@ class IncrementalAssigner {
   [[nodiscard]] std::unordered_map<std::uint32_t, RouteMap> full_resolve() const;
   /// Decide + run the sampled audit for solve index `solve_index`.
   void maybe_audit(IncrementalSolveStats& stats);
+  /// The audit fallback: adopt `full` (the one-shot greedy's output over
+  /// every live item) as the stored assignment and rebuild the warm demand
+  /// state (link_demand_, per-item contrib) from it. Every item comes out
+  /// clean.
+  void adopt_assignment(
+      const std::unordered_map<std::uint32_t, RouteMap>& full);
 
   const cluster::Cluster* cluster_;
   const net::Routing* routing_;

@@ -108,7 +108,6 @@ ChaosChurnResult run_chaos_churn(const ChaosChurnSpec& spec, std::uint64_t seed,
   std::vector<double> link_factor(cluster.topology().link_count(), 1.0);
   std::unordered_set<std::uint32_t> down_links;
   double closure_total = 0.0;
-  std::size_t solves = 0;
   bool poison_window = false;  ///< warm state known-stale, audit not yet hit
   const std::size_t poison_at = spec.poison ? steps.size() / 3 : steps.size();
 
@@ -218,7 +217,6 @@ ChaosChurnResult run_chaos_churn(const ChaosChurnSpec& spec, std::uint64_t seed,
         }
       }
       if (ev.kind != FaultEvent::Kind::kKillApp && spec.reconfig) {
-        assigner.mark_link_dirty(ev.link);
         assigner.set_failed_links(down_links);
       }
       if (!down_links.empty()) {
@@ -265,7 +263,7 @@ ChaosChurnResult run_chaos_churn(const ChaosChurnSpec& spec, std::uint64_t seed,
     const policy::IncrementalSolveStats st = assigner.solve(step.at);
     if (st.solved_items > 0) {
       closure_total += static_cast<double>(st.solved_items);
-      ++solves;
+      ++res.solves;
     }
 
     if (spec.reconfig && !res.poisoned && si >= poison_at) {
@@ -330,7 +328,7 @@ ChaosChurnResult run_chaos_churn(const ChaosChurnSpec& spec, std::uint64_t seed,
   res.audit_mismatches = assigner.audit_mismatches();
   res.fallbacks = assigner.fallbacks();
   res.mean_closure =
-      solves > 0 ? closure_total / static_cast<double>(solves) : 0.0;
+      res.solves > 0 ? closure_total / static_cast<double>(res.solves) : 0.0;
   res.healed = !poison_window;
 
   // Exactly-once: every admitted surviving tenant completed exactly once;

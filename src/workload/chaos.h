@@ -24,8 +24,8 @@
 //     divergence is allowed only inside the poison window and must heal).
 //
 // Two control-plane modes share all workload state:
-//   reconfig    — faults feed the assigner (failed links steer placement,
-//                 changed links dirty their tenants) — MCCS's behaviour;
+//   reconfig    — hard-down links feed the assigner's failed-link set and
+//                 steer placement — MCCS's behaviour;
 //   rehash-only — routes react to churn but never to faults (the ECMP-ish
 //                 baseline). Goodput retention reconfig / rehash is the
 //                 headline robustness number.
@@ -95,6 +95,7 @@ struct ChaosChurnResult {
   std::uint64_t deferred = 0;   ///< submits queued under backpressure
   std::uint64_t duplicate_departures = 0;
   std::size_t queued_peak = 0;
+  std::size_t solves = 0;       ///< solves whose dirty closure held a tenant
 
   // audit / fallback
   std::uint64_t audits = 0;

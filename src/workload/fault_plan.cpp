@@ -161,9 +161,9 @@ void FaultPlan::schedule(svc::Fabric& fabric) const {
   // Fault events sharing an exact timestamp (a correlated failure epoch —
   // e.g. one switch taking several links down at once) apply through one
   // loop event inside one solve batch, in tape order: every administrative
-  // change lands, the link-change log records each one, and the affected
-  // bottleneck components re-solve once at epoch close instead of once per
-  // event. kill_app's own batch nests under the epoch's.
+  // change lands, and the affected bottleneck components re-solve once at
+  // epoch close instead of once per event. kill_app's own batch nests under
+  // the epoch's.
   svc::Fabric* f = &fabric;
   std::size_t i = 0;
   while (i < events_.size()) {

@@ -53,7 +53,7 @@ class FaultPlan {
     double degrade_prob = 0.5;   ///< degrade (vs hard down) per episode
     Time min_outage = micros(500);
     Time max_outage = millis(5);
-    /// Flap bursts: rapid down/up trains on one link (change-log stress).
+    /// Flap bursts: rapid down/up trains on one link (failed-set churn).
     /// Each burst contributes `flaps_per_burst` short outages back to back.
     int flap_bursts = 0;
     int flaps_per_burst = 4;

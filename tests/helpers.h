@@ -135,16 +135,16 @@ inline std::unordered_map<std::uint32_t, policy::RouteMap> oracle_routes(
     svc::Fabric& fabric, const std::vector<LinkId>& failed_links,
     const std::unordered_set<std::uint32_t>& reserved_routes = {},
     const std::unordered_set<std::uint32_t>& priority_apps = {}) {
-  const std::vector<svc::CommInfo> infos = fabric.list_communicators();
+  const svc::CommRecords infos = fabric.list_communicators();
   std::vector<policy::AssignItem> items;
   items.reserve(infos.size());
-  for (const svc::CommInfo& info : infos) {
+  for (const auto& info : infos) {
     policy::AssignItem item;
-    item.comm = info.id;
-    item.app = info.app;
-    item.gpus_by_rank = &info.gpus;
-    item.strategy = &fabric.strategy_of(info.id);
-    item.high_priority = priority_apps.count(info.app.get()) > 0;
+    item.comm = info->id;
+    item.app = info->app;
+    item.gpus_by_rank = &info->gpus;
+    item.strategy = &fabric.strategy_of(info->id);
+    item.high_priority = priority_apps.count(info->app.get()) > 0;
     items.push_back(item);
   }
   policy::AssignOptions options;
@@ -165,8 +165,8 @@ inline std::uint64_t oracle_digest(
 /// assignment_digest of the routes every live communicator has installed.
 inline std::uint64_t installed_digest(svc::Fabric& fabric) {
   std::unordered_map<std::uint32_t, policy::RouteMap> installed;
-  for (const svc::CommInfo& info : fabric.list_communicators()) {
-    installed[info.id.get()] = fabric.strategy_of(info.id).routes;
+  for (const auto& info : fabric.list_communicators()) {
+    installed[info->id.get()] = fabric.strategy_of(info->id).routes;
   }
   return policy::assignment_digest(installed);
 }

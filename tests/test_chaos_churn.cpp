@@ -1,8 +1,9 @@
 // Chaos-under-churn: the workload::run_chaos_churn harness swept over seeds
 // (tenant churn composed with link fault storms and mid-run kills), plus
 // directed tests for the pieces the sweep leans on — the assigner's sampled
-// divergence audit and fallback, change-log re-registration after a crash
-// (warm replay vs trimmed-history refusal), and controller restart recovery.
+// divergence audit and fallback — and for controller restart recovery: a
+// successor keeps its predecessor's failed links and re-solves every
+// placement from the fabric's registry.
 //
 // Seed count comes from MCCS_CHAOS_CHURN_SEEDS (default 10); scripts/check.sh
 // sweeps 100. Every third seed injects a warm-state poison that only the
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -188,163 +190,105 @@ TEST(ChaosChurn, AuditCountersLandInMetricsRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// Change-log re-registration (netsim level)
-// ---------------------------------------------------------------------------
-
-struct LogWorld {
-  cluster::Cluster cluster = cluster::make_spine_leaf(small_clos());
-  sim::EventLoop loop;
-  net::Network network{loop, cluster.topology()};
-  LinkId link;
-  LogWorld() { link = fabric_links(cluster).front(); }
-  /// One effective down+up flap = two log entries.
-  void flap(int times) {
-    for (int i = 0; i < times; ++i) {
-      network.set_link_state(link, net::LinkState::kDown);
-      network.set_link_state(link, net::LinkState::kUp);
-    }
-  }
-};
-
-TEST(LinkChangeLog, ReRegisterAtRetainedCursorResumes) {
-  LogWorld w;
-  w.flap(3);
-  const std::size_t cursor = 2;  // mid-log, retained (nothing ever trimmed)
-  const auto reg = w.network.register_link_change_consumer_at(cursor);
-  ASSERT_TRUE(reg.ok());
-  EXPECT_EQ(w.network.link_change_cursor(reg.consumer), cursor);
-  // The resumed consumer replays exactly the suffix it missed.
-  EXPECT_EQ(w.network.link_change_end() - cursor, 4u);
-  w.network.unregister_link_change_consumer(reg.consumer);
-}
-
-TEST(LinkChangeLog, TrimmedHistoryIsRefusedNotGapped) {
-  LogWorld w;
-  // Consumer A follows the log and acks everything; >1024 acked entries let
-  // the trimmer advance the base past a dead consumer's old cursor.
-  const int a = w.network.register_link_change_consumer();
-  w.flap(600);  // 1200 entries
-  w.network.ack_link_changes(a, w.network.link_change_end());
-  ASSERT_GT(w.network.link_change_end() - w.network.link_changes_retained(),
-            0u)
-      << "log was never trimmed; the refusal path cannot be exercised";
-
-  const auto refused = w.network.register_link_change_consumer_at(0);
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.gap.requested, 0u);
-  EXPECT_GT(refused.gap.earliest, 0u);
-  // The refusal must not have registered anything: a fresh registration at
-  // the earliest retained index succeeds.
-  const auto reg =
-      w.network.register_link_change_consumer_at(refused.gap.earliest);
-  ASSERT_TRUE(reg.ok());
-  w.network.unregister_link_change_consumer(reg.consumer);
-  w.network.unregister_link_change_consumer(a);
-}
-
-TEST(LinkChangeLog, ReleasedConsumerStopsPinningTheLog) {
-  LogWorld w;
-  const int slow = w.network.register_link_change_consumer();
-  const int fast = w.network.register_link_change_consumer();
-  w.flap(600);
-  w.network.ack_link_changes(fast, w.network.link_change_end());
-  const std::size_t retained_before = w.network.link_changes_retained();
-  // `slow` (cursor 0) pins everything. Releasing it lets the next ack trim.
-  w.network.unregister_link_change_consumer(slow);
-  w.flap(1);
-  w.network.ack_link_changes(fast, w.network.link_change_end());
-  EXPECT_LT(w.network.link_changes_retained(), retained_before);
-  w.network.unregister_link_change_consumer(fast);
-  // With every consumer released the log is kept whole for late joiners.
-  w.flap(2);
-  EXPECT_GE(w.network.link_changes_retained(), 4u);
-}
-
-// ---------------------------------------------------------------------------
 // Controller crash / restart recovery (fabric level)
 // ---------------------------------------------------------------------------
 
-std::vector<GpuId> cross_rack_gpus(const cluster::Cluster& cluster, int n,
-                                   int offset) {
-  // One GPU per host, hosts spread round-robin across the cluster: every
-  // ring edge is inter-host and most cross racks.
+/// Tenant t's four ranks, one per leaf of small_clos (4 leaves x 4 hosts x 2
+/// GPUs): host (t + leaf) % 4 of each leaf, GPU slot t / 4 of that host. So
+/// tenants 0-7 use disjoint GPUs and every ring edge crosses the spine.
+std::vector<GpuId> one_gpu_per_leaf(std::uint32_t t) {
   std::vector<GpuId> out;
-  const int hosts = static_cast<int>(cluster.gpu_count()) /
-                    2;  // small_clos: 2 GPUs per host
-  for (int i = 0; i < n; ++i) {
-    out.push_back(GpuId{static_cast<std::uint32_t>(
-        ((offset + i * 5) % hosts) * 2)});
+  for (std::uint32_t leaf = 0; leaf < 4; ++leaf) {
+    const std::uint32_t host = leaf * 4 + (t + leaf) % 4;
+    out.push_back(GpuId{host * 2 + t / 4});
   }
   return out;
 }
 
-TEST(ControllerRestart, WarmReplayCoversTheOutage) {
-  svc::Fabric fabric{cluster::make_spine_leaf(small_clos())};
-  auto old_ctrl = std::make_unique<policy::Controller>(fabric);
-  old_ctrl->set_flow_policy(policy::Controller::FlowPolicy::kFfa);
-  old_ctrl->attach();
-  mccs::test::create_comm(fabric, AppId{1},
-                          cross_rack_gpus(fabric.cluster(), 4, 0));
-  mccs::test::create_comm(fabric, AppId{2},
-                          cross_rack_gpus(fabric.cluster(), 4, 3));
-
-  const policy::Controller::ControllerSnapshot snap = old_ctrl->snapshot();
-  EXPECT_FALSE(snap.assignments.empty());
-  old_ctrl.reset();  // crash: consumer released, decisions survive in `snap`
-
-  // Outage-era events the dead controller never saw.
-  const LinkId flapped = fabric_links(fabric.cluster()).front();
-  fabric.network().set_link_state(flapped, net::LinkState::kDown);
-  fabric.network().set_link_state(flapped, net::LinkState::kUp);
-
-  policy::Controller ctrl(fabric);
-  ctrl.set_flow_policy(policy::Controller::FlowPolicy::kFfa);
-  ctrl.attach();
-  const auto outcome = ctrl.restore(snap);
-  EXPECT_EQ(outcome, policy::Controller::RestoreOutcome::kWarmReplay);
-  // The replayed flap dirtied the tenants crossing that link, and the
-  // post-restore assignment is exactly the from-scratch result.
-  EXPECT_EQ(fabric.telemetry().metrics().counter_total(
-                "controller_cold_rebuild_total"),
-            0u);
-  EXPECT_EQ(policy::assignment_digest(ctrl.warm_assigner().assignments()),
-            mccs::test::oracle_digest(fabric, ctrl.failed_links()));
+std::unique_ptr<policy::Controller> ffa_controller(svc::Fabric& fabric) {
+  auto ctrl = std::make_unique<policy::Controller>(fabric);
+  ctrl->set_flow_policy(policy::Controller::FlowPolicy::kFfa);
+  ctrl->attach();
+  return ctrl;
 }
 
-TEST(ControllerRestart, TrimmedHistoryForcesLoudColdRebuild) {
+TEST(ControllerRestart, WarmReplayCoversTheOutage) {
   svc::Fabric fabric{cluster::make_spine_leaf(small_clos())};
-  auto old_ctrl = std::make_unique<policy::Controller>(fabric);
-  old_ctrl->set_flow_policy(policy::Controller::FlowPolicy::kFfa);
-  old_ctrl->attach();
-  mccs::test::create_comm(fabric, AppId{1},
-                          cross_rack_gpus(fabric.cluster(), 4, 0));
+  auto old_ctrl = ffa_controller(fabric);
+  mccs::test::create_comm(fabric, AppId{1}, one_gpu_per_leaf(0));
+  mccs::test::create_comm(fabric, AppId{2}, one_gpu_per_leaf(1));
+  const std::vector<LinkId> links = fabric_links(fabric.cluster());
+  fabric.network().set_link_state(links[1], net::LinkState::kDown);
+  old_ctrl->mark_link_failed(links[1]);
+
+  const policy::Controller::ControllerSnapshot snap = old_ctrl->snapshot();
+  old_ctrl.reset();  // crash: only the snapshot survives
+
+  // Outage-era events the dead controller never saw.
+  fabric.network().set_link_state(links[0], net::LinkState::kDown);
+  fabric.network().set_link_state(links[0], net::LinkState::kUp);
+
+  auto ctrl = ffa_controller(fabric);
+  ctrl->restore(snap);
+  fabric.loop().run();
+  // The confirmed failure survives the restart, and the re-solved and
+  // installed assignments are the from-scratch result around it.
+  EXPECT_EQ(ctrl->failed_links(), std::vector<LinkId>{links[1]});
+  const std::uint64_t oracle =
+      mccs::test::oracle_digest(fabric, ctrl->failed_links());
+  EXPECT_EQ(policy::assignment_digest(ctrl->warm_assigner().assignments()),
+            oracle);
+  EXPECT_EQ(mccs::test::installed_digest(fabric), oracle);
+}
+
+TEST(ControllerRestart, DepartureDuringOutageMatchesOracle) {
+  svc::Fabric fabric{cluster::make_spine_leaf(small_clos())};
+  auto old_ctrl = ffa_controller(fabric);
+  std::vector<CommId> comms;
+  for (std::uint32_t t = 0; t < 5; ++t) {
+    comms.push_back(
+        mccs::test::create_comm(fabric, AppId{t + 1}, one_gpu_per_leaf(t)));
+  }
+  fabric.loop().run();
   const policy::Controller::ControllerSnapshot snap = old_ctrl->snapshot();
   old_ctrl.reset();
 
-  // A long outage the log cannot hold for the dead controller: another
-  // consumer keeps pace and acks >1024 entries, so the trimmer advances the
-  // base past the snapshot cursor.
-  net::Network& network = fabric.network();
-  const int pacer = network.register_link_change_consumer();
-  const LinkId link = fabric_links(fabric.cluster()).front();
-  for (int i = 0; i < 600; ++i) {
-    network.set_link_state(link, net::LinkState::kDown);
-    network.set_link_state(link, net::LinkState::kUp);
-  }
-  network.ack_link_changes(pacer, network.link_change_end());
+  // A tenant leaves while no controller runs. Its demand shaped the
+  // survivors' placements, so the successor must not keep them.
+  fabric.destroy_communicator(comms.front());
+  fabric.loop().run();
 
-  policy::Controller ctrl(fabric);
-  ctrl.set_flow_policy(policy::Controller::FlowPolicy::kFfa);
-  ctrl.attach();
-  const auto outcome = ctrl.restore(snap);
-  EXPECT_EQ(outcome, policy::Controller::RestoreOutcome::kColdRebuild);
-  EXPECT_EQ(fabric.telemetry().metrics().counter_total(
-                "controller_cold_rebuild_total"),
-            1u);
-  // Cold, but correct: the rebuilt assignment matches the oracle.
-  EXPECT_EQ(policy::assignment_digest(ctrl.warm_assigner().assignments()),
-            mccs::test::oracle_digest(fabric, ctrl.failed_links()));
-  network.unregister_link_change_consumer(pacer);
+  auto ctrl = ffa_controller(fabric);
+  ctrl->restore(snap);
+  fabric.loop().run();
+  const std::uint64_t oracle =
+      mccs::test::oracle_digest(fabric, ctrl->failed_links());
+  EXPECT_EQ(policy::assignment_digest(ctrl->warm_assigner().assignments()),
+            oracle);
+  EXPECT_EQ(mccs::test::installed_digest(fabric), oracle);
+}
+
+TEST(ControllerRestart, CommCreatedWhileDownGetsDefaultStrategy) {
+  svc::Fabric fabric{cluster::make_spine_leaf(small_clos())};
+  auto old_ctrl = ffa_controller(fabric);
+  old_ctrl->enable_fault_recovery();
+  mccs::test::create_comm(fabric, AppId{1}, one_gpu_per_leaf(0));
+  const policy::Controller::ControllerSnapshot snap = old_ctrl->snapshot();
+  old_ctrl.reset();
+
+  // No controller: the fabric's default provider places the newcomer.
+  const std::vector<GpuId> gpus = one_gpu_per_leaf(1);
+  const CommId late = mccs::test::create_comm(fabric, AppId{2}, gpus);
+  EXPECT_TRUE(fabric.strategy_of(late) ==
+              svc::nccl_default_strategy(gpus, fabric.cluster()));
+
+  // The successor's restore routes it with everyone else.
+  auto ctrl = ffa_controller(fabric);
+  ctrl->restore(snap);
+  fabric.loop().run();
+  EXPECT_FALSE(fabric.strategy_of(late).routes.empty());
+  EXPECT_EQ(mccs::test::installed_digest(fabric),
+            mccs::test::oracle_digest(fabric, ctrl->failed_links()));
 }
 
 }  // namespace

@@ -84,11 +84,11 @@ struct ChurnWorld {
     fabric.loop().run();
     const auto expected =
         test::oracle_routes(fabric, ctl.failed_links(), reserved, priority);
-    for (const svc::CommInfo& info : fabric.list_communicators()) {
-      const auto it = expected.find(info.id.get());
-      EXPECT_EQ(fabric.strategy_of(info.id).routes,
+    for (const auto& info : fabric.list_communicators()) {
+      const auto it = expected.find(info->id.get());
+      EXPECT_EQ(fabric.strategy_of(info->id).routes,
                 it == expected.end() ? policy::RouteMap{} : it->second)
-          << step << ": comm " << info.id.get();
+          << step << ": comm " << info->id.get();
     }
   }
 };
@@ -111,9 +111,8 @@ TEST(ClusterChurn, IncrementalControllerMatchesFullUnderChurn) {
   EXPECT_EQ(arrival.live_items, 3u);
   EXPECT_LT(arrival.solved_items, arrival.live_items);
 
-  // Link failure: take one fabric link down in the netsim (feeds the
-  // controller's change-log cursor) and tell the controller, as the
-  // stall->confirm path would.
+  // Link failure: take one fabric link down in the netsim and tell the
+  // controller, as the stall->confirm path would.
   const auto link_count = w.fabric.cluster().topology().link_count();
   const LinkId victim{static_cast<std::uint32_t>(link_count - 1)};
   w.fabric.network().set_link_state(victim, net::LinkState::kDown);

@@ -382,7 +382,7 @@ TEST(FaultRecovery, TenantKillDuringBarrierDrainsAndOthersComplete) {
     for (std::size_t i = 0; i < count; ++i) ASSERT_FLOAT_EQ(out[i], 4.0f);
   }
   EXPECT_TRUE(fabric.list_communicators().size() == 1 &&
-              fabric.list_communicators().front().id == comm_b);
+              fabric.list_communicators().front()->id == comm_b);
 }
 
 TEST(FaultRecovery, KillDropsTheAppsRendezvous) {

@@ -313,7 +313,7 @@ TEST(CommLifecycle, DestroyDuringReconfigurationDropsLateProtocolMessages) {
       }
     }
     ASSERT_EQ(fabric.list_communicators().size(), 1u);
-    EXPECT_EQ(fabric.list_communicators().front().id, comm_b);
+    EXPECT_EQ(fabric.list_communicators().front()->id, comm_b);
   }
 }
 
@@ -396,6 +396,33 @@ TEST(CommLifecycle, WarmTeardownAllocatesNothing) {
 #if !defined(MCCS_UNDER_SANITIZER)
   EXPECT_EQ(tenant, 0u) << "the tenant's teardown allocated";
   EXPECT_EQ(provider, 0u) << "the provider's teardown allocated";
+#endif
+}
+
+TEST(CommLifecycle, ListingSharesTheRegistryRecords) {
+  // Every controller decision lists the communicators: it gets the
+  // registry's own records in id order, not copies of them and their GPU
+  // lists, so the listing allocates only its vector.
+  svc::Fabric fabric{cluster::make_testbed()};
+  std::vector<CommId> comms;
+  for (std::uint32_t app = 1; app <= 4; ++app) {
+    comms.push_back(
+        test::create_comm(fabric, AppId{app}, {GpuId{app - 1}, GpuId{app + 3}}));
+  }
+  [[maybe_unused]] std::uint64_t allocations = 0;
+  svc::CommRecords listed;
+  {
+    test::AllocationCounter allocs;
+    listed = fabric.list_communicators();
+    allocations = allocs.count();
+  }
+  ASSERT_EQ(listed.size(), comms.size());
+  for (std::size_t i = 0; i < comms.size(); ++i) {
+    EXPECT_EQ(listed[i]->id, comms[i]);
+    EXPECT_EQ(listed[i].get(), &fabric.comm_info(comms[i]));
+  }
+#if !defined(MCCS_UNDER_SANITIZER)
+  EXPECT_EQ(allocations, 1u);
 #endif
 }
 

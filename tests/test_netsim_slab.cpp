@@ -1,8 +1,8 @@
 // White-box and property tests of the arena-backed flow slab (DESIGN.md §12):
-// id/generation safety across slot recycling, live-list ordering, bounded
-// link-change logging under consumer-cursor trimming, steady-state
-// allocation-freedom of the per-event hot path, and the incremental-vs-
-// reference equivalence replayed on the widened 8k-endpoint Clos.
+// id/generation safety across slot recycling, live-list ordering,
+// steady-state allocation-freedom of the per-event hot path, and the
+// incremental-vs-reference equivalence replayed on the widened 8k-endpoint
+// Clos.
 
 #include <gtest/gtest.h>
 
@@ -153,80 +153,6 @@ TEST(NetworkSlab, ActiveFlowsAscendingAndSnapshotOrdered) {
   for (std::size_t i = 0; i < listed.size(); ++i) {
     EXPECT_EQ(listed[i], expect[i].get());
   }
-}
-
-// --- link-change log ----------------------------------------------------------
-
-TEST(NetworkSlab, LinkChangeLogKeptWholeWithoutConsumers) {
-  auto cl = cluster::make_testbed();
-  sim::EventLoop loop;
-  Network net(loop, cl.topology());
-  const LinkId link{0};
-  for (int i = 0; i < 100; ++i) {
-    net.set_link_state(link, LinkState::kDown);
-    net.set_link_state(link, LinkState::kUp);
-  }
-  // No consumer: nothing may be trimmed, so a controller that registers late
-  // still sees history from the beginning.
-  EXPECT_EQ(net.link_changes_retained(), 200u);
-  const int consumer = net.register_link_change_consumer();
-  EXPECT_EQ(net.link_change_cursor(consumer), 0u);
-  EXPECT_EQ(net.link_change(0).link, link);
-}
-
-TEST(NetworkSlab, LinkChangeLogTrimsBoundedOver10kFlaps) {
-  auto cl = cluster::make_testbed();
-  sim::EventLoop loop;
-  Network net(loop, cl.topology());
-  const LinkId link{0};
-  const int consumer = net.register_link_change_consumer();
-
-  std::size_t peak_retained = 0;
-  std::size_t seen = 0;
-  for (int flap = 0; flap < 10'000; ++flap) {
-    net.set_link_state(link, LinkState::kDown);
-    net.set_link_state(link, LinkState::kUp);
-    // Consume like the policy controller: read everything new, then ack.
-    const std::size_t end = net.link_change_end();
-    for (std::size_t i = net.link_change_cursor(consumer); i < end; ++i) {
-      const LinkChange& c = net.link_change(i);
-      EXPECT_EQ(c.link, link);
-      // Absolute indices survive trimming: even flap entries are the downs.
-      EXPECT_EQ(c.state, i % 2 == 0 ? LinkState::kDown : LinkState::kUp);
-      ++seen;
-    }
-    net.ack_link_changes(consumer, end);
-    peak_retained = std::max(peak_retained, net.link_changes_retained());
-  }
-  EXPECT_EQ(seen, 20'000u);
-  EXPECT_EQ(net.link_change_end(), 20'000u);
-  // Fully-acknowledged entries are trimmed in batches, so the resident log
-  // stays bounded by the batch size, not the 20k-change history.
-  EXPECT_LE(peak_retained, 1500u);
-  EXPECT_LE(net.link_changes_retained(), 1500u);
-}
-
-TEST(NetworkSlab, LinkChangeLogWaitsForSlowestConsumer) {
-  auto cl = cluster::make_testbed();
-  sim::EventLoop loop;
-  Network net(loop, cl.topology());
-  const LinkId link{0};
-  const int fast = net.register_link_change_consumer();
-  const int slow = net.register_link_change_consumer();
-
-  for (int flap = 0; flap < 2'000; ++flap) {
-    net.set_link_state(link, LinkState::kDown);
-    net.set_link_state(link, LinkState::kUp);
-    net.ack_link_changes(fast, net.link_change_end());
-  }
-  // The lagging consumer pins the log: everything since its cursor remains.
-  EXPECT_EQ(net.link_changes_retained(), 4'000u);
-  net.ack_link_changes(slow, net.link_change_end());
-  net.set_link_state(link, LinkState::kDown);  // next effective change trims
-  net.ack_link_changes(fast, net.link_change_end());
-  net.ack_link_changes(slow, net.link_change_end());
-  net.set_link_state(link, LinkState::kUp);
-  EXPECT_LE(net.link_changes_retained(), 1500u);
 }
 
 // --- steady-state allocation freedom ------------------------------------------
