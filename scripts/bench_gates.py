@@ -13,6 +13,12 @@ tooling) read it.
 A gate is (label, check): check(records by kind, every file's records by
 kind) returns what violates the gate, and an empty list passes. A gate that
 raises fails too.
+
+BENCH_scale.json's perf rows carry an order-sensitive digest of every flow
+completion (id and time bits) at each fabric size. The netsim is
+deterministic, so the digests are pinned in bench/goldens/scale_digests.txt
+(one "gpus digest" line per size): a change that moves one changed what the
+simulator computes.
 """
 import json
 import math
@@ -38,6 +44,18 @@ def scale_768_vs_flowsim(recs, files):
     if ref and perf and perf[0] >= 0.5 * ref[0]:
         return []
     return [{"scale_perf_768": perf, "flowsim_incremental_768": ref}]
+
+
+SCALE_DIGESTS = (pathlib.Path(__file__).resolve().parents[1]
+                 / "bench/goldens/scale_digests.txt")
+
+
+def perf_digests_match_goldens(recs, _files):
+    golden = dict(line.split() for line in SCALE_DIGESTS.read_text().splitlines())
+    got = {str(r["gpus"]): r["digest"] for r in recs["perf"]}
+    return [{"gpus": g, "digest": got.get(g), "golden": golden.get(g)}
+            for g in sorted(golden.keys() | got.keys(), key=int)
+            if got.get(g) != golden.get(g)]
 
 
 def seed_sweep_reaches_2x_at_4_threads(recs, _files):
@@ -92,6 +110,8 @@ TABLE = [
             if {r["gpus"] for r in rs} != {768, 8192, 32768}]),
         ("identical_to_reference",
          each("identity", lambda r: r["identical_to_reference"] is True)),
+        ("perf digests equal bench/goldens/scale_digests.txt",
+         perf_digests_match_goldens),
         ("digest_identical",
          each("coalesce", lambda r: r["digest_identical"] is True)),
         ("solves_batched <= solves_unbatched",

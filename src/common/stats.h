@@ -1,6 +1,6 @@
 #pragma once
 // Small statistics helpers shared by benches and tests: mean, percentiles,
-// CDF extraction.
+// quantiles, tail summaries.
 //
 // The CDF-heavy fig benches read many percentiles off the same sample set;
 // the by-value overloads below copy and re-sort the whole vector per call.
@@ -92,22 +92,6 @@ inline TailSummary tail_summary_sorted(std::span<const double> xs) {
 inline TailSummary tail_summary(std::vector<double> xs) {
   sort_samples(xs);
   return tail_summary_sorted(xs);
-}
-
-struct CdfPoint {
-  double value;
-  double cumulative_fraction;
-};
-
-/// Empirical CDF points over an ALREADY SORTED sample span.
-inline std::vector<CdfPoint> empirical_cdf_sorted(std::span<const double> xs) {
-  MCCS_EXPECTS(!xs.empty());
-  std::vector<CdfPoint> out;
-  out.reserve(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out.push_back({xs[i], static_cast<double>(i + 1) / static_cast<double>(xs.size())});
-  }
-  return out;
 }
 
 }  // namespace mccs

@@ -8,11 +8,10 @@
 //    stream — even one owned by a different process, because events are
 //    shareable through inter-process handles (unlike streams).
 //
-// GpuEvent is the shared state; EventHandle is the IPC-handle analogue that
-// the MCCS shim and service exchange.
+// GpuEvent is the shared state; the shim and the service hold the same
+// event through a std::shared_ptr, the analogue of opening its IPC handle.
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -30,10 +29,7 @@ class GpuEvent {
 
   /// Arm the event for a new record (called when a record op is enqueued).
   /// Waits enqueued after this block until the new record completes.
-  void arm() {
-    signalled_ = false;
-    ++generation_;
-  }
+  void arm() { signalled_ = false; }
 
   /// Mark the event signalled at time `now` and release waiters.
   void signal(Time now) {
@@ -57,21 +53,7 @@ class GpuEvent {
   GpuId device_;
   bool signalled_ = false;
   Time timestamp_ = 0.0;
-  std::uint64_t generation_ = 0;
   std::vector<std::function<void()>> waiters_;
-};
-
-/// Inter-process event handle: opening it yields the same underlying event.
-class EventHandle {
- public:
-  EventHandle() = default;
-  explicit EventHandle(std::shared_ptr<GpuEvent> ev) : event_(std::move(ev)) {}
-
-  [[nodiscard]] bool valid() const { return event_ != nullptr; }
-  [[nodiscard]] std::shared_ptr<GpuEvent> open() const { return event_; }
-
- private:
-  std::shared_ptr<GpuEvent> event_;
 };
 
 }  // namespace mccs::gpu

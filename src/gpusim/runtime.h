@@ -24,8 +24,6 @@ namespace mccs::gpu {
 struct DeviceConfig {
   /// Host<->device copy bandwidth (PCIe-class).
   Bandwidth copy_bandwidth = gibytes_per_sec(12.0);
-  /// Fixed overhead per kernel launch.
-  Time kernel_launch_latency = micros(5);
   /// Bandwidth of intra-host GPU<->GPU transfers through shared host memory
   /// (the paper's prototype uses host-shared-memory channels intra-host).
   Bandwidth intra_host_bandwidth = gibytes_per_sec(20.0);

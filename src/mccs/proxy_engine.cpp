@@ -359,22 +359,14 @@ void ProxyEngine::begin_execution(CommId comm, std::uint64_t seq) {
   });
 }
 
-template <class Deliver, class OnSent>
-void ProxyEngine::post_transfer(ChunkTransfer t, Deliver deliver,
-                                OnSent on_sent) {
+void ProxyEngine::post_transfer(ChunkTransfer t) {
   if (ctx_->cluster->same_host(gpu_, t.dst_gpu)) {
     const gpu::DeviceConfig& dc = ctx_->gpus->gpu(gpu_).config();
     const Time dt = ctx_->config.intra_host_hop_latency +
                     static_cast<double>(t.bytes) / dc.intra_host_bandwidth;
-    ctx_->loop->schedule_after(dt, [deliver = std::move(deliver),
-                                    on_sent = std::move(on_sent)] {
-      deliver();
-      on_sent();
-    });
+    ctx_->loop->schedule_after(dt, std::move(t.on_done));
     return;
   }
-  t.deliver = std::move(deliver);
-  t.on_sent = std::move(on_sent);
   transport_->post_send(std::move(t));
 }
 
@@ -408,13 +400,10 @@ void ProxyEngine::start_step(CommRank& st, ChannelExec& ch) {
     if (rit != routes.end()) t.route = rit->second;
     t.ecmp_key = connection_ecmp_key(comm, ch.channel, st.setup.rank,
                                      step.send_to, st.epoch, ctx_->seed);
-    auto deliver = [recv_proxy, comm, seq, channel, tag = step.send_tag,
-                    range = step.send_range, read_buf = st.running.read_buf,
-                    src_gpu = gpu_] {
+    t.on_done = [this, recv_proxy, comm, seq, channel, tag = step.send_tag,
+                 range = step.send_range, read_buf = st.running.read_buf] {
       recv_proxy->deliver_chunk(comm, seq, channel, tag, range, read_buf,
-                                src_gpu);
-    };
-    auto on_sent = [this, comm, seq, channel] {
+                                gpu_);
       // In-flight completions of a killed tenant's sends land here after the
       // CommRank is gone (intra-host hops bypass the transport's abort sweep).
       CommRank* s = find_comm(comm, Late::kIfKilled);
@@ -425,7 +414,7 @@ void ProxyEngine::start_step(CommRank& st, ChannelExec& ch) {
       c.send_done = true;
       check_advance(*s, c);
     };
-    post_transfer(std::move(t), std::move(deliver), std::move(on_sent));
+    post_transfer(std::move(t));
   } else {
     ch.send_done = true;
   }
@@ -684,9 +673,9 @@ void ProxyEngine::on_p2p_recv_posted(CommId comm, int dst_rank,
   t.bytes = bytes;
   t.ecmp_key = connection_ecmp_key(comm_id, 0x7FFF, my_rank, dst_rank,
                                    st.epoch, ctx_->seed);
-  auto finish = [this, remote, comm_id, my_rank, dst_rank, op_index, bytes,
-                 src = op.req.buffer, dst = dst_buffer, src_gpu = gpu_,
-                 dst_gpu] {
+  t.on_done = [this, remote, comm_id, my_rank, dst_rank, op_index, bytes,
+               src = op.req.buffer, dst = dst_buffer, src_gpu = gpu_,
+               dst_gpu] {
     // A kill aborts every rank of the comm, so one check suffices; skipping
     // the copy keeps us off buffers the teardown may have released.
     if (find_comm(comm_id, Late::kIfKilled) == nullptr) return;
@@ -698,7 +687,7 @@ void ProxyEngine::on_p2p_recv_posted(CommId comm, int dst_rank,
     p2p_complete(comm_id, dst_rank, op_index, /*is_send=*/true);
     remote->p2p_complete(comm_id, my_rank, op_index, /*is_send=*/false);
   };
-  post_transfer(std::move(t), std::move(finish), [] {});
+  post_transfer(std::move(t));
 }
 
 void ProxyEngine::p2p_complete(CommId comm, int peer, std::uint64_t op_index,

@@ -343,10 +343,8 @@ class ProxyEngine {
                       std::span<const std::byte> bytes);
   /// Move `t.bytes` from this GPU to `t.dst_gpu`: a same-host peer over the
   /// intra-host channel the proxy drives itself, any other through this
-  /// GPU's NIC. `deliver` runs at the receiver, then `on_sent`, in one loop
-  /// event.
-  template <class Deliver, class OnSent>
-  void post_transfer(ChunkTransfer t, Deliver deliver, OnSent on_sent);
+  /// GPU's NIC. `t.on_done` runs in one loop event once the bytes land.
+  void post_transfer(ChunkTransfer t);
 
   // P2P helpers.
   void p2p_launch(CommRank& st, int peer, std::uint64_t op_index, bool is_send);

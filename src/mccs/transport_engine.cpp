@@ -63,7 +63,7 @@ Time TrafficSchedule::next_boundary(Time t) const {
 }
 
 void TransportEngine::post_send(ChunkTransfer transfer) {
-  MCCS_EXPECTS(transfer.deliver && transfer.on_sent);
+  MCCS_EXPECTS(transfer.on_done);
   const AppId app = transfer.app;
   const std::uint64_t sid = next_send_id_++;
   Inflight send;
@@ -144,8 +144,7 @@ void TransportEngine::finish_send(std::uint64_t sid) {
          {"attempts", static_cast<std::int64_t>(s.attempts)}});
     send_latency_us_->observe((now - s.posted) * 1e6);
   }
-  s.transfer.deliver();  // RDMA write lands at the receiver...
-  s.transfer.on_sent();  // ...then the sender sees its completion event
+  s.transfer.on_done();
 }
 
 void TransportEngine::arm_deadline(std::uint64_t sid) {

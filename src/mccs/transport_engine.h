@@ -46,8 +46,9 @@ struct ChunkTransfer {
   Bytes bytes = 0;
   RouteId route{};              ///< explicit route; invalid => ECMP
   std::uint64_t ecmp_key = 0;
-  std::function<void()> deliver;  ///< receiver-side apply + notify
-  std::function<void()> on_sent;  ///< sender-side step completion
+  /// Runs once the last byte lands: the receiver applies the chunk, then the
+  /// sender sees its completion (RDMA-write-then-CQE order).
+  std::function<void()> on_done;
 };
 
 class TransportEngine {
@@ -60,8 +61,7 @@ class TransportEngine {
   TransportEngine& operator=(const TransportEngine&) = delete;
 
   /// Post an inter-host send. Applies the traffic schedule of the owning
-  /// app, then starts a network flow; on completion the receiver's deliver
-  /// callback runs before the sender's on_sent (RDMA-write-then-CQE order).
+  /// app, then starts a network flow; its completion runs `on_done`.
   /// With stall detection enabled (ServiceConfig::chunk_deadline_slack > 0)
   /// the send also gets a no-progress deadline and a bounded retry ladder.
   void post_send(ChunkTransfer transfer);
@@ -72,15 +72,15 @@ class TransportEngine {
   void clear_schedule(AppId app);
 
   /// Tenant teardown: cancel every in-flight flow, pending deadline timer,
-  /// and gated send owned by `app`. Their deliver/on_sent callbacks never
-  /// run. Returns the number of sends dropped.
+  /// and gated send owned by `app`. Their on_done callbacks never run.
+  /// Returns the number of sends dropped.
   std::size_t abort_app(AppId app);
 
   [[nodiscard]] int nic_index() const { return nic_index_; }
 
  private:
-  /// One posted send for its whole lifetime (across retries): the transfer's
-  /// callbacks, the current network flow, and the detection state.
+  /// One posted send for its whole lifetime (across retries): the transfer
+  /// with its callback, the current network flow, and the detection state.
   struct Inflight {
     ChunkTransfer transfer;
     FlowId flow{};

@@ -184,12 +184,10 @@ void Network::release_slot(std::uint32_t slot) {
   id_to_slot_[param_[slot].seq] = kNoSlot;
   // Drop the cold section's owned state (the on_complete closure in
   // particular) so a recycled slot cannot leak or observe a prior tenant.
+  MCCS_ASSERT(cold_[slot].cohort == kNoCohort);
   cold_[slot].spec = FlowSpec{};
   cold_[slot].completion = {};
   cold_[slot].completion_at = kNoCompletion;
-  cold_[slot].activation = {};
-  cold_[slot].cohort_key = 0;
-  cold_[slot].in_cohort = false;
   param_[slot].path = {};
   free_slots_.push_back(slot);
 }
@@ -228,32 +226,29 @@ FlowId Network::start_flow(FlowSpec spec) {
   c.spec = std::move(spec);
 
   if (latency > 0.0) {
-    if (options_.coalesce) {
-      // Activation cohort: latent flows sharing one exact activation instant
-      // (a collective launch posts its chunk flows in one handler with one
-      // start latency) activate through a single event — scheduled at the
-      // seq position the first member's own activation would have held, so
-      // ordering against other same-instant events is unchanged — and solve
-      // once. Keyed by the bit pattern of the instant schedule_after would
-      // compute, so membership is exact-FP, never epsilon.
-      const Time at = loop_->now() + latency;
-      std::uint64_t key = 0;
-      static_assert(sizeof(key) == sizeof(at));
-      std::memcpy(&key, &at, sizeof(key));
-      auto [it, fresh] = activation_cohorts_.try_emplace(key);
-      ActivationCohort& cohort = it->second;
-      cohort.ids.push_back(id);
-      ++cohort.live;
-      c.cohort_key = key;
-      c.in_cohort = true;
-      if (fresh) {
-        cohort.event =
-            loop_->schedule_at(at, [this, key] { activate_cohort(key); });
-      }
+    // A latent flow waits in an activation cohort. With coalescing, latent
+    // flows sharing one exact activation instant (a collective launch posts
+    // its chunk flows in one handler with one start latency) share one: its
+    // event sits at the seq position the first member's own activation
+    // would have held, so ordering against other same-instant events is
+    // unchanged, and the cohort solves once. Keyed by the bit pattern of the
+    // instant, so membership is exact-FP, never epsilon. Without coalescing
+    // no cohort stays open, so every latent flow gets one of its own.
+    const Time at = loop_->now() + latency;
+    std::uint64_t key = 0;
+    static_assert(sizeof(key) == sizeof(at));
+    std::memcpy(&key, &at, sizeof(key));
+    const auto open = std::lower_bound(
+        open_activations_.begin(), open_activations_.end(), key,
+        [](const auto& o, std::uint64_t k) { return o.first < k; });
+    std::uint32_t idx;
+    if (open != open_activations_.end() && open->first == key) {
+      idx = open->second;
     } else {
-      c.activation =
-          loop_->schedule_after(latency, [this, id] { activate_flow(id); });
+      idx = open_cohort(at);
+      if (options_.coalesce) open_activations_.insert(open, {key, idx});
     }
+    add_member(idx, slot);
   } else {
     p.started = true;
     insert_into_index(slot);
@@ -262,32 +257,71 @@ FlowId Network::start_flow(FlowSpec spec) {
   return FlowId{id};
 }
 
-void Network::activate_flow(std::uint32_t id) {
-  const std::uint32_t slot = slot_of(id);
-  if (slot == kNoSlot) return;  // cancelled while latent
-  // The activation phase is over: hand the shared cohort fields to the
-  // completion phase (set again on completion-cohort enrollment).
-  cold_[slot].in_cohort = false;
-  cold_[slot].cohort_key = 0;
-  FlowParam& p = param_[slot];
-  p.started = true;
-  hot_last_update_[slot] = loop_->now();
-  if (p.paused) return;  // paused while latent; resume_flow picks it up
-  insert_into_index(slot);
-  reallocate(p.path);
+std::uint32_t Network::open_cohort(Time at) {
+  std::uint32_t idx;
+  if (!free_cohorts_.empty()) {
+    idx = free_cohorts_.back();
+    free_cohorts_.pop_back();
+  } else {
+    idx = static_cast<std::uint32_t>(cohorts_.size());
+    cohorts_.emplace_back();
+  }
+  cohorts_[idx].event =
+      loop_->schedule_at(at, [this, idx] { fire_cohort(idx); });
+  return idx;
 }
 
-void Network::activate_cohort(std::uint64_t key) {
-  const auto it = activation_cohorts_.find(key);
-  MCCS_ASSERT(it != activation_cohorts_.end());
-  // Members activate in start order (== ascending id — the order their
-  // per-flow activation events would have fired in); the shared batch folds
-  // the burst into one union solve. activate_flow runs no user callbacks,
-  // so the cohort map cannot be mutated mid-walk.
+void Network::add_member(std::uint32_t idx, std::uint32_t slot) {
+  cohorts_[idx].members.push_back(param_[slot].seq);
+  ++cohorts_[idx].live;
+  cold_[slot].cohort = idx;
+}
+
+void Network::leave_cohort(std::uint32_t slot) {
+  const std::uint32_t idx = cold_[slot].cohort;
+  if (idx == kNoCohort) return;
+  cold_[slot].cohort = kNoCohort;
+  if (--cohorts_[idx].live == 0) close_cohort(idx);
+}
+
+void Network::close_cohort(std::uint32_t idx) {
+  Cohort& co = cohorts_[idx];
+  loop_->cancel(co.event);  // a no-op once it fired
+  std::erase_if(open_activations_,
+                [idx](const auto& o) { return o.second == idx; });
+  co.members.clear();
+  co.live = 0;
+  co.event = {};
+  free_cohorts_.push_back(idx);
+}
+
+void Network::fire_cohort(std::uint32_t idx) {
+  // Members fire in enrollment order: start order (== ascending id, the
+  // order per-flow activations would fire in) for an activation cohort, the
+  // solve's (instant, id) order for a completion cohort. Completion
+  // callbacks may cancel or pause later members (those leave, and the walk
+  // skips them) and may open cohorts, which can grow the pool, so the walk
+  // re-indexes it. Fired members still count in `live`, so no leave can
+  // close this record before the walk and its batch-close solve are done.
   begin_batch();
-  for (const std::uint32_t id : it->second.ids) activate_flow(id);
+  for (std::size_t i = 0; i < cohorts_[idx].members.size(); ++i) {
+    const std::uint32_t id = cohorts_[idx].members[i];
+    const std::uint32_t slot = slot_of(id);
+    if (slot == kNoSlot || cold_[slot].cohort != idx) continue;  // left
+    cold_[slot].cohort = kNoCohort;
+    FlowParam& p = param_[slot];
+    if (p.started) {
+      complete_flow(id);
+      continue;
+    }
+    p.started = true;
+    hot_last_update_[slot] = loop_->now();
+    if (p.paused) continue;  // paused while latent; resume_flow picks it up
+    insert_into_index(slot);
+    reallocate(p.path);
+  }
   end_batch();
-  activation_cohorts_.erase(it);
+  close_cohort(idx);
 }
 
 void Network::schedule_pending_completions() {
@@ -298,7 +332,7 @@ void Network::schedule_pending_completions() {
   // breaking ties by id makes a solve's same-instant completions fire in
   // ascending flow id whichever labels derived them. With coalescing, flows
   // sharing a bit-identical instant (a symmetric cascade: equal sizes, equal
-  // rates) share one cohort event instead of N, and the cohort drains its
+  // rates) share one cohort event instead of N, and the cohort fires its
   // members in that same order; the common case — every instant distinct —
   // costs one per-flow event each, as without coalescing.
   std::sort(pending_completions_.begin(), pending_completions_.end(),
@@ -321,94 +355,17 @@ void Network::schedule_pending_completions() {
       i = j;
       continue;
     }
-    std::uint32_t idx;
-    if (!free_cohorts_.empty()) {
-      idx = free_cohorts_.back();
-      free_cohorts_.pop_back();
-    } else {
-      idx = static_cast<std::uint32_t>(completion_cohorts_.size());
-      completion_cohorts_.emplace_back();
-    }
-    CompletionCohort& co = completion_cohorts_[idx];
-    MCCS_ASSERT(co.ids.empty() && !co.draining);
-    for (; i < j; ++i) {
-      const PendingCompletion& pc = pending_completions_[i];
-      co.ids.push_back(pc.id);
-      cold_[pc.slot].cohort_key = idx;
-      cold_[pc.slot].in_cohort = true;
-    }
-    co.event =
-        loop_->schedule_at(at, [this, idx] { drain_completion_cohort(idx); });
+    const std::uint32_t idx = open_cohort(at);
+    for (; i < j; ++i) add_member(idx, pending_completions_[i].slot);
   }
   pending_completions_.clear();
-}
-
-void Network::leave_completion_cohort(std::uint32_t slot) {
-  FlowCold& c = cold_[slot];
-  if (!c.in_cohort) return;
-  CompletionCohort& co = completion_cohorts_[c.cohort_key];
-  if (!co.draining) {
-    const auto pos = std::find(co.ids.begin(), co.ids.end(), param_[slot].seq);
-    MCCS_ASSERT(pos != co.ids.end());
-    co.ids.erase(pos);
-    if (co.ids.empty()) {
-      loop_->cancel(co.event);
-      co.event = {};
-      free_cohorts_.push_back(static_cast<std::uint32_t>(c.cohort_key));
-    }
-  }
-  // Mid-drain the member list was moved out; the drain loop re-checks
-  // in_cohort, so resetting the flags is all a leave needs there.
-  c.in_cohort = false;
-  c.cohort_key = 0;
-}
-
-void Network::drain_completion_cohort(std::uint32_t idx) {
-  CompletionCohort& co = completion_cohorts_[idx];
-  // Move the member list into persistent scratch and mark the record
-  // draining: completion callbacks may cancel or pause later members (their
-  // leave then only resets the flags), and the batch-close solve may form
-  // fresh cohorts — but never from this pool slot, which is freed only after
-  // the walk and the solve are done.
-  drain_ids_.assign(co.ids.begin(), co.ids.end());
-  co.ids.clear();
-  co.draining = true;
-  begin_batch();
-  for (const std::uint32_t id : drain_ids_) {
-    const std::uint32_t slot = slot_of(id);
-    if (slot == kNoSlot) continue;  // cancelled by an earlier member's callback
-    FlowCold& c = cold_[slot];
-    if (!c.in_cohort || c.cohort_key != idx) continue;  // left mid-drain
-    c.in_cohort = false;
-    c.cohort_key = 0;
-    complete_flow(id);
-  }
-  end_batch();
-  // Re-index: the batch-close solve may have grown the pool and moved it.
-  CompletionCohort& done = completion_cohorts_[idx];
-  done.draining = false;
-  done.event = {};
-  free_cohorts_.push_back(idx);
 }
 
 void Network::cancel_flow(FlowId id) {
   const std::uint32_t slot = slot_of(id.get());
   if (slot == kNoSlot) return;
-  FlowCold& c = cold_[slot];
-  loop_->cancel(c.completion);
-  loop_->cancel(c.activation);
-  if (!param_[slot].started && c.in_cohort) {
-    // Leave the dead id in the member list (activation skips it); when the
-    // last live member goes, drop the cohort's event from the loop just as
-    // per-flow cancellation would have.
-    const auto it = activation_cohorts_.find(c.cohort_key);
-    if (it != activation_cohorts_.end() && --it->second.live == 0) {
-      loop_->cancel(it->second.event);
-      activation_cohorts_.erase(it);
-    }
-  } else if (param_[slot].started) {
-    leave_completion_cohort(slot);
-  }
+  loop_->cancel(cold_[slot].completion);
+  leave_cohort(slot);
   const bool was_allocated = allocatable(slot);
   if (was_allocated) remove_from_index(slot);
   emit_flow_span(slot, /*completed=*/false);
@@ -431,7 +388,7 @@ void Network::pause_flow(FlowId id) {
   loop_->cancel(cold_[slot].completion);
   cold_[slot].completion = {};
   cold_[slot].completion_at = kNoCompletion;
-  leave_completion_cohort(slot);
+  leave_cohort(slot);
   reallocate(p.path);
 }
 
@@ -755,7 +712,7 @@ void Network::allocate_component() {
       FlowCold& c = cold_[s];
       loop_->cancel(c.completion);
       c.completion = {};
-      leave_completion_cohort(s);
+      leave_cohort(s);
       // Completion-instant clamp: a flow whose completion is already queued
       // at this very instant IS finished — see FlowCold::completion_at.
       // Forcing remaining to zero here makes the re-derived completion land

@@ -30,22 +30,24 @@
 // Storage (DESIGN.md §12): flow state lives in a slab of reusable slots
 // (same idiom as sim::EventLoop), split into a hot SoA section — the four
 // fields every solve touches, in dense parallel arrays — and a cold section
-// (FlowSpec with its callbacks, telemetry fields, event handles) read only
-// at flow boundaries. Flow ids are a monotone sequence that is never reused,
-// so a stale id can never alias a recycled slot; `id_to_slot_` maps ids to
-// live slots (or nothing). A flow's path is a PathView into the Routing's
-// path arena — flows on the same cached route share its one copy, and the
-// view outlives the flow's slot. Per-link membership removal is O(path) via
-// per-(flow,link) backpointers instead of a scan. At steady state (warm
-// slab, warm scratch) a start/complete cycle performs no heap allocation in
-// `reallocate` (guarded by tests/test_netsim_slab.cpp).
+// (FlowSpec with its callbacks, telemetry fields, completion event, cohort)
+// read only at flow boundaries. Flow ids are a monotone sequence that is
+// never reused, so a stale id can never alias a recycled slot; `id_to_slot_`
+// maps ids to live slots (or nothing). A flow's path is a PathView into the
+// Routing's path arena — flows on the same cached route share its one copy,
+// and the view outlives the flow's slot. Per-link membership removal is
+// O(path) via per-(flow,link) backpointers instead of a scan. A latent
+// flow's activation, and completions one solve left due at one exact
+// instant, fire through one pooled Cohort record (DESIGN.md §15). At steady
+// state (warm slab, scratch and cohort pool) a start/complete cycle performs
+// no heap allocation, latent or not (guarded by tests/test_netsim_slab.cpp).
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -119,11 +121,12 @@ class Network {
     bool incremental = true;
     /// Same-instant solve coalescing: begin_batch()/end_batch() defer the
     /// per-mutation re-solve and run one union solve at batch close, and
-    /// latent flows sharing an exact activation instant activate through one
-    /// cohort event inside an internal batch. Semantically identical (zero
-    /// virtual time elapses between the deferred mutations, so the skipped
-    /// intermediate rate states transfer zero bytes — see DESIGN.md §15).
-    /// Off = every batch is a no-op and activations stay per-flow events:
+    /// latent flows sharing an exact activation instant (or completions one
+    /// solve left due at one) fire through one cohort event inside an
+    /// internal batch. Semantically identical (zero virtual time elapses
+    /// between the deferred mutations, so the skipped intermediate rate
+    /// states transfer zero bytes — see DESIGN.md §15). Off = every batch is
+    /// a no-op and every latent flow activates through a cohort of its own:
     /// the unbatched column the coalescing property tests and the bench's
     /// solves-per-event comparison run against.
     bool coalesce = true;
@@ -165,8 +168,8 @@ class Network {
   /// SoA touched every rate solve (remaining / rate / last_update / mark),
   /// `param` the per-flow solve parameters (path view, caps, weight,
   /// flags), `cold` everything touched only at start/completion (spec,
-  /// timestamps, event handles). Compile-time facts surfaced for the scale
-  /// bench, which reports bytes-per-flow-state alongside events/s.
+  /// timestamps, completion event, cohort). Compile-time facts surfaced for
+  /// the scale bench, which reports bytes-per-flow-state alongside events/s.
   struct StorageFootprint {
     std::size_t hot = 0;
     std::size_t param = 0;
@@ -324,12 +327,13 @@ class Network {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNoCohort = 0xffffffffu;
 
-  /// Cold per-flow state: read at flow boundaries (start / completion /
-  /// cancel / telemetry), never inside a solve.
   /// Sentinel for "no completion scheduled" in FlowCold::completion_at.
   static constexpr Time kNoCompletion = std::numeric_limits<Time>::infinity();
 
+  /// Cold per-flow state: read at flow boundaries (start / completion /
+  /// cancel / telemetry), never inside a solve.
   struct FlowCold {
     FlowSpec spec;
     Time created = 0.0;  ///< start_flow time (telemetry span begin)
@@ -341,16 +345,10 @@ class Network {
     /// an unrelated same-instant mutation would push the completion one ulp
     /// past the instant the event queue already holds.
     Time completion_at = kNoCompletion;
-    sim::EventLoop::Handle completion;
-    sim::EventLoop::Handle activation;  ///< per-flow mode (coalesce off) only
-    /// Cohort membership (coalesce on). A flow is in at most one cohort at a
-    /// time, and the phase disambiguates what the key means: latent
-    /// (!started) = activation cohort (key = activation-instant Time bits);
-    /// started = completion cohort (key = pool index into
-    /// completion_cohorts_). The two phases never overlap, so the fields are
-    /// shared.
-    std::uint64_t cohort_key = 0;
-    bool in_cohort = false;  ///< member of an activation/completion cohort
+    sim::EventLoop::Handle completion;  ///< a completion of its own
+    /// The Cohort (index into cohorts_) the flow waits in, or kNoCohort:
+    /// its activation while latent, a shared completion once started.
+    std::uint32_t cohort = kNoCohort;
   };
 
   /// Warm per-flow parameters: what component discovery and the solver need
@@ -444,23 +442,25 @@ class Network {
   }
 
   void complete_flow(std::uint32_t id);
-  void activate_flow(std::uint32_t id);
-  /// Activate every surviving member of the cohort keyed by `key` (one
-  /// virtual instant) inside an internal batch: one solve for the burst.
-  void activate_cohort(std::uint64_t key);
+
+  /// A pooled cohort with no members whose event fires at `at`.
+  std::uint32_t open_cohort(Time at);
+  void add_member(std::uint32_t idx, std::uint32_t slot);
+  /// Take `slot` out of its cohort, if any (cancel, pause, rate change): a
+  /// cohort whose last member leaves is closed.
+  void leave_cohort(std::uint32_t slot);
+  /// Drop the cohort's event and return it to the pool.
+  void close_cohort(std::uint32_t idx);
+  /// Cohort `idx`'s event: every member still in it, in enrollment order,
+  /// activates (latent) or completes (started) inside one internal batch —
+  /// one solve for the whole same-instant burst.
+  void fire_cohort(std::uint32_t idx);
 
   /// Turn the solve's completion list (pending_completions_) into loop
   /// events in (instant, flow id) order. With coalescing, flows due at a
   /// bit-identical instant share one cohort event and the rest get the
   /// classic per-flow event; without it every flow gets its own.
   void schedule_pending_completions();
-  /// Remove `slot` from its completion cohort, if any (pause / cancel / rate
-  /// change); a cohort whose last member leaves drops its event.
-  void leave_completion_cohort(std::uint32_t slot);
-  /// Complete every surviving member of completion cohort `idx` — in
-  /// enrollment order, inside an internal batch: one solve for the whole
-  /// same-instant completion cascade instead of one per flow.
-  void drain_completion_cohort(std::uint32_t idx);
 
   /// Timeline span for a flow that just left the network (delivered or
   /// cancelled). No-op unless telemetry is enabled.
@@ -523,36 +523,25 @@ class Network {
   std::vector<std::uint64_t> batch_link_mark_;
   std::uint64_t batch_epoch_ = 0;
 
-  /// Latent flows grouped by exact activation instant (the Time's bit
-  /// pattern): the first member schedules the one activation event — at the
-  /// event-loop seq its own per-flow activation would have held — and the
-  /// cohort activates every surviving member in one batch. `live` counts
-  /// members not yet cancelled, so a fully-cancelled cohort drops its event
-  /// from the loop just as per-flow cancellation would.
-  struct ActivationCohort {
-    std::vector<std::uint32_t> ids;  ///< external flow ids, in start order
-    std::size_t live = 0;
+  /// Flows that fire through one loop event at one exact instant (DESIGN.md
+  /// §15): latent flows sharing an activation instant (the event sits at the
+  /// loop seq the first member's own activation would have held), or flows
+  /// one solve left due to complete at one instant (the symmetric-rate
+  /// cascade). A member that leaves stays in `members` — ids are never
+  /// reused, so the fire walk skips it by its FlowCold::cohort — and `live`
+  /// counts those still in, so a cohort whose last member leaves drops its
+  /// event just as per-flow cancellation would. Records live in a
+  /// high-water pool, so steady-state churn allocates nothing.
+  struct Cohort {
+    std::vector<std::uint32_t> members;  ///< external flow ids, enrollment order
+    std::uint32_t live = 0;
     sim::EventLoop::Handle event;
   };
-  std::unordered_map<std::uint64_t, ActivationCohort> activation_cohorts_;
-
-  /// Flows one solve left due to complete at one exact instant (equal Time
-  /// bit pattern — the symmetric-rate cascade), again replacing N
-  /// same-instant loop events with one. Cohorts form per solve: a cross-solve
-  /// bit collision simply yields two events at that instant, in solve order —
-  /// exactly the per-flow insertion order. Members are erased from `ids`
-  /// eagerly on leave (pause, cancel, rate change): enrollment order is the
-  /// per-flow event insertion order and must stay exact. Records live in a
-  /// high-water pool (cohort_key holds the pool index while enrolled) and the
-  /// grouping/drain scratch persists, so steady-state churn allocates
-  /// nothing.
-  struct CompletionCohort {
-    std::vector<std::uint32_t> ids;  ///< external flow ids, enrollment order
-    sim::EventLoop::Handle event;
-    bool draining = false;  ///< member list moved out; leave = flag reset only
-  };
-  std::vector<CompletionCohort> completion_cohorts_;  ///< pool, never shrunk
-  std::vector<std::uint32_t> free_cohorts_;           ///< recycled pool slots
+  std::vector<Cohort> cohorts_;              ///< pool, never shrunk
+  std::vector<std::uint32_t> free_cohorts_;  ///< recycled pool slots
+  /// Activation cohorts a latent flow can still join (coalescing only),
+  /// as (instant bits, cohort), sorted by bits.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> open_activations_;
   /// A completion instant one solve derived; the instant itself is in the
   /// flow's FlowCold::completion_at.
   struct PendingCompletion {
@@ -561,7 +550,6 @@ class Network {
     std::uint32_t slot;
   };
   std::vector<PendingCompletion> pending_completions_;  ///< per solve
-  std::vector<std::uint32_t> drain_ids_;                ///< drain walk scratch
 
   SolveStats stats_;
   bool timing_ = false;  ///< the running solve is clocked (see lap)

@@ -245,28 +245,45 @@ BreakdownReport TrainingJob::breakdown() const {
   return rep;
 }
 
+namespace {
+
+/// One tick of run_periodic_traffic_scheduling. Each tick schedules a copy of
+/// itself, so nothing outlives the tick that stops rescheduling.
+struct TrafficSchedulingTick {
+  svc::Fabric* fabric;
+  policy::Controller* controller;
+  const TrainingJob* prio_job;
+  std::vector<AppId> others;
+  Time interval;
+  Time guard;
+
+  void operator()() const {
+    if (prio_job->finished()) {
+      controller->clear_time_schedule(others);
+      return;
+    }
+    const auto& ends = prio_job->iteration_end_times();
+    if (ends.size() >= 3) {
+      const std::size_t k = std::min<std::size_t>(ends.size() - 1, 3);
+      const Time period =
+          (ends.back() - ends[ends.size() - 1 - k]) / static_cast<double>(k);
+      controller->apply_profiled_schedule(prio_job->app(), others, period,
+                                          ends.back(), guard);
+    }
+    fabric->loop().schedule_after(interval, *this);
+  }
+};
+
+}  // namespace
+
 void run_periodic_traffic_scheduling(svc::Fabric& fabric,
                                      policy::Controller& controller,
                                      const TrainingJob& prio_job,
                                      std::vector<AppId> others, Time interval,
                                      Time guard) {
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&fabric, &controller, &prio_job, others, interval, guard, tick] {
-    if (prio_job.finished()) {
-      controller.clear_time_schedule(others);
-      return;
-    }
-    const auto& ends = prio_job.iteration_end_times();
-    if (ends.size() >= 3) {
-      const std::size_t k = std::min<std::size_t>(ends.size() - 1, 3);
-      const Time period =
-          (ends.back() - ends[ends.size() - 1 - k]) / static_cast<double>(k);
-      controller.apply_profiled_schedule(prio_job.app(), others, period,
-                                         ends.back(), guard);
-    }
-    fabric.loop().schedule_after(interval, *tick);
-  };
-  fabric.loop().schedule_after(0.0, *tick);
+  fabric.loop().schedule_after(
+      0.0, TrafficSchedulingTick{&fabric, &controller, &prio_job,
+                                 std::move(others), interval, guard});
 }
 
 }  // namespace mccs::workload

@@ -102,15 +102,14 @@ TEST_F(GpuFixture, EventSynchronizesAcrossStreams) {
 TEST_F(GpuFixture, EventSharableAcrossDevicesViaHandle) {
   Gpu& dev0 = runtime.gpu(GpuId{0});
   Gpu& dev1 = runtime.gpu(GpuId{1});
+  // The shared event is the IPC handle: another device waits on it directly.
   auto ev = dev0.create_event();
-  EventHandle handle(ev);
-  auto opened = handle.open();
   Stream& s0 = dev0.create_stream();
   Stream& s1 = dev1.create_stream();
   double done = -1;
   s0.enqueue_compute(1.0);
   s0.record_event(ev);
-  s1.wait_event(opened);
+  s1.wait_event(ev);
   s1.enqueue_callback([&] { done = loop.now(); });
   loop.run();
   EXPECT_DOUBLE_EQ(done, 1.0);

@@ -163,21 +163,34 @@ TEST(NetworkSlab, SteadyStateFlowChurnIsAllocationFree) {
   const auto cl = cluster::make_scaled_sim_cluster(4096);
   constexpr std::size_t kFlows = 128;
 
-  // Three wave shapes: one solve per start; every start inside one
-  // SolveBatch — a union solve over many sub-component labels, whose seed
-  // also holds the links a flow started and cancelled in the same batch left
-  // memberless (hosts 1 and 4 carry none of the wave's flows); and one solve
-  // per start with coalescing off, whose completions are scheduled one by
-  // one from the same sorted list that forms cohorts with it on.
+  // Wave shapes: one solve per start; every start inside one SolveBatch — a
+  // union solve over many sub-component labels, whose seed also holds the
+  // links a flow started and cancelled in the same batch left memberless
+  // (hosts 1 and 4 carry none of the wave's flows); and one solve per start
+  // with coalescing off, whose completions are scheduled one by one from the
+  // same sorted list that forms cohorts with it on. The latent waves give
+  // every flow the transport's 13 us start latency (hop latency plus step
+  // overhead), so each flow waits in an activation cohort: all of them in
+  // one, or each in its own (activation instants a nanosecond apart), with
+  // coalescing on and off.
+  enum class Latent { kNo, kOneInstant, kDistinctInstants };
   struct WaveShape {
     const char* name;
     bool batched;
     bool coalesce;
+    Latent latent = Latent::kNo;
   };
-  for (const WaveShape shape : {WaveShape{"per-start wave", false, true},
-                                WaveShape{"batched wave", true, true},
-                                WaveShape{"per-start wave, coalesce off",
-                                          false, false}}) {
+  for (const WaveShape shape :
+       {WaveShape{"per-start wave", false, true},
+        WaveShape{"batched wave", true, true},
+        WaveShape{"per-start wave, coalesce off", false, false},
+        WaveShape{"latent wave, one instant", false, true, Latent::kOneInstant},
+        WaveShape{"latent wave, one instant, coalesce off", false, false,
+                  Latent::kOneInstant},
+        WaveShape{"latent wave, distinct instants", false, true,
+                  Latent::kDistinctInstants},
+        WaveShape{"latent wave, distinct instants, coalesce off", false, false,
+                  Latent::kDistinctInstants}}) {
     SCOPED_TRACE(shape.name);
     const bool batched = shape.batched;
     sim::EventLoop loop;
@@ -196,6 +209,10 @@ TEST(NetworkSlab, SteadyStateFlowChurnIsAllocationFree) {
                                     cl.host(dst).nic_nodes[i % 8], 4_MB);
         spec.ecmp_key = 0x9e3779b97f4a7c15ull * (i + 1);
         spec.on_complete = [&completed](FlowId, Time) { ++completed; };
+        if (shape.latent != Latent::kNo) spec.start_latency = micros(13);
+        if (shape.latent == Latent::kDistinctInstants) {
+          spec.start_latency += nanos(static_cast<double>(i));
+        }
         net.start_flow(std::move(spec));
       }
       if (batched) {

@@ -153,12 +153,9 @@ TEST(ControllerPolicy, SecondJobTriggersRebalanceOfFirst) {
   }
 }
 
-TEST(ControllerPolicy, TimeScheduleFromRealTraceGatesOtherTenant) {
-  Fabric fabric{cluster::make_testbed()};
-  policy::Controller controller(fabric);
-  controller.attach();
-
-  // Prioritised tenant A runs a periodic TP-style job to build a trace.
+/// A short periodic TP-style job: two layers, 4 MB activations, 18 ms of
+/// compute per iteration and no input stalls.
+workload::TrainingModelSpec short_tp_model() {
   workload::TrainingModelSpec m = workload::gpt27b_tensor_parallel();
   m.layers = 2;
   m.tp_activation_bytes = 4_MB;
@@ -166,14 +163,47 @@ TEST(ControllerPolicy, TimeScheduleFromRealTraceGatesOtherTenant) {
   m.backward_compute = millis(12);
   m.h2d_bytes_per_iter = 0;
   m.input_stall = 0;
-  workload::TrainingJob job_a(fabric, AppId{1}, {GpuId{0}, GpuId{4}}, m,
-                              {.iterations = 8});
+  return m;
+}
+
+TEST(ControllerPolicy, TimeScheduleFromRealTraceGatesOtherTenant) {
+  Fabric fabric{cluster::make_testbed()};
+  policy::Controller controller(fabric);
+  controller.attach();
+
+  // Prioritised tenant A runs a periodic TP-style job to build a trace.
+  workload::TrainingJob job_a(fabric, AppId{1}, {GpuId{0}, GpuId{4}},
+                              short_tp_model(), {.iterations = 8});
   job_a.start();
   fabric.loop().run();
   ASSERT_TRUE(job_a.finished());
 
   EXPECT_TRUE(controller.apply_time_schedule(AppId{1}, {AppId{2}}));
   controller.clear_time_schedule({AppId{2}});
+}
+
+TEST(ControllerPolicy, PeriodicTrafficSchedulingEndsWithThePriorityJob) {
+  // The administrator loop re-profiles tenant A every 20 ms and confines B to
+  // A's idle cycles. Once A finishes, the next tick lifts B's schedule and
+  // stops rescheduling: the loop drains, and nothing the ticks allocated
+  // outlives them (a leak-checking build reports any tick left behind).
+  Fabric fabric{cluster::make_testbed()};
+  policy::Controller controller(fabric);
+  controller.attach();
+  workload::TrainingJob job_a(fabric, AppId{1}, {GpuId{0}, GpuId{4}},
+                              short_tp_model(), {.iterations = 8});
+  workload::TrainingJob job_b(fabric, AppId{2}, {GpuId{1}, GpuId{5}},
+                              short_tp_model(), {.iterations = 8});
+  job_a.start();
+  job_b.start();
+  workload::run_periodic_traffic_scheduling(fabric, controller, job_a,
+                                            {AppId{2}}, millis(20));
+
+  ASSERT_TRUE(
+      fabric.loop().run_while_pending([&] { return job_a.finished(); }));
+  fabric.loop().run();
+  EXPECT_TRUE(job_b.finished());
+  EXPECT_TRUE(fabric.loop().empty());
 }
 
 }  // namespace
